@@ -4,11 +4,11 @@ package flowcheck
 // multi-commodity class analysis: for every guest, in both graph
 // construction modes and at several worker counts, the shared path (one
 // execution + per-class capacity views) must bound each class at least as
-// tightly as... no — at least as *high* as the legacy reexec oracle (one
-// execution per class with the class's ranging baked into the tracker).
+// high as the per-class oracle (one plain analysis per class, with the
+// class's secret ranging set in taint.Options.SecretRanges).
 // The shared graph is built from an all-marked run, so it is an edge
 // superset of any single-class graph with at-least-merged endpoints;
-// max flow is monotone in capacities, hence shared >= reexec per class is
+// max flow is monotone in capacities, hence shared >= oracle per class is
 // the invariant (exactness is not promised when rangings interact with
 // the collapsed graph's label merging, but in practice the corpus agrees
 // bit-for-bit — asserted when it holds structurally: a single class
@@ -21,25 +21,44 @@ import (
 	"fmt"
 	"testing"
 
-	"flowcheck/internal/core"
 	"flowcheck/internal/engine"
 	"flowcheck/internal/guest"
+	"flowcheck/internal/stagecache"
 	"flowcheck/internal/taint"
+	"flowcheck/internal/vm"
 )
 
 // corpusClasses splits a secret into three contiguous classes (uneven on
 // purpose: a short prefix, a middle, and the tail).
-func corpusClasses(n int) []core.SecretClass {
+func corpusClasses(n int) []engine.SecretClass {
 	a := n / 4
 	b := n / 2
-	return []core.SecretClass{
+	return []engine.SecretClass{
 		{Name: "prefix", Off: 0, Len: a},
 		{Name: "middle", Off: a, Len: b - a},
 		{Name: "tail", Off: b, Len: n - b},
 	}
 }
 
-// TestClassSoundnessCorpus checks shared-vs-reexec on every guest, both
+// classOracle is the per-class reference bound: one plain analysis per
+// class whose secret ranging marks only that class's bytes, so every class
+// costs a full execution of its own.
+func classOracle(t *testing.T, prog *vm.Program, in engine.Inputs, classes []engine.SecretClass, base engine.Config) []int64 {
+	t.Helper()
+	bits := make([]int64, len(classes))
+	for i, c := range classes {
+		cfg := base
+		cfg.Taint.SecretRanges = []taint.StreamRange{{Off: c.Off, Len: c.Len}}
+		res, err := engine.Analyze(prog, in, cfg)
+		if err != nil {
+			t.Fatalf("per-class oracle %q: %v", c.Name, err)
+		}
+		bits[i] = res.Bits
+	}
+	return bits
+}
+
+// TestClassSoundnessCorpus checks shared-vs-oracle on every guest, both
 // graph modes, serial and parallel class solving.
 func TestClassSoundnessCorpus(t *testing.T) {
 	for _, name := range guest.Names() {
@@ -59,18 +78,13 @@ func TestClassSoundnessCorpus(t *testing.T) {
 					t.Skipf("secret too short (%d bytes) to split into classes", len(secret))
 				}
 				prog := guest.Program(name)
-				in := core.Inputs{Secret: secret, Public: public}
+				in := engine.Inputs{Secret: secret, Public: public}
 				classes := corpusClasses(len(secret))
-				base := core.Config{Taint: taint.Options{Exact: exact}}
+				base := engine.Config{Taint: taint.Options{Exact: exact}}
 
-				oracleCfg := base
-				oracleCfg.ClassMode = core.ClassModeReexec
-				oracle, err := core.AnalyzeClassSet(prog, in, classes, oracleCfg)
-				if err != nil {
-					t.Fatalf("reexec oracle: %v", err)
-				}
+				oracle := classOracle(t, prog, in, classes, base)
 
-				joint, err := core.Analyze(prog, in, base)
+				joint, err := engine.Analyze(prog, in, base)
 				if err != nil {
 					t.Fatalf("joint analyze: %v", err)
 				}
@@ -78,7 +92,7 @@ func TestClassSoundnessCorpus(t *testing.T) {
 				for _, workers := range []int{1, 3} {
 					cfg := base
 					cfg.Workers = workers
-					shared, err := core.AnalyzeClassSet(prog, in, classes, cfg)
+					shared, err := engine.AnalyzeClassSet(prog, in, classes, cfg)
 					if err != nil {
 						t.Fatalf("shared (workers=%d): %v", workers, err)
 					}
@@ -86,15 +100,14 @@ func TestClassSoundnessCorpus(t *testing.T) {
 						t.Errorf("workers=%d: shared path performed %d executions, want exactly 1", workers, shared.Executions)
 					}
 					for i, cr := range shared.Classes {
-						or := oracle.Classes[i]
-						if cr.Err != nil || or.Err != nil {
-							t.Fatalf("class %q failed: shared=%v reexec=%v", cr.Class.Name, cr.Err, or.Err)
+						if cr.Err != nil {
+							t.Fatalf("class %q failed: %v", cr.Class.Name, cr.Err)
 						}
 						// The soundness invariant: a shared-view class bound
 						// never undercuts the per-class oracle.
-						if cr.Bits < or.Bits {
-							t.Errorf("workers=%d class %q: shared bound %d < reexec oracle %d (unsound)",
-								workers, cr.Class.Name, cr.Bits, or.Bits)
+						if cr.Bits < oracle[i] {
+							t.Errorf("workers=%d class %q: shared bound %d < per-class oracle %d (unsound)",
+								workers, cr.Class.Name, cr.Bits, oracle[i])
 						}
 						// No class can reveal more than the joint execution.
 						if cr.Bits > joint.Bits {
@@ -125,14 +138,14 @@ func TestClassFullRangeMatchesPlainAnalysis(t *testing.T) {
 				t.Fatalf("no sample inputs for %q", name)
 			}
 			prog := guest.Program(name)
-			in := core.Inputs{Secret: secret, Public: public}
-			all := []core.SecretClass{{Name: "all", Off: 0, Len: len(secret)}}
+			in := engine.Inputs{Secret: secret, Public: public}
+			all := []engine.SecretClass{{Name: "all", Off: 0, Len: len(secret)}}
 
-			plain, err := core.Analyze(prog, in, core.Config{})
+			plain, err := engine.Analyze(prog, in, engine.Config{})
 			if err != nil {
 				t.Fatalf("plain: %v", err)
 			}
-			ca, err := core.AnalyzeClassSet(prog, in, all, core.Config{})
+			ca, err := engine.AnalyzeClassSet(prog, in, all, engine.Config{})
 			if err != nil {
 				t.Fatalf("class set: %v", err)
 			}
@@ -160,7 +173,7 @@ func TestClassSharedSingleExecution(t *testing.T) {
 		{Name: "q2", Off: 32, Len: 16},
 		{Name: "q3", Off: 48, Len: 16},
 	}
-	cache := core.NewCache(core.CacheOptions{})
+	cache := stagecache.New(stagecache.Options{})
 	a := engine.New(guest.Program("sshauth"), engine.Config{Workers: 4, Cache: cache})
 
 	ca, err := a.AnalyzeClassSet(in, classes)

@@ -84,17 +84,18 @@ type timingRecord struct {
 	MeasuredBits int64   `json:"measured_bits,omitempty"`
 	StaticUS     float64 `json:"static_us,omitempty"`
 	FullUS       float64 `json:"full_us,omitempty"`
-	// The multiclass experiment's old-vs-new pipeline comparison: mean
-	// class-set latency per mode and executions per class actually
-	// performed (1.0 for reexec, 1/N for the shared path).
+	// The multiclass experiment's comparison of one plain analysis per
+	// class (reexec) against one shared execution: mean class-set latency
+	// and executions per class actually performed (1.0 for reexec, 1/N
+	// for the shared path).
 	ReexecMS            float64 `json:"reexec_ms,omitempty"`
 	SharedMS            float64 `json:"shared_ms,omitempty"`
 	ReexecExecsPerClass float64 `json:"reexec_execs_per_class,omitempty"`
 	SharedExecsPerClass float64 `json:"shared_execs_per_class,omitempty"`
-	// Pointer so false survives encoding: "did both class pipelines agree
+	// Pointer so false survives encoding: "did both ways agree
 	// bit-for-bit" is meaningful either way (false = the shared bound was
 	// strictly looser somewhere, never tighter).
-	ClassModesAgree *bool `json:"class_modes_agree,omitempty"`
+	MultiClassAgree *bool `json:"class_modes_agree,omitempty"`
 }
 
 // staticTotals carries the static experiment's counts from its run
@@ -201,7 +202,7 @@ func main() {
 				rec.ReexecExecsPerClass = multiclassTotals.reexecEPC
 				rec.SharedExecsPerClass = multiclassTotals.sharedEPC
 				agree := multiclassTotals.agree
-				rec.ClassModesAgree = &agree
+				rec.MultiClassAgree = &agree
 			}
 			timings = append(timings, rec)
 			fmt.Println()
@@ -367,11 +368,10 @@ func runBatch(sizes []int) {
 	r := experiments.Batch(runs)
 	fmt.Printf("%d runs of %s, %d worker(s) available\n", r.Runs, r.Guest, r.Workers)
 	fmt.Printf("serial Analyze x%d:      %10s\n", r.Runs, r.Serial.Round(time.Microsecond))
-	fmt.Printf("online AnalyzeMulti:     %10s\n", r.Multi.Round(time.Microsecond))
 	fmt.Printf("AnalyzeBatch workers=1:  %10s\n", r.Batch1.Round(time.Microsecond))
 	fmt.Printf("AnalyzeBatch workers=%-2d: %10s  (%.2fx vs serial)\n",
 		r.Workers, r.BatchN.Round(time.Microsecond), float64(r.Serial)/float64(r.BatchN))
-	fmt.Printf("joint bound: %d bits; batch == multi: %v; per-run %v\n", r.JointBits, r.Agree, r.PerRunBits)
+	fmt.Printf("joint bound: %d bits; workers=1 == workers=%d: %v; per-run %v\n", r.JointBits, r.Workers, r.Agree, r.PerRunBits)
 }
 
 func runDegrade(sizes []int) {

@@ -25,12 +25,12 @@ import (
 	"strings"
 
 	"flowcheck/internal/check"
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/fault"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/infer"
 	"flowcheck/internal/lang/parser"
-	"flowcheck/internal/maxflow"
+	"flowcheck/internal/stagecache"
 	"flowcheck/internal/taint"
 	"flowcheck/internal/vm"
 )
@@ -77,13 +77,13 @@ var errLint = errors.New("lint findings")
 // (7).
 func exitCode(err error) int {
 	switch {
-	case errors.Is(err, core.ErrStepLimit):
+	case errors.Is(err, engine.ErrStepLimit):
 		return 3
-	case errors.Is(err, core.ErrCanceled):
+	case errors.Is(err, engine.ErrCanceled):
 		return 4
-	case errors.Is(err, core.ErrBudget):
+	case errors.Is(err, engine.ErrBudget):
 		return 5
-	case errors.Is(err, core.ErrInternal):
+	case errors.Is(err, engine.ErrInternal):
 		return 6
 	case errors.Is(err, errLint):
 		return 7
@@ -120,8 +120,8 @@ func addInputFlags(fs *flag.FlagSet) *inputFlags {
 	}
 }
 
-func (f *inputFlags) load(fs *flag.FlagSet) (*vm.Program, core.Inputs, error) {
-	var in core.Inputs
+func (f *inputFlags) load(fs *flag.FlagSet) (*vm.Program, engine.Inputs, error) {
+	var in engine.Inputs
 	var err error
 	if in.Secret, err = pick(*f.secretFile, *f.secretStr); err != nil {
 		return nil, in, err
@@ -139,7 +139,7 @@ func (f *inputFlags) load(fs *flag.FlagSet) (*vm.Program, core.Inputs, error) {
 	if err != nil {
 		return nil, in, err
 	}
-	prog, err := core.CompileCached(fs.Arg(0), string(src))
+	prog, err := engine.CompileCached(fs.Arg(0), string(src))
 	return prog, in, err
 }
 
@@ -147,8 +147,8 @@ func (f *inputFlags) load(fs *flag.FlagSet) (*vm.Program, core.Inputs, error) {
 // single-run analysis. -secret-dir contributes one run per file (sorted by
 // name, sharing the common public input); -runs then replicates the whole
 // list.
-func batchInputs(in core.Inputs, runs int, secretDir string) ([]core.Inputs, error) {
-	base := []core.Inputs{in}
+func batchInputs(in engine.Inputs, runs int, secretDir string) ([]engine.Inputs, error) {
+	base := []engine.Inputs{in}
 	if secretDir != "" {
 		entries, err := os.ReadDir(secretDir)
 		if err != nil {
@@ -163,7 +163,7 @@ func batchInputs(in core.Inputs, runs int, secretDir string) ([]core.Inputs, err
 			if err != nil {
 				return nil, err
 			}
-			base = append(base, core.Inputs{Secret: secret, Public: in.Public})
+			base = append(base, engine.Inputs{Secret: secret, Public: in.Public})
 		}
 		if len(base) == 0 {
 			return nil, fmt.Errorf("no secret files in %s", secretDir)
@@ -175,7 +175,7 @@ func batchInputs(in core.Inputs, runs int, secretDir string) ([]core.Inputs, err
 	if secretDir == "" && runs == 1 {
 		return nil, nil
 	}
-	var out []core.Inputs
+	var out []engine.Inputs
 	for i := 0; i < runs; i++ {
 		out = append(out, base...)
 	}
@@ -201,7 +201,6 @@ func cmdRun(args []string) error {
 	warn := fs.Bool("warn-implicit", false, "warn on implicit flows outside enclosure regions")
 	lint := fs.Bool("lint", false, "run the static pre-pass and cross-check it against the execution (findings exit with code 7)")
 	dot := fs.String("dot", "", "write the flow graph in DOT form to this file")
-	ek := fs.Bool("edmonds-karp", false, "use Edmonds-Karp instead of Dinic")
 	showOut := fs.Bool("show-output", true, "print the program's output")
 	runs := fs.Int("runs", 1, "analyze this many executions of the same inputs jointly (batch mode, §3.2)")
 	secretDir := fs.String("secret-dir", "", "batch mode: one run per file in this directory (sorted), each file the run's secret input")
@@ -218,7 +217,6 @@ func cmdRun(args []string) error {
 	precision := fs.String("precision", "", "precision ladder rung: trivial|static|full|adaptive (trivial/static answer a sound upper bound with no execution)")
 	threshold := fs.Int64("threshold", 0, "adaptive precision: run the full solve only while the cheap bound exceeds this many bits")
 	classesFlag := fs.String("classes", "", `per-class analysis (§10.1): comma-separated "name:off:len" secret classes; one execution, one solve per class, plus the joint bound`)
-	classMode := fs.String("class-mode", "", "class analysis mode: shared (one execution + per-class capacity views, default) or reexec (legacy one execution per class)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -226,7 +224,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	prec, err := core.ParsePrecision(*precision)
+	prec, err := engine.ParsePrecision(*precision)
 	if err != nil {
 		return err
 	}
@@ -234,13 +232,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	switch *classMode {
-	case "", core.ClassModeShared, core.ClassModeReexec:
-	default:
-		return fmt.Errorf("unknown -class-mode %q (want shared or reexec)", *classMode)
-	}
-	cfg := core.Config{
-		ClassMode:         *classMode,
+	cfg := engine.Config{
 		Taint:             taint.Options{Exact: *exact, ContextSensitive: *ctx, WarnImplicit: *warn},
 		Lint:              *lint,
 		Workers:           *workers,
@@ -248,15 +240,12 @@ func cmdRun(args []string) error {
 		Compact:           *compact,
 		Precision:         prec,
 		AdaptiveThreshold: *threshold,
-		Budget: core.Budget{
+		Budget: engine.Budget{
 			MaxGraphNodes:  *maxGraphNodes,
 			MaxGraphEdges:  *maxGraphEdges,
 			MaxOutputBytes: *maxOutputBytes,
 			SolverWork:     *solverBudget,
 		},
-	}
-	if *ek {
-		cfg.Algorithm = maxflow.EdmondsKarp
 	}
 	if *faultSeed != 0 {
 		n := *runs
@@ -265,9 +254,9 @@ func cmdRun(args []string) error {
 		}
 		cfg.Fault = fault.Random(*faultSeed, n)
 	}
-	var cache *core.Cache
+	var cache *stagecache.Cache
 	if *useCache {
-		cache = core.NewCache(core.CacheOptions{})
+		cache = stagecache.New(stagecache.Options{})
 		cfg.Cache = cache
 		if cfg.Fault != nil {
 			// Without this notice a faulted run silently loses the cache
@@ -292,17 +281,17 @@ func cmdRun(args []string) error {
 		if *precision != "" {
 			return fmt.Errorf("-classes cannot combine with -precision: the cheap rungs never execute, so there is no graph to solve per class")
 		}
-		ca, err := core.AnalyzeClassSetContext(runCtx, prog, in, classes, cfg)
+		ca, err := engine.AnalyzeClassSetContext(runCtx, prog, in, classes, cfg)
 		if err != nil {
 			return err
 		}
 		return printClassAnalysis(ca, *stages)
 	}
-	var res *core.Result
+	var res *engine.Result
 	if batch != nil {
-		res, err = core.AnalyzeBatchContext(runCtx, prog, batch, cfg)
+		res, err = engine.AnalyzeBatchContext(runCtx, prog, batch, cfg)
 	} else {
-		res, err = core.AnalyzeContext(runCtx, prog, in, cfg)
+		res, err = engine.AnalyzeContext(runCtx, prog, in, cfg)
 	}
 	if err != nil {
 		return err
@@ -421,7 +410,7 @@ func cmdRun(args []string) error {
 		}
 		fmt.Println("wrote", *dot)
 	}
-	if errors.Is(res.Trap, core.ErrStepLimit) {
+	if errors.Is(res.Trap, engine.ErrStepLimit) {
 		// Distinct from a guest fault: the bound above covers only the
 		// truncated execution, so surface the exhaustion as exit code 3.
 		return fmt.Errorf("guest exhausted its step limit after %d steps: %w", res.Steps, res.Trap)
@@ -431,11 +420,11 @@ func cmdRun(args []string) error {
 
 // parseClasses parses the -classes flag: comma-separated "name:off:len"
 // secret-class specs.
-func parseClasses(s string) ([]core.SecretClass, error) {
+func parseClasses(s string) ([]engine.SecretClass, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var out []core.SecretClass
+	var out []engine.SecretClass
 	for _, part := range strings.Split(s, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")
 		if len(fields) != 3 || fields[0] == "" {
@@ -449,7 +438,7 @@ func parseClasses(s string) ([]core.SecretClass, error) {
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("bad class spec %q: length must be a non-negative integer", part)
 		}
-		out = append(out, core.SecretClass{Name: fields[0], Off: off, Len: n})
+		out = append(out, engine.SecretClass{Name: fields[0], Off: off, Len: n})
 	}
 	return out, nil
 }
@@ -457,9 +446,9 @@ func parseClasses(s string) ([]core.SecretClass, error) {
 // printClassAnalysis renders a class-set analysis: the per-class table,
 // then the joint bound against the per-class sum (the gap is capacity the
 // classes crowd each other out of, §10.1).
-func printClassAnalysis(ca *core.ClassAnalysis, stages bool) error {
-	fmt.Printf("class analysis (%s mode): %d classes, %d execution(s)\n",
-		ca.Mode, len(ca.Classes), ca.Executions)
+func printClassAnalysis(ca *engine.ClassAnalysis, stages bool) error {
+	fmt.Printf("class analysis: %d classes, %d execution(s)\n",
+		len(ca.Classes), ca.Executions)
 	var sum int64
 	var firstErr error
 	failed := 0
@@ -518,7 +507,7 @@ func cmdCheck(args []string) error {
 			cut = append(cut, uint32(v))
 		}
 	} else {
-		res, err := core.Analyze(prog, in, core.Config{})
+		res, err := engine.Analyze(prog, in, engine.Config{})
 		if err != nil {
 			return err
 		}
@@ -566,7 +555,7 @@ func cmdLockstep(args []string) error {
 			dummy[i] = 'x'
 		}
 	}
-	res, err := core.Analyze(prog, in, core.Config{})
+	res, err := engine.Analyze(prog, in, engine.Config{})
 	if err != nil {
 		return err
 	}
@@ -603,7 +592,7 @@ func cmdDisasm(args []string) error {
 		if err != nil {
 			return err
 		}
-		prog, err = core.CompileCached(fs.Arg(0), string(src))
+		prog, err = engine.CompileCached(fs.Arg(0), string(src))
 		if err != nil {
 			return err
 		}

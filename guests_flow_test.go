@@ -9,7 +9,7 @@ package flowcheck
 import (
 	"testing"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/taint"
 )
@@ -48,9 +48,9 @@ func TestAllGuestFlowsPinned(t *testing.T) {
 				t.Fatalf("no sample inputs for %q", tc.name)
 			}
 			prog := guest.Program(tc.name)
-			in := core.Inputs{Secret: secret, Public: public}
+			in := engine.Inputs{Secret: secret, Public: public}
 
-			res, err := core.Analyze(prog, in, core.Config{})
+			res, err := engine.Analyze(prog, in, engine.Config{})
 			if err != nil {
 				t.Fatalf("collapsed: %v", err)
 			}
@@ -58,7 +58,7 @@ func TestAllGuestFlowsPinned(t *testing.T) {
 				t.Errorf("collapsed bits = %d, want %d", res.Bits, tc.collapsed)
 			}
 
-			res, err = core.Analyze(prog, in, core.Config{Taint: taint.Options{Exact: true}})
+			res, err = engine.Analyze(prog, in, engine.Config{Taint: taint.Options{Exact: true}})
 			if err != nil {
 				t.Fatalf("exact: %v", err)
 			}

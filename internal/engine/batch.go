@@ -95,14 +95,14 @@ func (a *Analyzer) fanOut(n int, fn func(s *session, i int) error) []error {
 // runs are fanned across worker sessions (Config.Workers, default
 // GOMAXPROCS), each executed with a fresh per-worker tracker, and the
 // per-run graphs are then merged by code location (internal/merge) and
-// solved jointly. The merged bound has the same cross-run soundness as
-// AnalyzeMulti's online accumulation (§3.2) — offline merge and online
-// accumulation agree — but the expensive Execute/Build/Solve stages run
-// concurrently.
+// solved jointly. The merged bound has the cross-run soundness of §3.2:
+// offline merge by code location agrees with accumulating the runs online
+// in one tracker (internal/merge tests pin this), but the expensive
+// Execute/Build/Solve stages run concurrently.
 //
 // The result is deterministic: graphs are merged in run order, so Bits and
-// the cut do not depend on worker count or scheduling. As in AnalyzeMulti,
-// Output, ExitCode, Steps, and Trap are the last surviving run's; Warnings
+// the cut do not depend on worker count or scheduling. Output, ExitCode,
+// Steps, and Trap are the last surviving run's; Warnings
 // and Snapshots are concatenated in run order; Stats sums across runs;
 // Runs holds per-run summaries (with each run's standalone bound).
 //
@@ -114,7 +114,9 @@ func (a *Analyzer) fanOut(n int, fn func(s *session, i int) error) []error {
 // AnalyzeBatch return an error. Note the changed trap semantics versus a
 // single Analyze: there the trapped run IS the result (partial but sound),
 // while a trapped batch run would silently weaken the joint bound, so it
-// too is excluded and recorded in its summary.
+// too is excluded and recorded in its RunSummary.Err — its partial graph
+// does not join the merge, and the joint bound covers only the complete
+// runs.
 func (a *Analyzer) AnalyzeBatch(inputs []Inputs) (*Result, error) {
 	return a.AnalyzeBatchContext(context.Background(), inputs)
 }
@@ -187,7 +189,7 @@ func (a *Analyzer) AnalyzeBatchContext(ctx context.Context, inputs []Inputs) (re
 	// The merge and joint solve are the shared SolveJoint seam: the fleet
 	// coordinator calls the same function over shard-returned graphs, which
 	// is what makes a distributed batch bit-identical to this path.
-	jr := SolveJoint(graphs, a.cfg.Algorithm, a.cfg.Budget.SolverWork)
+	jr := SolveJoint(graphs, a.cfg.Budget.SolverWork)
 	res = jr.ToResult()
 	res.Runs = make([]RunSummary, 0, len(perRun))
 	res.prog = a.prog
@@ -212,7 +214,7 @@ func (a *Analyzer) AnalyzeBatchContext(ctx context.Context, inputs []Inputs) (re
 		addStats(&res.Stats, r.Stats)
 		addMem(&res.Mem, r.Mem)
 		agg.add(r.Stages)
-		// Execution facts mirror AnalyzeMulti: the last surviving run's.
+		// Execution facts are the last surviving run's.
 		res.Output = r.Output
 		res.ExitCode = r.ExitCode
 		res.Steps = r.Steps
@@ -223,31 +225,6 @@ func (a *Analyzer) AnalyzeBatchContext(ctx context.Context, inputs []Inputs) (re
 	agg.Total = time.Since(start) // wall time, not the sum of stage times
 	res.Stages = agg
 	return res, nil
-}
-
-// AnalyzeClasses measures, for each kind of secret, how much of it this
-// execution reveals (§10.1: "our analysis can be used independently for
-// each kind of secret"). By default (ClassModeShared) the guest executes
-// once with every secret byte marked and source attribution recorded, and
-// each class is a cheap capacity-view solve over the shared graph; with
-// Config.ClassMode = ClassModeReexec the legacy oracle re-executes once
-// per class with that class's ranging. The per-class bounds may sum to
-// more than a joint analysis reports, since the classes share output
-// capacity (the crowding-out effect the paper discusses). See
-// AnalyzeClassSet for the richer result (joint bound, execution count).
-func (a *Analyzer) AnalyzeClasses(in Inputs, classes []SecretClass) ([]ClassResult, error) {
-	return a.AnalyzeClassesContext(context.Background(), in, classes)
-}
-
-// AnalyzeClassesContext is AnalyzeClasses under a context. Class failures
-// are isolated like batch runs: a failed class carries its typed error in
-// ClassResult.Err while the other classes still report their bounds.
-func (a *Analyzer) AnalyzeClassesContext(ctx context.Context, in Inputs, classes []SecretClass) ([]ClassResult, error) {
-	ca, err := a.AnalyzeClassSetContext(ctx, in, classes)
-	if err != nil {
-		return nil, err
-	}
-	return ca.Classes, nil
 }
 
 // mergeFindings appends the findings of one run, deduplicating by kind

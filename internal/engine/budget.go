@@ -31,7 +31,7 @@ type Budget struct {
 	MaxOutputBytes int
 
 	// SolverWork bounds the max-flow computation, in arc examinations
-	// (maxflow.SolveBudgeted). Exceeding it does not fail the run: the
+	// (maxflow.Solver.Solve). Exceeding it does not fail the run: the
 	// result degrades to the trivial-cut bound.
 	SolverWork int64
 

@@ -119,7 +119,7 @@ func CompileCached(filename, src string) (*vm.Program, error) {
 	return v.(*vm.Program), nil
 }
 
-// cacheable reports whether this analyzer's single-run results may go
+// cacheable reports whether this analyzer's results may go
 // through the configured result cache. Fault plans inject nondeterminism
 // (panics, stalls, scripted traps), so their results must not be reused.
 func (a *Analyzer) cacheable() bool {
@@ -139,7 +139,7 @@ func (a *Analyzer) keys() (prog, cfg cachekey.Key) {
 // cannot change the Result are deliberately excluded: Workers and
 // SessionHighWater only shape scheduling and pooling, and Fault gates
 // cacheability instead of keying it. Everything else — resolved tracker
-// options, algorithm, machine geometry, budgets, lint — changes either the
+// options, machine geometry, budgets, lint — changes either the
 // bound or the diagnostics, so it keys.
 func (a *Analyzer) configKey() cachekey.Key {
 	opts := a.taintOptions()
@@ -155,13 +155,11 @@ func (a *Analyzer) configKey() cachekey.Key {
 	for _, r := range opts.SecretRanges {
 		h.Int(int64(r.Off)).Int(int64(r.Len))
 	}
-	h.Int(int64(a.cfg.Algorithm)).
-		Int(int64(a.cfg.MemSize)).
+	h.Int(int64(a.cfg.MemSize)).
 		Uint(a.cfg.MaxSteps).
 		Bool(a.cfg.Lint).
 		Int(int64(a.cfg.Precision)).
-		Int(a.cfg.AdaptiveThreshold).
-		Str(a.cfg.ClassMode)
+		Int(a.cfg.AdaptiveThreshold)
 	b := a.cfg.Budget
 	h.Int(int64(b.MaxGraphNodes)).
 		Int(int64(b.MaxGraphEdges)).
@@ -260,14 +258,14 @@ func (sk *skeleton) matches(g *flowgraph.Graph) bool {
 }
 
 // solveWithCache runs the Solve stage, reusing the cached graph skeleton
-// when permitted. reuse lets multi-run entry points opt out (accumulating
-// trackers and per-class secret rangings change the topology run to run).
+// when permitted. reuse lets the class analysis opt out (its attributing
+// tracker builds a different topology than the configured one).
 // Exact mode never reuses: its graphs grow with executed instructions and
 // carry unique per-edge serials, so a repeat is effectively impossible.
-func (a *Analyzer) solveWithCache(solver *maxflow.Solver, g *flowgraph.Graph, reuse bool) (flow *maxflow.Result, exhausted, skelHit bool) {
+func (a *Analyzer) solveWithCache(s *session, g *flowgraph.Graph, reuse bool) (flow *maxflow.Result, exhausted, skelHit bool) {
 	budget := a.cfg.Budget.SolverWork
 	if !reuse || !a.cacheable() || a.taintOptions().Exact {
-		flow, exhausted = solver.SolveBudgeted(g, budget)
+		flow, exhausted = s.solve(g, budget)
 		return flow, exhausted, false
 	}
 	key := a.skeletonKey()
@@ -278,12 +276,12 @@ func (a *Analyzer) solveWithCache(solver *maxflow.Solver, g *flowgraph.Graph, re
 				sk.csr.Cap[2*i] = g.Edges[i].Cap
 				sk.csr.Cap[2*i+1] = 0
 			}
-			flow, exhausted = solver.SolveCSR(&sk.csr, budget)
+			flow, exhausted = s.solver.Solve(&sk.csr, nil, budget)
 			sk.mu.Unlock()
 			return flow, exhausted, true
 		}
 	}
-	flow, exhausted = solver.SolveBudgeted(g, budget)
+	flow, exhausted = s.solve(g, budget)
 	sk := newSkeleton(g)
 	a.cfg.Cache.Put(KindSkeleton, key, sk, skeletonBytes(sk))
 	return flow, exhausted, false

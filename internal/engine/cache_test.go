@@ -149,6 +149,56 @@ func TestFullHitSkipsPipeline(t *testing.T) {
 	}
 }
 
+// A class request served from the cache reports this call's lookup, not
+// the stages of the execution that filled the cache. Both hit paths are
+// covered: a repeated class set (class-set hit) and a new class set over
+// the same inputs (class-graph hit, re-solved without executing).
+func TestClassHitReportsLookupStages(t *testing.T) {
+	prog, err := lang.Compile("straight.mc", straightSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(prog, Config{Cache: testCache()})
+	in := Inputs{Secret: []byte{1, 2, 3, 4}}
+	halves := []SecretClass{{Name: "lo", Off: 0, Len: 2}, {Name: "hi", Off: 2, Len: 2}}
+	cold, err := a.AnalyzeClassSet(in, halves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Executions != 1 || cold.Joint.Stages.Execute == 0 {
+		t.Fatalf("cold class set: executions=%d stages=%+v", cold.Executions, cold.Joint.Stages)
+	}
+	for _, tc := range []struct {
+		name    string
+		classes []SecretClass
+	}{
+		{"class-set hit", halves},
+		{"class-graph hit", []SecretClass{{Name: "all", Off: 0, Len: 4}}},
+	} {
+		ca, err := a.AnalyzeClassSet(in, tc.classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ca.Executions != 0 {
+			t.Errorf("%s: executions = %d, want 0", tc.name, ca.Executions)
+		}
+		st := ca.Joint.Stages
+		if st.Execute != 0 || st.Build != 0 || st.Solve != 0 || st.Report != 0 || st.Total != st.Lookup {
+			t.Errorf("%s: joint stages %+v, want the lookup only", tc.name, st)
+		}
+		if ca.Joint.Cache.Disposition != CacheHit {
+			t.Errorf("%s: joint disposition = %q, want %q", tc.name, ca.Joint.Cache.Disposition, CacheHit)
+		}
+		if ca.Joint.Bits != cold.Joint.Bits {
+			t.Errorf("%s: joint bits = %d, want %d", tc.name, ca.Joint.Bits, cold.Joint.Bits)
+		}
+	}
+	// Stamping a hit must not touch the shared cached value.
+	if cold.Joint.Stages.Execute == 0 {
+		t.Fatal("cached joint result lost its execution stages")
+	}
+}
+
 // TestInputOnlyChangeIncremental is the acceptance criterion for warm
 // programs with fresh inputs: the result misses, but the static analysis
 // and collapsed graph skeleton are reused, so only Execute plus a

@@ -2,8 +2,8 @@ package engine
 
 // Multi-commodity class analysis (paper §10.1): measure, for each kind of
 // secret, how much of it one execution reveals. Classes share topology —
-// they differ only in which Source edges carry capacity — so the default
-// path executes the guest ONCE with every secret byte marked and source
+// they differ only in which Source edges carry capacity — so the analysis
+// executes the guest ONCE with every secret byte marked and source
 // attribution recorded (taint.Options.AttributeSources), then solves one
 // per-class capacity view per class against the shared CSR. Per-class cost
 // drops from one execution+build+solve to one solve.
@@ -18,10 +18,10 @@ package engine
 // classes' attributed source capacity, and keeps unattributed source
 // capacity (__secret-marked memory, which the ranging path also always
 // marks). Max flow is monotone in capacities, so the shared-view bound is
-// ≥ the legacy per-class-ranging bound — conservative, never under-
-// reporting. The legacy path survives as an opt-in oracle
-// (Config.ClassMode = ClassModeReexec) and the corpus-wide equivalence
-// test enforces shared ≥ reexec on every guest.
+// ≥ the per-class-ranging bound (one plain analysis per class with
+// taint.Options.SecretRanges set to the class) — conservative, never
+// under-reporting. The corpus-wide equivalence test keeps that per-class
+// analysis as its oracle and enforces shared ≥ oracle on every guest.
 
 import (
 	"context"
@@ -39,17 +39,6 @@ import (
 	"flowcheck/internal/taint"
 )
 
-// Class-analysis modes (Config.ClassMode).
-const (
-	// ClassModeShared (the default, also selected by "") executes once
-	// with source attribution and solves one capacity view per class.
-	ClassModeShared = "shared"
-	// ClassModeReexec is the legacy oracle: one full pipeline per class
-	// with that class's secret ranging baked into the graph. Kept for
-	// soundness testing; strictly N× the execution cost.
-	ClassModeReexec = "reexec"
-)
-
 // ClassAnalysis is the result of a class-set analysis.
 type ClassAnalysis struct {
 	// Classes holds the per-class measurements, in input order.
@@ -57,15 +46,11 @@ type ClassAnalysis struct {
 	// Joint is the joint (all-classes-at-once) result of the shared
 	// execution — the bound a leakage ledger should charge, since
 	// per-class bounds can sum past it (classes share sink capacity: the
-	// crowding-out effect). Nil in reexec mode, which has no joint run.
+	// crowding-out effect). Nil when no classes were given.
 	Joint *Result
 	// Executions counts guest executions this call performed: 1 for a
-	// fresh shared-mode analysis, 0 when the shared graph came from the
-	// cache, one per class in reexec mode.
+	// fresh analysis, 0 when the shared graph came from the cache.
 	Executions int
-	// Mode is the class pipeline that ran (ClassModeShared or
-	// ClassModeReexec).
-	Mode string
 }
 
 // classGraph is the shared artifact behind one (program, config, inputs)
@@ -95,17 +80,15 @@ func (a *Analyzer) AnalyzeClassSet(in Inputs, classes []SecretClass) (*ClassAnal
 // changed class set over warm inputs re-solves without re-executing — and
 // the full per-class answer by (program, config, inputs, classes).
 func (a *Analyzer) AnalyzeClassSetContext(ctx context.Context, in Inputs, classes []SecretClass) (*ClassAnalysis, error) {
-	if a.cfg.ClassMode == ClassModeReexec {
-		return a.classReexec(ctx, in, classes)
-	}
 	if len(classes) == 0 {
-		return &ClassAnalysis{Mode: ClassModeShared}, nil
+		return &ClassAnalysis{}, nil
 	}
 	if !a.cacheable() {
 		return a.classShared(ctx, in, classes)
 	}
 	key := a.classSetKey(in, classes)
 	var partial *ClassAnalysis
+	t0 := time.Now()
 	v, hit, err := a.cfg.Cache.Do(KindClassSet, key, func() (any, int64, error) {
 		ca, err := a.classShared(ctx, in, classes)
 		if err != nil {
@@ -135,6 +118,7 @@ func (a *Analyzer) AnalyzeClassSetContext(ctx context.Context, in Inputs, classe
 	if hit {
 		cp := *ca // cached value is shared and immutable
 		cp.Executions = 0
+		cp.Joint = stampCacheHit(ca.Joint, time.Since(t0), key)
 		return &cp, nil
 	}
 	return ca, nil
@@ -144,40 +128,11 @@ func (a *Analyzer) AnalyzeClassSetContext(ctx context.Context, in Inputs, classe
 // the result cache without losing the partial answer.
 var errClassPartial = errors.New("engine: class analysis partially failed")
 
-// classReexec is the legacy per-class pipeline: one full execution per
-// class with that class's ranging baked into the tracker. Kept as the
-// soundness oracle for the shared path.
-func (a *Analyzer) classReexec(ctx context.Context, in Inputs, classes []SecretClass) (*ClassAnalysis, error) {
-	out := make([]ClassResult, len(classes))
-	a.fanOut(len(classes), func(s *session, i int) error {
-		c := classes[i]
-		opts := a.taintOptions()
-		opts.SecretRanges = []taint.StreamRange{{Off: c.Off, Len: c.Len}}
-		// Per-class secret rangings change the graph topology, so class
-		// runs never touch the skeleton cache.
-		res, err := a.runStages(ctx, s, taint.New(opts), in, a.cfg.Fault.Run(i), false)
-		if err != nil {
-			out[i] = ClassResult{Class: c, Err: err}
-			return err
-		}
-		out[i] = ClassResult{
-			Class: c, Bits: res.Bits, Cut: res.CutString(),
-			Rung: res.Rung, Degraded: res.Degraded, DegradedReason: res.DegradedReason,
-			Stages: res.Stages,
-		}
-		return nil
-	})
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	return &ClassAnalysis{Classes: out, Executions: len(classes), Mode: ClassModeReexec}, nil
-}
-
 // classShared is the one-execution path: build (or fetch) the shared
 // attributed graph, then fan the per-class view solves across sessionless
 // workers — a solve needs only a solver, and each worker owns one.
 func (a *Analyzer) classShared(ctx context.Context, in Inputs, classes []SecretClass) (*ClassAnalysis, error) {
-	cg, executions, err := a.classGraphFor(ctx, in)
+	cg, joint, executions, err := a.classGraphFor(ctx, in)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +140,7 @@ func (a *Analyzer) classShared(ctx context.Context, in Inputs, classes []SecretC
 	out := make([]ClassResult, n)
 	var next atomic.Int64
 	work := func() {
-		solver := maxflow.NewSolver(a.cfg.Algorithm)
+		solver := maxflow.NewSolver(maxflow.Dinic)
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -214,17 +169,24 @@ func (a *Analyzer) classShared(ctx context.Context, in Inputs, classes []SecretC
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	return &ClassAnalysis{Classes: out, Joint: cg.res, Executions: executions, Mode: ClassModeShared}, nil
+	return &ClassAnalysis{Classes: out, Joint: joint, Executions: executions}, nil
 }
 
 // classGraphFor returns the shared class graph for in, via the cache when
-// configured, and how many guest executions that cost (0 on a hit).
-func (a *Analyzer) classGraphFor(ctx context.Context, in Inputs) (*classGraph, int, error) {
+// configured, with the joint result this call reports and how many guest
+// executions it cost. On a hit nothing executed: the joint result is a
+// copy whose stages show only the lookup, as for a single-run hit.
+func (a *Analyzer) classGraphFor(ctx context.Context, in Inputs) (*classGraph, *Result, int, error) {
 	if !a.cacheable() {
 		cg, err := a.buildClassGraph(ctx, in)
-		return cg, 1, err
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		return cg, cg.res, 1, nil
 	}
-	v, hit, err := a.cfg.Cache.Do(KindClassGraph, a.classGraphKey(in), func() (any, int64, error) {
+	key := a.classGraphKey(in)
+	t0 := time.Now()
+	v, hit, err := a.cfg.Cache.Do(KindClassGraph, key, func() (any, int64, error) {
 		cg, err := a.buildClassGraph(ctx, in)
 		if err != nil {
 			return nil, 0, err
@@ -232,12 +194,13 @@ func (a *Analyzer) classGraphFor(ctx context.Context, in Inputs) (*classGraph, i
 		return cg, estimateClassGraphBytes(cg), nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
+	cg := v.(*classGraph)
 	if hit {
-		return v.(*classGraph), 0, nil
+		return cg, stampCacheHit(cg.res, time.Since(t0), key), 0, nil
 	}
-	return v.(*classGraph), 1, nil
+	return cg, cg.res, 1, nil
 }
 
 // buildClassGraph runs the single attributed execution: every secret byte
@@ -291,7 +254,7 @@ func (a *Analyzer) solveClass(solver *maxflow.Solver, cg *classGraph, c SecretCl
 		degradedReason = "injected solver-work exhaustion"
 	} else {
 		var exhausted bool
-		flow, exhausted = solver.SolveCSRView(&cg.csr, view, a.cfg.Budget.SolverWork)
+		flow, exhausted = solver.Solve(&cg.csr, view, a.cfg.Budget.SolverWork)
 		if exhausted {
 			flow = nil
 			degradedReason = fmt.Sprintf("solver work budget (%d) exhausted", a.cfg.Budget.SolverWork)

@@ -1,5 +1,5 @@
-// Package engine is the staged analysis pipeline behind the public core
-// API. One analysis is four explicit stages:
+// Package engine is the staged analysis pipeline behind the public
+// flowcheck API. One analysis is four explicit stages:
 //
 //	Execute  run the guest on the VM with the taint tracker attached
 //	Build    turn the tracker's union-find state into a flow network
@@ -16,9 +16,10 @@
 // On top of the single-run pipeline, AnalyzeBatch fans N executions across
 // worker sessions and merges the per-run graphs by code location
 // (internal/merge), preserving the cross-run soundness of §3.2 while
-// running executions in parallel; AnalyzeClasses does the same fan-out over
-// per-class secret rangings (§10.1). Both are deterministic: per-run graphs
-// are merged in run order, independent of worker count or scheduling.
+// running executions in parallel; AnalyzeClassSet executes once and fans
+// the per-class capacity-view solves (§10.1) across workers. Both are
+// deterministic: per-run graphs are merged in run order and classes are
+// reported in input order, independent of worker count or scheduling.
 package engine
 
 import (
@@ -45,15 +46,13 @@ type Config struct {
 	// Taint configures the tracker (collapsing, context sensitivity, lazy
 	// region limits, implicit-flow warnings).
 	Taint taint.Options
-	// Algorithm selects the max-flow algorithm (default Dinic).
-	Algorithm maxflow.Algorithm
 	// MemSize is the guest memory size (default vm.DefaultMemSize).
 	MemSize int
 	// MaxSteps bounds guest execution (default vm.DefaultMaxSteps). An
 	// exhausted step budget is a typed trap (errors.Is(res.Trap,
 	// ErrStepLimit)); the partial run is still soundly analyzable.
 	MaxSteps uint64
-	// Workers bounds the fan-out of AnalyzeBatch and AnalyzeClasses;
+	// Workers bounds the fan-out of AnalyzeBatch and AnalyzeClassSet;
 	// 0 means GOMAXPROCS. Single-run analysis ignores it.
 	Workers int
 	// Compact sets the online-compaction epoch threshold for exact-mode
@@ -92,20 +91,12 @@ type Config struct {
 	// static cache); PrecisionAdaptive runs the cheapest rung whose bound
 	// is ≤ AdaptiveThreshold and escalates to the full solve only when both
 	// cheap rungs exceed it. Rung answers set Result.Rung and
-	// Result.Degraded and carry no graph, flow, or cut. AnalyzeClasses
+	// Result.Degraded and carry no graph, flow, or cut. AnalyzeClassSet
 	// ignores Precision: per-class bounds need the per-class flows.
 	Precision Precision
 	// AdaptiveThreshold is PrecisionAdaptive's escalation threshold in
 	// bits: a cheap rung's bound at or below it is considered good enough.
 	AdaptiveThreshold int64
-	// ClassMode selects the class-analysis pipeline (see classes.go):
-	// ClassModeShared (also "" — the default) executes the guest once with
-	// all secret bytes marked and source attribution recorded, then solves
-	// one per-class capacity view per class against the shared graph;
-	// ClassModeReexec is the legacy oracle that re-executes the guest once
-	// per class with that class's secret ranging. Non-class entry points
-	// ignore it.
-	ClassMode string
 	// Cache, when non-nil, content-addresses the pipeline: single-run
 	// results are keyed by (program, config, inputs) and full hits are
 	// returned without touching a session, while the collapsed-graph
@@ -125,13 +116,15 @@ type Inputs struct {
 }
 
 // session is one worker's reusable execution state: the guest machine (with
-// its memory buffer), the default tracker, and the solver with its residual
-// network. Sessions are pooled by the Analyzer and are not safe for
-// concurrent use; each worker goroutine holds its own.
+// its memory buffer), the default tracker, the solver with its residual
+// network, and the CSR buffer each solved graph is laid out in. Sessions
+// are pooled by the Analyzer and are not safe for concurrent use; each
+// worker goroutine holds its own.
 type session struct {
 	m       *vm.Machine
 	tracker *taint.Tracker
 	solver  *maxflow.Solver
+	csr     flowgraph.CSR
 	rec     *static.Recorder // dynamic-event recorder for Config.Lint
 	used    bool             // machine has executed and needs Reset before reuse
 
@@ -152,6 +145,13 @@ func (s *session) prepare(cfg Config, in Inputs) {
 	}
 	s.m.SecretIn = in.Secret
 	s.m.PublicIn = in.Public
+}
+
+// solve lays g out in the session's CSR buffer and solves it under a work
+// budget (0 = unlimited).
+func (s *session) solve(g *flowgraph.Graph, work int64) (*maxflow.Result, bool) {
+	g.BuildCSR(&s.csr)
+	return s.solver.Solve(&s.csr, nil, work)
 }
 
 // freshTracker returns the session's tracker reset to a blank state (empty
@@ -205,7 +205,7 @@ func New(prog *vm.Program, cfg Config) *Analyzer {
 		}
 		return &session{
 			m:      vm.NewMachineSize(a.prog, size),
-			solver: maxflow.NewSolver(a.cfg.Algorithm),
+			solver: maxflow.NewSolver(maxflow.Dinic),
 		}
 	}
 	return a
@@ -343,8 +343,8 @@ func trivialCutBits(g *flowgraph.Graph) int64 {
 }
 
 // runStages executes the four pipeline stages for one input on a session,
-// with the given tracker (which the caller has reset appropriately: fresh
-// for independent runs, carried over for online §3.2 accumulation).
+// with the given blank tracker (the session's reset one, or a class
+// analysis's attributing one).
 //
 // Failure semantics: guest traps — including typed step-limit traps — do
 // not fail the run; the partial execution is still soundly analyzable, so
@@ -353,9 +353,9 @@ func trivialCutBits(g *flowgraph.Graph) int64 {
 // (ErrCanceled, ErrBudget, ErrInternal). A panic anywhere in the stages is
 // recovered here, at the stage boundary, so it cannot kill the process or
 // leak the pooled session.
-// reuse permits the Solve stage to go through the skeleton cache; callers
-// whose graph topology changes run to run (accumulating trackers,
-// per-class secret rangings) pass false.
+// reuse permits the Solve stage to go through the skeleton cache; the
+// class analysis, whose attributing tracker builds a different topology
+// than the configured one, passes false.
 func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker, in Inputs, inj fault.Injection, reuse bool) (res *Result, err error) {
 	stage := fault.StageExecute
 	defer func() {
@@ -438,7 +438,7 @@ func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker,
 		degradedReason = "injected solver-work exhaustion"
 	} else {
 		var exhausted bool
-		flow, exhausted, skelHit = a.solveWithCache(s.solver, g, reuse)
+		flow, exhausted, skelHit = a.solveWithCache(s, g, reuse)
 		if exhausted {
 			// Degrade to the trivial-cut bound instead of failing; see
 			// trivialCutBits for why the partial flow itself is unusable.
@@ -586,54 +586,6 @@ func (a *Analyzer) compacting() bool {
 	return opts.Exact && opts.Compact > 0
 }
 
-// AnalyzeMulti analyzes several executions together on one session: the
-// tracker is kept across runs (taint.Tracker.Reset), so graphs merge by
-// code location online and the final bound has the cross-run consistency of
-// §3.2. The returned result reflects the combined graph, with per-run
-// summaries in Runs; Output, ExitCode, Steps, and Trap are the last run's.
-//
-// Because the runs accumulate into one tracker, a failed run (canceled,
-// over budget, stage panic) poisons the shared state and aborts the whole
-// call with that run's typed error; AnalyzeBatch isolates failures per run
-// instead.
-func (a *Analyzer) AnalyzeMulti(inputs []Inputs) (*Result, error) {
-	return a.AnalyzeMultiContext(context.Background(), inputs)
-}
-
-// AnalyzeMultiContext is AnalyzeMulti under a context; see AnalyzeContext
-// for the cancellation semantics.
-func (a *Analyzer) AnalyzeMultiContext(ctx context.Context, inputs []Inputs) (*Result, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("engine: no inputs")
-	}
-	if res, ok := a.ladderMulti(inputs); ok {
-		return res, nil
-	}
-	s := a.acquire()
-	defer a.release(s)
-	tr := a.sessionTracker(s)
-	var res *Result
-	var agg StageStats
-	runs := make([]RunSummary, 0, len(inputs))
-	for i, in := range inputs {
-		if i > 0 {
-			tr.Reset()
-		}
-		// Only run 0's graph has the repeatable single-run topology; later
-		// runs accumulate, so they skip the skeleton cache.
-		r, err := a.runStages(ctx, s, tr, in, a.cfg.Fault.Run(i), i == 0)
-		if err != nil {
-			return nil, fmt.Errorf("engine: run %d: %w", i, err)
-		}
-		res = r
-		agg.add(res.Stages)
-		runs = append(runs, summarize(i, res))
-	}
-	res.Runs = runs
-	res.Stages = agg
-	return res, nil
-}
-
 // AnalyzeSource compiles MiniC source (through the global compile cache)
 // and analyzes one execution.
 func AnalyzeSource(filename, src string, in Inputs, cfg Config) (*Result, error) {
@@ -655,12 +607,6 @@ func AnalyzeContext(ctx context.Context, prog *vm.Program, in Inputs, cfg Config
 	return New(prog, cfg).AnalyzeContext(ctx, in)
 }
 
-// AnalyzeMulti analyzes several executions together; see
-// (*Analyzer).AnalyzeMulti.
-func AnalyzeMulti(prog *vm.Program, inputs []Inputs, cfg Config) (*Result, error) {
-	return New(prog, cfg).AnalyzeMulti(inputs)
-}
-
 // AnalyzeBatch analyzes several executions in parallel; see
 // (*Analyzer).AnalyzeBatch.
 func AnalyzeBatch(prog *vm.Program, inputs []Inputs, cfg Config) (*Result, error) {
@@ -671,18 +617,6 @@ func AnalyzeBatch(prog *vm.Program, inputs []Inputs, cfg Config) (*Result, error
 // context; see (*Analyzer).AnalyzeBatchContext.
 func AnalyzeBatchContext(ctx context.Context, prog *vm.Program, inputs []Inputs, cfg Config) (*Result, error) {
 	return New(prog, cfg).AnalyzeBatchContext(ctx, inputs)
-}
-
-// AnalyzeClasses measures per-class disclosure in parallel; see
-// (*Analyzer).AnalyzeClasses.
-func AnalyzeClasses(prog *vm.Program, in Inputs, classes []SecretClass, cfg Config) ([]ClassResult, error) {
-	return New(prog, cfg).AnalyzeClasses(in, classes)
-}
-
-// AnalyzeClassesContext measures per-class disclosure in parallel under a
-// context; see (*Analyzer).AnalyzeClassesContext.
-func AnalyzeClassesContext(ctx context.Context, prog *vm.Program, in Inputs, classes []SecretClass, cfg Config) ([]ClassResult, error) {
-	return New(prog, cfg).AnalyzeClassesContext(ctx, in, classes)
 }
 
 // AnalyzeClassSet measures per-class disclosure plus the joint bound; see

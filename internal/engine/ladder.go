@@ -140,8 +140,7 @@ func (a *Analyzer) ladderResult(in Inputs) (*Result, bool) {
 	return res, true
 }
 
-// ladderMulti is the multi-run rung path shared by AnalyzeMulti and
-// AnalyzeBatch: N runs leak at most the sum of the per-run bounds, so
+// ladderMulti is AnalyzeBatch's rung path: N runs leak at most the sum of the per-run bounds, so
 // the joint bound composes by saturating addition. Adaptive mode
 // compares that sum against the threshold — the whole batch escalates
 // together or not at all, keeping the result's provenance uniform.

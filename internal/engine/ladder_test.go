@@ -174,14 +174,14 @@ func TestRungProvenance(t *testing.T) {
 			degraded.Rung, degraded.Degraded, degraded.Graph != nil)
 	}
 
-	multi, err := AnalyzeMulti(prog, []Inputs{in, in}, Config{Precision: PrecisionStatic})
+	staticBatch, err := AnalyzeBatch(prog, []Inputs{in, in}, Config{Precision: PrecisionStatic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if multi.Rung != RungStatic || multi.Bits != 32 {
-		t.Fatalf("multi static: rung=%q bits=%d, want static/32 (16 per run)", multi.Rung, multi.Bits)
+	if staticBatch.Rung != RungStatic || staticBatch.Bits != 32 {
+		t.Fatalf("batch static: rung=%q bits=%d, want static/32 (16 per run)", staticBatch.Rung, staticBatch.Bits)
 	}
-	for _, r := range multi.Runs {
+	for _, r := range staticBatch.Runs {
 		if r.Rung != RungStatic || r.Bits != 16 {
 			t.Errorf("run %d: rung=%q bits=%d, want static/16", r.Run, r.Rung, r.Bits)
 		}

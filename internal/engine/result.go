@@ -70,8 +70,8 @@ type Result struct {
 	// branches, regions, enclosure spans); nil unless Config.Lint is set.
 	StaticStats *static.Stats
 
-	// Runs summarizes each execution of a multi-run analysis (AnalyzeMulti,
-	// AnalyzeBatch), in run order; nil for single-run results.
+	// Runs summarizes each execution of a multi-run analysis
+	// (AnalyzeBatch), in run order; nil for single-run results.
 	Runs []RunSummary
 
 	// Stages records where the pipeline spent its time. For multi-run
@@ -92,10 +92,8 @@ type Result struct {
 type RunSummary struct {
 	// Run is the index into the input slice.
 	Run int
-	// Bits is the bound after this run: for AnalyzeMulti the cumulative
-	// joint bound of runs 0..Run (non-decreasing, last equals Result.Bits);
-	// for AnalyzeBatch the run's standalone bound (the joint Result.Bits is
-	// at least the maximum of these).
+	// Bits is the run's standalone bound (the joint Result.Bits is at
+	// least the maximum of these over the runs that joined the merge).
 	Bits int64
 	// OutputBytes is the run's public output length.
 	OutputBytes int
@@ -203,11 +201,9 @@ type ClassResult struct {
 	Degraded       bool
 	DegradedReason string
 
-	// Stages is this class's own pipeline cost. On the shared path that
-	// is just the view solve — Execute and Build are zero because the
-	// class performed no execution (the shared run's cost is on
-	// ClassAnalysis.Joint); in reexec mode it is the class's full
-	// pipeline.
+	// Stages is this class's own pipeline cost: just the view solve —
+	// Execute and Build are zero because the class performed no execution
+	// (the shared run's cost is on ClassAnalysis.Joint).
 	Stages StageStats
 
 	Err error

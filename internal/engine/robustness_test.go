@@ -350,10 +350,11 @@ func TestClassesIsolateFailure(t *testing.T) {
 		{Name: "low", Off: 0, Len: 8},
 		{Name: "high", Off: 8, Len: 8},
 	}
-	out, err := a.AnalyzeClasses(engine.Inputs{Secret: []byte("0123456789abcdef")}, classes)
+	ca, err := a.AnalyzeClassSet(engine.Inputs{Secret: []byte("0123456789abcdef")}, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := ca.Classes
 	if !errors.Is(out[1].Err, engine.ErrInternal) {
 		t.Fatalf("class 1 err %v, want ErrInternal", out[1].Err)
 	}

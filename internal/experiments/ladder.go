@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/modelcount"
 	"flowcheck/internal/vm"
@@ -60,30 +60,30 @@ func Ladder() []LadderRow {
 			continue
 		}
 		rows = append(rows, ladderRow(name, guest.Program(name),
-			core.Inputs{Secret: secret, Public: public}))
+			engine.Inputs{Secret: secret, Public: public}))
 	}
-	prog, err := core.CompileCached("ladder_gap.mc", ladderGapSrc)
+	prog, err := engine.CompileCached("ladder_gap.mc", ladderGapSrc)
 	if err != nil {
 		panic(fmt.Sprintf("ladder gap demo: %v", err))
 	}
 	res := ladderRow("gap-demo", prog,
-		core.Inputs{Secret: make([]byte, LadderGapSecretBytes)})
+		engine.Inputs{Secret: make([]byte, LadderGapSecretBytes)})
 	rows = append(rows, res)
 	return rows
 }
 
-func ladderRow(name string, prog *vm.Program, in core.Inputs) LadderRow {
-	analyze := func(p core.Precision) (*core.Result, time.Duration) {
+func ladderRow(name string, prog *vm.Program, in engine.Inputs) LadderRow {
+	analyze := func(p engine.Precision) (*engine.Result, time.Duration) {
 		start := time.Now()
-		res, err := core.Analyze(prog, in, core.Config{Precision: p})
+		res, err := engine.Analyze(prog, in, engine.Config{Precision: p})
 		if err != nil {
 			panic(fmt.Sprintf("ladder %s (%v): %v", name, p, err))
 		}
 		return res, time.Since(start)
 	}
-	trivial, trivialTime := analyze(core.PrecisionTrivial)
-	static, staticTime := analyze(core.PrecisionStatic)
-	full, fullTime := analyze(core.PrecisionFull)
+	trivial, trivialTime := analyze(engine.PrecisionTrivial)
+	static, staticTime := analyze(engine.PrecisionStatic)
+	full, fullTime := analyze(engine.PrecisionFull)
 
 	mc := modelcount.Enumerate(prog, modelcount.Options{
 		SecretLen:  len(in.Secret),

@@ -34,12 +34,19 @@ func budgetGraph(seed int64) *flowgraph.Graph {
 	return g
 }
 
+// csrOf builds the CSR view Solve consumes.
+func csrOf(g *flowgraph.Graph) *flowgraph.CSR {
+	var c flowgraph.CSR
+	g.BuildCSR(&c)
+	return &c
+}
+
 func TestSolveBudgetedExhaustsAndUnderestimates(t *testing.T) {
 	for _, algo := range []Algorithm{Dinic, EdmondsKarp, PushRelabel} {
 		g := budgetGraph(1)
 		exact := Compute(g, algo).Flow
 
-		partial, exhausted := NewSolver(algo).SolveBudgeted(g, 10)
+		partial, exhausted := NewSolver(algo).Solve(csrOf(g), nil, 10)
 		if !exhausted {
 			t.Fatalf("%v: budget 10 on %d-edge graph not exhausted", algo, g.NumEdges())
 		}
@@ -47,7 +54,7 @@ func TestSolveBudgetedExhaustsAndUnderestimates(t *testing.T) {
 			t.Fatalf("%v: partial flow %d exceeds exact max flow %d", algo, partial.Flow, exact)
 		}
 
-		full, exhausted := NewSolver(algo).SolveBudgeted(g, 1<<40)
+		full, exhausted := NewSolver(algo).Solve(csrOf(g), nil, 1<<40)
 		if exhausted {
 			t.Fatalf("%v: huge budget reported exhausted", algo)
 		}
@@ -60,8 +67,8 @@ func TestSolveBudgetedExhaustsAndUnderestimates(t *testing.T) {
 func TestSolveBudgetedDeterministic(t *testing.T) {
 	for _, algo := range []Algorithm{Dinic, EdmondsKarp, PushRelabel} {
 		g := budgetGraph(7)
-		a, ea := NewSolver(algo).SolveBudgeted(g, 500)
-		b, eb := NewSolver(algo).SolveBudgeted(g, 500)
+		a, ea := NewSolver(algo).Solve(csrOf(g), nil, 500)
+		b, eb := NewSolver(algo).Solve(csrOf(g), nil, 500)
 		if a.Flow != b.Flow || ea != eb {
 			t.Fatalf("%v: budgeted solve not deterministic: %d/%v vs %d/%v",
 				algo, a.Flow, ea, b.Flow, eb)
@@ -71,13 +78,42 @@ func TestSolveBudgetedDeterministic(t *testing.T) {
 
 func TestBudgetStateResetsBetweenSolves(t *testing.T) {
 	g := budgetGraph(3)
+	c := csrOf(g)
 	s := NewSolver(Dinic)
-	if _, exhausted := s.SolveBudgeted(g, 5); !exhausted {
+	if _, exhausted := s.Solve(c, nil, 5); !exhausted {
 		t.Fatal("tiny budget not exhausted")
 	}
 	// The same solver with no budget must now solve exactly.
-	res := s.Solve(g)
+	res, _ := s.Solve(c, nil, 0)
 	if want := Compute(g, Dinic).Flow; res.Flow != want {
 		t.Fatalf("solver after exhaustion: flow %d, want %d", res.Flow, want)
+	}
+}
+
+// A capacity view does not bypass the work budget: a view solve under a
+// tiny budget still stops early and underestimates the view's max flow.
+func TestSolveViewHonoursBudget(t *testing.T) {
+	g := budgetGraph(5)
+	c := csrOf(g)
+	// Halve every Source edge's capacity through the view.
+	view := &flowgraph.CapacityView{}
+	for i, e := range g.Edges {
+		if e.From == flowgraph.Source {
+			view.Edge = append(view.Edge, int32(i))
+			view.Cap = append(view.Cap, e.Cap/2)
+		}
+	}
+	for _, algo := range []Algorithm{Dinic, EdmondsKarp, PushRelabel} {
+		exact, exhausted := NewSolver(algo).Solve(c, view, 0)
+		if exhausted {
+			t.Fatalf("%v: unbudgeted view solve reported exhausted", algo)
+		}
+		partial, exhausted := NewSolver(algo).Solve(c, view, 10)
+		if !exhausted {
+			t.Fatalf("%v: budget 10 on a view solve not exhausted", algo)
+		}
+		if partial.Flow > exact.Flow {
+			t.Fatalf("%v: partial view flow %d exceeds exact %d", algo, partial.Flow, exact.Flow)
+		}
 	}
 }

@@ -1,16 +1,18 @@
 // Package maxflow computes maximum flows and minimum cuts on the flow
 // networks of package flowgraph (paper §5, §6.1).
 //
-// Three exact algorithms are provided: Dinic's algorithm (the default;
-// near linear on the shallow, layered graphs that collapsed executions
-// produce), Edmonds–Karp (a simple augmenting-path baseline), and FIFO
-// push-relabel. All operate on a shared residual representation and feed
-// the same min-cut extraction.
+// Three exact algorithms are provided: Dinic's algorithm (the one the
+// analysis engine uses; near linear on the shallow, layered graphs that
+// collapsed executions produce), and two baselines kept for the algorithm
+// ablation: Edmonds–Karp (simple augmenting paths) and FIFO push-relabel.
+// All operate on a shared residual representation and feed the same
+// min-cut extraction.
 //
 // A Solver owns the residual network and per-algorithm scratch buffers and
 // reuses them across Solve calls, so a long-lived analysis session (one
 // engine worker solving many per-run graphs) allocates only the results.
-// Compute is the one-shot convenience wrapper.
+// Solve takes a CSR view of the graph; Compute is the one-shot convenience
+// wrapper over a Graph.
 package maxflow
 
 import (
@@ -88,9 +90,8 @@ func (net *network) attach(c *flowgraph.CSR) {
 type Solver struct {
 	algo Algorithm
 	net  network
-	csr  flowgraph.CSR // reusable CSR view for Graph-based solves
 
-	// Work accounting for SolveBudgeted: spent counts arc examinations,
+	// Work accounting for Solve: spent counts arc examinations,
 	// limit is the budget (0 = unlimited), exhausted records an aborted
 	// solve.
 	spent     int64
@@ -114,46 +115,27 @@ type Solver struct {
 // NewSolver returns a solver running the given algorithm.
 func NewSolver(algo Algorithm) *Solver { return &Solver{algo: algo} }
 
-// Algorithm reports the solver's configured algorithm.
-func (s *Solver) Algorithm() Algorithm { return s.algo }
-
-// Solve computes the maximum flow and minimum cut of g, reusing the
-// solver's buffers. The returned Result (including its cut) is detached
-// from the solver and stays valid across subsequent Solve calls.
-func (s *Solver) Solve(g *flowgraph.Graph) *Result {
-	res, _ := s.SolveBudgeted(g, 0)
-	return res
-}
-
-// SolveBudgeted is Solve under a work budget, measured in arc examinations
-// (work <= 0 means unlimited). When the budget runs out the algorithm stops
-// augmenting and the second return value is true; the returned Result then
-// holds a partial flow — a LOWER bound on the maximum flow, so it must not
-// be used as a leakage upper bound, and its cut is not a minimum cut.
-// Callers needing a sound bound under exhaustion should fall back to the
-// graph's total sink capacity (the tainting bound, paper §7).
-func (s *Solver) SolveBudgeted(g *flowgraph.Graph, work int64) (*Result, bool) {
-	g.BuildCSR(&s.csr)
-	return s.SolveCSR(&s.csr, work)
-}
-
-// SolveCSR solves a graph presented as a CSR view, under the same contract
-// as SolveBudgeted. The solver aliases c's topology arrays and copies only
-// the capacities into its residual buffer, so callers that already hold a
-// CSR (the arena's zero-copy handoff) skip Graph materialization entirely.
-// c must not be modified until SolveCSR returns. Edge i of the view is
-// Result.EdgeFlow[i] and Cut.EdgeIndex entries index the view's edges.
-func (s *Solver) SolveCSR(c *flowgraph.CSR, work int64) (*Result, bool) {
-	return s.SolveCSRView(c, nil, work)
-}
-
-// SolveCSRView is SolveCSR under a capacity view: the view's per-edge
-// capacities replace the CSR's in the residual network before the solve,
-// so N per-class solves share one attached CSR (topology untouched, only
-// residuals reset per solve). EdgeFlow and the min cut are reported
-// against the view-effective capacities; edges the view zeroes never
-// appear in the cut. A nil view solves the CSR as-is.
-func (s *Solver) SolveCSRView(c *flowgraph.CSR, view *flowgraph.CapacityView, work int64) (*Result, bool) {
+// Solve computes the maximum flow and minimum cut of the graph presented
+// as the CSR view c, reusing the solver's buffers. The solver aliases c's
+// topology arrays and copies only the capacities into its residual
+// buffer, so c must not be modified until Solve returns. Edge i of the
+// view is Result.EdgeFlow[i], and Cut.EdgeIndex entries index the view's
+// edges. The returned Result (including its cut) is detached from the
+// solver and stays valid across subsequent Solve calls.
+//
+// A non-nil view replaces the CSR's per-edge capacities in the residual
+// network before the solve, so N per-class solves share one CSR (topology
+// untouched, only residuals reset per solve). EdgeFlow and the min cut
+// are then reported against the view-effective capacities; edges the
+// view zeroes never appear in the cut. A nil view solves the CSR as-is.
+//
+// work bounds the solve in arc examinations (work <= 0 means unlimited).
+// When the budget runs out the algorithm stops augmenting and the second
+// return value is true; the returned Result then holds a partial flow — a
+// LOWER bound on the maximum flow, so it must not be used as a leakage
+// upper bound, and its cut is not a minimum cut. Callers needing a sound
+// bound under exhaustion should fall back to a trivial cut.
+func (s *Solver) Solve(c *flowgraph.CSR, view *flowgraph.CapacityView, work int64) (*Result, bool) {
 	s.net.attach(c)
 	if view != nil {
 		for k, ei := range view.Edge {
@@ -212,10 +194,13 @@ func (s *Solver) over() bool {
 	return s.exhausted
 }
 
-// Compute runs the selected algorithm once and returns the maximum flow
-// from flowgraph.Source to flowgraph.Sink.
+// Compute runs the selected algorithm once, unbudgeted, and returns the
+// maximum flow from flowgraph.Source to flowgraph.Sink.
 func Compute(g *flowgraph.Graph, algo Algorithm) *Result {
-	return NewSolver(algo).Solve(g)
+	var c flowgraph.CSR
+	g.BuildCSR(&c)
+	res, _ := NewSolver(algo).Solve(&c, nil, 0)
+	return res
 }
 
 func (s *Solver) dinic() int64 {

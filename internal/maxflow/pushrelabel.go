@@ -116,7 +116,7 @@ func (sv *Solver) pushRelabel() int64 {
 	for head := 0; head < len(queue); head++ {
 		if sv.over() {
 			// Budget exhausted: stop discharging. The preflow's arrival at
-			// the sink (excess[t]) is what SolveBudgeted reports as the
+			// the sink (excess[t]) is what Solve reports as the
 			// partial value.
 			break
 		}

@@ -2,15 +2,19 @@ package merge_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/flowgraph"
+	"flowcheck/internal/guest"
 	"flowcheck/internal/kraft"
 	"flowcheck/internal/lang"
 	"flowcheck/internal/maxflow"
 	"flowcheck/internal/merge"
 	"flowcheck/internal/taint"
+	"flowcheck/internal/vm"
+	"flowcheck/internal/workload"
 )
 
 func chainGraph(site uint32, caps ...int64) *flowgraph.Graph {
@@ -145,7 +149,7 @@ func TestUnaryBinaryConsistency(t *testing.T) {
 	var graphs []*flowgraph.Graph
 	inputs := []byte{0, 1, 2, 5, 150}
 	for _, n := range inputs {
-		res, err := core.Analyze(prog, core.Inputs{Secret: []byte{n}}, core.Config{})
+		res, err := engine.Analyze(prog, engine.Inputs{Secret: []byte{n}}, engine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,30 +194,84 @@ func TestUnaryBinaryConsistency(t *testing.T) {
 	}
 }
 
+// onlineBits is the online-accumulation oracle of §3.2: one tracker kept
+// across runs with Reset, so each run's edges merge by label into the
+// graph of the runs before it as it executes.
+func onlineBits(t *testing.T, prog *vm.Program, inputs []engine.Inputs, opts taint.Options) int64 {
+	t.Helper()
+	tr := taint.New(opts)
+	for i, in := range inputs {
+		if i > 0 {
+			tr.Reset()
+		}
+		m := vm.NewMachine(prog)
+		m.SecretIn, m.PublicIn = in.Secret, in.Public
+		tr.Attach(m)
+		if err := m.Run(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	return maxflow.Compute(tr.Graph(), maxflow.Dinic).Flow
+}
+
 // Offline merge (this package) agrees with online multi-run analysis
-// (core.AnalyzeMulti / taint.Reset) on the bound.
+// (one tracker with taint.Reset) on the bound, in both graph modes, and
+// engine.AnalyzeBatch — the offline merge fanned across workers — reports
+// the same bound at every worker count.
 func TestOfflineMergeMatchesOnline(t *testing.T) {
-	prog, err := lang.Compile("unary.mc", unarySrc)
+	unary, err := lang.Compile("unary.mc", unarySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := []core.Inputs{
+	unaryIn := []engine.Inputs{
 		{Secret: []byte{0}}, {Secret: []byte{3}}, {Secret: []byte{200}},
 	}
-	online, err := core.AnalyzeMulti(prog, inputs, core.Config{})
-	if err != nil {
-		t.Fatal(err)
+	var compressIn []engine.Inputs
+	for i := 0; i < 4; i++ {
+		compressIn = append(compressIn, engine.Inputs{Secret: workload.PiWords(128 + 64*i)})
 	}
-	var graphs []*flowgraph.Graph
-	for _, in := range inputs {
-		res, err := core.Analyze(prog, in, core.Config{Taint: taint.Options{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphs = append(graphs, res.Graph)
+	cases := []struct {
+		name   string
+		prog   *vm.Program
+		inputs []engine.Inputs
+		opts   taint.Options
+	}{
+		{"collapsed", unary, unaryIn, taint.Options{}},
+		// Exact-mode builders number edges per builder, so the offline
+		// merge salts each run's labels the way one online tracker numbers
+		// successive runs.
+		{"exact", unary, unaryIn, taint.Options{Exact: true}},
+		{"compress", guest.Program("compress"), compressIn, taint.Options{}},
 	}
-	offline := maxflow.Compute(merge.Graphs(graphs...), maxflow.Dinic).Flow
-	if offline != online.Bits {
-		t.Fatalf("offline merge %d != online multi-run %d", offline, online.Bits)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			online := onlineBits(t, c.prog, c.inputs, c.opts)
+			var graphs []*flowgraph.Graph
+			for i, in := range c.inputs {
+				res, err := engine.Analyze(c.prog, in, engine.Config{Taint: c.opts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.opts.Exact {
+					if err := merge.SaltLabels(res.Graph, uint64(i+1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				graphs = append(graphs, res.Graph)
+			}
+			offline := maxflow.Compute(merge.Graphs(graphs...), maxflow.Dinic).Flow
+			if offline != online {
+				t.Fatalf("offline merge %d != online multi-run %d", offline, online)
+			}
+			for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+				batch, err := engine.AnalyzeBatch(c.prog, c.inputs, engine.Config{Taint: c.opts, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batch.Bits != online {
+					t.Fatalf("workers=%d: batch %d != online multi-run %d", w, batch.Bits, online)
+				}
+			}
+		})
 	}
 }

@@ -221,10 +221,9 @@ type Request struct {
 	// (§10.1) alongside the joint result: the engine executes once and
 	// solves one capacity view per class on the shared graph. The ledger is
 	// charged the joint bound — not the per-class sum, which double-counts
-	// crowded-out capacity. Class requests are always served in shared
-	// mode (reexec is an offline oracle, not a service mode) and cannot
-	// combine with a Precision override: the cheap rungs never execute, so
-	// there is no graph to view.
+	// crowded-out capacity. Class requests cannot combine with a Precision
+	// override: the cheap rungs never execute, so there is no graph to
+	// view.
 	Classes []engine.SecretClass
 }
 
@@ -732,18 +731,13 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 }
 
 // analyzerFor picks the pooled per-program analyzer, or builds a one-off
-// one when the request overrides the budget or precision, a retry grew
-// the budget, or a class request hits a program configured for the
-// reexec oracle (the service always serves classes in shared mode).
+// one when the request overrides the budget or precision, or a retry grew
+// the budget.
 func (s *Service) analyzerFor(p *program, req Request, scale int64) *engine.Analyzer {
-	classReexec := len(req.Classes) > 0 && p.cfg.ClassMode == engine.ClassModeReexec
-	if req.Budget == nil && req.Precision == "" && scale == 1 && !classReexec {
+	if req.Budget == nil && req.Precision == "" && scale == 1 {
 		return p.analyzer
 	}
 	cfg := p.cfg
-	if classReexec {
-		cfg.ClassMode = engine.ClassModeShared
-	}
 	if req.Budget != nil {
 		cfg.Budget = *req.Budget
 	}

@@ -1046,7 +1046,7 @@ func (t *Tracker) FlowNote(site uint32) {
 	if t.noteSolver == nil {
 		t.noteSolver = maxflow.NewSolver(maxflow.Dinic)
 	}
-	res, _ := t.noteSolver.SolveCSR(&t.csr, 0)
+	res, _ := t.noteSolver.Solve(&t.csr, nil, 0)
 	t.snapshots = append(t.snapshots, Snapshot{
 		Steps:       t.m.Steps,
 		OutputBytes: t.stats.OutputBytes,

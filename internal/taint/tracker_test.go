@@ -8,15 +8,15 @@ import (
 	"strings"
 	"testing"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/lang"
 	"flowcheck/internal/taint"
 	"flowcheck/internal/vm"
 )
 
-func analyze(t *testing.T, src string, secret []byte, opts taint.Options) *core.Result {
+func analyze(t *testing.T, src string, secret []byte, opts taint.Options) *engine.Result {
 	t.Helper()
-	res, err := core.AnalyzeSource("t.mc", src, core.Inputs{Secret: secret}, core.Config{Taint: opts})
+	res, err := engine.AnalyzeSource("t.mc", src, engine.Inputs{Secret: secret}, engine.Config{Taint: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ int main() {
     putc(buf[0]);
     return 0;
 }`
-	prog, err := core.AnalyzeSource("t.mc", src, core.Inputs{Secret: []byte{7}}, core.Config{})
+	prog, err := engine.AnalyzeSource("t.mc", src, engine.Inputs{Secret: []byte{7}}, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,23 +270,23 @@ int main() {
 	}
 	// Two identical runs merged: the input edge accumulates to 16, the
 	// output edge too; the bound stays finite and >= 8.
-	multi := analyzeMulti(t, src, [][]byte{{7}, {7}})
+	multi := analyzeBatch(t, src, [][]byte{{7}, {7}})
 	if multi.Bits < 8 {
 		t.Fatalf("merged bits = %d, want >= 8", multi.Bits)
 	}
 }
 
-func analyzeMulti(t *testing.T, src string, secrets [][]byte) *core.Result {
+func analyzeBatch(t *testing.T, src string, secrets [][]byte) *engine.Result {
 	t.Helper()
 	p, err := compileSrc(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inputs []core.Inputs
+	var inputs []engine.Inputs
 	for _, s := range secrets {
-		inputs = append(inputs, core.Inputs{Secret: s})
+		inputs = append(inputs, engine.Inputs{Secret: s})
 	}
-	res, err := core.AnalyzeMulti(p, inputs, core.Config{})
+	res, err := engine.AnalyzeBatch(p, inputs, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

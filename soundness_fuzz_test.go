@@ -30,7 +30,7 @@ import (
 	"strings"
 	"testing"
 
-	"flowcheck/internal/core"
+	"flowcheck/internal/engine"
 	"flowcheck/internal/taint"
 	"flowcheck/internal/vm"
 )
@@ -140,6 +140,23 @@ int main() {
 }
 
 // behavior is the observable outcome of one run.
+// mergedBound is the joint §3.2 bound over every input. A batch leaves
+// trapped or failed runs out of the merge, so any such run fails the
+// test: the bound must cover every behavior it is checked against.
+func mergedBound(t *testing.T, prog *vm.Program, inputs []engine.Inputs) int64 {
+	t.Helper()
+	res, err := engine.AnalyzeBatch(prog, inputs, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Runs {
+		if r.Err != nil {
+			t.Fatalf("run %d left out of the merge: %v", r.Run, r.Err)
+		}
+	}
+	return res.Bits
+}
+
 func behavior(m *vm.Machine) string {
 	return fmt.Sprintf("%q/%d", m.Output, m.ExitCode)
 }
@@ -163,15 +180,15 @@ func TestSoundnessAgainstChannelCapacity(t *testing.T) {
 			behaviors := make([]string, 256)
 			distinct := map[string]bool{}
 			for sByte := 0; sByte < 256; sByte++ {
-				in := core.Inputs{Secret: []byte{byte(sByte)}}
-				m, err := core.RunPlain(prog, in, core.Config{})
+				in := engine.Inputs{Secret: []byte{byte(sByte)}}
+				m, err := engine.RunPlain(prog, in, engine.Config{})
 				if err != nil {
 					t.Fatalf("secret %d trapped: %v\n%s", sByte, err, src)
 				}
 				behaviors[sByte] = behavior(m)
 				distinct[behaviors[sByte]] = true
 
-				res, err := core.Analyze(prog, in, core.Config{})
+				res, err := engine.Analyze(prog, in, engine.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -179,22 +196,19 @@ func TestSoundnessAgainstChannelCapacity(t *testing.T) {
 			}
 
 			// Merged multi-run analysis over every input.
-			inputs := make([]core.Inputs, 256)
+			inputs := make([]engine.Inputs, 256)
 			for i := range inputs {
-				inputs[i] = core.Inputs{Secret: []byte{byte(i)}}
+				inputs[i] = engine.Inputs{Secret: []byte{byte(i)}}
 			}
-			merged, err := core.AnalyzeMulti(prog, inputs, core.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			merged := mergedBound(t, prog, inputs)
 
 			d := len(distinct)
 			needBits := math.Log2(float64(d))
 
 			// Check 2: the merged bound can encode all observed behaviors.
-			if float64(merged.Bits) < needBits-1e-9 {
+			if float64(merged) < needBits-1e-9 {
 				t.Fatalf("UNSOUND: merged bound %d bits < log2(%d distinct behaviors) = %.2f\n%s",
-					merged.Bits, d, needBits, src)
+					merged, d, needBits, src)
 			}
 
 			// Check 1: a zero bound means noninterference.
@@ -222,9 +236,9 @@ func TestSoundnessAgainstChannelCapacity(t *testing.T) {
 				// Jointly inconsistent per-run cuts: legal for independent
 				// analyses; the merged bound (checked above) covers all D
 				// behaviors, i.e. D * 2^-B <= 1.
-				if float64(d)*math.Pow(2, -float64(merged.Bits)) > 1+1e-9 {
+				if float64(d)*math.Pow(2, -float64(merged)) > 1+1e-9 {
 					t.Fatalf("UNSOUND: merged bound %d does not restore consistency over %d behaviors\n%s",
-						merged.Bits, d, src)
+						merged, d, src)
 				}
 			}
 		})
@@ -259,16 +273,16 @@ func FuzzSoundness(f *testing.F) {
 			}
 		}
 		distinct := map[string]bool{}
-		inputs := make([]core.Inputs, len(secrets))
+		inputs := make([]engine.Inputs, len(secrets))
 		for i, s := range secrets {
-			inputs[i] = core.Inputs{Secret: []byte{s}}
-			m, err := core.RunPlain(prog, inputs[i], core.Config{})
+			inputs[i] = engine.Inputs{Secret: []byte{s}}
+			m, err := engine.RunPlain(prog, inputs[i], engine.Config{})
 			if err != nil {
 				t.Fatalf("secret %d trapped: %v\n%s", s, err, src)
 			}
 			distinct[behavior(m)] = true
 
-			res, err := core.Analyze(prog, inputs[i], core.Config{})
+			res, err := engine.Analyze(prog, inputs[i], engine.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,22 +290,19 @@ func FuzzSoundness(f *testing.F) {
 				t.Fatalf("UNSOUND: secret %d reported 0 bits but behaviors differ\n%s", s, src)
 			}
 		}
-		merged, err := core.AnalyzeMulti(prog, inputs, core.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if need := math.Log2(float64(len(distinct))); float64(merged.Bits) < need-1e-9 {
+		merged := mergedBound(t, prog, inputs)
+		if need := math.Log2(float64(len(distinct))); float64(merged) < need-1e-9 {
 			t.Fatalf("UNSOUND: merged bound %d bits < log2(%d sampled behaviors) = %.2f\n%s",
-				merged.Bits, len(distinct), need, src)
+				merged, len(distinct), need, src)
 		}
 
 		// Degradation must stay sound: the budget-exhausted fallback bound
 		// can only be looser than the real solve.
-		degraded, err := core.Analyze(prog, inputs[0], core.Config{Budget: core.Budget{SolverWork: 1}})
+		degraded, err := engine.Analyze(prog, inputs[0], engine.Config{Budget: engine.Budget{SolverWork: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := core.Analyze(prog, inputs[0], core.Config{})
+		exact, err := engine.Analyze(prog, inputs[0], engine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,16 +314,16 @@ func FuzzSoundness(f *testing.F) {
 		// sits between the full solve and the trivial 8·len bound, and —
 		// being input-independent — must cover the sampled behavior count
 		// on its own.
-		staticRes, err := core.Analyze(prog, inputs[0], core.Config{Precision: core.PrecisionStatic})
+		staticRes, err := engine.Analyze(prog, inputs[0], engine.Config{Precision: engine.PrecisionStatic})
 		if err != nil {
 			t.Fatal(err)
 		}
-		trivial := core.TrivialBoundBits(1)
+		trivial := engine.TrivialBoundBits(1)
 		if exact.Bits > staticRes.Bits || staticRes.Bits > trivial {
 			t.Fatalf("LADDER violated: measured %d <= static %d <= trivial %d fails\n%s",
 				exact.Bits, staticRes.Bits, trivial, src)
 		}
-		if staticRes.Rung != core.RungStatic || staticRes.Graph != nil {
+		if staticRes.Rung != engine.RungStatic || staticRes.Graph != nil {
 			t.Fatalf("static rung executed: rung=%q graph=%v\n%s", staticRes.Rung, staticRes.Graph != nil, src)
 		}
 		if need := math.Log2(float64(len(distinct))); float64(staticRes.Bits) < need-1e-9 {
@@ -338,14 +349,14 @@ func TestSoundnessExactMode(t *testing.T) {
 		perRunBits := make([]int64, 256)
 		behaviors := make([]string, 256)
 		for sByte := 0; sByte < 256; sByte++ {
-			in := core.Inputs{Secret: []byte{byte(sByte)}}
-			m, err := core.RunPlain(prog, in, core.Config{})
+			in := engine.Inputs{Secret: []byte{byte(sByte)}}
+			m, err := engine.RunPlain(prog, in, engine.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			behaviors[sByte] = behavior(m)
 			distinct[behaviors[sByte]] = true
-			res, err := core.Analyze(prog, in, core.Config{Taint: taint.Options{Exact: true}})
+			res, err := engine.Analyze(prog, in, engine.Config{Taint: taint.Options{Exact: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
