@@ -192,11 +192,8 @@ func (ls *lockstep) transferAndStep(m1, m2 *vm.Machine, pc int) string {
 			m2.Regs[vm.R0] = m1.Regs[vm.R0]
 		case vm.SysWrite:
 			n := int(m1.Regs[vm.R2])
-			if src := m1.Bytes(m1.Regs[vm.R1], n); src != nil {
-				if dst := m2.Bytes(m2.Regs[vm.R1], n); dst != nil {
-					copy(dst, src)
-					ls.res.BitsTransferred += int64(8 * n)
-				}
+			if src := m1.Bytes(m1.Regs[vm.R1], n); src != nil && m2.SetBytes(m2.Regs[vm.R1], src) {
+				ls.res.BitsTransferred += int64(8 * n)
 			}
 		}
 	}
@@ -226,20 +223,14 @@ func (ls *lockstep) transferAndStep(m1, m2 *vm.Machine, pc int) string {
 			// revealed value.
 			n := int(m1.Regs[vm.R0])
 			m2.Regs[vm.R0] = m1.Regs[vm.R0]
-			if src := m1.Bytes(m1.Regs[vm.R1], n); src != nil {
-				if dst := m2.Bytes(m2.Regs[vm.R1], n); dst != nil {
-					copy(dst, src)
-					ls.res.BitsTransferred += int64(8 * n)
-				}
+			if src := m1.Bytes(m1.Regs[vm.R1], n); src != nil && m2.SetBytes(m2.Regs[vm.R1], src) {
+				ls.res.BitsTransferred += int64(8 * n)
 			}
 		case vm.SysLeaveRegion:
 			// AfterInstr popped the region when m1 stepped.
 			for _, r := range ls.lastLeave {
-				if src := m1.Bytes(r.Addr, int(r.Len)); src != nil {
-					if dst := m2.Bytes(r.Addr, int(r.Len)); dst != nil {
-						copy(dst, src)
-						ls.res.BitsTransferred += int64(8 * r.Len)
-					}
+				if src := m1.Bytes(r.Addr, int(r.Len)); src != nil && m2.SetBytes(r.Addr, src) {
+					ls.res.BitsTransferred += int64(8 * r.Len)
 				}
 			}
 		}

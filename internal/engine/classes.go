@@ -210,7 +210,13 @@ func (a *Analyzer) classGraphFor(ctx context.Context, in Inputs) (*classGraph, *
 func (a *Analyzer) buildClassGraph(ctx context.Context, in Inputs) (*classGraph, error) {
 	s := a.acquire()
 	defer a.release(s)
-	tr := taint.New(a.classTaintOptions())
+	return a.classGraphOn(ctx, s, in)
+}
+
+// classGraphOn is buildClassGraph on a given session, whose attributing
+// tracker it recycles.
+func (a *Analyzer) classGraphOn(ctx context.Context, s *session, in Inputs) (*classGraph, error) {
+	tr := fresh(&s.classTracker, a.classTaintOptions())
 	res, err := a.runStages(ctx, s, tr, in, a.cfg.Fault.Run(0), false)
 	if err != nil {
 		return nil, err

@@ -10,8 +10,8 @@
 // sessions — machine, tracker, and max-flow solver — whose buffers are
 // reused across runs (vm.Machine.Reset, taint.Tracker.ResetAll, and the
 // solver's internal scratch), so repeated analyses stop paying the
-// per-run allocation cost of a fresh 4 MiB guest memory and residual
-// network.
+// per-run allocation cost of fresh guest memory pages, graph builders and
+// residual networks.
 //
 // On top of the single-run pipeline, AnalyzeBatch fans N executions across
 // worker sessions and merges the per-run graphs by code location
@@ -116,17 +116,17 @@ type Inputs struct {
 }
 
 // session is one worker's reusable execution state: the guest machine (with
-// its memory buffer), the default tracker, the solver with its residual
-// network, and the CSR buffer each solved graph is laid out in. Sessions
-// are pooled by the Analyzer and are not safe for concurrent use; each
-// worker goroutine holds its own.
+// its memory pages), the default tracker and the class analysis's
+// attributing one, the solver with its residual network, and the CSR buffer
+// each solved graph is laid out in. Sessions are pooled by the Analyzer and
+// are not safe for concurrent use; each worker goroutine holds its own.
 type session struct {
-	m       *vm.Machine
-	tracker *taint.Tracker
-	solver  *maxflow.Solver
-	csr     flowgraph.CSR
-	rec     *static.Recorder // dynamic-event recorder for Config.Lint
-	used    bool             // machine has executed and needs Reset before reuse
+	m            *vm.Machine
+	tracker      *taint.Tracker
+	classTracker *taint.Tracker
+	solver       *maxflow.Solver
+	csr          flowgraph.CSR
+	rec          *static.Recorder // dynamic-event recorder for Config.Lint
 
 	// poisoned marks a session that recovered a panic mid-run: its
 	// tracker/arena/machine state may be inconsistent, so release
@@ -134,12 +134,10 @@ type session struct {
 	poisoned bool
 }
 
-// prepare readies the machine for one run.
+// prepare readies the machine for one run. Reset costs nothing on a
+// machine that has not run yet.
 func (s *session) prepare(cfg Config, in Inputs) {
-	if s.used {
-		s.m.Reset()
-	}
-	s.used = true
+	s.m.Reset()
 	if cfg.MaxSteps != 0 {
 		s.m.MaxSteps = cfg.MaxSteps
 	}
@@ -154,15 +152,15 @@ func (s *session) solve(g *flowgraph.Graph, work int64) (*maxflow.Result, bool) 
 	return s.solver.Solve(&s.csr, nil, work)
 }
 
-// freshTracker returns the session's tracker reset to a blank state (empty
+// fresh returns the session tracker *tr reset to a blank state (empty
 // graph, §3.2 accumulation discarded), creating it on first use.
-func (s *session) freshTracker(opts taint.Options) *taint.Tracker {
-	if s.tracker == nil {
-		s.tracker = taint.New(opts)
+func fresh(tr **taint.Tracker, opts taint.Options) *taint.Tracker {
+	if *tr == nil {
+		*tr = taint.New(opts)
 	} else {
-		s.tracker.ResetAll()
+		(*tr).ResetAll()
 	}
-	return s.tracker
+	return *tr
 }
 
 // Analyzer runs the staged pipeline for one program under one
@@ -271,10 +269,11 @@ func (a *Analyzer) release(s *session) {
 // the configured recycle mark.
 func (a *Analyzer) overHighWater(s *session) bool {
 	hw := a.cfg.SessionHighWater
-	if hw <= 0 || s.tracker == nil {
+	if hw <= 0 {
 		return false
 	}
-	return s.tracker.MemStats().PeakLiveEdges > hw
+	over := func(tr *taint.Tracker) bool { return tr != nil && tr.MemStats().PeakLiveEdges > hw }
+	return over(s.tracker) || over(s.classTracker)
 }
 
 // PoolStats reports session-pool churn: sessions currently checked out,
@@ -566,7 +565,7 @@ func (a *Analyzer) analyzeDirect(ctx context.Context, in Inputs) (*Result, error
 }
 
 func (a *Analyzer) sessionTracker(s *session) *taint.Tracker {
-	return s.freshTracker(a.taintOptions())
+	return fresh(&s.tracker, a.taintOptions())
 }
 
 // taintOptions resolves the tracker options from the configuration,

@@ -44,12 +44,15 @@ type Arena struct {
 	chainKills []int32
 }
 
+// arenaEdge is one edge slot. A killed edge has from < 0; keeping that
+// flag out of a field of its own keeps the slot at 40 bytes.
 type arenaEdge struct {
 	from, to int32
 	cap      int64
 	label    Label
-	alive    bool
 }
+
+func (e *arenaEdge) alive() bool { return e.from >= 0 }
 
 // MemStats reports the arena's memory behavior — the observable for the
 // paper's §5.2 scalability claim. With online compaction, PeakLiveEdges
@@ -83,6 +86,22 @@ func NewArena() *Arena {
 	a.AddNode() // Source
 	a.AddNode() // Sink
 	return a
+}
+
+// Reset empties the arena back to the two terminal nodes and zeroed
+// statistics, keeping its buffers (edge slots, degree arrays, compaction
+// scratch) for the next graph.
+func (a *Arena) Reset() {
+	a.edges = a.edges[:0]
+	a.free = a.free[:0]
+	a.indeg = a.indeg[:0]
+	a.outdeg = a.outdeg[:0]
+	a.dead = a.dead[:0]
+	a.pending = a.pending[:0]
+	a.liveNodes, a.liveEdges = 0, 0
+	a.mem = MemStats{}
+	a.AddNode() // Source
+	a.AddNode() // Sink
 }
 
 // NumNodes reports the number of node ids ever allocated (dead included);
@@ -131,7 +150,7 @@ func (a *Arena) AddEdge(from, to int32, cap int64, label Label) int32 {
 	if cap < 0 {
 		panic(fmt.Sprintf("flowgraph: negative capacity %d", cap))
 	}
-	e := arenaEdge{from: from, to: to, cap: cap, label: label, alive: true}
+	e := arenaEdge{from: from, to: to, cap: cap, label: label}
 	var slot int32
 	if n := len(a.free); n > 0 {
 		slot = a.free[n-1]
@@ -172,12 +191,12 @@ func (a *Arena) EdgeEnds(slot int32) (from, to int32) {
 // the next compaction sweep, once nothing references it).
 func (a *Arena) kill(slot int32) {
 	e := &a.edges[slot]
-	if !e.alive {
+	if !e.alive() {
 		return
 	}
-	e.alive = false
 	a.outdeg[e.from]--
 	a.indeg[e.to]--
+	e.from = -1
 	a.liveEdges--
 	a.mem.ReclaimedEdges++
 	a.pending = append(a.pending, slot)
@@ -259,7 +278,7 @@ func (a *Arena) sweep(protected []bool) int {
 	clear(a.parMap)
 	for i := range a.edges {
 		e := &a.edges[i]
-		if !e.alive {
+		if !e.alive() {
 			continue
 		}
 		slot := int32(i)
@@ -320,7 +339,7 @@ func (a *Arena) sweep(protected []bool) int {
 	if drops {
 		for i := range a.edges {
 			e := &a.edges[i]
-			if e.alive && (a.dropTo[e.to] == gen || a.dropFrom[e.from] == gen) {
+			if e.alive() && (a.dropTo[e.to] == gen || a.dropFrom[e.from] == gen) {
 				a.kill(int32(i))
 				ops++
 			}
@@ -388,8 +407,8 @@ func (a *Arena) chainCand(v int32, protected []bool, gen uint32) bool {
 	}
 	in, out := a.uniqueIn[v], a.uniqueOut[v]
 	return in >= 0 && out >= 0 &&
-		a.edges[in].alive && a.edges[in].to == v &&
-		a.edges[out].alive && a.edges[out].from == v
+		a.edges[in].alive() && a.edges[in].to == v &&
+		a.edges[out].alive() && a.edges[out].from == v
 }
 
 // ---------------------------------------------------------------- export ---
@@ -403,6 +422,7 @@ func (a *Arena) chainCand(v int32, protected []bool, gen uint32) bool {
 // byte for byte when no compaction has run.
 func (a *Arena) Export(resolve func(int32) int32) *Graph {
 	out := New()
+	out.Edges = make([]Edge, 0, a.liveEdges)
 	node := make([]NodeID, len(a.indeg))
 	for i := range node {
 		node[i] = -1
@@ -415,7 +435,7 @@ func (a *Arena) Export(resolve func(int32) int32) *Graph {
 	node[rt] = Sink
 	for i := range a.edges {
 		e := &a.edges[i]
-		if !e.alive {
+		if !e.alive() {
 			continue
 		}
 		f, t := e.from, e.to
@@ -464,7 +484,7 @@ func (a *Arena) CSRInto(c *CSR, resolve func(int32) int32) {
 	keep := c.keep[:0]
 	for i := range a.edges {
 		e := &a.edges[i]
-		if !e.alive {
+		if !e.alive() {
 			continue
 		}
 		f, t := e.from, e.to

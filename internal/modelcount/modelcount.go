@@ -80,12 +80,15 @@ func Enumerate(p *vm.Program, opts Options) Count {
 
 	secret := make([]byte, opts.SecretLen)
 	behaviors := make(map[string]struct{})
+	// One machine serves every secret: Reset restores only the pages the
+	// previous run wrote.
+	m := vm.NewMachineSize(p, memSize)
+	if opts.MaxSteps != 0 {
+		m.MaxSteps = opts.MaxSteps
+	}
 	n := 0
 	for ; n < maxSecrets; n++ {
-		m := vm.NewMachineSize(p, memSize)
-		if opts.MaxSteps != 0 {
-			m.MaxSteps = opts.MaxSteps
-		}
+		m.Reset()
 		m.SecretIn = secret
 		m.PublicIn = opts.Public
 		err := m.Run()

@@ -91,6 +91,31 @@ int main() {
 	}
 }
 
+// Enumerate reuses one machine across secrets, so each run must start from
+// the initial data image: this guest prints a string literal's byte that
+// the previous run overwrote with its secret. Restored, every run prints
+// 'A' and there is one behavior; carried over, there would be 256.
+func TestEnumerateRestoresDataImage(t *testing.T) {
+	prog, err := lang.Compile("carry.mc", `
+int main() {
+    char *s;
+    char buf[1];
+    s = "A";
+    read_secret(buf, 1);
+    putc(s[0]);
+    s[0] = buf[0];
+    return 0;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Enumerate(prog, Options{SecretLen: 1})
+	if c.Enumerated != 256 || c.Behaviors != 1 {
+		t.Fatalf("carry-over program: %+v, want 256 enumerated / 1 behavior", c)
+	}
+}
+
 // The enumerator terminates on every guest with a small budget — it is
 // the tool the corpus tightness tests lean on.
 func TestEnumerateGuestsTerminate(t *testing.T) {

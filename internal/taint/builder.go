@@ -81,6 +81,21 @@ func newBuilder(exact, attribute bool) *builder {
 	return b
 }
 
+// reset empties the builder for an unrelated execution, keeping the arena,
+// union-find and map storage for reuse. The attribution map is cleared,
+// never truncated per label: its slices escape into SourceMaps built from
+// the previous graph.
+func (b *builder) reset() {
+	b.ar.Reset()
+	if b.uf != nil {
+		b.uf.Reset(2)
+	}
+	clear(b.slots)
+	clear(b.canonVal)
+	clear(b.attrib)
+	b.labels, b.serial, b.implicitEdges = 0, 0, 0
+}
+
 // element allocates a fresh graph element (used for region and chain nodes).
 func (b *builder) element() int32 {
 	el := b.ar.AddNode()

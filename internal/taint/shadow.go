@@ -55,6 +55,10 @@ type shadowMem struct {
 	pages map[vm.Word]*page
 	descs []*descriptor
 
+	// spare holds the pages of earlier executions, reused (cleared) before
+	// any new page is allocated.
+	spare []*page
+
 	maxDescs int
 	maxExc   int
 
@@ -80,19 +84,47 @@ func newShadowMem(maxDescs, maxExc int) *shadowMem {
 	return &shadowMem{pages: map[vm.Word]*page{}, maxDescs: maxDescs, maxExc: maxExc}
 }
 
-func (s *shadowMem) pageFor(a vm.Word, create bool) *page {
+// reset empties the shadow for a new execution: every byte public, no
+// descriptors. Its pages move to the spare list instead of being dropped.
+func (s *shadowMem) reset() {
+	for _, p := range s.pages {
+		s.spare = append(s.spare, p)
+	}
+	clear(s.pages)
+	clear(s.descs)
+	s.descs = s.descs[:0]
+	s.lastKey, s.lastPage = 0, nil
+	s.flushes = 0
+}
+
+// pageFor returns the shadow page holding a, or nil if it has none yet.
+func (s *shadowMem) pageFor(a vm.Word) *page {
 	key := a >> pageShift
 	if s.lastPage != nil && s.lastKey == key {
 		return s.lastPage
 	}
 	p := s.pages[key]
-	if p == nil && create {
-		p = &page{}
-		s.pages[key] = p
-	}
 	if p != nil {
 		s.lastKey, s.lastPage = key, p
 	}
+	return p
+}
+
+// addPage allocates the shadow page holding a, reusing a spare page when
+// there is one. Writers call it only for a non-public value: a missing page
+// already reads as public.
+func (s *shadowMem) addPage(a vm.Word) *page {
+	var p *page
+	if n := len(s.spare); n > 0 {
+		p = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		*p = page{}
+	} else {
+		p = &page{}
+	}
+	key := a >> pageShift
+	s.pages[key] = p
+	s.lastKey, s.lastPage = key, p
 	return p
 }
 
@@ -112,7 +144,7 @@ func (s *shadowMem) get(a vm.Word) (int32, bits.Mask) {
 	if d := s.descFor(a); d != nil && !d.excepted(a) {
 		return d.el, bits.Mask(d.mask)
 	}
-	if p := s.pageFor(a, false); p != nil {
+	if p := s.pageFor(a); p != nil {
 		off := a & (pageSize - 1)
 		return p.el[off], bits.Mask(p.mask[off])
 	}
@@ -130,7 +162,10 @@ func (s *shadowMem) setByte(a vm.Word, el int32, mask bits.Mask) {
 			}
 		}
 	}
-	p := s.pageFor(a, el != 0 || mask != 0 || s.pageFor(a, false) != nil)
+	p := s.pageFor(a)
+	if p == nil && (el != 0 || mask != 0) {
+		p = s.addPage(a)
+	}
 	if p != nil {
 		off := a & (pageSize - 1)
 		p.el[off] = el
@@ -167,7 +202,10 @@ func (s *shadowMem) overflow(d *descriptor) {
 
 // rawSet writes per-byte shadow without descriptor bookkeeping.
 func (s *shadowMem) rawSet(a vm.Word, el int32, mask uint8) {
-	p := s.pageFor(a, el != 0 || mask != 0 || s.pageFor(a, false) != nil)
+	p := s.pageFor(a)
+	if p == nil && (el != 0 || mask != 0) {
+		p = s.addPage(a)
+	}
 	if p != nil {
 		off := a & (pageSize - 1)
 		p.el[off] = el

@@ -223,8 +223,9 @@ func (t *Tracker) Attach(m *vm.Machine) {
 // accumulated graph. In collapsed mode, edges of the new run merge with the
 // old ones by label — the multi-run combination of §3.2, applied online —
 // so the final graph's maximum flow is jointly sound for all runs analyzed.
+// The shadow memory's pages are kept for reuse.
 func (t *Tracker) Reset() {
-	t.sh = newShadowMem(t.opts.MaxDescriptors, t.opts.MaxExceptions)
+	t.sh.reset()
 	for i := range t.regEl {
 		t.regEl[i] = 0
 		t.regMask[i] = 0
@@ -246,10 +247,12 @@ func (t *Tracker) SetProbe(p Probe) { t.probe = p }
 // Reset, which keeps them so successive runs merge online (§3.2). The
 // engine's pooled sessions call this between independent runs; the parallel
 // batch path then re-establishes §3.2 soundness by merging the per-run
-// graphs offline, by label.
+// graphs offline, by label. The builder is emptied in place, keeping its
+// arena, union-find and map storage, so a recycled tracker allocates only
+// what its graph outgrows.
 func (t *Tracker) ResetAll() {
 	t.Reset()
-	t.b = newBuilder(t.opts.Exact, t.opts.AttributeSources)
+	t.b.reset()
 	t.chainEl = t.b.element()
 	t.compactAt = t.opts.Compact
 	clear(t.regionCanon)

@@ -31,6 +31,15 @@ func (u *UF) Grow(n int) {
 	}
 }
 
+// Reset discards every element and set, then creates n singletons,
+// keeping the buffers for reuse.
+func (u *UF) Reset(n int) {
+	u.parent = u.parent[:0]
+	u.rank = u.rank[:0]
+	u.sets = 0
+	u.Grow(n)
+}
+
 // Len reports the number of elements.
 func (u *UF) Len() int { return len(u.parent) }
 

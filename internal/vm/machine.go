@@ -1,9 +1,9 @@
 package vm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // DataBase is the lowest mapped guest address. Addresses below it trap, so
@@ -57,7 +57,6 @@ func (t *Trap) Is(target error) bool {
 // Machine executes a Program. Create with NewMachine, set inputs, then Run.
 type Machine struct {
 	Prog *Program
-	Mem  []byte
 	Regs [NumRegs]Word
 	PC   int
 
@@ -94,6 +93,14 @@ type Machine struct {
 	// cost.
 	Check      func(m *Machine) error
 	CheckEvery uint64
+
+	// Guest memory: size is the configured address-space size every access
+	// is bounds-checked against; the page tables are described in
+	// memory.go.
+	size    int
+	pages   []*page
+	written []*page
+	dirty   []uint32
 }
 
 // NewMachine creates a machine with the program's data segment loaded and
@@ -102,34 +109,36 @@ func NewMachine(p *Program) *Machine {
 	return NewMachineSize(p, DefaultMemSize)
 }
 
-// NewMachineSize creates a machine with the given memory size.
+// NewMachineSize creates a machine with the given memory size. Only the
+// data segment's pages are allocated up front; the rest of memory is
+// allocated a page at a time as the guest writes it.
 func NewMachineSize(p *Program, memSize int) *Machine {
 	if memSize < int(DataBase)+len(p.Data) {
 		panic("vm: memory too small for data segment")
 	}
 	m := &Machine{
 		Prog:     p,
-		Mem:      make([]byte, memSize),
 		PC:       p.Entry,
 		MaxSteps: DefaultMaxSteps,
 	}
-	copy(m.Mem[DataBase:], p.Data)
+	m.initMemory(memSize)
 	m.Regs[SP] = Word(memSize)
 	m.Regs[BP] = Word(memSize)
 	return m
 }
 
 // Reset returns the machine to its initial state for a fresh run of the
-// same program, reusing the memory buffer: data segment reloaded, registers
-// cleared, stack pointer at the top of memory. Inputs and hooks are
-// detached, and Output is released rather than truncated — the previous
-// run's Result may still hold it.
+// same program, reusing its memory pages: the pages written since the last
+// reset are cleared and the data image reloaded into them, registers are
+// cleared, and the stack pointer is at the top of memory. Its cost scales
+// with the pages the run wrote, not with the memory size. Inputs and hooks
+// are detached, and Output is released rather than truncated — the
+// previous run's Result may still hold it.
 func (m *Machine) Reset() {
-	clear(m.Mem)
-	copy(m.Mem[DataBase:], m.Prog.Data)
+	m.resetMemory()
 	m.Regs = [NumRegs]Word{}
-	m.Regs[SP] = Word(len(m.Mem))
-	m.Regs[BP] = Word(len(m.Mem))
+	m.Regs[SP] = Word(m.size)
+	m.Regs[BP] = Word(m.size)
 	m.PC = m.Prog.Entry
 	m.Halted = false
 	m.ExitCode = 0
@@ -149,7 +158,7 @@ func (m *Machine) trap(in *Instr, format string, args ...interface{}) error {
 
 // checkMem validates an n-byte access at addr.
 func (m *Machine) checkMem(addr Word, n int) bool {
-	return addr >= DataBase && int(addr)+n <= len(m.Mem) && int(addr)+n > 0
+	return addr >= DataBase && int(addr)+n <= m.size && int(addr)+n > 0
 }
 
 // LoadWord reads a little-endian word from guest memory (no tracing); it is
@@ -158,7 +167,7 @@ func (m *Machine) LoadWord(addr Word) (Word, bool) {
 	if !m.checkMem(addr, 4) {
 		return 0, false
 	}
-	return binary.LittleEndian.Uint32(m.Mem[addr:]), true
+	return m.load32(addr), true
 }
 
 // StoreWord writes a little-endian word (no tracing).
@@ -166,17 +175,30 @@ func (m *Machine) StoreWord(addr Word, v Word) bool {
 	if !m.checkMem(addr, 4) {
 		return false
 	}
-	binary.LittleEndian.PutUint32(m.Mem[addr:], v)
+	m.store32(addr, v)
 	return true
 }
 
-// Bytes returns the guest memory range [addr, addr+n), or nil if out of
-// bounds.
+// Bytes returns a copy of the guest memory range [addr, addr+n), or nil if
+// out of bounds. Writing to the copy does not change guest memory; use
+// SetBytes for that.
 func (m *Machine) Bytes(addr Word, n int) []byte {
 	if n < 0 || !m.checkMem(addr, n) {
 		return nil
 	}
-	return m.Mem[addr : int(addr)+n]
+	b := make([]byte, n)
+	m.readInto(b, addr)
+	return b
+}
+
+// SetBytes copies data into guest memory at addr (no tracing). It reports
+// false, writing nothing, if the range is out of bounds.
+func (m *Machine) SetBytes(addr Word, data []byte) bool {
+	if !m.checkMem(addr, len(data)) {
+		return false
+	}
+	m.writeFrom(addr, data)
+	return true
 }
 
 // Run executes until the program halts, a trap occurs, or the Check hook
@@ -298,16 +320,22 @@ func (m *Machine) Step() error {
 		if t != nil {
 			t.Load(in.Site, int(in.A), int(in.B), addr, n)
 		}
+		var v Word
+		ok := true
 		switch n {
 		case 1:
-			m.Regs[in.A] = Word(m.Mem[addr])
+			v = Word(m.loadByte(addr))
 		case 2:
-			m.Regs[in.A] = Word(binary.LittleEndian.Uint16(m.Mem[addr:]))
+			v, ok = m.tryLoad16(addr)
 		case 4:
-			m.Regs[in.A] = binary.LittleEndian.Uint32(m.Mem[addr:])
+			v, ok = m.tryLoad32(addr)
 		default:
 			return m.trap(in, "bad load width %d", n)
 		}
+		if !ok {
+			v = m.loadSlow(addr, n)
+		}
+		m.Regs[in.A] = v
 
 	case OpStore:
 		n := int(in.W)
@@ -319,15 +347,19 @@ func (m *Machine) Step() error {
 			t.Store(in.Site, int(in.A), addr, int(in.B), n)
 		}
 		v := m.Regs[in.B]
+		ok := true
 		switch n {
 		case 1:
-			m.Mem[addr] = byte(v)
+			m.storeByte(addr, byte(v))
 		case 2:
-			binary.LittleEndian.PutUint16(m.Mem[addr:], uint16(v))
+			ok = m.tryStore16(addr, v)
 		case 4:
-			binary.LittleEndian.PutUint32(m.Mem[addr:], v)
+			ok = m.tryStore32(addr, v)
 		default:
 			return m.trap(in, "bad store width %d", n)
+		}
+		if !ok {
+			m.storeSlow(addr, n, v)
 		}
 
 	case OpJmp:
@@ -368,7 +400,9 @@ func (m *Machine) Step() error {
 			t.Call(in.Site, target)
 			t.Push(in.Site, -1, sp) // return address is public
 		}
-		binary.LittleEndian.PutUint32(m.Mem[sp:], Word(m.PC+1))
+		if ret := Word(m.PC + 1); !m.tryStore32(sp, ret) {
+			m.storeSlow(sp, 4, ret)
+		}
 		m.Regs[SP] = sp
 		nextPC = target
 
@@ -380,7 +414,11 @@ func (m *Machine) Step() error {
 		if t != nil {
 			t.Ret(in.Site)
 		}
-		nextPC = int(binary.LittleEndian.Uint32(m.Mem[sp:]))
+		ret, ok := m.tryLoad32(sp)
+		if !ok {
+			ret = m.loadSlow(sp, 4)
+		}
+		nextPC = int(ret)
 		m.Regs[SP] = sp + 4
 
 	case OpPush:
@@ -391,7 +429,9 @@ func (m *Machine) Step() error {
 		if t != nil {
 			t.Push(in.Site, int(in.B), sp)
 		}
-		binary.LittleEndian.PutUint32(m.Mem[sp:], m.Regs[in.B])
+		if v := m.Regs[in.B]; !m.tryStore32(sp, v) {
+			m.storeSlow(sp, 4, v)
+		}
 		m.Regs[SP] = sp
 
 	case OpPop:
@@ -402,7 +442,11 @@ func (m *Machine) Step() error {
 		if t != nil {
 			t.Pop(in.Site, int(in.A), sp)
 		}
-		m.Regs[in.A] = binary.LittleEndian.Uint32(m.Mem[sp:])
+		v, ok := m.tryLoad32(sp)
+		if !ok {
+			v = m.loadSlow(sp, 4)
+		}
+		m.Regs[in.A] = v
 		m.Regs[SP] = sp + 4
 
 	case OpSys:
@@ -512,12 +556,11 @@ func (m *Machine) syscall(in *Instr) error {
 		if n > avail {
 			n = avail
 		}
-		if n > 0 {
-			copy(m.Mem[buf:], src[*pos:*pos+n])
-			*pos += n
-		}
+		data := src[*pos : *pos+n]
+		m.writeFrom(buf, data)
+		*pos += n
 		if t != nil {
-			t.ReadInput(in.Site, buf, m.Mem[buf:int(buf)+n], secret)
+			t.ReadInput(in.Site, buf, data, secret)
 		}
 		m.Regs[R0] = Word(n)
 
@@ -526,11 +569,13 @@ func (m *Machine) syscall(in *Instr) error {
 		if n < 0 || !m.checkMem(buf, n) {
 			return m.trap(in, "write buffer %#x+%d out of bounds", buf, n)
 		}
-		data := m.Mem[buf : int(buf)+n]
+		out := len(m.Output)
+		m.Output = slices.Grow(m.Output, n)[:out+n]
+		data := m.Output[out:]
+		m.readInto(data, buf)
 		if t != nil {
 			t.WriteOutput(in.Site, buf, data, -1)
 		}
-		m.Output = append(m.Output, data...)
 		m.Regs[R0] = Word(n)
 
 	case SysPutc:
