@@ -15,6 +15,7 @@ import (
 
 	"flowcheck/internal/engine"
 	"flowcheck/internal/guest"
+	"flowcheck/internal/taint"
 	"flowcheck/internal/workload"
 )
 
@@ -73,5 +74,45 @@ func TestBatchAllocsSteadyState(t *testing.T) {
 	const bytesCeiling = 3 << 20
 	if perOp > bytesCeiling {
 		t.Fatalf("compress batch allocates %d B/op, ceiling %d — a recycled tracker buffer regressed to per-run allocation", perOp, bytesCeiling)
+	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// TestExactBytesPerEdge bounds what a warmed exact-mode analysis allocates
+// per graph edge. A recycled session keeps its arena, CSR and solver
+// network, so a run allocates only its exported graph, edge flows and cut;
+// the bytes per edge therefore track the exported edge record, and
+// rebuilding any per-edge structure on every run would add its own size.
+func TestExactBytesPerEdge(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops sessions at random under the race detector")
+	}
+	in := engine.Inputs{Secret: workload.PiWords(1024)}
+	a := engine.New(guest.Program("compress"), engine.Config{Workers: 1, Taint: taint.Options{Exact: true}})
+	res, err := a.Analyze(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := res.Graph.NumEdges()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := a.Analyze(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(edges)
+	t.Logf("exact compress, %d edges: %.1f B/edge", edges, perEdge)
+
+	// Steady state measures ~44 B/edge: the 32-byte exported edge, its
+	// 8-byte flow and the cut. With 40-byte edge records it measured ~52.
+	const ceiling = 66
+	if perEdge > ceiling {
+		t.Fatalf("exact run allocates %.1f B per edge, ceiling %d — an edge record grew or a pooled per-edge buffer is rebuilt every run", perEdge, ceiling)
 	}
 }

@@ -32,6 +32,7 @@ package engine
 import (
 	"sync"
 	"time"
+	"unsafe"
 
 	"flowcheck/internal/cachekey"
 	"flowcheck/internal/flowgraph"
@@ -273,8 +274,7 @@ func (a *Analyzer) solveWithCache(s *session, g *flowgraph.Graph, reuse bool) (f
 		sk := v.(*skeleton)
 		if sk.matches(g) && sk.mu.TryLock() {
 			for i := range g.Edges {
-				sk.csr.Cap[2*i] = g.Edges[i].Cap
-				sk.csr.Cap[2*i+1] = 0
+				sk.csr.Cap[i] = g.Edges[i].Cap
 			}
 			flow, exhausted = s.solver.Solve(&sk.csr, nil, budget)
 			sk.mu.Unlock()
@@ -295,7 +295,7 @@ func (a *Analyzer) solveWithCache(s *session, g *flowgraph.Graph, reuse bool) (f
 // into small per-element constants.
 
 const (
-	edgeBytes     = 40 // flowgraph.Edge: From+To+Cap+Label{Site,Ctx,Aux,Kind}, padded
+	edgeBytes     = int64(unsafe.Sizeof(flowgraph.Edge{}))
 	instrBytes    = 16 // vm.Instr
 	perDiagBytes  = 64 // warnings, lint findings, run summaries (strings dominate)
 	structOverhd  = 512
@@ -329,9 +329,10 @@ func estimateStaticBytes(sa *static.Analysis) int64 {
 
 func skeletonBytes(sk *skeleton) int64 {
 	n := int64(structOverhd)
-	n += int64(len(sk.edges)) * edgeBytes
-	e2 := int64(len(sk.edges)) * 2
-	n += e2 * (4 + 4 + 8) // CSR HArcs + To + Cap
+	ne := int64(len(sk.edges))
+	n += ne * edgeBytes
+	n += 2 * ne * (4 + 4) // CSR HArcs + To, one entry per arc
+	n += ne * 8           // CSR Cap, one entry per edge
 	n += int64(sk.numNodes+1) * 4
 	return n
 }

@@ -253,16 +253,16 @@ func TestInputOnlyChangeIncremental(t *testing.T) {
 // identical programs analyzed by different engines share one static
 // analysis, so the Static stage cost is charged exactly once fleet-wide.
 func TestGlobalStaticSharedAcrossEngines(t *testing.T) {
-	// A source text unique to this test keeps other tests' global-cache
-	// entries from absorbing the first-charge assertion.
-	src := straightSrc + "// engine-static-shared\n"
-	p1, err := lang.Compile("shared_static.mc", src)
+	// A file name no other run has used keeps earlier global-cache entries
+	// from absorbing the first-charge assertion.
+	name := UnseenName("shared_static")
+	p1, err := lang.Compile(name, straightSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A second, separately compiled (pointer-distinct) copy of the same
 	// program: content addressing must identify them.
-	p2, err := lang.Compile("shared_static.mc", src)
+	p2, err := lang.Compile(name, straightSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,10 @@
 package engine
 
+import (
+	"fmt"
+	"sync/atomic"
+)
+
 // LiveSessions exposes the number of sessions currently checked out of the
 // analyzer's pool, so the robustness tests can prove that no failure path
 // leaks one.
@@ -13,3 +18,13 @@ func SessionsCreated(a *Analyzer) int64 { return a.created.Load() }
 // SessionsRecycled exposes how many sessions release quarantined instead
 // of pooling (poisoned by a recovered panic, or over SessionHighWater).
 func SessionsRecycled(a *Analyzer) int64 { return a.recycled.Load() }
+
+var unseenNames atomic.Int64
+
+// UnseenName returns a source file name no earlier call returned. The file
+// name is part of a compiled program's cache key, so a program compiled
+// under it misses the process-global static cache even when its test runs
+// again in the same process (go test -count=N).
+func UnseenName(base string) string {
+	return fmt.Sprintf("%s#%d.mc", base, unseenNames.Add(1))
+}

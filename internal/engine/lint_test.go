@@ -5,7 +5,20 @@ import (
 
 	"flowcheck/internal/engine"
 	"flowcheck/internal/guest"
+	"flowcheck/internal/lang"
+	"flowcheck/internal/vm"
 )
+
+// unseenGuest compiles a guest under a file name no earlier run used, so
+// its static analysis is not already in the process-global cache and the
+// first analysis pays for it even under go test -count=N.
+func unseenGuest(t *testing.T, name string) *vm.Program {
+	p, err := lang.Compile(engine.UnseenName(name), guest.Source(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 // Config.Lint runs the static pre-pass and the static/dynamic
 // cross-check. On a well-annotated guest it must come back clean, publish
@@ -16,7 +29,7 @@ func TestLintCleanAndCachedAcrossRuns(t *testing.T) {
 	if !ok {
 		t.Fatal("no sample inputs for count_punct")
 	}
-	a := engine.New(guest.Program("count_punct"), engine.Config{Lint: true})
+	a := engine.New(unseenGuest(t, "count_punct"), engine.Config{Lint: true})
 	in := engine.Inputs{Secret: secret, Public: public}
 
 	first, err := a.Analyze(in)
@@ -73,7 +86,7 @@ func TestNoLintNoStatic(t *testing.T) {
 // The batch path cross-checks every run against the shared static
 // analysis and merges findings (here: none) without duplicating stats.
 func TestBatchLint(t *testing.T) {
-	prog := guest.Program("unary")
+	prog := unseenGuest(t, "unary")
 	var inputs []engine.Inputs
 	for _, b := range []byte{0, 3, 7, 200} {
 		inputs = append(inputs, engine.Inputs{Secret: []byte{b}})

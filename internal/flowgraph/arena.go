@@ -3,13 +3,17 @@ package flowgraph
 import "fmt"
 
 // Arena is the mutable graph core behind flow-graph construction: a slab of
-// edge slots with per-node degree tracking, a free list for reclaimed
-// slots, and in-place series-parallel contraction (CompactSP). It exists so
-// the §5.2 property — tool memory proportional to static code size, not to
-// executed instructions — holds while the guest is still running: the taint
-// builder emits every dynamic edge into an arena and periodically compacts
-// the part of the graph the execution can no longer reach, instead of
-// materializing the full per-operation graph and shrinking it afterwards.
+// edge slots, a free list for reclaimed slots, and in-place series-parallel
+// contraction (CompactSP). It exists so the §5.2 property — tool memory
+// proportional to static code size, not to executed instructions — holds
+// while the guest is still running: the taint builder emits every dynamic
+// edge into an arena and periodically compacts the part of the graph the
+// execution can no longer reach, instead of materializing the full
+// per-operation graph and shrinking it afterwards.
+//
+// Nodes cost nothing between compactions: the arena only counts them.
+// Each CompactSP pass recounts node degrees from the live edges, so
+// building a graph that is never compacted keeps no per-node state.
 //
 // Node 0 and node 1 are pre-allocated and permanently correspond to the
 // graph Source and Sink; they are never contracted. Edge slots killed by
@@ -19,19 +23,27 @@ import "fmt"
 //
 // An Arena is not safe for concurrent use; each tracker owns one.
 type Arena struct {
-	edges  []arenaEdge
-	free   []int32 // dead slots available for reuse
-	indeg  []int32
-	outdeg []int32
-	dead   []bool
+	// edges holds one slot per edge ever live at once. A killed slot has
+	// From < 0 and waits on the free list for reuse.
+	edges []Edge
+	free  []int32 // dead slots available for reuse
 
+	numNodes  int32
 	liveNodes int
 	liveEdges int
 	mem       MemStats
 
+	// dead marks nodes compaction reclaimed. It covers the nodes that
+	// existed at the last pass; later nodes are alive by construction.
+	dead []bool
+
 	// Compaction scratch, allocated on first CompactSP and reused across
-	// passes. The stamp arrays make per-sweep state O(1) to reset: an entry
-	// is meaningful only when its stamp equals the current sweep generation.
+	// passes. indeg and outdeg are the live degrees, recounted at the start
+	// of each pass. The stamp arrays make per-sweep state O(1) to reset: an
+	// entry is meaningful only when its stamp equals the current sweep
+	// generation.
+	indeg      []int32
+	outdeg     []int32
 	gen        uint32
 	uniqueIn   []int32 // sole in-edge slot of a node, -1 if several
 	uniqueOut  []int32
@@ -44,15 +56,7 @@ type Arena struct {
 	chainKills []int32
 }
 
-// arenaEdge is one edge slot. A killed edge has from < 0; keeping that
-// flag out of a field of its own keeps the slot at 40 bytes.
-type arenaEdge struct {
-	from, to int32
-	cap      int64
-	label    Label
-}
-
-func (e *arenaEdge) alive() bool { return e.from >= 0 }
+func alive(e *Edge) bool { return e.From >= 0 }
 
 // MemStats reports the arena's memory behavior — the observable for the
 // paper's §5.2 scalability claim. With online compaction, PeakLiveEdges
@@ -89,16 +93,14 @@ func NewArena() *Arena {
 }
 
 // Reset empties the arena back to the two terminal nodes and zeroed
-// statistics, keeping its buffers (edge slots, degree arrays, compaction
-// scratch) for the next graph.
+// statistics, keeping its buffers (edge slots, compaction scratch) for the
+// next graph.
 func (a *Arena) Reset() {
 	a.edges = a.edges[:0]
 	a.free = a.free[:0]
-	a.indeg = a.indeg[:0]
-	a.outdeg = a.outdeg[:0]
 	a.dead = a.dead[:0]
 	a.pending = a.pending[:0]
-	a.liveNodes, a.liveEdges = 0, 0
+	a.numNodes, a.liveNodes, a.liveEdges = 0, 0, 0
 	a.mem = MemStats{}
 	a.AddNode() // Source
 	a.AddNode() // Sink
@@ -106,7 +108,7 @@ func (a *Arena) Reset() {
 
 // NumNodes reports the number of node ids ever allocated (dead included);
 // valid node ids are [0, NumNodes).
-func (a *Arena) NumNodes() int { return len(a.indeg) }
+func (a *Arena) NumNodes() int { return int(a.numNodes) }
 
 // LiveNodes reports the nodes not reclaimed by compaction.
 func (a *Arena) LiveNodes() int { return a.liveNodes }
@@ -122,16 +124,10 @@ func (a *Arena) Mem() MemStats {
 	return m
 }
 
-// InDegree and OutDegree report a node's live degree.
-func (a *Arena) InDegree(v int32) int32  { return a.indeg[v] }
-func (a *Arena) OutDegree(v int32) int32 { return a.outdeg[v] }
-
 // AddNode allocates a new node and returns its id.
 func (a *Arena) AddNode() int32 {
-	id := int32(len(a.indeg))
-	a.indeg = append(a.indeg, 0)
-	a.outdeg = append(a.outdeg, 0)
-	a.dead = append(a.dead, false)
+	id := a.numNodes
+	a.numNodes++
 	a.liveNodes++
 	a.mem.TotalNodes++
 	if a.liveNodes > a.mem.PeakLiveNodes {
@@ -144,13 +140,13 @@ func (a *Arena) AddNode() int32 {
 // when one is free. Slots are stable for the edge's lifetime: Accumulate
 // and EdgeEnds address the edge by slot until compaction kills it.
 func (a *Arena) AddEdge(from, to int32, cap int64, label Label) int32 {
-	if from < 0 || to < 0 || int(from) >= len(a.indeg) || int(to) >= len(a.indeg) {
-		panic(fmt.Sprintf("flowgraph: arena edge (%d,%d) outside node range [0,%d)", from, to, len(a.indeg)))
+	if from < 0 || to < 0 || from >= a.numNodes || to >= a.numNodes {
+		panic(fmt.Sprintf("flowgraph: arena edge (%d,%d) outside node range [0,%d)", from, to, a.numNodes))
 	}
 	if cap < 0 {
 		panic(fmt.Sprintf("flowgraph: negative capacity %d", cap))
 	}
-	e := arenaEdge{from: from, to: to, cap: cap, label: label}
+	e := Edge{From: NodeID(from), To: NodeID(to), Cap: cap, Label: label}
 	var slot int32
 	if n := len(a.free); n > 0 {
 		slot = a.free[n-1]
@@ -161,8 +157,6 @@ func (a *Arena) AddEdge(from, to int32, cap int64, label Label) int32 {
 		slot = int32(len(a.edges))
 		a.edges = append(a.edges, e)
 	}
-	a.outdeg[from]++
-	a.indeg[to]++
 	a.liveEdges++
 	a.mem.TotalEdges++
 	if a.liveEdges > a.mem.PeakLiveEdges {
@@ -175,28 +169,29 @@ func (a *Arena) AddEdge(from, to int32, cap int64, label Label) int32 {
 // collapsed-mode label hit (§5.2).
 func (a *Arena) Accumulate(slot int32, cap int64) {
 	e := &a.edges[slot]
-	e.cap += cap
-	if e.cap > Inf {
-		e.cap = Inf
+	e.Cap += cap
+	if e.Cap > Inf {
+		e.Cap = Inf
 	}
 }
 
 // EdgeEnds returns an edge's endpoints.
 func (a *Arena) EdgeEnds(slot int32) (from, to int32) {
 	e := &a.edges[slot]
-	return e.from, e.to
+	return int32(e.From), int32(e.To)
 }
 
-// kill removes an edge, crediting its slot to the pending list (recycled at
-// the next compaction sweep, once nothing references it).
+// kill removes an edge during a compaction pass, crediting its slot to the
+// pending list (recycled at the next compaction sweep, once nothing
+// references it).
 func (a *Arena) kill(slot int32) {
 	e := &a.edges[slot]
-	if !e.alive() {
+	if !alive(e) {
 		return
 	}
-	a.outdeg[e.from]--
-	a.indeg[e.to]--
-	e.from = -1
+	a.outdeg[e.From]--
+	a.indeg[e.To]--
+	e.From = -1
 	a.liveEdges--
 	a.mem.ReclaimedEdges++
 	a.pending = append(a.pending, slot)
@@ -235,7 +230,18 @@ func (a *Arena) killNode(v int32) {
 // are unprotected); nodes 0 and 1 are always protected.
 func (a *Arena) CompactSP(protected []bool) {
 	a.mem.CompactionPasses++
-	n := len(a.indeg)
+	n := int(a.numNodes)
+	a.indeg = growI32(a.indeg, n)
+	a.outdeg = growI32(a.outdeg, n)
+	clear(a.indeg)
+	clear(a.outdeg)
+	for i := range a.edges {
+		if e := &a.edges[i]; alive(e) {
+			a.outdeg[e.From]++
+			a.indeg[e.To]++
+		}
+	}
+	a.dead = growDead(a.dead, n)
 	a.uniqueIn = growI32(a.uniqueIn, n)
 	a.uniqueOut = growI32(a.uniqueOut, n)
 	a.stampIn = growU32(a.stampIn, n)
@@ -278,21 +284,21 @@ func (a *Arena) sweep(protected []bool) int {
 	clear(a.parMap)
 	for i := range a.edges {
 		e := &a.edges[i]
-		if !e.alive() {
+		if !alive(e) {
 			continue
 		}
 		slot := int32(i)
-		if e.from == e.to {
+		if e.From == e.To {
 			a.kill(slot)
 			ops++
 			continue
 		}
-		key := int64(e.from)<<32 | int64(e.to)
+		key := int64(e.From)<<32 | int64(e.To)
 		if first, ok := a.parMap[key]; ok {
 			f := &a.edges[first]
-			f.cap += e.cap
-			if f.cap > Inf {
-				f.cap = Inf
+			f.Cap += e.Cap
+			if f.Cap > Inf {
+				f.Cap = Inf
 			}
 			a.kill(slot)
 			a.mem.ParallelOps++
@@ -300,17 +306,17 @@ func (a *Arena) sweep(protected []bool) int {
 			continue
 		}
 		a.parMap[key] = slot
-		if a.stampOut[e.from] == gen {
-			a.uniqueOut[e.from] = -1
+		if a.stampOut[e.From] == gen {
+			a.uniqueOut[e.From] = -1
 		} else {
-			a.stampOut[e.from] = gen
-			a.uniqueOut[e.from] = slot
+			a.stampOut[e.From] = gen
+			a.uniqueOut[e.From] = slot
 		}
-		if a.stampIn[e.to] == gen {
-			a.uniqueIn[e.to] = -1
+		if a.stampIn[e.To] == gen {
+			a.uniqueIn[e.To] = -1
 		} else {
-			a.stampIn[e.to] = gen
-			a.uniqueIn[e.to] = slot
+			a.stampIn[e.To] = gen
+			a.uniqueIn[e.To] = slot
 		}
 	}
 
@@ -339,7 +345,7 @@ func (a *Arena) sweep(protected []bool) int {
 	if drops {
 		for i := range a.edges {
 			e := &a.edges[i]
-			if e.alive() && (a.dropTo[e.to] == gen || a.dropFrom[e.from] == gen) {
+			if alive(e) && (a.dropTo[e.To] == gen || a.dropFrom[e.From] == gen) {
 				a.kill(int32(i))
 				ops++
 			}
@@ -358,25 +364,25 @@ func (a *Arena) sweep(protected []bool) int {
 			continue
 		}
 		ein := a.uniqueIn[v]
-		u := a.edges[ein].from
+		u := int32(a.edges[ein].From)
 		if a.chainCand(u, protected, gen) {
 			continue // interior of a chain; its head will consume it
 		}
-		capMin := a.edges[ein].cap
-		lbl := a.edges[ein].label
+		capMin := a.edges[ein].Cap
+		lbl := a.edges[ein].Label
 		kills := append(a.chainKills[:0], ein)
 		cur := v
 		var w int32
 		for {
 			eout := a.uniqueOut[cur]
-			if a.edges[eout].cap < capMin {
-				capMin = a.edges[eout].cap
+			if a.edges[eout].Cap < capMin {
+				capMin = a.edges[eout].Cap
 			}
 			kills = append(kills, eout)
 			a.killNode(cur)
 			a.mem.SeriesOps++
 			ops++
-			w = a.edges[eout].to
+			w = int32(a.edges[eout].To)
 			if !a.chainCand(w, protected, gen) {
 				break
 			}
@@ -388,6 +394,8 @@ func (a *Arena) sweep(protected []bool) int {
 		a.chainKills = kills[:0]
 		if u != w { // u == w would be a self-loop: drop entirely
 			a.AddEdge(u, w, capMin, lbl)
+			a.outdeg[u]++
+			a.indeg[w]++
 		}
 	}
 	return ops
@@ -407,8 +415,8 @@ func (a *Arena) chainCand(v int32, protected []bool, gen uint32) bool {
 	}
 	in, out := a.uniqueIn[v], a.uniqueOut[v]
 	return in >= 0 && out >= 0 &&
-		a.edges[in].alive() && a.edges[in].to == v &&
-		a.edges[out].alive() && a.edges[out].from == v
+		alive(&a.edges[in]) && int32(a.edges[in].To) == v &&
+		alive(&a.edges[out]) && int32(a.edges[out].From) == v
 }
 
 // ---------------------------------------------------------------- export ---
@@ -423,7 +431,7 @@ func (a *Arena) chainCand(v int32, protected []bool, gen uint32) bool {
 func (a *Arena) Export(resolve func(int32) int32) *Graph {
 	out := New()
 	out.Edges = make([]Edge, 0, a.liveEdges)
-	node := make([]NodeID, len(a.indeg))
+	node := make([]NodeID, a.numNodes)
 	for i := range node {
 		node[i] = -1
 	}
@@ -435,10 +443,10 @@ func (a *Arena) Export(resolve func(int32) int32) *Graph {
 	node[rt] = Sink
 	for i := range a.edges {
 		e := &a.edges[i]
-		if !e.alive() {
+		if !alive(e) {
 			continue
 		}
-		f, t := e.from, e.to
+		f, t := int32(e.From), int32(e.To)
 		if resolve != nil {
 			f, t = resolve(f), resolve(t)
 		}
@@ -455,11 +463,7 @@ func (a *Arena) Export(resolve func(int32) int32) *Graph {
 		if from == to || from == Sink || to == Source {
 			continue
 		}
-		cap := e.cap
-		if cap > Inf {
-			cap = Inf
-		}
-		out.AddEdge(from, to, cap, e.label)
+		out.AddEdge(from, to, min(e.Cap, Inf), e.Label)
 	}
 	return out
 }
@@ -469,7 +473,7 @@ func (a *Arena) Export(resolve func(int32) int32) *Graph {
 // (used for mid-run flow measurements). Nodes are renumbered and edges
 // filtered exactly as in Export, so the two views solve identically.
 func (a *Arena) CSRInto(c *CSR, resolve func(int32) int32) {
-	node := growI32(c.nodeOf, len(a.indeg))
+	node := growI32(c.nodeOf, int(a.numNodes))
 	for i := range node {
 		node[i] = -1
 	}
@@ -480,76 +484,33 @@ func (a *Arena) CSRInto(c *CSR, resolve func(int32) int32) {
 	}
 	node[rs] = int32(Source)
 	node[rt] = int32(Sink)
-	numNodes := 2
-	keep := c.keep[:0]
+	numNodes := int32(2)
+	c.To, c.Cap = c.To[:0], c.Cap[:0]
 	for i := range a.edges {
 		e := &a.edges[i]
-		if !e.alive() {
+		if !alive(e) {
 			continue
 		}
-		f, t := e.from, e.to
+		f, t := int32(e.From), int32(e.To)
 		if resolve != nil {
 			f, t = resolve(f), resolve(t)
 		}
 		if node[f] < 0 {
-			node[f] = int32(numNodes)
+			node[f] = numNodes
 			numNodes++
 		}
 		if node[t] < 0 {
-			node[t] = int32(numNodes)
+			node[t] = numNodes
 			numNodes++
 		}
 		from, to := node[f], node[t]
 		if from == to || from == int32(Sink) || to == int32(Source) {
 			continue
 		}
-		keep = append(keep, int32(i))
+		c.To = append(c.To, to, from)
+		c.Cap = append(c.Cap, min(e.Cap, Inf))
 	}
-	c.keep = keep
-
-	c.N = numNodes
-	e2 := 2 * len(keep)
-	c.HStart = growI32(c.HStart, numNodes+1)
-	c.cur = growI32(c.cur, numNodes)
-	c.HArcs = growI32(c.HArcs, e2)
-	c.To = growI32(c.To, e2)
-	c.Cap = growI64(c.Cap, e2)
-	for i := range c.HStart {
-		c.HStart[i] = 0
-	}
-	ends := func(slot int32) (int32, int32) {
-		e := &a.edges[slot]
-		if resolve == nil {
-			return node[e.from], node[e.to]
-		}
-		return node[resolve(e.from)], node[resolve(e.to)]
-	}
-	for _, slot := range keep {
-		from, to := ends(slot)
-		c.HStart[from+1]++
-		c.HStart[to+1]++
-	}
-	for v := 0; v < numNodes; v++ {
-		c.HStart[v+1] += c.HStart[v]
-		c.cur[v] = c.HStart[v]
-	}
-	for i, slot := range keep {
-		e := &a.edges[slot]
-		from, to := ends(slot)
-		cp := e.cap
-		if cp > Inf {
-			cp = Inf
-		}
-		f := int32(2 * i)
-		c.To[f] = to
-		c.Cap[f] = cp
-		c.To[f+1] = from
-		c.Cap[f+1] = 0
-		c.HArcs[c.cur[from]] = f
-		c.cur[from]++
-		c.HArcs[c.cur[to]] = f + 1
-		c.cur[to]++
-	}
+	c.index(int(numNodes))
 }
 
 // growI32 returns a length-n []int32, reusing s's backing array if it fits.
@@ -558,6 +519,20 @@ func growI32(s []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return s[:n]
+}
+
+// growDead returns a length-n []bool that keeps s's entries and reads false
+// beyond them, reusing s's backing array if it fits.
+func growDead(s []bool, n int) []bool {
+	if cap(s) < n {
+		ns := make([]bool, n)
+		copy(ns, s)
+		return ns
+	}
+	old := len(s)
+	s = s[:n]
+	clear(s[old:])
+	return s
 }
 
 func growU32(s []uint32, n int) []uint32 {

@@ -3,6 +3,7 @@ package flowgraph
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func TestArenaBasics(t *testing.T) {
@@ -18,9 +19,6 @@ func TestArenaBasics(t *testing.T) {
 	if a.LiveEdges() != 3 {
 		t.Fatalf("LiveEdges = %d, want 3", a.LiveEdges())
 	}
-	if a.OutDegree(v) != 1 || a.InDegree(v) != 1 {
-		t.Fatalf("degree(v) = in %d out %d, want 1/1", a.InDegree(v), a.OutDegree(v))
-	}
 	a.Accumulate(s1, Inf)
 	if f, to := a.EdgeEnds(s1); f != 0 || to != v {
 		t.Fatalf("EdgeEnds = (%d,%d), want (0,%d)", f, to, v)
@@ -31,6 +29,11 @@ func TestArenaBasics(t *testing.T) {
 	}
 	if g.Edges[0].Cap != Inf {
 		t.Fatalf("accumulated cap = %d, want saturated Inf", g.Edges[0].Cap)
+	}
+	// v appears first in slot order after the terminals, so it exports as
+	// node 2.
+	if out, in := g.OutDegree()[2], g.InDegree()[2]; out != 1 || in != 1 {
+		t.Fatalf("degree(v) = in %d out %d, want 1/1", in, out)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -201,14 +204,60 @@ func TestCSRMatchesBuildCSR(t *testing.T) {
 			t.Fatalf("HStart[%d]: %d != %d", i, c1.HStart[i], c2.HStart[i])
 		}
 	}
+	if len(c1.To) != len(c2.To) || len(c1.Cap) != len(c2.Cap) {
+		t.Fatalf("sizes: %d arcs, %d caps != %d arcs, %d caps", len(c1.To), len(c1.Cap), len(c2.To), len(c2.Cap))
+	}
 	for i := range c2.To {
-		if c1.To[i] != c2.To[i] || c1.Cap[i] != c2.Cap[i] {
-			t.Fatalf("arc %d: (%d,%d) != (%d,%d)", i, c1.To[i], c1.Cap[i], c2.To[i], c2.Cap[i])
+		if c1.To[i] != c2.To[i] {
+			t.Fatalf("arc %d: To %d != %d", i, c1.To[i], c2.To[i])
+		}
+	}
+	for i := range c2.Cap {
+		if c1.Cap[i] != c2.Cap[i] {
+			t.Fatalf("edge %d: Cap %d != %d", i, c1.Cap[i], c2.Cap[i])
 		}
 	}
 	for i := range c2.HArcs {
 		if c1.HArcs[i] != c2.HArcs[i] {
 			t.Fatalf("HArcs[%d]: %d != %d", i, c1.HArcs[i], c2.HArcs[i])
+		}
+	}
+	// Each node lists the arcs leaving it (arc a leaves To[a^1]) in arc
+	// order.
+	for v := int32(0); v < int32(c2.N); v++ {
+		var want []int32
+		for arc := range c2.To {
+			if c2.To[arc^1] == v {
+				want = append(want, int32(arc))
+			}
+		}
+		got := c2.HArcs[c2.HStart[v]:c2.HStart[v+1]]
+		if len(got) != len(want) {
+			t.Fatalf("node %d arcs %v, want %v", v, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("node %d arcs %v, want %v", v, got, want)
+			}
+		}
+	}
+}
+
+// TestRecordSizes pins the per-edge record sizes. Every graph, arena slot
+// and cache estimate pays them per edge, so a field reorder that brings
+// back padding must fail here rather than silently grow them.
+func TestRecordSizes(t *testing.T) {
+	var a Arena
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Label", unsafe.Sizeof(Label{}), 16},
+		{"Edge", unsafe.Sizeof(Edge{}), 32},
+		{"arena slot", unsafe.Sizeof(a.edges[0]), 32},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
 		}
 	}
 }

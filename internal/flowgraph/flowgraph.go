@@ -62,9 +62,12 @@ func (k EdgeKind) String() string {
 // code-site identifier; Ctx is an optional 64-bit probabilistic
 // calling-context hash (zero when context-insensitive); Aux distinguishes
 // the several edges a single site emits (operand index, internal edge, ...).
+// Ctx comes first so the smaller fields pack behind it: a Label is 16
+// bytes and an Edge 32, which every graph, arena slot and cache estimate
+// pays per edge.
 type Label struct {
-	Site uint32
 	Ctx  uint64
+	Site uint32
 	Aux  uint8
 	Kind EdgeKind
 }

@@ -73,15 +73,19 @@ func (net *network) arcs(v int32) []int32 {
 }
 
 // attach points the network at a CSR view and initializes residuals from
-// its capacities. The CSR must stay unmodified for the duration of the
-// solve.
+// its capacities: edge i's forward arc starts at Cap[i], its reverse arc
+// at 0. The CSR must stay unmodified for the duration of the solve.
 func (net *network) attach(c *flowgraph.CSR) {
 	net.n = c.N
 	net.hstart = c.HStart
 	net.harcs = c.HArcs
 	net.to = c.To
-	net.resid = i64n(net.resid, len(c.Cap))
-	copy(net.resid, c.Cap)
+	resid := i64n(net.resid, 2*len(c.Cap))
+	for i, cp := range c.Cap {
+		resid[2*i] = cp
+		resid[2*i+1] = 0
+	}
+	net.resid = resid
 }
 
 // Solver computes maximum flows with reusable buffers: the residual network
@@ -117,8 +121,8 @@ func NewSolver(algo Algorithm) *Solver { return &Solver{algo: algo} }
 
 // Solve computes the maximum flow and minimum cut of the graph presented
 // as the CSR view c, reusing the solver's buffers. The solver aliases c's
-// topology arrays and copies only the capacities into its residual
-// buffer, so c must not be modified until Solve returns. Edge i of the
+// topology arrays and fills its residual buffer from the per-edge
+// capacities, so c must not be modified until Solve returns. Edge i of the
 // view is Result.EdgeFlow[i], and Cut.EdgeIndex entries index the view's
 // edges. The returned Result (including its cut) is detached from the
 // solver and stays valid across subsequent Solve calls.
@@ -140,7 +144,6 @@ func (s *Solver) Solve(c *flowgraph.CSR, view *flowgraph.CapacityView, work int6
 	if view != nil {
 		for k, ei := range view.Edge {
 			s.net.resid[2*ei] = view.Cap[k]
-			s.net.resid[2*ei+1] = 0
 		}
 	}
 	s.limit, s.spent, s.exhausted = work, 0, false
@@ -159,7 +162,7 @@ func (s *Solver) Solve(c *flowgraph.CSR, view *flowgraph.CapacityView, work int6
 	res := &Result{Flow: flow, EdgeFlow: make([]int64, ne)}
 	cur := viewCursor{view: view}
 	for i := 0; i < ne; i++ {
-		res.EdgeFlow[i] = cur.cap(i, c.Cap[2*i]) - s.net.resid[2*i]
+		res.EdgeFlow[i] = cur.cap(i, c.Cap[i]) - s.net.resid[2*i]
 	}
 	res.cut = s.minCut(c, view)
 	return res, s.exhausted
@@ -379,7 +382,7 @@ func (s *Solver) minCut(c *flowgraph.CSR, view *flowgraph.CapacityView) *Cut {
 	cur := viewCursor{view: view}
 	for i, ne := 0, c.NumEdges(); i < ne; i++ {
 		if seen[c.To[2*i+1]] && !seen[c.To[2*i]] {
-			capi := cur.cap(i, c.Cap[2*i])
+			capi := cur.cap(i, c.Cap[i])
 			if view != nil && capi == 0 {
 				continue
 			}
