@@ -420,7 +420,8 @@ int main() {
 	}
 }
 
-// Snapshots via __flownote give non-decreasing intermediate flows (§8.1).
+// Snapshots via __flownote give non-decreasing intermediate flows (§8.1),
+// in both graph modes.
 func TestFlowSnapshots(t *testing.T) {
 	src := `
 int main() {
@@ -433,13 +434,15 @@ int main() {
     __flownote();
     return 0;
 }`
-	res := analyze(t, src, Inputs{Secret: []byte("abc")}, Config{})
-	s := res.Snapshots
-	if len(s) != 3 {
-		t.Fatalf("snapshots = %d, want 3", len(s))
-	}
-	if s[0].Bits != 0 || s[1].Bits != 8 || s[2].Bits != 16 {
-		t.Fatalf("snapshot bits = %d,%d,%d, want 0,8,16", s[0].Bits, s[1].Bits, s[2].Bits)
+	for _, exact := range []bool{false, true} {
+		res := analyze(t, src, Inputs{Secret: []byte("abc")}, Config{Taint: taint.Options{Exact: exact}})
+		s := res.Snapshots
+		if len(s) != 3 {
+			t.Fatalf("exact=%v: snapshots = %d, want 3", exact, len(s))
+		}
+		if s[0].Bits != 0 || s[1].Bits != 8 || s[2].Bits != 16 {
+			t.Fatalf("exact=%v: snapshot bits = %d,%d,%d, want 0,8,16", exact, s[0].Bits, s[1].Bits, s[2].Bits)
+		}
 	}
 }
 

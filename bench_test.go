@@ -162,7 +162,7 @@ func BenchmarkCompaction(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := engine.Analyze(prog, in, engine.Config{
-					Taint: taint.Options{Exact: true}, Compact: c.compact,
+					Taint: taint.Options{Exact: true, Compact: c.compact},
 				})
 				if err != nil {
 					b.Fatal(err)

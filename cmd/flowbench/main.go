@@ -45,7 +45,7 @@ var experimentsByName = []struct {
 	{"interp", "§10.3: analyzing interpreted code", runInterp},
 	{"batch", "engine: parallel batch vs serial multi-run", runBatch},
 	{"degrade", "engine: solver-budget degradation tradeoff", runDegrade},
-	{"cache", "engine: content-addressed cache cold/incremental/warm", runCache},
+	{"cache", "engine: content-addressed cache cold/warm", runCache},
 	{"ledger", "service: leakage-ledger charge+settle overhead per request", runLedger},
 	{"static", "static analysis: region inference + cross-check", runStatic},
 	{"ladder", "precision ladder: lower/measured/static/trivial tightness per guest", runLadder},
@@ -67,10 +67,9 @@ type timingRecord struct {
 	Passes        int     `json:"compaction_passes,omitempty"`
 	EdgeRatio     float64 `json:"edge_ratio,omitempty"`
 	// The cache experiment's per-run latencies and reuse summary.
-	ColdMS        float64 `json:"cold_ms,omitempty"`
-	IncrementalMS float64 `json:"incremental_ms,omitempty"`
-	WarmMS        float64 `json:"warm_ms,omitempty"`
-	HitRate       float64 `json:"hit_rate,omitempty"`
+	ColdMS  float64 `json:"cold_ms,omitempty"`
+	WarmMS  float64 `json:"warm_ms,omitempty"`
+	HitRate float64 `json:"hit_rate,omitempty"`
 	// The ledger experiment's per-request charge+settle overhead by
 	// durability regime (microseconds), and the cost of a budget denial.
 	ChargeSettleUS        float64 `json:"charge_settle_us,omitempty"`
@@ -111,7 +110,7 @@ var compactTotals struct {
 // cacheTotals carries the cache experiment's per-run latencies (ms) and
 // result hit rate.
 var cacheTotals struct {
-	coldMS, incMS, warmMS, hitRate float64
+	coldMS, warmMS, hitRate float64
 }
 
 // ledgerTotals carries the ledger experiment's per-request overheads (µs).
@@ -185,8 +184,7 @@ func main() {
 				rec.Passes, rec.EdgeRatio = compactTotals.passes, compactTotals.ratio
 			}
 			if e.name == "cache" {
-				rec.ColdMS, rec.IncrementalMS = cacheTotals.coldMS, cacheTotals.incMS
-				rec.WarmMS, rec.HitRate = cacheTotals.warmMS, cacheTotals.hitRate
+				rec.ColdMS, rec.WarmMS, rec.HitRate = cacheTotals.coldMS, cacheTotals.warmMS, cacheTotals.hitRate
 			}
 			if e.name == "ledger" {
 				rec.ChargeSettleUS, rec.ChargeSettleDurableUS = ledgerTotals.volatileUS, ledgerTotals.lazyUS
@@ -400,14 +398,12 @@ func runCache(sizes []int) {
 	fmt.Printf("%d distinct inputs per phase\n", r.Inputs)
 	fmt.Printf("  %-12s %-12s %10s\n", "phase", "disposition", "per-run")
 	fmt.Printf("  %-12s %-12s %9.3fms\n", "cold", r.ColdDisp, perRun(r.Cold))
-	fmt.Printf("  %-12s %-12s %9.3fms\n", "incremental", r.IncDisp, perRun(r.Incremental))
 	fmt.Printf("  %-12s %-12s %9.3fms\n", "warm", r.WarmDisp, perRun(r.Warm))
 	fmt.Printf("result hit ratio %.3f, evictions %d; cached == uncached: %v\n",
 		r.HitRatio, r.Evictions, r.BitsAgree)
-	fmt.Println("(cold runs the full pipeline; incremental reuses static + graph skeleton;")
-	fmt.Println(" warm answers from the cached result without touching a session)")
-	cacheTotals.coldMS, cacheTotals.incMS = perRun(r.Cold), perRun(r.Incremental)
-	cacheTotals.warmMS, cacheTotals.hitRate = perRun(r.Warm), r.HitRatio
+	fmt.Println("(cold runs the full pipeline; warm answers from the cached result")
+	fmt.Println(" without touching a session)")
+	cacheTotals.coldMS, cacheTotals.warmMS, cacheTotals.hitRate = perRun(r.Cold), perRun(r.Warm), r.HitRatio
 }
 
 func runLedger(sizes []int) {

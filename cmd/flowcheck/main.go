@@ -233,11 +233,10 @@ func cmdRun(args []string) error {
 		return err
 	}
 	cfg := engine.Config{
-		Taint:             taint.Options{Exact: *exact, ContextSensitive: *ctx, WarnImplicit: *warn},
+		Taint:             taint.Options{Exact: *exact, ContextSensitive: *ctx, WarnImplicit: *warn, Compact: *compact},
 		Lint:              *lint,
 		Workers:           *workers,
 		MaxSteps:          *maxSteps,
-		Compact:           *compact,
 		Precision:         prec,
 		AdaptiveThreshold: *threshold,
 		Budget: engine.Budget{

@@ -18,9 +18,9 @@
 //
 // The daemon runs a shared content-addressed stage cache (-cache-bytes,
 // default 64 MiB; 0 disables): repeat requests are answered from the
-// cache before admission queuing (X-Flow-Cache: hit, attempts 0) and
-// input-only changes reuse the program's static analysis and collapsed
-// graph skeleton (X-Flow-Cache: incremental).
+// cache before admission queuing (X-Flow-Cache: hit, attempts 0), and an
+// input-only change is a plain miss that reuses the program's static
+// analysis (X-Flow-Cache: miss).
 //
 // With -ledger-dir (and/or -budget-bits) the daemon keeps a durable
 // leakage-budget ledger: each request is charged a pessimistic estimate

@@ -295,13 +295,13 @@ func TestE2Figure3Incompressible(t *testing.T) {
 	}
 }
 
-// E19 — content-addressed caching: the three serving regimes carry their
+// E19 — content-addressed caching: the two serving regimes carry their
 // dispositions, warm hits are far cheaper than cold runs, and cached
 // bounds are bit-identical to uncached ones.
 func TestE19Cache(t *testing.T) {
 	r := experiments.CacheStudy(6)
-	if r.ColdDisp != "miss" || r.IncDisp != "incremental" || r.WarmDisp != "hit" {
-		t.Fatalf("dispositions = %s/%s/%s, want miss/incremental/hit", r.ColdDisp, r.IncDisp, r.WarmDisp)
+	if r.ColdDisp != "miss" || r.WarmDisp != "hit" {
+		t.Fatalf("dispositions = %s/%s, want miss/hit", r.ColdDisp, r.WarmDisp)
 	}
 	if !r.BitsAgree {
 		t.Error("cached bounds differ from uncached reruns")
@@ -320,7 +320,7 @@ func TestE19Cache(t *testing.T) {
 }
 
 // E18 — online compaction (§5.1/§5.2): exact-mode compress with
-// Config.Compact holds peak live edges at least 5x below the edges
+// taint.Options.Compact holds peak live edges at least 5x below the edges
 // emitted, without moving the bound (Compaction panics on any deviation
 // from the uncompacted run).
 func TestE18Compaction(t *testing.T) {

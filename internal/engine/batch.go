@@ -143,7 +143,7 @@ func (a *Analyzer) AnalyzeBatchContext(ctx context.Context, inputs []Inputs) (re
 
 	perRun := make([]*Result, len(inputs))
 	perErr := a.fanOut(len(inputs), func(s *session, i int) error {
-		r, err := a.runStages(ctx, s, a.sessionTracker(s), inputs[i], a.cfg.Fault.Run(i), true)
+		r, err := a.runStages(ctx, s, a.sessionTracker(s), inputs[i], a.cfg.Fault.Run(i))
 		perRun[i] = r
 		return err
 	})
@@ -189,11 +189,10 @@ func (a *Analyzer) AnalyzeBatchContext(ctx context.Context, inputs []Inputs) (re
 	// The merge and joint solve are the shared SolveJoint seam: the fleet
 	// coordinator calls the same function over shard-returned graphs, which
 	// is what makes a distributed batch bit-identical to this path.
-	jr := SolveJoint(graphs, a.cfg.Budget.SolverWork)
-	res = jr.ToResult()
+	res = SolveJoint(graphs, a.cfg.Budget.SolverWork)
+	agg := res.Stages
 	res.Runs = make([]RunSummary, 0, len(perRun))
 	res.prog = a.prog
-	var agg StageStats
 	for i, r := range perRun {
 		if perErr[i] != nil {
 			sum := RunSummary{Run: i, Err: perErr[i]}
@@ -220,8 +219,6 @@ func (a *Analyzer) AnalyzeBatchContext(ctx context.Context, inputs []Inputs) (re
 		res.Steps = r.Steps
 		res.Trap = r.Trap
 	}
-	agg.Merge = jr.MergeDur
-	agg.Solve += jr.SolveDur
 	agg.Total = time.Since(start) // wall time, not the sum of stage times
 	res.Stages = agg
 	return res, nil

@@ -6,22 +6,18 @@ package engine
 //
 //	compile   source/v1(filename, src)           -> *vm.Program   (global)
 //	static    static/v1(program)                 -> *static.Analysis (global)
-//	skeleton  skeleton/v1(program, config)       -> collapsed-graph CSR layout
 //	result    result/v1(program, config, inputs) -> *Result
 //
 // Compile and static results depend only on the program, so they live in
 // one process-global cache shared by every Analyzer — the fix for the old
 // per-engine lint cache, where N engines analyzing the same program paid
-// the static pass N times. Skeleton and result entries go to the cache the
-// caller configures (Config.Cache), which the service shares fleet-wide.
+// the static pass N times. Result entries go to the cache the caller
+// configures (Config.Cache), which the service shares fleet-wide.
 //
 // A full result hit skips the whole pipeline: no session is drawn, no
 // stage runs, StageStats records only the lookup. An input-only change
-// misses the result key but still reuses the program's static analysis
-// and, in collapsed mode, the graph skeleton: the collapsed topology is a
-// function of code coverage, so when a new input covers the same code the
-// prebuilt CSR layout is refilled with this run's capacities and only the
-// Execute and capacity re-solve work runs (disposition "incremental").
+// misses the result key (disposition "miss") and runs the pipeline, but
+// still reuses the program's static analysis.
 //
 // Cached values are shared across goroutines and must never be mutated;
 // hits return a shallow copy of the Result with fresh Stages/Cache fields
@@ -30,14 +26,12 @@ package engine
 // result cache entirely (disposition "bypass").
 
 import (
-	"sync"
 	"time"
 	"unsafe"
 
 	"flowcheck/internal/cachekey"
 	"flowcheck/internal/flowgraph"
 	"flowcheck/internal/lang"
-	"flowcheck/internal/maxflow"
 	"flowcheck/internal/stagecache"
 	"flowcheck/internal/static"
 	"flowcheck/internal/vm"
@@ -45,10 +39,12 @@ import (
 
 // Cache kinds, used for per-stage stat breakdowns.
 const (
-	KindCompile  = "compile"
-	KindStatic   = "static"
+	KindCompile = "compile"
+	KindStatic  = "static"
+	KindResult  = "result"
+	// KindSkeleton names a cache kind under which nothing is stored any
+	// more; it is kept for readers of per-kind stats that still ask for it.
 	KindSkeleton = "skeleton"
-	KindResult   = "result"
 	// KindClassGraph holds the shared attributed graph + CSR of a class
 	// analysis, keyed by (program, config, inputs) — class-set changes
 	// reuse it, re-solving without re-executing. KindClassSet holds the
@@ -67,16 +63,11 @@ const (
 	// CacheHit: the result came straight from the cache; no session was
 	// touched and no stage ran.
 	CacheHit = "hit"
-	// CacheIncremental: the result was computed, but on a reused graph
-	// skeleton — Execute ran, Build produced a topology-identical graph,
-	// and Solve refilled the cached CSR instead of rebuilding it.
-	CacheIncremental = "incremental"
 )
 
 // CacheTrace records a result's cache provenance.
 type CacheTrace struct {
-	// Disposition is "", CacheBypass, CacheMiss, CacheHit, or
-	// CacheIncremental. Empty means no cache was configured or the result
+	// Disposition is "", CacheBypass, CacheMiss, or CacheHit. Empty means no cache was configured or the result
 	// came from a multi-run entry point (which does not result-cache).
 	Disposition string
 	// BypassReason says why a CacheBypass happened ("fault-injection");
@@ -86,9 +77,6 @@ type CacheTrace struct {
 	// StaticHit reports that the static pre-pass was served from the
 	// global program cache rather than computed by this run.
 	StaticHit bool
-	// SkeletonHit reports that the Solve stage reused the cached collapsed
-	// graph layout (see CacheIncremental).
-	SkeletonHit bool
 	// Key is the abbreviated result key, for log correlation.
 	Key string
 }
@@ -139,11 +127,11 @@ func (a *Analyzer) keys() (prog, cfg cachekey.Key) {
 // configKey canonicalizes the result-relevant configuration. Fields that
 // cannot change the Result are deliberately excluded: Workers and
 // SessionHighWater only shape scheduling and pooling, and Fault gates
-// cacheability instead of keying it. Everything else — resolved tracker
+// cacheability instead of keying it. Everything else — tracker
 // options, machine geometry, budgets, lint — changes either the
 // bound or the diagnostics, so it keys.
 func (a *Analyzer) configKey() cachekey.Key {
-	opts := a.taintOptions()
+	opts := a.cfg.Taint
 	h := cachekey.New("config/v1").
 		Bool(opts.Exact).
 		Bool(opts.ContextSensitive).
@@ -176,13 +164,6 @@ func (a *Analyzer) resultKey(in Inputs) cachekey.Key {
 	return cachekey.New("result/v1").Key(p).Key(c).Key(cachekey.Inputs(in.Secret, in.Public)).Sum()
 }
 
-// skeletonKey keys the collapsed graph layout: program x config, shared by
-// every input (the whole point — input-only changes reuse it).
-func (a *Analyzer) skeletonKey() cachekey.Key {
-	p, c := a.keys()
-	return cachekey.New("skeleton/v1").Key(p).Key(c).Sum()
-}
-
 // staticKey keys the static pre-pass: program only.
 func (a *Analyzer) staticKey() cachekey.Key {
 	p, _ := a.keys()
@@ -213,78 +194,6 @@ func stampCacheHit(res *Result, lookup time.Duration, key cachekey.Key) *Result 
 	cp.Stages = StageStats{Lookup: lookup, Total: lookup}
 	cp.Cache = CacheTrace{Disposition: CacheHit, Key: key.Short()}
 	return &cp
-}
-
-// skeleton is the cached solve-stage layout for one (program, config): the
-// collapsed graph's topology plus its prebuilt CSR. An incremental solve
-// refills only the CSR's capacity column and re-runs the max-flow — the
-// layout work (adjacency construction) is what the cache saves, on top of
-// witnessing that the topology genuinely repeated.
-//
-// The CSR's capacity array is mutated in place during a refill, so the
-// mutex serializes solvers; contenders fall back to a full build rather
-// than queue behind a solve.
-type skeleton struct {
-	mu       sync.Mutex
-	numNodes int
-	edges    []flowgraph.Edge // capacities zeroed; topology and labels only
-	csr      flowgraph.CSR
-}
-
-func newSkeleton(g *flowgraph.Graph) *skeleton {
-	sk := &skeleton{numNodes: g.NumNodes()}
-	sk.edges = make([]flowgraph.Edge, len(g.Edges))
-	copy(sk.edges, g.Edges)
-	for i := range sk.edges {
-		sk.edges[i].Cap = 0
-	}
-	g.BuildCSR(&sk.csr)
-	return sk
-}
-
-// matches reports whether g has exactly the skeleton's topology: same
-// node count and the same (From, To, Label) edge sequence. Capacities are
-// the per-input part and deliberately not compared.
-func (sk *skeleton) matches(g *flowgraph.Graph) bool {
-	if g.NumNodes() != sk.numNodes || len(g.Edges) != len(sk.edges) {
-		return false
-	}
-	for i := range sk.edges {
-		e, f := &g.Edges[i], &sk.edges[i]
-		if e.From != f.From || e.To != f.To || e.Label != f.Label {
-			return false
-		}
-	}
-	return true
-}
-
-// solveWithCache runs the Solve stage, reusing the cached graph skeleton
-// when permitted. reuse lets the class analysis opt out (its attributing
-// tracker builds a different topology than the configured one).
-// Exact mode never reuses: its graphs grow with executed instructions and
-// carry unique per-edge serials, so a repeat is effectively impossible.
-func (a *Analyzer) solveWithCache(s *session, g *flowgraph.Graph, reuse bool) (flow *maxflow.Result, exhausted, skelHit bool) {
-	budget := a.cfg.Budget.SolverWork
-	if !reuse || !a.cacheable() || a.taintOptions().Exact {
-		flow, exhausted = s.solve(g, budget)
-		return flow, exhausted, false
-	}
-	key := a.skeletonKey()
-	if v, ok := a.cfg.Cache.Get(KindSkeleton, key); ok {
-		sk := v.(*skeleton)
-		if sk.matches(g) && sk.mu.TryLock() {
-			for i := range g.Edges {
-				sk.csr.Cap[i] = g.Edges[i].Cap
-			}
-			flow, exhausted = s.solver.Solve(&sk.csr, nil, budget)
-			sk.mu.Unlock()
-			return flow, exhausted, true
-		}
-	}
-	flow, exhausted = s.solve(g, budget)
-	sk := newSkeleton(g)
-	a.cfg.Cache.Put(KindSkeleton, key, sk, skeletonBytes(sk))
-	return flow, exhausted, false
 }
 
 // --- size estimation -------------------------------------------------
@@ -324,16 +233,6 @@ func estimateStaticBytes(sa *static.Analysis) int64 {
 		n += int64(len(sa.Bound.Channels)) * perDiagBytes
 		n += int64(len(sa.Bound.Notes)) * perDiagBytes
 	}
-	return n
-}
-
-func skeletonBytes(sk *skeleton) int64 {
-	n := int64(structOverhd)
-	ne := int64(len(sk.edges))
-	n += ne * edgeBytes
-	n += 2 * ne * (4 + 4) // CSR HArcs + To, one entry per arc
-	n += ne * 8           // CSR Cap, one entry per edge
-	n += int64(sk.numNodes+1) * 4
 	return n
 }
 

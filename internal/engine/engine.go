@@ -55,13 +55,6 @@ type Config struct {
 	// Workers bounds the fan-out of AnalyzeBatch and AnalyzeClassSet;
 	// 0 means GOMAXPROCS. Single-run analysis ignores it.
 	Workers int
-	// Compact sets the online-compaction epoch threshold for exact-mode
-	// trackers (taint.Options.Compact): when the live edge count grows past
-	// the threshold, the engine's periodic check hook runs an in-place
-	// series-parallel compaction pass over the part of the graph the
-	// execution can no longer reach. Zero disables compaction. Ignored in
-	// collapsed mode. Result.Mem reports the effect.
-	Compact int
 	// Budget bounds per-run resources (graph size, output bytes, solver
 	// work); the zero value is unlimited. See Budget for which limits fail
 	// a run and which degrade it.
@@ -99,12 +92,10 @@ type Config struct {
 	AdaptiveThreshold int64
 	// Cache, when non-nil, content-addresses the pipeline: single-run
 	// results are keyed by (program, config, inputs) and full hits are
-	// returned without touching a session, while the collapsed-graph
-	// skeleton is keyed by (program, config) so input-only changes re-run
-	// only Execute plus a capacity re-solve. Result.Cache records each
-	// run's disposition. Nil disables result/skeleton caching; the
-	// program-keyed compile and static stages always share the process
-	// global cache regardless. See internal/engine/cache.go.
+	// returned without touching a session. Result.Cache records each run's
+	// disposition. Nil disables result caching; the program-keyed compile
+	// and static stages always share the process global cache regardless.
+	// See internal/engine/cache.go.
 	Cache *stagecache.Cache
 }
 
@@ -143,13 +134,6 @@ func (s *session) prepare(cfg Config, in Inputs) {
 	}
 	s.m.SecretIn = in.Secret
 	s.m.PublicIn = in.Public
-}
-
-// solve lays g out in the session's CSR buffer and solves it under a work
-// budget (0 = unlimited).
-func (s *session) solve(g *flowgraph.Graph, work int64) (*maxflow.Result, bool) {
-	g.BuildCSR(&s.csr)
-	return s.solver.Solve(&s.csr, nil, work)
 }
 
 // fresh returns the session tracker *tr reset to a blank state (empty
@@ -319,26 +303,47 @@ func taintedOutputBits(g *flowgraph.Graph) int64 {
 }
 
 // trivialCutBits is the sound fallback bound when the solver budget is
-// exhausted: the smaller of the two trivial cuts — all capacity leaving
-// Source (the whole secret) or all capacity entering Sink (everything
-// observable, implicit chain links included). Any s-t cut's capacity
-// bounds the max flow, so this is sound for every graph; it is just
-// looser than a real solve. (A partial flow would be a lower bound —
-// useless as a leakage bound.)
-func trivialCutBits(g *flowgraph.Graph) int64 {
+// exhausted: the smaller of the two trivial cuts of g at the capacities of
+// view (nil: g's own) — all capacity leaving Source (the whole secret) or
+// all capacity entering Sink (everything observable, implicit chain links
+// included). Any s-t cut's capacity bounds the max flow, so this is sound
+// for every graph and every capacity assignment; it is just looser than a
+// real solve. (A partial flow would be a lower bound — useless as a
+// leakage bound.)
+func trivialCutBits(g *flowgraph.Graph, view *flowgraph.CapacityView) int64 {
 	var fromSource, intoSink int64
-	for _, e := range g.Edges {
+	for i, e := range g.Edges {
+		c := view.Of(i, e.Cap)
 		if e.From == flowgraph.Source {
-			fromSource += e.Cap
+			fromSource += c
 		}
 		if e.To == flowgraph.Sink {
-			intoSink += e.Cap
+			intoSink += c
 		}
 	}
 	if intoSink < fromSource {
 		return intoSink
 	}
 	return fromSource
+}
+
+// solveBound is the one step from a laid-out graph to its bound: it solves
+// csr, g's layout, at the capacities of view (nil: g's own) under the
+// solver work budget (0 = unlimited). When the budget runs out, or exhaust
+// injects that it did, the bound degrades to trivialCutBits at the same
+// capacities instead of failing. The returned Result carries only the
+// bound: Graph, Bits, Rung, Flow and Cut (both nil when degraded), and the
+// degradation.
+func solveBound(solver *maxflow.Solver, g *flowgraph.Graph, csr *flowgraph.CSR, view *flowgraph.CapacityView, work int64, exhaust bool) *Result {
+	reason := "injected solver-work exhaustion"
+	if !exhaust {
+		flow, exhausted := solver.Solve(csr, view, work)
+		if !exhausted {
+			return &Result{Graph: g, Bits: flow.Flow, Rung: RungFull, Flow: flow, Cut: flow.MinCut()}
+		}
+		reason = fmt.Sprintf("solver work budget (%d) exhausted", work)
+	}
+	return &Result{Graph: g, Bits: trivialCutBits(g, view), Rung: RungTrivial, Degraded: true, DegradedReason: reason}
 }
 
 // runStages executes the four pipeline stages for one input on a session,
@@ -352,10 +357,7 @@ func trivialCutBits(g *flowgraph.Graph) int64 {
 // (ErrCanceled, ErrBudget, ErrInternal). A panic anywhere in the stages is
 // recovered here, at the stage boundary, so it cannot kill the process or
 // leak the pooled session.
-// reuse permits the Solve stage to go through the skeleton cache; the
-// class analysis, whose attributing tracker builds a different topology
-// than the configured one, passes false.
-func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker, in Inputs, inj fault.Injection, reuse bool) (res *Result, err error) {
+func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker, in Inputs, inj fault.Injection) (res *Result, err error) {
 	stage := fault.StageExecute
 	defer func() {
 		if r := recover(); r != nil {
@@ -429,69 +431,23 @@ func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker,
 
 	stage = fault.StageSolve
 	injectPanic(inj, fault.StageSolve)
-	var flow *maxflow.Result
-	var cut *maxflow.Cut
-	degradedReason := ""
-	skelHit := false
-	if inj.ExhaustSolver {
-		degradedReason = "injected solver-work exhaustion"
-	} else {
-		var exhausted bool
-		flow, exhausted, skelHit = a.solveWithCache(s, g, reuse)
-		if exhausted {
-			// Degrade to the trivial-cut bound instead of failing; see
-			// trivialCutBits for why the partial flow itself is unusable.
-			flow = nil
-			degradedReason = fmt.Sprintf("solver work budget (%d) exhausted", a.cfg.Budget.SolverWork)
-		} else {
-			cut = flow.MinCut()
-		}
-	}
+	g.BuildCSR(&s.csr)
+	res = solveBound(s.solver, g, &s.csr, nil, a.cfg.Budget.SolverWork, inj.ExhaustSolver)
 	t3 := time.Now()
 	st.Solve = t3.Sub(t2)
 
 	stage = fault.StageReport
 	injectPanic(inj, fault.StageReport)
-	var lint []static.Finding
-	var staticStats *static.Stats
 	if sa != nil {
-		lint = static.CrossCheck(sa, s.rec)
-		staticStats = &sa.Stats
+		res.Lint = static.CrossCheck(sa, s.rec)
+		res.StaticStats = &sa.Stats
 	}
-	taintedOut := taintedOutputBits(g)
-	bits := trivialCutBits(g)
-	rung := RungFull
-	if flow != nil {
-		bits = flow.Flow
-	} else {
-		// Solver-budget degradation falls back to the trivial cut of the
-		// executed run's graph: record the rung so batch summaries can tell
-		// it apart from a full solve (and from no-execution rung answers,
-		// which never reach runStages).
-		rung = RungTrivial
-	}
-	res = &Result{
-		Bits:              bits,
-		Rung:              rung,
-		TaintedOutputBits: taintedOut,
-		Graph:             g,
-		Flow:              flow,
-		Cut:               cut,
-		Degraded:          degradedReason != "",
-		DegradedReason:    degradedReason,
-		Output:            s.m.Output,
-		ExitCode:          s.m.ExitCode,
-		Steps:             s.m.Steps,
-		Trap:              trapErr,
-		Warnings:          tr.Warnings(),
-		Snapshots:         tr.Snapshots(),
-		Stats:             tr.Stats(),
-		Mem:               tr.MemStats(),
-		Lint:              lint,
-		StaticStats:       staticStats,
-		Cache:             CacheTrace{StaticHit: staticHit, SkeletonHit: skelHit},
-		prog:              a.prog,
-	}
+	res.TaintedOutputBits = taintedOutputBits(g)
+	res.Output, res.ExitCode, res.Steps, res.Trap = s.m.Output, s.m.ExitCode, s.m.Steps, trapErr
+	res.Warnings, res.Snapshots = tr.Warnings(), tr.Snapshots()
+	res.Stats, res.Mem = tr.Stats(), tr.MemStats()
+	res.Cache = CacheTrace{StaticHit: staticHit}
+	res.prog = a.prog
 	st.Report = time.Since(t3)
 	st.Total = time.Since(t0)
 	res.Stages = st
@@ -513,8 +469,7 @@ func (a *Analyzer) Analyze(in Inputs) (*Result, error) {
 // previously analyzed (program, config, inputs) triple returns the cached
 // Result without drawing a session or running any stage (Result.Cache
 // reports "hit", Stages only the lookup time), concurrent misses on one
-// key are collapsed to a single computation, and a miss that reuses the
-// cached graph skeleton reports "incremental". Errors are never cached.
+// key are collapsed to a single computation. Errors are never cached.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, in Inputs) (*Result, error) {
 	// Cheap ladder rungs never execute, never draw a session, and skip the
 	// result cache: the static rung is already served by the process-global
@@ -538,11 +493,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, in Inputs) (*Result, erro
 			return nil, 0, err
 		}
 		res.Cache.Key = key.Short()
-		if res.Cache.SkeletonHit {
-			res.Cache.Disposition = CacheIncremental
-		} else {
-			res.Cache.Disposition = CacheMiss
-		}
+		res.Cache.Disposition = CacheMiss
 		return res, estimateResultBytes(res), nil
 	})
 	if err != nil {
@@ -561,28 +512,17 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, in Inputs) (*Result, erro
 func (a *Analyzer) analyzeDirect(ctx context.Context, in Inputs) (*Result, error) {
 	s := a.acquire()
 	defer a.release(s)
-	return a.runStages(ctx, s, a.sessionTracker(s), in, a.cfg.Fault.Run(0), true)
+	return a.runStages(ctx, s, a.sessionTracker(s), in, a.cfg.Fault.Run(0))
 }
 
 func (a *Analyzer) sessionTracker(s *session) *taint.Tracker {
-	return fresh(&s.tracker, a.taintOptions())
-}
-
-// taintOptions resolves the tracker options from the configuration,
-// plumbing the engine-level Compact knob through to the tracker.
-func (a *Analyzer) taintOptions() taint.Options {
-	opts := a.cfg.Taint
-	if a.cfg.Compact != 0 {
-		opts.Compact = a.cfg.Compact
-	}
-	return opts
+	return fresh(&s.tracker, a.cfg.Taint)
 }
 
 // compacting reports whether runs will perform online compaction (which
 // requires the periodic check hook to be installed).
 func (a *Analyzer) compacting() bool {
-	opts := a.taintOptions()
-	return opts.Exact && opts.Compact > 0
+	return a.cfg.Taint.Exact && a.cfg.Taint.Compact > 0
 }
 
 // AnalyzeSource compiles MiniC source (through the global compile cache)

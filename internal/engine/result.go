@@ -57,8 +57,9 @@ type Result struct {
 	Stats     taint.Stats
 
 	// Mem reports the graph core's memory behavior: peak live nodes/edges,
-	// totals emitted, and online-compaction activity (Config.Compact). For
-	// multi-run results, peaks are the maximum across runs and counters sum.
+	// totals emitted, and online-compaction activity
+	// (taint.Options.Compact). For multi-run results, peaks are the
+	// maximum across runs and counters sum.
 	Mem flowgraph.MemStats
 
 	// Lint holds the static/dynamic cross-check findings when Config.Lint
@@ -80,9 +81,8 @@ type Result struct {
 	Stages StageStats
 
 	// Cache records the run's cache provenance when Config.Cache is set:
-	// the disposition (hit/miss/incremental/bypass) plus which shared
-	// artifacts (static analysis, graph skeleton) were reused. The zero
-	// value means the run was not content-addressed.
+	// the disposition (hit/miss/bypass) plus whether the static analysis
+	// was reused. The zero value means the run was not content-addressed.
 	Cache CacheTrace
 
 	prog *vm.Program

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"flowcheck/internal/flowgraph"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/lang"
+	"flowcheck/internal/taint"
 	"flowcheck/internal/vm"
 )
 
@@ -96,46 +98,142 @@ func TestBatchContextPreCanceled(t *testing.T) {
 	mustZeroLive(t, a)
 }
 
-// Solver-budget exhaustion degrades instead of failing: the result falls
-// back to the tainting upper bound — sound, looser, no cut.
+// Solver-budget exhaustion degrades instead of failing, on every path that
+// solves a graph: a single run, a batch's joint bound, and each class of a
+// class analysis. The answer falls back to the smaller trivial cut at that
+// path's own capacities (the class view's, for a class) — sound, looser,
+// with no flow or cut — and is marked with the trivial rung and a reason.
 func TestSolverBudgetDegrades(t *testing.T) {
-	prog := guest.Program("unary")
-	in := engine.Inputs{Secret: []byte{200}}
-	exact, err := engine.Analyze(prog, in, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
+	budget := engine.Config{Budget: engine.Budget{SolverWork: 1}}
+	exhaust := engine.Config{Fault: fault.NewPlan().Every(fault.Injection{ExhaustSolver: true})}
+	type answer struct {
+		name     string
+		bits     int64
+		trivial  int64
+		rung     string
+		degraded bool
+		reason   string
+		solved   bool // carries a flow or cut
 	}
-	a := engine.New(prog, engine.Config{Budget: engine.Budget{SolverWork: 1}})
-	res, err := a.Analyze(in)
-	if err != nil {
-		t.Fatalf("solver exhaustion failed the run: %v", err)
+	single := func(cfg engine.Config) []answer {
+		prog := guest.Program("unary")
+		in := engine.Inputs{Secret: []byte{200}}
+		exact, err := engine.Analyze(prog, in, engine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := engine.New(prog, cfg)
+		res, err := a.Analyze(in)
+		if err != nil {
+			t.Fatalf("solver exhaustion failed the run: %v", err)
+		}
+		mustZeroLive(t, a)
+		if res.Bits < exact.Bits {
+			t.Fatalf("degraded bound %d below exact max flow %d: unsound", res.Bits, exact.Bits)
+		}
+		return []answer{{"single", res.Bits, trivialCut(res.Graph, nil), res.Rung, res.Degraded, res.DegradedReason, res.Flow != nil || res.Cut != nil}}
 	}
-	if !res.Degraded || res.DegradedReason == "" {
-		t.Fatalf("result not marked degraded: %+v", res)
+	batch := func(cfg engine.Config) []answer {
+		prog := guest.Program("unary")
+		inputs := unaryInputs(3, 40, 200)
+		exact, err := engine.AnalyzeBatch(prog, inputs, engine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := engine.New(prog, cfg)
+		res, err := a.AnalyzeBatch(inputs)
+		if err != nil {
+			t.Fatalf("solver exhaustion failed the batch: %v", err)
+		}
+		mustZeroLive(t, a)
+		if res.Bits < exact.Bits {
+			t.Fatalf("degraded joint bound %d below exact %d: unsound", res.Bits, exact.Bits)
+		}
+		return []answer{{"joint", res.Bits, trivialCut(res.Graph, nil), res.Rung, res.Degraded, res.DegradedReason, res.Flow != nil || res.Cut != nil}}
 	}
-	if res.Cut != nil || res.Flow != nil {
-		t.Fatal("degraded result still carries a flow/cut")
+	classes := func(cfg engine.Config) []answer {
+		prog := guest.Program("sshauth")
+		in := engine.Inputs{Secret: []byte("0123456789abcdef")}
+		set := []engine.SecretClass{{Name: "low", Off: 0, Len: 8}, {Name: "high", Off: 8, Len: 8}, {Name: "all", Off: 0, Len: 16}}
+		exact, err := engine.AnalyzeClassSet(prog, in, set, engine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := engine.New(prog, cfg)
+		ca, err := a.AnalyzeClassSet(in, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustZeroLive(t, a)
+		// The oracle's view: the attributed all-marked execution, run on a
+		// bare tracker, and its per-class capacity overlay.
+		tr := taint.New(taint.Options{AttributeSources: true})
+		m := vm.NewMachine(prog)
+		m.SecretIn = in.Secret
+		tr.Attach(m)
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		g := tr.Graph()
+		if len(g.Edges) != len(ca.Joint.Graph.Edges) {
+			t.Fatalf("oracle graph has %d edges, the shared graph %d", len(g.Edges), len(ca.Joint.Graph.Edges))
+		}
+		srcMap := tr.SourceMap(g)
+		var out []answer
+		for i, cr := range ca.Classes {
+			if cr.Err != nil {
+				t.Fatalf("class %s: %v", cr.Class.Name, cr.Err)
+			}
+			if cr.Bits < exact.Classes[i].Bits {
+				t.Fatalf("class %s: degraded bound %d below exact %d: unsound", cr.Class.Name, cr.Bits, exact.Classes[i].Bits)
+			}
+			view := srcMap.ClassView(g, flowgraph.ByteRange{Off: cr.Class.Off, Len: cr.Class.Len})
+			out = append(out, answer{"class " + cr.Class.Name, cr.Bits, trivialCut(g, view), cr.Rung, cr.Degraded, cr.DegradedReason, cr.Cut != ""})
+		}
+		if out[0].trivial == out[2].trivial {
+			t.Fatalf("class views do not change the trivial cut (%d); the case proves nothing", out[0].trivial)
+		}
+		return out
 	}
-	if res.Bits != trivialCut(res) {
-		t.Fatalf("degraded Bits %d != trivial-cut bound %d", res.Bits, trivialCut(res))
+	for _, tc := range []struct {
+		name string
+		run  func(engine.Config) []answer
+		cfgs []engine.Config
+	}{
+		{"Analyze", single, []engine.Config{budget, exhaust}},
+		{"AnalyzeBatch", batch, []engine.Config{budget}},
+		{"AnalyzeClassSet", classes, []engine.Config{budget, exhaust}},
+	} {
+		for k, cfg := range tc.cfgs {
+			for _, ans := range tc.run(cfg) {
+				where := fmt.Sprintf("%s/%d %s", tc.name, k, ans.name)
+				if ans.rung != engine.RungTrivial || !ans.degraded || ans.reason == "" {
+					t.Errorf("%s: rung %q degraded %v reason %q, want a degraded trivial rung with a reason", where, ans.rung, ans.degraded, ans.reason)
+				}
+				if ans.solved {
+					t.Errorf("%s: degraded answer still carries a flow or cut", where)
+				}
+				if ans.bits != ans.trivial {
+					t.Errorf("%s: Bits %d != trivial-cut bound %d", where, ans.bits, ans.trivial)
+				}
+			}
+		}
 	}
-	if res.Bits < exact.Bits {
-		t.Fatalf("degraded bound %d below exact max flow %d: unsound", res.Bits, exact.Bits)
-	}
-	mustZeroLive(t, a)
 }
 
-// trivialCut recomputes the degradation fallback from the result's graph:
-// min(capacity out of Source, capacity into Sink), each a genuine s-t cut
-// and hence an upper bound on the max flow.
-func trivialCut(res *engine.Result) int64 {
+// trivialCut recomputes the degradation fallback from a graph at the
+// capacities of view (nil: the graph's own): min(capacity out of Source,
+// capacity into Sink), each a genuine s-t cut and hence an upper bound on
+// the max flow.
+func trivialCut(g *flowgraph.Graph, view *flowgraph.CapacityView) int64 {
 	var fromSource, intoSink int64
-	for _, e := range res.Graph.Edges {
+	for i, e := range g.Edges {
+		c := view.Of(i, e.Cap)
 		if e.From == flowgraph.Source {
-			fromSource += e.Cap
+			fromSource += c
 		}
 		if e.To == flowgraph.Sink {
-			intoSink += e.Cap
+			intoSink += c
 		}
 	}
 	if intoSink < fromSource {
@@ -335,7 +433,7 @@ func TestInjectedSolverExhaustionDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded || res.Bits != trivialCut(res) {
+	if !res.Degraded || res.Bits != trivialCut(res.Graph, nil) {
 		t.Fatalf("injected solver exhaustion did not degrade: %+v", res)
 	}
 	mustZeroLive(t, a)

@@ -12,21 +12,17 @@ import (
 
 // ------------------------------------------------ Content-addressed cache ---
 
-// CacheResult measures the staged cache's three serving regimes on one
-// program (DESIGN.md "Content-addressed caching"): cold — every input
-// analyzed through a fresh cache, the full pipeline runs; incremental —
-// fresh inputs against a cache that has seen the program once, so the
-// static analysis and the collapsed graph skeleton are reused and only
-// Execute + the capacity re-solve run; warm — exact repeats, answered
-// entirely from the cached result without touching a session.
+// CacheResult measures the staged cache's two serving regimes on one
+// program (DESIGN.md "Content-addressed caching"): cold — inputs the
+// cache has not seen, so the full pipeline runs; warm — exact repeats,
+// answered entirely from the cached result without touching a session.
 type CacheResult struct {
 	Inputs int // distinct inputs per phase
 
-	Cold        time.Duration // phase totals over Inputs runs
-	Incremental time.Duration
-	Warm        time.Duration
+	Cold time.Duration // phase totals over Inputs runs
+	Warm time.Duration
 
-	ColdDisp, IncDisp, WarmDisp string // uniform disposition per phase
+	ColdDisp, WarmDisp string // uniform disposition per phase
 
 	BitsAgree bool    // every cached bound matches an uncached rerun
 	HitRatio  float64 // result-kind hit ratio over the warm sweep's cache
@@ -35,11 +31,7 @@ type CacheResult struct {
 
 // cacheStudySource generates a straight-line mixing program: every
 // statement is its own code location, so the collapsed graph carries one
-// node per statement and Build + Solve are a substantial share of the
-// pipeline — the share an incremental re-solve saves. Control flow is
-// input-independent, so every input yields the same topology and the
-// incremental phase exercises the skeleton-refill path rather than
-// falling back to a full build.
+// node per statement and a cold run pays for a sizeable Build and Solve.
 func cacheStudySource(stmts int) string {
 	var b strings.Builder
 	b.WriteString("int main() {\n\tchar buf[4];\n\tread_secret(buf, 4);\n\tint acc;\n\tacc = 0;\n")
@@ -80,27 +72,13 @@ func CacheStudy(n int) CacheResult {
 		return time.Since(t0), disp
 	}
 
-	// Cold: a fresh cache per input — nothing to reuse, every run is a miss.
-	t0 := time.Now()
-	for _, in := range inputs {
-		cfg := engine.Config{Cache: stagecache.New(stagecache.Options{})}
-		if _, err := engine.AnalyzeContext(ctx, prog, in, cfg); err != nil {
-			panic(err)
-		}
-	}
-	r.Cold, r.ColdDisp = time.Since(t0), engine.CacheMiss
-
-	// Incremental: one seed run caches the skeleton and static analysis;
-	// the n fresh inputs then re-run only Execute + the capacity re-solve.
-	// Each cached result retains its ~25k-edge graph, so the budget is
-	// sized to hold the whole sweep — eviction is measured elsewhere
-	// (stagecache tests), not here.
+	// Cold: inputs the cache has not seen — every run is a miss. Each
+	// cached result retains its ~25k-edge graph, so the budget is sized to
+	// hold the whole sweep — eviction is measured elsewhere (stagecache
+	// tests), not here.
 	cache := stagecache.New(stagecache.Options{MaxBytes: 512 << 20})
 	cfg := engine.Config{Cache: cache}
-	if _, err := engine.AnalyzeContext(ctx, prog, engine.Inputs{Secret: []byte{0xFF, 0xEE, 0xDD, 0xCC}}, cfg); err != nil {
-		panic(err)
-	}
-	r.Incremental, r.IncDisp = sweep(cfg, inputs)
+	r.Cold, r.ColdDisp = sweep(cfg, inputs)
 
 	// Warm: the same inputs again — full result hits, no pipeline work.
 	r.Warm, r.WarmDisp = sweep(cfg, inputs)

@@ -410,8 +410,9 @@ func SPStudy(sizes []int) []SPPoint {
 // ------------------------------------------- Online compaction (§5.1/§5.2) ---
 
 // CompactionPoint is one input size of the online-compaction study: an
-// exact-mode compress run with Config.Compact enabled. TotalEdges counts
-// every edge the execution emitted and grows with executed instructions;
+// exact-mode compress run with taint.Options.Compact enabled. TotalEdges
+// counts every edge the execution emitted and grows with executed
+// instructions;
 // PeakLiveEdges is the most the arena ever held live at once, which grows
 // with the graph's irreducible core — i.e. with static code locations.
 // This recovers the memory argument of §5.2's collapsing without giving up
@@ -440,7 +441,7 @@ func Compaction(sizes []int) []CompactionPoint {
 		in := engine.Inputs{Secret: workload.PiWords(n)}
 		plain := mustAnalyze("compress", in, engine.Config{Taint: taint.Options{Exact: true}})
 		res := mustAnalyze("compress", in, engine.Config{
-			Taint: taint.Options{Exact: true}, Compact: 4096,
+			Taint: taint.Options{Exact: true, Compact: 4096},
 		})
 		if res.Bits != plain.Bits {
 			panic(fmt.Sprintf("compaction changed the bound at n=%d: %d vs %d", n, res.Bits, plain.Bits))

@@ -336,13 +336,17 @@ func (c *Coordinator) mergeBatch(req *BatchRequest, outcomes []runOutcome, start
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("fleet: all %d runs failed: %w", len(outcomes), errors.Join(failures...))
 	}
-	jr := engine.SolveJoint(graphs, c.opts.SolverWork)
-	out.Bits = jr.Bits
-	out.TaintedOutputBits = jr.TaintedOutputBits
-	out.Rung = jr.Rung
-	out.Degraded = jr.Degraded
-	out.DegradedReason = jr.DegradedReason
-	out.Cut = jr.CutString()
+	res := engine.SolveJoint(graphs, c.opts.SolverWork)
+	out.Bits = res.Bits
+	out.TaintedOutputBits = res.TaintedOutputBits
+	out.Rung = res.Rung
+	out.Degraded = res.Degraded
+	out.DegradedReason = res.DegradedReason
+	if res.Cut != nil {
+		// The coordinator loads no guest bytecode, so the cut renders
+		// capacities at instruction sites.
+		out.Cut = res.CutString()
+	}
 	out.MergedRuns = len(graphs)
 	for _, rs := range out.Runs {
 		if rs.Dispatches > 1 {

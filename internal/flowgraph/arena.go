@@ -468,51 +468,6 @@ func (a *Arena) Export(resolve func(int32) int32) *Graph {
 	return out
 }
 
-// CSRInto builds the solver-facing CSR view directly from the arena's live
-// edges — the zero-copy handoff that skips Graph materialization entirely
-// (used for mid-run flow measurements). Nodes are renumbered and edges
-// filtered exactly as in Export, so the two views solve identically.
-func (a *Arena) CSRInto(c *CSR, resolve func(int32) int32) {
-	node := growI32(c.nodeOf, int(a.numNodes))
-	for i := range node {
-		node[i] = -1
-	}
-	c.nodeOf = node
-	rs, rt := int32(0), int32(1)
-	if resolve != nil {
-		rs, rt = resolve(0), resolve(1)
-	}
-	node[rs] = int32(Source)
-	node[rt] = int32(Sink)
-	numNodes := int32(2)
-	c.To, c.Cap = c.To[:0], c.Cap[:0]
-	for i := range a.edges {
-		e := &a.edges[i]
-		if !alive(e) {
-			continue
-		}
-		f, t := int32(e.From), int32(e.To)
-		if resolve != nil {
-			f, t = resolve(f), resolve(t)
-		}
-		if node[f] < 0 {
-			node[f] = numNodes
-			numNodes++
-		}
-		if node[t] < 0 {
-			node[t] = numNodes
-			numNodes++
-		}
-		from, to := node[f], node[t]
-		if from == to || from == int32(Sink) || to == int32(Source) {
-			continue
-		}
-		c.To = append(c.To, to, from)
-		c.Cap = append(c.Cap, min(e.Cap, Inf))
-	}
-	c.index(int(numNodes))
-}
-
 // growI32 returns a length-n []int32, reusing s's backing array if it fits.
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {

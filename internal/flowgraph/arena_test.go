@@ -183,9 +183,9 @@ func TestArenaExportMatchesGraph(t *testing.T) {
 	}
 }
 
-func TestCSRMatchesBuildCSR(t *testing.T) {
-	// Arena CSRInto and Graph.BuildCSR over the exported graph must produce
-	// the identical layout.
+// TestBuildCSRLayout checks Graph.BuildCSR against the layout CSR
+// documents, from scratch and into a CSR last filled by a larger graph.
+func TestBuildCSRLayout(t *testing.T) {
 	a := NewArena()
 	v, w := a.AddNode(), a.AddNode()
 	a.AddEdge(0, v, 3, Label{Site: 1})
@@ -193,51 +193,61 @@ func TestCSRMatchesBuildCSR(t *testing.T) {
 	a.AddEdge(v, 1, 1, Label{Site: 3})
 	a.AddEdge(w, 1, 4, Label{Site: 4})
 	g := a.Export(nil)
-	var c1, c2 CSR
-	a.CSRInto(&c1, nil)
-	g.BuildCSR(&c2)
-	if c1.N != c2.N {
-		t.Fatalf("N %d != %d", c1.N, c2.N)
+
+	big := New()
+	prev := Source
+	for i := 0; i < 8; i++ {
+		n := big.AddNode()
+		big.AddEdge(prev, n, int64(i+1), Label{Site: uint32(i)})
+		big.AddEdge(n, Sink, 1, Label{Site: uint32(i)})
+		prev = n
 	}
-	for i := range c2.HStart {
-		if c1.HStart[i] != c2.HStart[i] {
-			t.Fatalf("HStart[%d]: %d != %d", i, c1.HStart[i], c2.HStart[i])
+	var fresh, reused CSR
+	big.BuildCSR(&reused)
+	g.BuildCSR(&fresh)
+	g.BuildCSR(&reused)
+	for _, c := range []struct {
+		name string
+		csr  *CSR
+	}{{"fresh", &fresh}, {"reused", &reused}} {
+		checkCSRLayout(t, c.name, g, c.csr)
+	}
+}
+
+func checkCSRLayout(t *testing.T, name string, g *Graph, c *CSR) {
+	t.Helper()
+	if c.N != g.NumNodes() {
+		t.Fatalf("%s: N = %d, want %d", name, c.N, g.NumNodes())
+	}
+	if len(c.To) != 2*len(g.Edges) || len(c.Cap) != len(g.Edges) || len(c.HArcs) != len(c.To) || len(c.HStart) != c.N+1 {
+		t.Fatalf("%s: sizes: %d arcs, %d caps, %d harcs, %d starts for %d edges, %d nodes",
+			name, len(c.To), len(c.Cap), len(c.HArcs), len(c.HStart), len(g.Edges), c.N)
+	}
+	// Edge i is the arc pair (2i, 2i+1) and keeps its capacity in Cap[i].
+	for i, e := range g.Edges {
+		if c.To[2*i] != int32(e.To) || c.To[2*i+1] != int32(e.From) {
+			t.Fatalf("%s: edge %d arcs to %d/%d, want %d/%d", name, i, c.To[2*i], c.To[2*i+1], e.To, e.From)
 		}
-	}
-	if len(c1.To) != len(c2.To) || len(c1.Cap) != len(c2.Cap) {
-		t.Fatalf("sizes: %d arcs, %d caps != %d arcs, %d caps", len(c1.To), len(c1.Cap), len(c2.To), len(c2.Cap))
-	}
-	for i := range c2.To {
-		if c1.To[i] != c2.To[i] {
-			t.Fatalf("arc %d: To %d != %d", i, c1.To[i], c2.To[i])
-		}
-	}
-	for i := range c2.Cap {
-		if c1.Cap[i] != c2.Cap[i] {
-			t.Fatalf("edge %d: Cap %d != %d", i, c1.Cap[i], c2.Cap[i])
-		}
-	}
-	for i := range c2.HArcs {
-		if c1.HArcs[i] != c2.HArcs[i] {
-			t.Fatalf("HArcs[%d]: %d != %d", i, c1.HArcs[i], c2.HArcs[i])
+		if c.Cap[i] != e.Cap {
+			t.Fatalf("%s: edge %d: Cap %d, want %d", name, i, c.Cap[i], e.Cap)
 		}
 	}
 	// Each node lists the arcs leaving it (arc a leaves To[a^1]) in arc
 	// order.
-	for v := int32(0); v < int32(c2.N); v++ {
+	for v := int32(0); v < int32(c.N); v++ {
 		var want []int32
-		for arc := range c2.To {
-			if c2.To[arc^1] == v {
+		for arc := range c.To {
+			if c.To[arc^1] == v {
 				want = append(want, int32(arc))
 			}
 		}
-		got := c2.HArcs[c2.HStart[v]:c2.HStart[v+1]]
+		got := c.HArcs[c.HStart[v]:c.HStart[v+1]]
 		if len(got) != len(want) {
-			t.Fatalf("node %d arcs %v, want %v", v, got, want)
+			t.Fatalf("%s: node %d arcs %v, want %v", name, v, got, want)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("node %d arcs %v, want %v", v, got, want)
+				t.Fatalf("%s: node %d arcs %v, want %v", name, v, got, want)
 			}
 		}
 	}

@@ -17,9 +17,6 @@ type CSR struct {
 	HArcs  []int32
 	To     []int32
 	Cap    []int64
-
-	// Builder scratch, retained for reuse.
-	nodeOf []int32
 }
 
 // NumEdges reports the number of forward edges in the view.

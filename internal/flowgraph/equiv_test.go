@@ -4,8 +4,8 @@ package flowgraph_test
 // layered DAGs, the max flow of an arena compacted *while edges stream in*
 // must equal both the uncompacted arena's flow and the flow after a
 // post-hoc whole-graph spqr.Reduce. This is the property that makes
-// Config.Compact safe to enable: compaction may only reshape the network,
-// never change its capacity.
+// taint.Options.Compact safe to enable: compaction may only reshape the
+// network, never change its capacity.
 
 import (
 	"math/rand"

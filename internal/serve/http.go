@@ -86,8 +86,8 @@ type AnalyzeResponse struct {
 	OutputBytes int     `json:"output_bytes"`
 	Attempts    int     `json:"attempts"`
 	LatencyMS   float64 `json:"latency_ms"`
-	// Cache is the request's cache disposition ("hit", "miss",
-	// "incremental", "bypass"; empty when caching is disabled). Also
+	// Cache is the request's cache disposition ("hit", "miss", "bypass";
+	// empty when caching is disabled). Also
 	// exposed as the X-Flow-Cache response header. Attempts is 0 for
 	// fast-path hits: the request never entered admission. CacheNote says
 	// why a bypass happened (e.g. "fault-injection").
@@ -301,10 +301,10 @@ type statzService struct {
 
 // handleStatz serves operational observability: process identity (start
 // time, uptime, build version), cache counters with per-stage hit ratios
-// for both the service cache (result/skeleton) and the process-global
-// cache (compile/static), per-program breaker state and retry counters,
-// and the leakage-budget ledger (bits per query, cumulative vs. budget,
-// principals near threshold).
+// for both the service cache (result, class graph, class set) and the
+// process-global cache (compile/static), per-program breaker state and
+// retry counters, and the leakage-budget ledger (bits per query,
+// cumulative vs. budget, principals near threshold).
 func (s *Service) handleStatz(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	resp := struct {

@@ -104,9 +104,6 @@ type Options struct {
 	MaxBackoff  time.Duration
 	// BackoffSeed seeds the jitter RNG, so tests can fix it.
 	BackoffSeed int64
-	// DisableBudgetGrowth stops retries of ErrBudget failures from
-	// doubling the failed budget each attempt.
-	DisableBudgetGrowth bool
 	// RetryDegraded retries solver-budget-degraded (but successful)
 	// results with the solver budget doubled, returning the degraded
 	// result only if no retry produces an exact solve.
@@ -139,9 +136,8 @@ type Options struct {
 	// content-addressed stage cache of that byte budget, injected into
 	// every registered program that does not bring its own
 	// (engine.Config.Cache). Warm repeat requests are then answered from
-	// the cache before admission queuing — no worker slot, no session —
-	// and input-only changes re-solve incrementally. Zero disables
-	// caching (the seed behavior).
+	// the cache before admission queuing — no worker slot, no session.
+	// Zero disables caching (the seed behavior).
 	CacheBytes int64
 
 	// ShardName, when set, identifies this process in a fleet: every
@@ -652,7 +648,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 			// degraded by design and retrying them would change nothing.
 			// Class requests never degraded-retry: the per-class views
 			// would need their own budgets to be worth re-solving.
-			if len(req.Classes) == 0 && res.Degraded && res.Graph != nil && s.opts.RetryDegraded && attempt < max && p.cfg.Budget.SolverWork > 0 {
+			if len(req.Classes) == 0 && res.Degraded && res.Graph != nil && s.opts.RetryDegraded && attempt < max && an.Config().Budget.SolverWork > 0 {
 				// A degraded result is sound but loose; remember it and
 				// retry with the solver budget grown. If no retry solves
 				// exactly, the degraded bound is still the answer.
@@ -720,7 +716,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 			s.logOutcome(p, attempt, "failed", lat, err, inj)
 			return nil, err
 		}
-		if errors.Is(err, engine.ErrBudget) && !s.opts.DisableBudgetGrowth {
+		if errors.Is(err, engine.ErrBudget) {
 			scale *= 2
 		}
 		s.retried.Add(1)

@@ -184,26 +184,6 @@ func TestRetryGrowsBudget(t *testing.T) {
 	}
 }
 
-// Budget growth off: the same request fails with the typed budget error
-// after exhausting attempts on the unchanged budget.
-func TestRetryWithoutGrowthFails(t *testing.T) {
-	svc := serve.New(serve.Options{
-		MaxAttempts:         2,
-		DisableBudgetGrowth: true,
-		Sleep:               func(time.Duration) {},
-	})
-	svc.Register("unary", guest.Program("unary"), engine.Config{
-		Budget: engine.Budget{MaxOutputBytes: 64},
-	})
-	_, err := svc.Analyze(context.Background(), req(200))
-	if !errors.Is(err, engine.ErrBudget) {
-		t.Fatalf("got %v, want ErrBudget", err)
-	}
-	if st := svc.Stats(); st.Failed != 1 || st.Retried != 1 || st.Started != 2 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
 // TestRetryDegraded: a solver-degraded (but sound) result retries with the
 // solver budget doubled until the solve is exact.
 func TestRetryDegraded(t *testing.T) {
@@ -220,6 +200,36 @@ func TestRetryDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := svc.Analyze(context.Background(), req(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Result.Degraded {
+		t.Fatalf("result still degraded after %d attempts", resp.Attempts)
+	}
+	if resp.Attempts < 2 {
+		t.Fatalf("attempts = %d, want ≥ 2 (first solve must have degraded)", resp.Attempts)
+	}
+	if resp.Result.Bits != want.Bits {
+		t.Fatalf("bits %d != exact %d", resp.Result.Bits, want.Bits)
+	}
+}
+
+// A solver budget given as a per-request override degrades and retries
+// exactly like the program's own: growth applies on top of the override.
+func TestRetryDegradedRequestBudget(t *testing.T) {
+	svc := serve.New(serve.Options{
+		MaxAttempts:   20,
+		RetryDegraded: true,
+		Sleep:         func(time.Duration) {},
+	})
+	svc.Register("unary", guest.Program("unary"), engine.Config{})
+	want, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{200}}, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := req(200)
+	r.Budget = &engine.Budget{SolverWork: 1}
+	resp, err := svc.Analyze(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 // hits hand the same value to many goroutines.
 //
 // Stats are broken out per kind ("compile", "static", "result",
-// "skeleton", ...) so the service can report per-stage hit ratios. Kinds
+// "classgraph", ...) so the service can report per-stage hit ratios. Kinds
 // are a labeling for observability only; key disjointness across stages is
 // the caller's job (cachekey domain strings).
 package stagecache

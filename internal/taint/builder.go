@@ -187,18 +187,13 @@ func (b *builder) compact(protected []bool) {
 	b.ar.CompactSP(protected)
 }
 
-// build assembles the current state into a flowgraph. It does not consume
-// the builder, so intermediate flows (§8.1's real-time mode) can be
+// build assembles the current state into a flowgraph, resolving each node
+// to its union-find class representative in collapsed mode. It does not
+// consume the builder, so intermediate flows (§8.1's real-time mode) can be
 // computed mid-run.
 func (b *builder) build() *flowgraph.Graph {
-	return b.ar.Export(b.resolve())
-}
-
-// resolve returns the node-representative function for export: union-find
-// class resolution in collapsed mode, identity (nil) in exact mode.
-func (b *builder) resolve() func(int32) int32 {
 	if b.uf == nil {
-		return nil
+		return b.ar.Export(nil)
 	}
-	return func(v int32) int32 { return int32(b.uf.Find(int(v))) }
+	return b.ar.Export(func(v int32) int32 { return int32(b.uf.Find(int(v))) })
 }

@@ -186,9 +186,8 @@ type Tracker struct {
 	// protScratch is the reusable protected-node mark array for compaction.
 	protScratch []bool
 
-	// csr and noteSolver serve FlowNote's mid-run measurements: the graph is
-	// handed to the solver as a reusable CSR view, skipping Graph
-	// materialization.
+	// csr and noteSolver serve FlowNote's mid-run measurements, reused
+	// across notes.
 	csr        flowgraph.CSR
 	noteSolver *maxflow.Solver
 }
@@ -1040,12 +1039,11 @@ func (t *Tracker) Exit(site uint32, codeReg int) {
 	t.b.addEdge(t.chainEl, t.b.sinkEl, flowgraph.Inf, t.label(flowgraph.KindChain, 1))
 }
 
-// FlowNote implements vm.Tracer: take an intermediate flow measurement.
-// The graph is handed to the solver as a CSR view built straight from the
-// arena — no intermediate Graph is materialized, so real-time measurements
-// (§8.1) stay cheap even when taken frequently.
+// FlowNote implements vm.Tracer: take an intermediate flow measurement
+// (§8.1's real-time mode) by laying out the graph so far in the tracker's
+// reusable CSR and solving it.
 func (t *Tracker) FlowNote(site uint32) {
-	t.b.ar.CSRInto(&t.csr, t.b.resolve())
+	t.b.build().BuildCSR(&t.csr)
 	if t.noteSolver == nil {
 		t.noteSolver = maxflow.NewSolver(maxflow.Dinic)
 	}
