@@ -240,16 +240,28 @@ func TestPrecisionKeysCache(t *testing.T) {
 }
 
 // The ladder invariant on the test program: measured ≤ static ≤ trivial.
+// Over a 64-byte secret the three rungs separate cleanly — the program
+// reads 2 bytes and emits one, so trivial 512, static 16, measured 8.
 func TestLadderMonotoneBounds(t *testing.T) {
 	a := compileLadder(t)
-	in := Inputs{Secret: []byte("abcd")}
-	full, err := a.Analyze(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	static := a.StaticBoundBits(len(in.Secret))
-	trivial := TrivialBoundBits(len(in.Secret))
-	if full.Bits > static || static > trivial {
-		t.Fatalf("ladder violated: measured %d, static %d, trivial %d", full.Bits, static, trivial)
+	for _, tc := range []struct {
+		secret []byte
+		want   [3]int64 // measured, static, trivial; zero = unpinned
+	}{
+		{secret: []byte("abcd")},
+		{secret: make([]byte, 64), want: [3]int64{8, 16, 512}},
+	} {
+		full, err := a.Analyze(Inputs{Secret: tc.secret})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [3]int64{full.Bits, a.StaticBoundBits(len(tc.secret)), TrivialBoundBits(len(tc.secret))}
+		if got[0] > got[1] || got[1] > got[2] {
+			t.Fatalf("%d-byte secret: ladder violated: measured %d, static %d, trivial %d",
+				len(tc.secret), got[0], got[1], got[2])
+		}
+		if tc.want != ([3]int64{}) && got != tc.want {
+			t.Errorf("%d-byte secret: measured/static/trivial = %v, want %v", len(tc.secret), got, tc.want)
+		}
 	}
 }

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -599,34 +598,22 @@ func Collapse(n int) CollapseResult {
 
 // --------------------------------------------------- Multi-class (§10.1) ---
 
-// MultiClassResult measures each secret class independently (the paper's
-// §10.1 future-work direction) and compares two ways to do it: one plain
-// analysis per class with the class's secret ranging ("reexec", one
-// instrumented execution per class) against AnalyzeClassSet ("shared",
-// one execution, one capacity-view solve per class over the shared graph).
+// MultiClassResult bounds each secret class independently (the paper's
+// §10.1 future-work direction) with AnalyzeClassSet: one instrumented
+// execution, one capacity-view solve per class over the shared graph.
 type MultiClassResult struct {
 	Classes []engine.ClassResult
 	Joint   int64
 	Sum     int64
-
-	// Per-mode cost over Iters repetitions of the whole class set.
-	Iters    int
-	ReexecMS float64 // mean latency, one execution per class
-	SharedMS float64 // mean latency, one execution + per-class solves
-	// Executions per class actually performed by each mode (1.0 for
-	// reexec; 1/N for shared).
-	ReexecExecsPerClass float64
+	// SharedExecsPerClass is the executions AnalyzeClassSet performed per
+	// class: 1/N, one execution for the whole set.
 	SharedExecsPerClass float64
-	// Agree reports that the two ways produced identical per-class
-	// bounds on this workload.
-	Agree bool
 }
 
 // MultiClass analyzes a two-appointment calendar per appointment and
 // jointly: each appointment's disclosure is bounded separately, and the
 // per-class bounds can sum to more than the joint bound because the 18
 // grid squares are shared capacity (the crowding-out effect of §10.1).
-// Both ways run, timed, on the same class set.
 func MultiClass() MultiClassResult {
 	in := engine.Inputs{
 		Secret: workload.CalendarSecret([]workload.Appointment{
@@ -638,54 +625,20 @@ func MultiClass() MultiClassResult {
 		{Name: "appointment-1", Off: 1, Len: 2},
 		{Name: "appointment-2", Off: 3, Len: 2},
 	}
-	prog := guest.Program("calendar")
-	const iters = 20
-
-	msSince := func(t0 time.Time) float64 {
-		return float64(time.Since(t0).Microseconds()) / 1000 / iters
+	shared, err := engine.AnalyzeClassSet(guest.Program("calendar"), in, classes, engine.Config{})
+	if err != nil {
+		panic(err)
 	}
-
-	var shared *engine.ClassAnalysis
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		ca, err := engine.AnalyzeClassSet(prog, in, classes, engine.Config{})
-		if err != nil {
-			panic(err)
-		}
-		shared = ca
-	}
-	sharedMS := msSince(t0)
-
-	reexec := make([]int64, len(classes))
-	t0 = time.Now()
-	for i := 0; i < iters; i++ {
-		for k, c := range classes {
-			var cfg engine.Config
-			cfg.Taint.SecretRanges = []taint.StreamRange{{Off: c.Off, Len: c.Len}}
-			reexec[k] = mustAnalyze("calendar", in, cfg).Bits
-		}
-	}
-	reexecMS := msSince(t0)
-
 	joint := mustAnalyze("calendar", in, engine.Config{})
 	var sum int64
-	agree := true
-	for i, c := range shared.Classes {
+	for _, c := range shared.Classes {
 		sum += c.Bits
-		if c.Bits != reexec[i] {
-			agree = false
-		}
 	}
 	return MultiClassResult{
 		Classes:             shared.Classes,
 		Joint:               joint.Bits,
 		Sum:                 sum,
-		Iters:               iters,
-		ReexecMS:            reexecMS,
-		SharedMS:            sharedMS,
-		ReexecExecsPerClass: 1, // one Analyze per class
 		SharedExecsPerClass: float64(shared.Executions) / float64(len(classes)),
-		Agree:               agree,
 	}
 }
 
@@ -725,103 +678,4 @@ func Divzero() (zeroBits, nonzeroBits int64) {
 	z := mustAnalyze("divzero", engine.Inputs{Secret: []byte{9, 0, 0, 0, 0, 0, 0, 0}}, engine.Config{})
 	nz := mustAnalyze("divzero", engine.Inputs{Secret: []byte{9, 0, 0, 0, 3, 0, 0, 0}}, engine.Config{})
 	return z.Bits, nz.Bits
-}
-
-// ------------------------------------------------ Engine batch throughput ---
-
-// BatchResult measures the staged engine's parallel batch path against
-// serial analysis over the same executions of the compression case study
-// (ROADMAP: multi-execution throughput as the first scaling axis).
-type BatchResult struct {
-	Guest      string
-	Runs       int
-	Workers    int // GOMAXPROCS at measurement time
-	JointBits  int64
-	PerRunBits []int64
-
-	Serial time.Duration // N independent Analyze calls (fresh state each)
-	Batch1 time.Duration // AnalyzeBatch, 1 worker, pooled sessions
-	BatchN time.Duration // AnalyzeBatch, GOMAXPROCS workers
-
-	Agree bool // AnalyzeBatch at 1 and at GOMAXPROCS workers report the same joint Bits
-}
-
-// Batch runs the comparison over `runs` compress executions with growing
-// secret inputs.
-func Batch(runs int) BatchResult {
-	prog := guest.Program("compress")
-	inputs := make([]engine.Inputs, runs)
-	for i := range inputs {
-		inputs[i] = engine.Inputs{Secret: workload.PiWords(512 + 64*i)}
-	}
-	r := BatchResult{Guest: "compress", Runs: runs, Workers: runtime.GOMAXPROCS(0)}
-
-	t0 := time.Now()
-	for _, in := range inputs {
-		res, err := engine.Analyze(prog, in, engine.Config{})
-		if err != nil {
-			panic(err)
-		}
-		r.PerRunBits = append(r.PerRunBits, res.Bits)
-	}
-	r.Serial = time.Since(t0)
-
-	t0 = time.Now()
-	b1, err := engine.AnalyzeBatch(prog, inputs, engine.Config{Workers: 1})
-	if err != nil {
-		panic(err)
-	}
-	r.Batch1 = time.Since(t0)
-
-	t0 = time.Now()
-	bn, err := engine.AnalyzeBatch(prog, inputs, engine.Config{})
-	if err != nil {
-		panic(err)
-	}
-	r.BatchN = time.Since(t0)
-
-	r.JointBits = bn.Bits
-	r.Agree = bn.Bits == b1.Bits
-	return r
-}
-
-// --------------------------------------------- Engine graceful degradation ---
-
-// DegradePoint is one solver-budget setting: the bound it yields and what
-// the solve cost. Degraded points report the trivial-cut fallback.
-type DegradePoint struct {
-	Budget   int64
-	Bits     int64
-	Degraded bool
-	Solve    time.Duration
-}
-
-// DegradeResult sweeps the solver work budget on one compress run, showing
-// the robustness tradeoff: every budget returns a sound bound, tightening
-// toward the exact max flow as the budget grows.
-type DegradeResult struct {
-	Guest     string
-	ExactBits int64
-	Points    []DegradePoint
-}
-
-// Degrade measures the budgeted-solve fallback on a compress execution.
-func Degrade(n int) DegradeResult {
-	prog := guest.Program("compress")
-	in := engine.Inputs{Secret: workload.PiWords(n)}
-	exact := mustAnalyze("compress", in, engine.Config{})
-	r := DegradeResult{Guest: "compress", ExactBits: exact.Bits}
-	for _, budget := range []int64{100, 1_000, 10_000, 100_000, 1_000_000} {
-		res, err := engine.Analyze(prog, in, engine.Config{Budget: engine.Budget{SolverWork: budget}})
-		if err != nil {
-			panic(err)
-		}
-		if res.Bits < exact.Bits {
-			panic("degraded bound below exact max flow")
-		}
-		r.Points = append(r.Points, DegradePoint{
-			Budget: budget, Bits: res.Bits, Degraded: res.Degraded, Solve: res.Stages.Solve,
-		})
-	}
-	return r
 }

@@ -323,3 +323,115 @@ func TestChaosSoak(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d now vs %d at start\n%s",
 		runtime.NumGoroutine(), baseGoroutines, buf[:runtime.Stack(buf, true)])
 }
+
+// The load-and-kill drill: 200 single analyses at concurrency 8 over two
+// shards, the ring primary of one driven program killed the hard way
+// (listener closed, live connections cut) once the 50th request has
+// answered — so requests are in flight when it lands — then one 16-run
+// batch. Every single must still be answered, the batch must merge all
+// 16 runs bit-identically to a single process, and the coordinator must
+// know the shard is down.
+func TestShardKillUnderLoad(t *testing.T) {
+	f := newChaosFleet(t, 2, engine.Config{}, fault.NewNetPlan(), Options{
+		ProbeInterval: 100 * time.Millisecond,
+	})
+	f.coord.Start()
+
+	programs := []string{"count_punct", "unary"}
+	victim := f.shards[f.coord.ring.Lookup(programKey(programs[0]), 1)[0]]
+
+	// perturb returns the program's sample secret with byte i%len set to
+	// base+i%26, so the requests vary their secrets.
+	perturb := func(program string, i int, base byte) (secret, public []byte) {
+		s, public, _ := guest.SampleInputs(program)
+		secret = append([]byte(nil), s...)
+		secret[i%len(secret)] = base + byte(i%26)
+		return secret, public
+	}
+
+	const requests, workers, killAfter = 200, 8, 50
+	var next, done, failed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= requests {
+					return
+				}
+				program := programs[i%len(programs)]
+				secret, public := perturb(program, i, 'a')
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				_, _, err := f.coord.Analyze(ctx, &serve.AnalyzeRequest{
+					Program:   program,
+					SecretB64: base64.StdEncoding.EncodeToString(secret),
+					PublicB64: base64.StdEncoding.EncodeToString(public),
+				})
+				cancel()
+				if err != nil {
+					failed.Add(1)
+					t.Errorf("request %d (%s) failed: %v", i, program, err)
+				}
+				if done.Add(1) == killAfter {
+					victim.ts.CloseClientConnections()
+					victim.ts.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d of %d singles failed across the shard kill", n, requests)
+	}
+
+	const nRuns = 16
+	req := &BatchRequest{Program: programs[0]}
+	inputs := make([]engine.Inputs, nRuns)
+	for i := range inputs {
+		secret, public := perturb(programs[0], i, 'A')
+		inputs[i] = engine.Inputs{Secret: secret, Public: public}
+		req.Runs = append(req.Runs, RunInput{
+			SecretB64: base64.StdEncoding.EncodeToString(secret),
+			PublicB64: base64.StdEncoding.EncodeToString(public),
+		})
+	}
+	resp, err := f.coord.AnalyzeBatch(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.New(guest.Program(programs[0]), engine.Config{}).AnalyzeBatch(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.MergedRuns != nRuns {
+		t.Fatalf("merged %d of %d runs: %+v", resp.MergedRuns, nRuns, resp.Runs)
+	}
+	if resp.Bits != want.Bits {
+		t.Fatalf("distributed batch %d bits, single-process %d — NOT bit-identical", resp.Bits, want.Bits)
+	}
+
+	// The probe loop or the failed requests demote the victim; wait for
+	// it rather than for a fixed interval.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := f.coord.Stats()
+		var state string
+		for _, row := range st.Shards {
+			if row.Name == victim.name {
+				state = row.State
+			}
+		}
+		if state == "down" {
+			if st.Failovers == 0 {
+				t.Fatal("no request failed over; the kill never bit")
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("killed shard %s is %q, want down; stats %+v", victim.name, state, st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
