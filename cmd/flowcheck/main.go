@@ -213,7 +213,7 @@ func cmdRun(args []string) error {
 	maxGraphNodes := fs.Int("max-graph-nodes", 0, "fail a run whose flow graph exceeds this many nodes (0 = unlimited)")
 	maxGraphEdges := fs.Int("max-graph-edges", 0, "fail a run whose flow graph exceeds this many edges (0 = unlimited)")
 	maxOutputBytes := fs.Int("max-output-bytes", 0, "fail a run whose public output exceeds this many bytes (0 = unlimited)")
-	solverBudget := fs.Int64("solver-budget", 0, "max-flow work budget in arc examinations; exhaustion degrades to the trivial-cut bound (0 = unlimited)")
+	solverBudget := fs.Int64("solver-budget", 0, "max-flow work budget: one unit per graph edge plus one per arc examination; exhaustion degrades to the trivial-cut bound (0 = unlimited)")
 	precision := fs.String("precision", "", "precision ladder rung: trivial|static|full|adaptive (trivial/static answer a sound upper bound with no execution)")
 	threshold := fs.Int64("threshold", 0, "adaptive precision: run the full solve only while the cheap bound exceeds this many bits")
 	classesFlag := fs.String("classes", "", `per-class analysis (§10.1): comma-separated "name:off:len" secret classes; one execution, one solve per class, plus the joint bound`)

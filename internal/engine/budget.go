@@ -30,9 +30,10 @@ type Budget struct {
 	// MaxOutputBytes caps the guest's public output.
 	MaxOutputBytes int
 
-	// SolverWork bounds the max-flow computation, in arc examinations
-	// (maxflow.Solver.Solve). Exceeding it does not fail the run: the
-	// result degrades to the trivial-cut bound.
+	// SolverWork bounds the whole Solve stage (maxflow.Solver.Solve) in
+	// work units: one per graph edge for the layout, plus one per arc
+	// examination on the series–parallel-reduced network. Exceeding it
+	// does not fail the run: the result degrades to the trivial-cut bound.
 	SolverWork int64
 
 	// CheckEvery is the step interval between cancellation/budget polls

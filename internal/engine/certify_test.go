@@ -1,0 +1,75 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"flowcheck/internal/flowgraph"
+	"flowcheck/internal/guest"
+	"flowcheck/internal/maxflow"
+	"flowcheck/internal/taint"
+	"flowcheck/internal/workload"
+)
+
+// TestEveryAnswerCertified checks the flow certificate (maxflow.Certify)
+// on every path that solves a graph: a single run, an AnalyzeBatch joint
+// bound, and each class view of a class analysis, on every guest in both
+// graph modes. (Tracker.FlowNote's mid-run solves are certified in
+// package taint.)
+func TestEveryAnswerCertified(t *testing.T) {
+	certify := func(name string, g *flowgraph.Graph, view *flowgraph.CapacityView, res *Result) {
+		t.Helper()
+		if res.Flow == nil || res.Bits != res.Flow.Flow {
+			t.Fatalf("%s: no exact flow behind %d bits (degraded: %v)", name, res.Bits, res.Degraded)
+		}
+		if err := maxflow.Certify(g, view, res.Flow); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for _, name := range guest.Names() {
+		secret, public, _ := guest.SampleInputs(name)
+		in := Inputs{Secret: secret, Public: public}
+		for _, exact := range []bool{false, true} {
+			label := fmt.Sprintf("%s exact=%v", name, exact)
+			a := New(guest.Program(name), Config{Taint: taint.Options{Exact: exact}})
+
+			res, err := a.Analyze(in)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			certify(label, res.Graph, nil, res)
+
+			half := Inputs{Secret: secret[:len(secret)/2], Public: public}
+			joint, err := a.AnalyzeBatch([]Inputs{in, half, in})
+			if err != nil {
+				t.Fatalf("%s batch: %v", label, err)
+			}
+			certify(label+" batch", joint.Graph, nil, joint)
+
+			cg, err := a.buildClassGraph(context.Background(), in)
+			if err != nil {
+				t.Fatalf("%s classes: %v", label, err)
+			}
+			g, solver := cg.res.Graph, maxflow.NewSolver(maxflow.Dinic)
+			certify(label+" classes joint", g, nil, cg.res)
+			n := len(secret)
+			for _, c := range []SecretClass{{"head", 0, n / 3}, {"tail", n / 3, n - n/3}} {
+				view := cg.srcMap.ClassView(g, flowgraph.ByteRange{Off: c.Off, Len: c.Len})
+				b := solveBound(solver, g, &cg.csr, view, 0, false)
+				certify(fmt.Sprintf("%s class %s", label, c.Name), g, view, b)
+				if cr := a.solveClass(solver, cg, c, a.cfg.Fault.Run(0)); cr.Bits != b.Bits {
+					t.Fatalf("%s class %s: solveClass %d bits, certified solve %d", label, c.Name, cr.Bits, b.Bits)
+				}
+			}
+		}
+	}
+
+	// An exact compress window: the layout the benchmark solves.
+	in := Inputs{Secret: workload.PiWords(1024)}
+	res, err := Analyze(guest.Program("compress"), in, Config{Taint: taint.Options{Exact: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	certify("compress 1 KiB exact", res.Graph, nil, res)
+}

@@ -287,8 +287,7 @@ func (a *Analyzer) classSetKey(in Inputs, classes []SecretClass) cachekey.Key {
 
 func estimateClassGraphBytes(cg *classGraph) int64 {
 	n := estimateResultBytes(cg.res)
-	n += int64(len(cg.csr.To)) * (4 + 4 + 8) // HArcs + To + Cap columns
-	n += int64(cg.csr.N+1) * 4
+	n += cg.csr.Bytes() // reduced network and its map back to the graph
 	for _, contribs := range cg.srcMap.Contribs {
 		n += 8 + int64(len(contribs))*16
 	}

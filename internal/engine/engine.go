@@ -433,6 +433,7 @@ func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker,
 	injectPanic(inj, fault.StageSolve)
 	g.BuildCSR(&s.csr)
 	res = solveBound(s.solver, g, &s.csr, nil, a.cfg.Budget.SolverWork, inj.ExhaustSolver)
+	s.csr.Edges = nil // the pooled layout must not keep this run's graph alive
 	t3 := time.Now()
 	st.Solve = t3.Sub(t2)
 

@@ -205,9 +205,12 @@ func New(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Start launches the background health-probe loop. Optional: without it
-// the coordinator still demotes shards on request failures, but down
-// shards never rejoin and drain states are only discovered the hard way.
+// Start probes every shard once, then launches the background
+// health-probe loop. Optional: without it the coordinator still demotes
+// shards on request failures, but down shards never rejoin and drain
+// states are only discovered the hard way. Start returns once the first
+// round has finished (within ProbeTimeout), so a coordinator knows its
+// shards' states from the start instead of one ProbeInterval later.
 func (c *Coordinator) Start() {
 	if c.probeDone != nil {
 		return
@@ -215,6 +218,7 @@ func (c *Coordinator) Start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	c.probeCancel = cancel
 	c.probeDone = make(chan struct{})
+	c.probeAll(ctx)
 	go func() {
 		defer close(c.probeDone)
 		ticker := time.NewTicker(c.opts.ProbeInterval)
@@ -224,18 +228,23 @@ func (c *Coordinator) Start() {
 			case <-ctx.Done():
 				return
 			case <-ticker.C:
-				var wg sync.WaitGroup
-				for _, sh := range c.shards {
-					wg.Add(1)
-					go func(sh *shard) {
-						defer wg.Done()
-						c.probe(ctx, sh)
-					}(sh)
-				}
-				wg.Wait()
+				c.probeAll(ctx)
 			}
 		}
 	}()
+}
+
+// probeAll probes every shard concurrently and waits for the round.
+func (c *Coordinator) probeAll(ctx context.Context) {
+	var wg sync.WaitGroup
+	for _, sh := range c.shards {
+		wg.Add(1)
+		go func(sh *shard) {
+			defer wg.Done()
+			c.probe(ctx, sh)
+		}(sh)
+	}
+	wg.Wait()
 }
 
 // Close drains the coordinator: new requests are refused with

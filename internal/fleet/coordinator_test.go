@@ -427,3 +427,24 @@ func TestCoordinatorHTTPSurface(t *testing.T) {
 			denied.StatusCode, denied.Header.Get("Retry-After"))
 	}
 }
+
+// Start probes once before it returns: with an hour between probe rounds,
+// every shard has a last probe and a draining shard is already routed
+// around when Start returns.
+func TestStartProbesAtOnce(t *testing.T) {
+	a := newTestShard(t, "a", engine.Config{}, serve.Options{})
+	b := newTestShard(t, "b", engine.Config{}, serve.Options{})
+	b.svc.StartDrain()
+	c := newTestCoordinator(t, Options{ProbeInterval: time.Hour}, a, b)
+	c.Start()
+	states := map[string]string{}
+	for _, sh := range c.Stats().Shards {
+		if sh.LastProbe == "" {
+			t.Fatalf("shard %s not probed when Start returned", sh.Name)
+		}
+		states[sh.Name] = sh.State
+	}
+	if states["a"] != "healthy" || states["b"] != "draining" {
+		t.Fatalf("shard states after Start: %v, want a healthy, b draining", states)
+	}
+}

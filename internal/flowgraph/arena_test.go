@@ -1,6 +1,7 @@
 package flowgraph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -186,13 +187,14 @@ func TestArenaExportMatchesGraph(t *testing.T) {
 // TestBuildCSRLayout checks Graph.BuildCSR against the layout CSR
 // documents, from scratch and into a CSR last filled by a larger graph.
 func TestBuildCSRLayout(t *testing.T) {
-	a := NewArena()
-	v, w := a.AddNode(), a.AddNode()
-	a.AddEdge(0, v, 3, Label{Site: 1})
-	a.AddEdge(v, w, 2, Label{Site: 2})
-	a.AddEdge(v, 1, 1, Label{Site: 3})
-	a.AddEdge(w, 1, 4, Label{Site: 4})
-	g := a.Export(nil)
+	// Source→v, then v→w→Sink and v→Sink: w is interior, so v has two
+	// chains to Sink that merge into one arc of capacity min(2,4)+1.
+	g := New()
+	v, w := g.AddNode(), g.AddNode()
+	g.AddEdge(Source, v, 3, Label{Site: 1})
+	g.AddEdge(v, w, 2, Label{Site: 2})
+	g.AddEdge(v, Sink, 1, Label{Site: 3})
+	g.AddEdge(w, Sink, 4, Label{Site: 4})
 
 	big := New()
 	prev := Source
@@ -204,6 +206,7 @@ func TestBuildCSRLayout(t *testing.T) {
 	}
 	var fresh, reused CSR
 	big.BuildCSR(&reused)
+	checkCSRLayout(t, "big", big, &reused)
 	g.BuildCSR(&fresh)
 	g.BuildCSR(&reused)
 	for _, c := range []struct {
@@ -211,44 +214,82 @@ func TestBuildCSRLayout(t *testing.T) {
 		csr  *CSR
 	}{{"fresh", &fresh}, {"reused", &reused}} {
 		checkCSRLayout(t, c.name, g, c.csr)
+		if got, want := fmt.Sprint(c.csr.Node, c.csr.ChainArc, c.csr.ChainCap, c.csr.To), "[0 1 2 -4] [0 1 1] [3 2 1] [2 0 1 2]"; got != want {
+			t.Fatalf("%s: Node ChainArc ChainCap To = %s, want %s", c.name, got, want)
+		}
 	}
 }
 
+// checkCSRLayout checks the CSR invariants: dense kept ids in node order,
+// interior nodes linked to their one out-edge, every edge on exactly one
+// chain at the chain's minimum capacity, one arc per (head, end) pair,
+// and each node listing the arcs leaving it in arc order.
 func checkCSRLayout(t *testing.T, name string, g *Graph, c *CSR) {
 	t.Helper()
-	if c.N != g.NumNodes() {
-		t.Fatalf("%s: N = %d, want %d", name, c.N, g.NumNodes())
+	in, out := g.InDegree(), g.OutDegree()
+	if len(c.Node) != g.NumNodes() || len(c.Edges) != len(g.Edges) || len(c.HStart) != c.N+1 || len(c.HArcs) != len(c.To) || len(c.ChainCap) != len(c.ChainArc) {
+		t.Fatalf("%s: sizes: %d node ids, %d edges, %d starts, %d harcs, %d arcs, %d/%d chains",
+			name, len(c.Node), len(c.Edges), len(c.HStart), len(c.HArcs), len(c.To), len(c.ChainArc), len(c.ChainCap))
 	}
-	if len(c.To) != 2*len(g.Edges) || len(c.Cap) != len(g.Edges) || len(c.HArcs) != len(c.To) || len(c.HStart) != c.N+1 {
-		t.Fatalf("%s: sizes: %d arcs, %d caps, %d harcs, %d starts for %d edges, %d nodes",
-			name, len(c.To), len(c.Cap), len(c.HArcs), len(c.HStart), len(g.Edges), c.N)
-	}
-	// Edge i is the arc pair (2i, 2i+1) and keeps its capacity in Cap[i].
-	for i, e := range g.Edges {
-		if c.To[2*i] != int32(e.To) || c.To[2*i+1] != int32(e.From) {
-			t.Fatalf("%s: edge %d arcs to %d/%d, want %d/%d", name, i, c.To[2*i], c.To[2*i+1], e.To, e.From)
+	kept := int32(0)
+	for v, x := range c.Node {
+		interior := v > int(Sink) && in[v] == 1 && out[v] == 1
+		switch {
+		case interior && (x >= 0 || g.Edges[^x].From != NodeID(v)):
+			t.Fatalf("%s: interior node %d: Node %d is not ^its out-edge", name, v, x)
+		case !interior && x != kept:
+			t.Fatalf("%s: kept node %d: id %d, want %d", name, v, x, kept)
+		case !interior:
+			kept++
 		}
-		if c.Cap[i] != e.Cap {
-			t.Fatalf("%s: edge %d: Cap %d, want %d", name, i, c.Cap[i], e.Cap)
+	}
+	if c.N != int(kept) {
+		t.Fatalf("%s: N = %d, want %d", name, c.N, kept)
+	}
+	onChain := make([]bool, len(g.Edges))
+	pairs := map[[2]int32]int32{}
+	ch := 0
+	for i := range g.Edges {
+		if !c.ChainHead(i) {
+			continue
+		}
+		capc, last := int64(1<<62), i
+		for e := i; e >= 0; e = c.Next(e) {
+			if onChain[e] {
+				t.Fatalf("%s: edge %d on two chains", name, e)
+			}
+			onChain[e] = true
+			capc, last = min(capc, g.Edges[e].Cap), e
+		}
+		a := c.ChainArc[ch]
+		ends := [2]int32{c.Node[g.Edges[i].From], c.Node[g.Edges[last].To]}
+		if c.To[2*a+1] != ends[0] || c.To[2*a] != ends[1] || c.ChainCap[ch] != capc {
+			t.Fatalf("%s: chain %d: arc %d (%d→%d) cap %d, want %d→%d cap %d",
+				name, ch, a, c.To[2*a+1], c.To[2*a], c.ChainCap[ch], ends[0], ends[1], capc)
+		}
+		if b, ok := pairs[ends]; ok && b != a {
+			t.Fatalf("%s: arcs %d and %d both run %d→%d", name, b, a, ends[0], ends[1])
+		}
+		pairs[ends] = a
+		ch++
+	}
+	if ch != len(c.ChainArc) || len(pairs) != c.NumArcs() {
+		t.Fatalf("%s: %d chains and %d arcs walked, CSR has %d and %d", name, ch, len(pairs), len(c.ChainArc), c.NumArcs())
+	}
+	for e, ok := range onChain {
+		if !ok {
+			t.Fatalf("%s: edge %d on no chain", name, e)
 		}
 	}
-	// Each node lists the arcs leaving it (arc a leaves To[a^1]) in arc
-	// order.
-	for v := int32(0); v < int32(c.N); v++ {
+	for r := int32(0); r < int32(c.N); r++ {
 		var want []int32
 		for arc := range c.To {
-			if c.To[arc^1] == v {
+			if c.To[arc^1] == r {
 				want = append(want, int32(arc))
 			}
 		}
-		got := c.HArcs[c.HStart[v]:c.HStart[v+1]]
-		if len(got) != len(want) {
-			t.Fatalf("%s: node %d arcs %v, want %v", name, v, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: node %d arcs %v, want %v", name, v, got, want)
-			}
+		if got := c.HArcs[c.HStart[r]:c.HStart[r+1]]; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: node %d arcs %v, want %v", name, r, got, want)
 		}
 	}
 }

@@ -1,45 +1,172 @@
 package flowgraph
 
-// CSR is the compressed-sparse-row residual layout shared between the
-// graph core and the max-flow solver. Edge i has the arc pair (2i, 2i+1):
-// arc 2i runs forward to To[2i], arc 2i+1 runs back to To[2i+1], the
-// edge's origin. Cap holds one capacity per edge, Cap[i] for edge i; a
-// reverse arc's capacity is always 0, so it is not stored. The arc ids
-// incident to node v are HArcs[HStart[v]:HStart[v+1]]. A solver attaches
-// to a CSR by aliasing the topology arrays and filling its residual array
-// from Cap — the zero-copy handoff.
+// CSR is the residual layout the max-flow solver runs on: g's network
+// after one series–parallel round (paper §5.1), plus the map back to g.
 //
-// A CSR is reusable: builders grow the slices in place, so a solver-owned
-// CSR filled repeatedly stops allocating once sized for the largest graph.
+// Nodes with exactly one in-edge and one out-edge, other than Source and
+// Sink, are interior; every other node is kept and gets a dense id, in
+// node order, so Source and Sink stay 0 and 1. A chain is a maximal path
+// from one kept node to the next through interior nodes; its capacity is
+// its minimum edge capacity, which bounds every flow along it. Chains
+// between the same two kept nodes merge into one arc whose capacity is
+// their sum. Both rewrites preserve the Source–Sink maximum flow.
+//
+// The reduced network has N nodes and one arc pair (2a, 2a+1) per arc a:
+// arc 2a runs forward to To[2a], arc 2a+1 runs back to To[2a+1], the
+// arc's origin. The arc ids incident to node r are
+// HArcs[HStart[r]:HStart[r+1]]. A solver aliases these arrays and keeps
+// only its residuals.
+//
+// The map back to g costs no per-edge column. Edges aliases g.Edges; a
+// pooled CSR's owner clears it after the solve so the CSR does not keep
+// g alive.
+// Node[v] is v's kept id, or ^e for an interior node whose out-edge is e,
+// so a chain is walked edge by edge from its first edge (ChainHead,
+// Next). Chains are numbered in the order of their first edges;
+// ChainArc[c] is chain c's arc and ChainCap[c] its capacity.
+//
+// A CSR is reusable: BuildCSR grows every slice in place, so a CSR filled
+// repeatedly stops allocating once sized for the largest graph.
 type CSR struct {
 	N      int
 	HStart []int32
 	HArcs  []int32
 	To     []int32
-	Cap    []int64
+
+	Edges    []Edge
+	Node     []int32
+	ChainArc []int32
+	ChainCap []int64
+
+	// stamp[w] is the last arc laid out into kept node w, so chains from
+	// one head to w find their arc without a map.
+	stamp []int32
 }
 
-// NumEdges reports the number of forward edges in the view.
-func (c *CSR) NumEdges() int { return len(c.Cap) }
+// NumEdges reports the number of edges of the laid-out graph.
+func (c *CSR) NumEdges() int { return len(c.Edges) }
 
-// BuildCSR fills c with g's residual view, reusing c's backing arrays.
-// Edge i of g becomes arc pair (2i, 2i+1), so flow results index back into
-// g.Edges directly.
-func (g *Graph) BuildCSR(c *CSR) {
-	ne := len(g.Edges)
-	c.To = growI32(c.To, 2*ne)
-	c.Cap = growI64(c.Cap, ne)
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		c.To[2*i] = int32(e.To)
-		c.To[2*i+1] = int32(e.From)
-		c.Cap[i] = e.Cap
+// NumArcs reports the number of arcs of the reduced network.
+func (c *CSR) NumArcs() int { return len(c.To) / 2 }
+
+// ChainHead reports whether edge i is the first edge of a chain: whether
+// it leaves a kept node.
+func (c *CSR) ChainHead(i int) bool { return c.Node[c.Edges[i].From] >= 0 }
+
+// Next returns the edge after e on e's chain, or -1 when e ends the chain
+// at a kept node.
+func (c *CSR) Next(e int) int {
+	if x := c.Node[c.Edges[e].To]; x < 0 {
+		return int(^x)
 	}
-	c.index(g.NumNodes())
+	return -1
+}
+
+// Bytes reports the capacity of c's own arrays in bytes (Edges is g's).
+func (c *CSR) Bytes() int64 {
+	return 4*int64(cap(c.HStart)+cap(c.HArcs)+cap(c.To)+cap(c.Node)+cap(c.ChainArc)+cap(c.stamp)) +
+		8*int64(cap(c.ChainCap))
+}
+
+// BuildCSR fills c with g's series–parallel-reduced layout, reusing c's
+// backing arrays. It runs in O(V + E): one pass over the nodes and four
+// over the edges, one of them the chain walks.
+func (g *Graph) BuildCSR(c *CSR) {
+	edges := g.Edges
+	c.Edges = edges
+	node := growI32(c.Node, g.NumNodes())
+	c.Node = node
+
+	// Degrees, saturating at 2: in-degree in bits 0–1, out-degree in
+	// bits 2–3. Exactly one of each reads 5.
+	clear(node)
+	for i := range edges {
+		e := &edges[i]
+		if node[e.From]>>2 < 2 {
+			node[e.From] += 4
+		}
+		if node[e.To]&3 < 2 {
+			node[e.To]++
+		}
+	}
+	kept := int32(0)
+	for v, d := range node {
+		if v > int(Sink) && d == 5 {
+			node[v] = -1
+			continue
+		}
+		node[v] = kept
+		kept++
+	}
+	// Link each interior node to its one out-edge; count the chains, one
+	// per edge leaving a kept node, and each kept node's out-chains.
+	heads := growI32(c.HStart, int(kept)+1)
+	clear(heads)
+	chains := 0
+	for i := range edges {
+		from := edges[i].From
+		if x := node[from]; x < 0 {
+			node[from] = ^int32(i)
+		} else {
+			heads[x+1]++
+			chains++
+		}
+	}
+	c.ChainArc = growI32(c.ChainArc, chains)
+	c.ChainCap = growI64(c.ChainCap, chains)
+
+	// Walk every chain: its capacity, and for now its end in ChainArc.
+	for i, ch := 0, 0; i < len(edges); i++ {
+		if !c.ChainHead(i) {
+			continue
+		}
+		capc, e := edges[i].Cap, i
+		for next := c.Next(e); next >= 0; next = c.Next(e) {
+			e = next
+			capc = min(capc, edges[e].Cap)
+		}
+		c.ChainArc[ch] = node[edges[e].To]
+		c.ChainCap[ch] = capc
+		ch++
+	}
+
+	// Bucket the chains by head (HArcs is the bucket until index lays out
+	// the arcs), then give each head one arc per distinct end.
+	for r := int32(0); r < kept; r++ {
+		heads[r+1] += heads[r]
+	}
+	order := growI32(c.HArcs, chains)
+	for i, ch := 0, int32(0); i < len(edges); i++ {
+		if x := node[edges[i].From]; x >= 0 {
+			order[heads[x]] = ch
+			heads[x]++
+			ch++
+		}
+	}
+	stamp := growI32(c.stamp, int(kept))
+	for r := range stamp {
+		stamp[r] = -1
+	}
+	to := c.To[:0]
+	start := int32(0)
+	for u := int32(0); u < kept; u++ {
+		first := int32(len(to) / 2)
+		for _, ch := range order[start:heads[u]] {
+			w := c.ChainArc[ch]
+			if stamp[w] < first {
+				stamp[w] = int32(len(to) / 2)
+				to = append(to, w, u)
+			}
+			c.ChainArc[ch] = stamp[w]
+		}
+		start = heads[u]
+	}
+	c.HStart, c.HArcs, c.To, c.stamp = heads, order, to, stamp
+	c.index(int(kept))
 }
 
 // index lays out the adjacency of the n-node view whose arcs are in To:
-// arc 2i leaves edge i's origin To[2i+1], arc 2i+1 leaves its head To[2i].
+// arc 2a leaves its origin To[2a+1], arc 2a+1 leaves its head To[2a].
 // Each node lists its arcs in arc order. HStart doubles as the insertion
 // cursor, which leaves every entry at the next node's start, so one shift
 // restores it.

@@ -117,3 +117,22 @@ func TestSolveViewHonoursBudget(t *testing.T) {
 		}
 	}
 }
+
+// The budget covers the whole solve: the layout is charged one unit per
+// graph edge before the algorithm examines any arc, so a budget no larger
+// than the edge count exhausts even a graph the reduction collapses to a
+// single arc.
+func TestBudgetChargesLayout(t *testing.T) {
+	g := line(5, 3, 7, 4)
+	c := csrOf(g)
+	if c.NumArcs() != 1 {
+		t.Fatalf("a series line lays out as %d arcs, want 1", c.NumArcs())
+	}
+	if _, exhausted := NewSolver(Dinic).Solve(c, nil, int64(g.NumEdges())); !exhausted {
+		t.Fatal("a budget of one unit per edge left work for the solve")
+	}
+	res, exhausted := NewSolver(Dinic).Solve(c, nil, int64(g.NumEdges())+16)
+	if exhausted || res.Flow != 3 {
+		t.Fatalf("edges+16 units: flow %d, exhausted %v; want 3, false", res.Flow, exhausted)
+	}
+}

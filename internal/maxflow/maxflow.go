@@ -11,8 +11,10 @@
 // A Solver owns the residual network and per-algorithm scratch buffers and
 // reuses them across Solve calls, so a long-lived analysis session (one
 // engine worker solving many per-run graphs) allocates only the results.
-// Solve takes a CSR view of the graph; Compute is the one-shot convenience
-// wrapper over a Graph.
+// Solve runs on the graph's series–parallel-reduced layout
+// (flowgraph.CSR) and reports flow and cut on the graph itself; Certify
+// checks such an answer; Compute is the one-shot convenience wrapper over
+// a Graph.
 package maxflow
 
 import (
@@ -55,11 +57,11 @@ type Result struct {
 	cut *Cut
 }
 
-// network is the residual representation over a flowgraph.CSR view: each
-// original edge i is arc 2i (forward) and 2i+1 (backward); the topology
-// arrays (hstart, harcs, to) alias the CSR — zero-copy — and only resid,
-// the one array the algorithms mutate, is owned by the solver and reused
-// across attaches.
+// network is the residual representation over a flowgraph.CSR: each arc a
+// of the reduced network is arc 2a (forward) and 2a+1 (backward); the
+// topology arrays (hstart, harcs, to) alias the CSR — zero-copy — and only
+// resid, the one array the algorithms mutate, is owned by the solver and
+// reused across attaches.
 type network struct {
 	n      int
 	hstart []int32
@@ -72,18 +74,25 @@ func (net *network) arcs(v int32) []int32 {
 	return net.harcs[net.hstart[v]:net.hstart[v+1]]
 }
 
-// attach points the network at a CSR view and initializes residuals from
-// its capacities: edge i's forward arc starts at Cap[i], its reverse arc
-// at 0. The CSR must stay unmodified for the duration of the solve.
-func (net *network) attach(c *flowgraph.CSR) {
+// attach points the network at a CSR and initializes residuals from the
+// chain capacities: arc a's forward residual starts at the sum of its
+// chains' capacities, its reverse at 0. The CSR must stay unmodified for
+// the duration of the solve.
+func (net *network) attach(c *flowgraph.CSR, chainCap []int64) {
 	net.n = c.N
 	net.hstart = c.HStart
 	net.harcs = c.HArcs
 	net.to = c.To
-	resid := i64n(net.resid, 2*len(c.Cap))
-	for i, cp := range c.Cap {
-		resid[2*i] = cp
-		resid[2*i+1] = 0
+	resid := i64n(net.resid, len(c.To))
+	clear(resid)
+	for ch, a := range c.ChainArc {
+		// Saturate rather than wrap: only a sum past 2^63 is affected,
+		// and no flow of that size can cross the arc anyway.
+		if sum := resid[2*a] + chainCap[ch]; sum >= 0 {
+			resid[2*a] = sum
+		} else {
+			resid[2*a] = math.MaxInt64
+		}
 	}
 	net.resid = resid
 }
@@ -95,9 +104,9 @@ type Solver struct {
 	algo Algorithm
 	net  network
 
-	// Work accounting for Solve: spent counts arc examinations,
-	// limit is the budget (0 = unlimited), exhausted records an aborted
-	// solve.
+	// Work accounting for Solve: spent counts the layout's graph edges
+	// plus arc examinations, limit is the budget (0 = unlimited),
+	// exhausted records an aborted solve.
 	spent     int64
 	limit     int64
 	exhausted bool
@@ -114,58 +123,108 @@ type Solver struct {
 	bfsq    []int32
 	excess  []int64
 	inQueue []bool
+
+	// Result mapping scratch: residual reachability over the reduced
+	// network, and chain capacities under a view.
+	seen     []bool
+	chainCap []int64
 }
 
 // NewSolver returns a solver running the given algorithm.
 func NewSolver(algo Algorithm) *Solver { return &Solver{algo: algo} }
 
-// Solve computes the maximum flow and minimum cut of the graph presented
-// as the CSR view c, reusing the solver's buffers. The solver aliases c's
-// topology arrays and fills its residual buffer from the per-edge
-// capacities, so c must not be modified until Solve returns. Edge i of the
-// view is Result.EdgeFlow[i], and Cut.EdgeIndex entries index the view's
-// edges. The returned Result (including its cut) is detached from the
-// solver and stays valid across subsequent Solve calls.
+// Bytes reports the capacity of the solver's pooled slices in bytes.
+func (s *Solver) Bytes() int64 {
+	return 4*int64(cap(s.level)+cap(s.iter)+cap(s.queue)+cap(s.prevArc)+cap(s.height)+cap(s.newH)+cap(s.bfsq)) +
+		8*int64(cap(s.net.resid)+cap(s.excess)+cap(s.chainCap)) +
+		int64(cap(s.inQueue)+cap(s.seen))
+}
+
+// Solve computes the maximum flow and minimum cut of the graph laid out
+// as the CSR c, reusing the solver's buffers. The solver runs on c's
+// reduced network and aliases its topology, so c must not be modified
+// until Solve returns. The Result speaks of the laid-out graph itself:
+// Result.EdgeFlow[i] is the flow through its edge i, Cut.EdgeIndex
+// indexes its edges and Cut.SourceSide its nodes. The returned Result
+// (including its cut) is detached from the solver and stays valid across
+// subsequent Solve calls.
 //
-// A non-nil view replaces the CSR's per-edge capacities in the residual
-// network before the solve, so N per-class solves share one CSR (topology
-// untouched, only residuals reset per solve). EdgeFlow and the min cut
-// are then reported against the view-effective capacities; edges the
+// Mapping back is exact. An arc's flow is split greedily over its chains
+// in chain order, and a chain carries its flow on every edge. A kept node
+// takes its side from the reduced network's residual reachability. An
+// interior node is on the source side when it is reachable forward from
+// its chain's head through unsaturated edges, or backward from its
+// chain's end along the chain's flow. That is the residual reachability
+// of the mapped flow on the graph itself, and the set reachable from
+// Source is the same for every maximum flow, so the cut is the one a
+// solve of the unreduced graph reports, edge for edge.
+//
+// A non-nil view replaces the per-edge capacities before the solve, so N
+// per-class solves share one CSR (topology untouched; chain and arc
+// capacities are re-aggregated per solve in O(E)). EdgeFlow and the min
+// cut are then reported against the view-effective capacities; edges the
 // view zeroes never appear in the cut. A nil view solves the CSR as-is.
 //
-// work bounds the solve in arc examinations (work <= 0 means unlimited).
-// When the budget runs out the algorithm stops augmenting and the second
-// return value is true; the returned Result then holds a partial flow — a
-// LOWER bound on the maximum flow, so it must not be used as a leakage
-// upper bound, and its cut is not a minimum cut. Callers needing a sound
-// bound under exhaustion should fall back to a trivial cut.
+// work bounds the solve (work <= 0 means unlimited). Solve charges the
+// layout one unit per graph edge and the algorithm one unit per arc
+// examination. When the budget runs out the algorithm stops augmenting
+// and the second return value is true; the returned Result then holds a
+// partial flow — a LOWER bound on the maximum flow, so it must not be
+// used as a leakage upper bound, and its cut is not a minimum cut.
+// Callers needing a sound bound under exhaustion should fall back to a
+// trivial cut.
 func (s *Solver) Solve(c *flowgraph.CSR, view *flowgraph.CapacityView, work int64) (*Result, bool) {
-	s.net.attach(c)
+	res := &Result{EdgeFlow: make([]int64, c.NumEdges())}
+	chainCap := c.ChainCap
 	if view != nil {
-		for k, ei := range view.Edge {
-			s.net.resid[2*ei] = view.Cap[k]
-		}
+		chainCap = s.viewChainCaps(c, view, res.EdgeFlow)
 	}
-	s.limit, s.spent, s.exhausted = work, 0, false
-	var flow int64
+	s.net.attach(c, chainCap)
+	s.limit, s.spent, s.exhausted = work, int64(c.NumEdges()), false
 	if s.net.n > int(flowgraph.Sink) {
 		switch s.algo {
 		case EdmondsKarp:
-			flow = s.edmondsKarp()
+			res.Flow = s.edmondsKarp()
 		case PushRelabel:
-			flow = s.pushRelabel()
+			res.Flow = s.pushRelabel()
 		default:
-			flow = s.dinic()
+			res.Flow = s.dinic()
 		}
 	}
-	ne := c.NumEdges()
-	res := &Result{Flow: flow, EdgeFlow: make([]int64, ne)}
-	cur := viewCursor{view: view}
-	for i := 0; i < ne; i++ {
-		res.EdgeFlow[i] = cur.cap(i, c.Cap[i]) - s.net.resid[2*i]
-	}
-	res.cut = s.minCut(c, view)
+	res.cut = s.expand(c, view, chainCap, res.EdgeFlow)
 	return res, s.exhausted
+}
+
+// viewChainCaps returns every chain's capacity under view. It also leaves
+// each view edge's capacity in edgeFlow as ^cap (edgeFlow is all zeros on
+// entry), where expand reads it before writing the edge's flow.
+func (s *Solver) viewChainCaps(c *flowgraph.CSR, view *flowgraph.CapacityView, edgeFlow []int64) []int64 {
+	for k, ei := range view.Edge {
+		edgeFlow[ei] = ^view.Cap[k]
+	}
+	caps := i64n(s.chainCap, len(c.ChainArc))
+	for i, ch := 0, 0; i < c.NumEdges(); i++ {
+		if !c.ChainHead(i) {
+			continue
+		}
+		m := int64(math.MaxInt64)
+		for e := i; e >= 0; e = c.Next(e) {
+			m = min(m, effCap(c, edgeFlow, e))
+		}
+		caps[ch] = m
+		ch++
+	}
+	s.chainCap = caps
+	return caps
+}
+
+// effCap is edge e's capacity, or its view capacity when viewChainCaps
+// marked it in edgeFlow.
+func effCap(c *flowgraph.CSR, edgeFlow []int64, e int) int64 {
+	if x := edgeFlow[e]; x < 0 {
+		return ^x
+	}
+	return c.Edges[e].Cap
 }
 
 // viewCursor resolves view-effective capacities for ascending edge
@@ -357,14 +416,70 @@ type Cut struct {
 // eagerly by Solve, so this is a field access.
 func (r *Result) MinCut() *Cut { return r.cut }
 
-// minCut extracts the cut from the terminal residual network. SourceSide
-// escapes into the Cut, so it is allocated fresh; the DFS stack is scratch.
-// Edge i's endpoints are read off the CSR arc pair: To[2i+1] is the edge's
-// origin, To[2i] its destination. Under a view, crossing edges count at
-// their view-effective capacity and view-zeroed edges are skipped.
-func (s *Solver) minCut(c *flowgraph.CSR, view *flowgraph.CapacityView) *Cut {
+// expand maps the terminal residual network back onto the laid-out graph
+// (see Solve): it fills edgeFlow, and returns the cut over the graph's own
+// nodes and edges. SourceSide escapes into the Cut, so it is allocated
+// fresh. Crossing edges count at their view-effective capacity, and
+// view-zeroed edges are skipped.
+func (s *Solver) expand(c *flowgraph.CSR, view *flowgraph.CapacityView, chainCap, edgeFlow []int64) *Cut {
 	net := &s.net
-	seen := make([]bool, net.n)
+	seen := s.reach()
+	side := make([]bool, len(c.Node))
+	for v, r := range c.Node {
+		if r >= 0 {
+			side[v] = seen[r]
+		}
+	}
+	for i, ch := 0, 0; i < c.NumEdges(); i++ {
+		if !c.ChainHead(i) {
+			continue
+		}
+		// The arc's reverse residual is its flow; hand it out to the
+		// arc's chains in order.
+		a := c.ChainArc[ch]
+		f := min(net.resid[2*a+1], chainCap[ch])
+		net.resid[2*a+1] -= f
+		ch++
+		fwd := seen[net.to[2*a+1]]
+		back := f > 0 && seen[net.to[2*a]]
+		for e := i; e >= 0; e = c.Next(e) {
+			fwd = fwd && f < effCap(c, edgeFlow, e)
+			edgeFlow[e] = f
+			if v := c.Edges[e].To; c.Node[v] < 0 {
+				side[v] = fwd || back
+			}
+		}
+	}
+	if view != nil {
+		// A view edge on a cycle of interior nodes is on no chain: it
+		// carries no flow, but still holds its mark.
+		for _, ei := range view.Edge {
+			edgeFlow[ei] = max(edgeFlow[ei], 0)
+		}
+	}
+	cut := &Cut{SourceSide: side}
+	cur := viewCursor{view: view}
+	for i := range c.Edges {
+		e := &c.Edges[i]
+		if side[e.From] && !side[e.To] {
+			capi := cur.cap(i, e.Cap)
+			if view != nil && capi == 0 {
+				continue
+			}
+			cut.EdgeIndex = append(cut.EdgeIndex, i)
+			cut.Capacity += capi
+		}
+	}
+	return cut
+}
+
+// reach marks the reduced nodes reachable from Source in the residual
+// network. The mark array and the DFS stack are scratch.
+func (s *Solver) reach() []bool {
+	net := &s.net
+	seen := booln(s.seen, net.n)
+	clear(seen)
+	s.seen = seen
 	stack := append(s.queue[:0], int32(flowgraph.Source))
 	seen[flowgraph.Source] = true
 	for len(stack) > 0 {
@@ -378,19 +493,7 @@ func (s *Solver) minCut(c *flowgraph.CSR, view *flowgraph.CapacityView) *Cut {
 		}
 	}
 	s.queue = stack[:0]
-	cut := &Cut{SourceSide: seen}
-	cur := viewCursor{view: view}
-	for i, ne := 0, c.NumEdges(); i < ne; i++ {
-		if seen[c.To[2*i+1]] && !seen[c.To[2*i]] {
-			capi := cur.cap(i, c.Cap[i])
-			if view != nil && capi == 0 {
-				continue
-			}
-			cut.EdgeIndex = append(cut.EdgeIndex, i)
-			cut.Capacity += capi
-		}
-	}
-	return cut
+	return seen
 }
 
 // Edges returns the graph edges selected by the cut.

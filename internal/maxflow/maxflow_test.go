@@ -112,27 +112,8 @@ func TestInfEdges(t *testing.T) {
 
 func TestEdgeFlowConservation(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(7)), 20, 60)
-	r := Compute(g, Dinic)
-	// Flow conservation at every interior node.
-	net := make(map[flowgraph.NodeID]int64)
-	for i, e := range g.Edges {
-		f := r.EdgeFlow[i]
-		if f < 0 || f > e.Cap {
-			t.Fatalf("edge %d flow %d outside [0,%d]", i, f, e.Cap)
-		}
-		net[e.From] -= f
-		net[e.To] += f
-	}
-	for v, x := range net {
-		if v == flowgraph.Source || v == flowgraph.Sink {
-			continue
-		}
-		if x != 0 {
-			t.Fatalf("conservation violated at node %d: %d", v, x)
-		}
-	}
-	if net[flowgraph.Sink] != r.Flow || net[flowgraph.Source] != -r.Flow {
-		t.Fatalf("endpoint totals wrong: %d/%d vs %d", net[flowgraph.Source], net[flowgraph.Sink], r.Flow)
+	if err := Certify(g, nil, Compute(g, Dinic)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -166,29 +147,14 @@ func TestAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// Property: push-relabel terminates with a genuine flow (conservation
-// holds) and its residual min cut matches the flow value.
+// Property: push-relabel terminates with a genuine maximum flow: the flow
+// certificate (conservation, capacities, a saturated cut of equal
+// capacity) holds.
 func TestPushRelabelProducesValidFlow(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomDAG(rng, 2+rng.Intn(30), rng.Intn(120))
-		r := Compute(g, PushRelabel)
-		net := map[flowgraph.NodeID]int64{}
-		for i, e := range g.Edges {
-			f := r.EdgeFlow[i]
-			if f < 0 || f > e.Cap {
-				return false
-			}
-			net[e.From] -= f
-			net[e.To] += f
-		}
-		for v, x := range net {
-			if v != flowgraph.Source && v != flowgraph.Sink && x != 0 {
-				return false
-			}
-		}
-		cut := r.MinCut()
-		return cut.Capacity == r.Flow
+		return Certify(g, nil, Compute(g, PushRelabel)) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -1040,17 +1040,25 @@ func (t *Tracker) Exit(site uint32, codeReg int) {
 }
 
 // FlowNote implements vm.Tracer: take an intermediate flow measurement
-// (§8.1's real-time mode) by laying out the graph so far in the tracker's
-// reusable CSR and solving it.
+// (§8.1's real-time mode) of the graph so far.
 func (t *Tracker) FlowNote(site uint32) {
-	t.b.build().BuildCSR(&t.csr)
-	if t.noteSolver == nil {
-		t.noteSolver = maxflow.NewSolver(maxflow.Dinic)
-	}
-	res, _ := t.noteSolver.Solve(&t.csr, nil, 0)
+	_, res := t.solveSoFar()
 	t.snapshots = append(t.snapshots, Snapshot{
 		Steps:       t.m.Steps,
 		OutputBytes: t.stats.OutputBytes,
 		Bits:        res.Flow,
 	})
+}
+
+// solveSoFar lays out the graph built so far in the tracker's reusable CSR
+// and solves it.
+func (t *Tracker) solveSoFar() (*flowgraph.Graph, *maxflow.Result) {
+	g := t.b.build()
+	g.BuildCSR(&t.csr)
+	if t.noteSolver == nil {
+		t.noteSolver = maxflow.NewSolver(maxflow.Dinic)
+	}
+	res, _ := t.noteSolver.Solve(&t.csr, nil, 0)
+	t.csr.Edges = nil // the reused layout must not keep this note's graph alive
+	return g, res
 }
