@@ -147,34 +147,6 @@ func BenchmarkAblationContextSensitive(b *testing.B) {
 	benchCompress(b, 2048, taint.Options{ContextSensitive: true})
 }
 
-// Exact-mode construction with online arena compaction off vs on: the
-// epoch passes trade CPU for a bounded live graph (Result.Mem reports the
-// peak). The flow bound is identical either way.
-func BenchmarkCompaction(b *testing.B) {
-	in := engine.Inputs{Secret: workload.PiWords(2048)}
-	prog := guest.Program("compress")
-	for _, c := range []struct {
-		name    string
-		compact int
-	}{{"Off", 0}, {"Epoch4096", 4096}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(2048)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := engine.Analyze(prog, in, engine.Config{
-					Taint: taint.Options{Exact: true, Compact: c.compact},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if c.compact > 0 && res.Mem.CompactionPasses == 0 {
-					b.Fatal("no compaction passes ran")
-				}
-			}
-		})
-	}
-}
-
 // Lazy large-region descriptors on vs off (§4.3): a loop whose enclosure
 // retags a large array every iteration is O(iterations) with lazy
 // descriptors and O(iterations x array) without — the quadratic blowup the

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	flowbench all          run everything
-//	flowbench fig2|fig3|tab4|battleship|ssh|fig5|calendar|xserver|tab6|sp|kraft|divzero|check|collapse|compact|multiclass|interp|static
+//	flowbench fig2|fig3|tab4|battleship|ssh|fig5|calendar|xserver|tab6|sp|kraft|divzero|check|collapse|multiclass|interp|static
 //	flowbench fig3 -sizes 64,256,1024
 package main
 
@@ -40,7 +40,6 @@ var experimentsByName = []struct {
 	{"divzero", "§3.1: division example", runDivzero},
 	{"check", "§6: checking modes", runCheck},
 	{"collapse", "§5.2/5.3: graph collapsing", runCollapse},
-	{"compact", "§5.1/5.2: online arena compaction", runCompaction},
 	{"multiclass", "§10.1: different kinds of secret", runMultiClass},
 	{"interp", "§10.3: analyzing interpreted code", runInterp},
 	{"static", "static analysis: region inference + cross-check", runStatic},
@@ -224,21 +223,6 @@ func runInterp(_ []int) {
 	fmt.Printf("script OUT(in[0]^in[1]):  %2d bits (want 8: one byte of info)\n", r.XorBits)
 	fmt.Printf("script dumping 3 bytes:   %2d bits (want 24)\n", r.DumpBits)
 	fmt.Println("the measurement tracks the interpreted script, not the interpreter (§10.3)")
-}
-
-func runCompaction(sizes []int) {
-	if sizes == nil {
-		sizes = experiments.CompactionSizes
-	}
-	fmt.Printf("%10s %12s %12s %12s %8s %12s %8s\n",
-		"input(B)", "steps", "edges-total", "peak-live", "passes", "reclaimed", "ratio")
-	for _, p := range experiments.Compaction(sizes) {
-		fmt.Printf("%10d %12d %12d %12d %8d %12d %7.1fx\n",
-			p.InputBytes, p.Steps, p.TotalEdges, p.PeakLiveEdges,
-			p.CompactionPasses, p.ReclaimedEdges, p.Ratio)
-	}
-	fmt.Println("expected shape: emitted edges grow with executed instructions, peak live")
-	fmt.Println("with the graph's irreducible core (>= 5x smaller); bounds are unchanged")
 }
 
 func runStatic(_ []int) {

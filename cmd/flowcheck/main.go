@@ -196,7 +196,6 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	inputs := addInputFlags(fs)
 	exact := fs.Bool("exact", false, "disable graph collapsing (per-operation graph)")
-	compact := fs.Int("compact", 0, "exact mode: compact the graph in place every N live edges (0 = off)")
 	ctx := fs.Bool("ctx", false, "context-sensitive edge labels")
 	warn := fs.Bool("warn-implicit", false, "warn on implicit flows outside enclosure regions")
 	lint := fs.Bool("lint", false, "run the static pre-pass and cross-check it against the execution (findings exit with code 7)")
@@ -233,7 +232,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	cfg := engine.Config{
-		Taint:             taint.Options{Exact: *exact, ContextSensitive: *ctx, WarnImplicit: *warn, Compact: *compact},
+		Taint:             taint.Options{Exact: *exact, ContextSensitive: *ctx, WarnImplicit: *warn},
 		Lint:              *lint,
 		Workers:           *workers,
 		MaxSteps:          *maxSteps,
@@ -352,11 +351,6 @@ func cmdRun(args []string) error {
 	if res.Graph != nil {
 		fmt.Printf("graph: %d nodes, %d edges; %d steps executed\n",
 			res.Graph.NumNodes(), res.Graph.NumEdges(), res.Steps)
-	}
-	if m := res.Mem; m.CompactionPasses > 0 {
-		fmt.Printf("memory: peak %d live edges of %d emitted (%.1fx); %d compaction passes reclaimed %d edges\n",
-			m.PeakLiveEdges, m.TotalEdges, float64(m.TotalEdges)/float64(m.PeakLiveEdges),
-			m.CompactionPasses, m.ReclaimedEdges)
 	}
 	if *stages {
 		fmt.Printf("stages: %v\n", res.Stages)

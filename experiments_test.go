@@ -175,8 +175,17 @@ func TestE9Table6(t *testing.T) {
 }
 
 // E10 — §5.1: flow graphs mix series-parallel and non-SP structure; a
-// non-trivial irreducible core remains at every size.
+// non-trivial irreducible core remains at every size. The reduced sizes
+// and flows are pinned exactly (flowbench sp prints 0.126 / 1008 and
+// 0.161 / 2544).
 func TestE10SeriesParallel(t *testing.T) {
+	want := map[int]struct {
+		edges, reduced int
+		flow           int64
+	}{
+		256:  {45928, 5799, 1008},
+		1024: {223132, 35865, 2544},
+	}
 	pts := experiments.SPStudy([]int{256, 1024})
 	for _, p := range pts {
 		if p.FlowBefore != p.FlowAfter {
@@ -184,6 +193,11 @@ func TestE10SeriesParallel(t *testing.T) {
 		}
 		if p.CoreFraction <= 0.05 || p.CoreFraction >= 0.5 {
 			t.Errorf("n=%d: core fraction %.2f, want a real mixture (paper: ~0.16; we measure 0.13-0.16)", p.InputBytes, p.CoreFraction)
+		}
+		w := want[p.InputBytes]
+		if p.Edges != w.edges || p.ReducedEdges != w.reduced || p.FlowAfter != w.flow {
+			t.Errorf("n=%d: edges %d -> %d, flow %d; want %d -> %d, flow %d",
+				p.InputBytes, p.Edges, p.ReducedEdges, p.FlowAfter, w.edges, w.reduced, w.flow)
 		}
 	}
 }
@@ -288,22 +302,6 @@ func TestE2Figure3Incompressible(t *testing.T) {
 		}
 		if p.Bits > p.InputBits+64 || p.Bits < p.InputBits-64 {
 			t.Errorf("n=%d: flow %d should track input bits %d", p.InputBytes, p.Bits, p.InputBits)
-		}
-	}
-}
-
-// E18 — online compaction (§5.1/§5.2): exact-mode compress with
-// taint.Options.Compact holds peak live edges at least 5x below the edges
-// emitted, without moving the bound (Compaction panics on any deviation
-// from the uncompacted run).
-func TestE18Compaction(t *testing.T) {
-	for _, p := range experiments.Compaction([]int{256, 1024}) {
-		if p.CompactionPasses == 0 {
-			t.Errorf("n=%d: no compaction passes ran", p.InputBytes)
-		}
-		if p.Ratio < 5 {
-			t.Errorf("n=%d: total/peak edge ratio %.1f, want >= 5 (total %d, peak %d)",
-				p.InputBytes, p.Ratio, p.TotalEdges, p.PeakLiveEdges)
 		}
 	}
 }

@@ -253,31 +253,14 @@ func mergeFindings(dst, src []static.Finding) []static.Finding {
 	return dst
 }
 
-// addMem folds one run's memory stats into a multi-run aggregate: peak and
-// live sizes take the maximum across runs (workers run concurrently, each
-// with its own arena), while emission and compaction counters sum.
+// addMem folds one run's memory stats into a multi-run aggregate: peak
+// sizes take the maximum across runs (workers run concurrently, each with
+// its own arena), while totals sum.
 func addMem(dst *flowgraph.MemStats, m flowgraph.MemStats) {
-	if m.LiveNodes > dst.LiveNodes {
-		dst.LiveNodes = m.LiveNodes
-	}
-	if m.LiveEdges > dst.LiveEdges {
-		dst.LiveEdges = m.LiveEdges
-	}
-	if m.PeakLiveNodes > dst.PeakLiveNodes {
-		dst.PeakLiveNodes = m.PeakLiveNodes
-	}
-	if m.PeakLiveEdges > dst.PeakLiveEdges {
-		dst.PeakLiveEdges = m.PeakLiveEdges
-	}
+	dst.PeakLiveNodes = max(dst.PeakLiveNodes, m.PeakLiveNodes)
+	dst.PeakLiveEdges = max(dst.PeakLiveEdges, m.PeakLiveEdges)
 	dst.TotalNodes += m.TotalNodes
 	dst.TotalEdges += m.TotalEdges
-	dst.CompactionPasses += m.CompactionPasses
-	dst.ReclaimedEdges += m.ReclaimedEdges
-	dst.ReclaimedNodes += m.ReclaimedNodes
-	dst.RecycledSlots += m.RecycledSlots
-	dst.SeriesOps += m.SeriesOps
-	dst.ParallelOps += m.ParallelOps
-	dst.DeadEnds += m.DeadEnds
 }
 
 func addStats(dst *taint.Stats, s taint.Stats) {

@@ -87,19 +87,11 @@ func ctxErr(ctx context.Context) error {
 func (a *Analyzer) checkHook(ctx context.Context, tr *taint.Tracker, inj fault.Injection) func(*vm.Machine) error {
 	b := a.cfg.Budget
 	cancelable := ctx != nil && ctx.Done() != nil
-	compacting := a.compacting()
-	if !cancelable && !b.active() && !inj.Active() && !compacting {
+	if !cancelable && !b.active() && !inj.Active() {
 		return nil
 	}
 	stalled := false
 	return func(m *vm.Machine) error {
-		// The hook runs at instruction boundaries, the one point where no
-		// partially-emitted graph structure exists — the only place online
-		// compaction is sound. Compact before the graph-size checks so
-		// budgets see (and bound) the post-compaction live size.
-		if compacting {
-			tr.MaybeCompact()
-		}
 		if inj.TrapAtStep != 0 && m.Steps >= inj.TrapAtStep {
 			return &vm.Trap{PC: m.PC, Msg: fmt.Sprintf("injected fault at step %d", m.Steps)}
 		}

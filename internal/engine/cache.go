@@ -139,7 +139,6 @@ func (a *Analyzer) configKey() cachekey.Key {
 		Int(int64(opts.MaxExceptions)).
 		Bool(opts.WarnImplicit).
 		Int(int64(opts.MaxWarnings)).
-		Int(int64(opts.Compact)).
 		Int(int64(len(opts.SecretRanges)))
 	for _, r := range opts.SecretRanges {
 		h.Int(int64(r.Off)).Int(int64(r.Len))

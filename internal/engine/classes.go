@@ -226,14 +226,11 @@ func (a *Analyzer) classGraphOn(ctx context.Context, s *session, in Inputs) (*cl
 }
 
 // classTaintOptions is the configured tracker options with the class
-// machinery applied: all bytes marked, attribution recorded, compaction
-// off (it can merge Source edges away and lose attribution; taint.New
-// enforces this too).
+// machinery applied: all bytes marked and attribution recorded.
 func (a *Analyzer) classTaintOptions() taint.Options {
 	opts := a.cfg.Taint
 	opts.SecretRanges = nil
 	opts.AttributeSources = true
-	opts.Compact = 0
 	return opts
 }
 

@@ -520,12 +520,6 @@ func (a *Analyzer) sessionTracker(s *session) *taint.Tracker {
 	return fresh(&s.tracker, a.cfg.Taint)
 }
 
-// compacting reports whether runs will perform online compaction (which
-// requires the periodic check hook to be installed).
-func (a *Analyzer) compacting() bool {
-	return a.cfg.Taint.Exact && a.cfg.Taint.Compact > 0
-}
-
 // AnalyzeSource compiles MiniC source (through the global compile cache)
 // and analyzes one execution.
 func AnalyzeSource(filename, src string, in Inputs, cfg Config) (*Result, error) {

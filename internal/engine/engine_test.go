@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flowcheck/internal/engine"
+	"flowcheck/internal/flowgraph"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/taint"
 	"flowcheck/internal/workload"
@@ -148,6 +149,38 @@ func TestBatchRunSummaries(t *testing.T) {
 		if res.Bits < r.Bits {
 			t.Fatalf("joint bits %d below run %d's %d", res.Bits, i, r.Bits)
 		}
+	}
+}
+
+// The batch path aggregates MemStats across runs: peaks take the maximum
+// over runs, totals sum.
+func TestBatchAggregatesMemStats(t *testing.T) {
+	prog := guest.Program("unary")
+	inputs := unaryInputs(10, 100, 250)
+	cfg := engine.Config{Taint: taint.Options{Exact: true}, Workers: 1}
+
+	var want flowgraph.MemStats
+	sizes := map[int]bool{}
+	for _, in := range inputs {
+		r, err := engine.Analyze(prog, in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.PeakLiveNodes = max(want.PeakLiveNodes, r.Mem.PeakLiveNodes)
+		want.PeakLiveEdges = max(want.PeakLiveEdges, r.Mem.PeakLiveEdges)
+		want.TotalNodes += r.Mem.TotalNodes
+		want.TotalEdges += r.Mem.TotalEdges
+		sizes[r.Mem.TotalEdges] = true
+	}
+	if len(sizes) < 2 {
+		t.Fatal("every run has the same size; max and sum checks would be vacuous")
+	}
+	res, err := engine.AnalyzeBatch(prog, inputs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mem != want {
+		t.Fatalf("batch Mem = %+v, want max/sum of runs %+v", res.Mem, want)
 	}
 }
 

@@ -56,10 +56,9 @@ type Result struct {
 	Snapshots []taint.Snapshot
 	Stats     taint.Stats
 
-	// Mem reports the graph core's memory behavior: peak live nodes/edges,
-	// totals emitted, and online-compaction activity
-	// (taint.Options.Compact). For multi-run results, peaks are the
-	// maximum across runs and counters sum.
+	// Mem reports the graph core's size: peak live nodes/edges and totals
+	// emitted. For multi-run results, peaks are the maximum across runs
+	// and totals sum.
 	Mem flowgraph.MemStats
 
 	// Lint holds the static/dynamic cross-check findings when Config.Lint

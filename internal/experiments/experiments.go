@@ -379,7 +379,8 @@ func Tab6Total(reps []*infer.Report) (hand, found int, fraction float64) {
 type SPPoint struct {
 	InputBytes   int
 	Nodes, Edges int
-	CoreFraction float64 // the non-series-parallel share (§5.1: ~16% for bzip2)
+	ReducedEdges int
+	CoreFraction float64 // ReducedEdges / Edges (§5.1: ~16% for bzip2)
 	FlowBefore   int64
 	FlowAfter    int64
 }
@@ -398,66 +399,11 @@ func SPStudy(sizes []int) []SPPoint {
 			InputBytes:   n,
 			Nodes:        st.OrigNodes,
 			Edges:        st.OrigEdges,
+			ReducedEdges: st.ReducedEdges,
 			CoreFraction: st.CoreFraction,
 			FlowBefore:   res.Bits,
 			FlowAfter:    maxflow.Compute(red, maxflow.Dinic).Flow,
 		})
-	}
-	return out
-}
-
-// ------------------------------------------- Online compaction (§5.1/§5.2) ---
-
-// CompactionPoint is one input size of the online-compaction study: an
-// exact-mode compress run with taint.Options.Compact enabled. TotalEdges
-// counts every edge the execution emitted and grows with executed
-// instructions;
-// PeakLiveEdges is the most the arena ever held live at once, which grows
-// with the graph's irreducible core — i.e. with static code locations.
-// This recovers the memory argument of §5.2's collapsing without giving up
-// exact per-operation labels.
-type CompactionPoint struct {
-	InputBytes       int
-	Steps            uint64
-	Bits             int64 // cross-checked against the uncompacted run
-	TotalEdges       int
-	PeakLiveEdges    int
-	CompactionPasses int
-	ReclaimedEdges   int
-	Ratio            float64 // TotalEdges / PeakLiveEdges
-}
-
-// CompactionSizes is the default sweep — a prefix of Fig3Sizes, since each
-// point also runs the uncompacted exact analysis as its reference.
-var CompactionSizes = []int{256, 512, 1024, 2048, 4096}
-
-// Compaction sweeps the Fig. 3 compress workload in exact mode with online
-// compaction on, panicking if any compacted bound deviates from the
-// uncompacted one.
-func Compaction(sizes []int) []CompactionPoint {
-	out := make([]CompactionPoint, 0, len(sizes))
-	for _, n := range sizes {
-		in := engine.Inputs{Secret: workload.PiWords(n)}
-		plain := mustAnalyze("compress", in, engine.Config{Taint: taint.Options{Exact: true}})
-		res := mustAnalyze("compress", in, engine.Config{
-			Taint: taint.Options{Exact: true, Compact: 4096},
-		})
-		if res.Bits != plain.Bits {
-			panic(fmt.Sprintf("compaction changed the bound at n=%d: %d vs %d", n, res.Bits, plain.Bits))
-		}
-		p := CompactionPoint{
-			InputBytes:       n,
-			Steps:            res.Steps,
-			Bits:             res.Bits,
-			TotalEdges:       res.Mem.TotalEdges,
-			PeakLiveEdges:    res.Mem.PeakLiveEdges,
-			CompactionPasses: res.Mem.CompactionPasses,
-			ReclaimedEdges:   res.Mem.ReclaimedEdges,
-		}
-		if p.PeakLiveEdges > 0 {
-			p.Ratio = float64(p.TotalEdges) / float64(p.PeakLiveEdges)
-		}
-		out = append(out, p)
 	}
 	return out
 }

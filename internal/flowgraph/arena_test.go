@@ -9,16 +9,16 @@ import (
 
 func TestArenaBasics(t *testing.T) {
 	a := NewArena()
-	if a.NumNodes() != 2 || a.LiveNodes() != 2 {
-		t.Fatalf("fresh arena has %d/%d nodes, want 2/2", a.NumNodes(), a.LiveNodes())
+	if a.NumNodes() != 2 || a.NumEdges() != 0 {
+		t.Fatalf("fresh arena has %d nodes, %d edges, want 2, 0", a.NumNodes(), a.NumEdges())
 	}
 	v := a.AddNode()
 	w := a.AddNode()
 	s1 := a.AddEdge(0, v, 8, Label{Site: 1, Kind: KindInput})
 	a.AddEdge(v, w, 5, Label{Site: 2})
 	a.AddEdge(w, 1, 8, Label{Site: 3, Kind: KindOutput})
-	if a.LiveEdges() != 3 {
-		t.Fatalf("LiveEdges = %d, want 3", a.LiveEdges())
+	if a.NumEdges() != 3 {
+		t.Fatalf("NumEdges = %d, want 3", a.NumEdges())
 	}
 	a.Accumulate(s1, Inf)
 	if f, to := a.EdgeEnds(s1); f != 0 || to != v {
@@ -40,96 +40,12 @@ func TestArenaBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := a.Mem()
-	if m.TotalEdges != 3 || m.PeakLiveEdges != 3 || m.TotalNodes != 4 {
+	if m.TotalEdges != 3 || m.PeakLiveEdges != 3 || m.TotalNodes != 4 || m.PeakLiveNodes != 4 {
 		t.Fatalf("mem = %+v", m)
 	}
-}
-
-func TestArenaCompactChain(t *testing.T) {
-	// source -> a -> b -> c -> sink contracts to a single edge of the min cap.
-	a := NewArena()
-	n1, n2, n3 := a.AddNode(), a.AddNode(), a.AddNode()
-	a.AddEdge(0, n1, 9, Label{Site: 1})
-	a.AddEdge(n1, n2, 4, Label{Site: 2})
-	a.AddEdge(n2, n3, 7, Label{Site: 3})
-	a.AddEdge(n3, 1, 8, Label{Site: 4})
-	a.CompactSP(nil)
-	if a.LiveEdges() != 1 {
-		t.Fatalf("LiveEdges = %d, want 1", a.LiveEdges())
-	}
-	g := a.Export(nil)
-	if len(g.Edges) != 1 || g.Edges[0].Cap != 4 || g.Edges[0].From != Source || g.Edges[0].To != Sink {
-		t.Fatalf("compacted edge = %+v", g.Edges)
-	}
-	m := a.Mem()
-	if m.SeriesOps != 3 || m.CompactionPasses != 1 || m.LiveNodes != 2 {
-		t.Fatalf("mem = %+v", m)
-	}
-}
-
-func TestArenaCompactParallelAndDeadEnd(t *testing.T) {
-	a := NewArena()
-	v := a.AddNode()
-	dead := a.AddNode()
-	a.AddEdge(0, v, 3, Label{Site: 1})
-	a.AddEdge(0, v, 4, Label{Site: 2})
-	a.AddEdge(v, 1, 10, Label{Site: 3})
-	a.AddEdge(v, dead, 5, Label{Site: 4}) // dead is no ancestor of sink
-	a.CompactSP(nil)
-	g := a.Export(nil)
-	if len(g.Edges) != 1 || g.Edges[0].Cap != 7 {
-		t.Fatalf("compacted edges = %+v, want one source->sink edge of cap 7", g.Edges)
-	}
-	m := a.Mem()
-	if m.ParallelOps == 0 || m.DeadEnds == 0 {
-		t.Fatalf("mem = %+v, want parallel and dead-end ops", m)
-	}
-}
-
-func TestArenaCompactRespectsProtected(t *testing.T) {
-	a := NewArena()
-	v := a.AddNode()
-	w := a.AddNode()
-	a.AddEdge(0, v, 3, Label{Site: 1})
-	a.AddEdge(v, w, 2, Label{Site: 2})
-	a.AddEdge(w, 1, 3, Label{Site: 3})
-	prot := make([]bool, a.NumNodes())
-	prot[v] = true
-	prot[w] = true
-	a.CompactSP(prot)
-	if a.LiveEdges() != 3 || a.LiveNodes() != 4 {
-		t.Fatalf("protected chain compacted: %d edges, %d nodes", a.LiveEdges(), a.LiveNodes())
-	}
-	// Unprotect: now the chain contracts and the slots return to the free list.
-	a.CompactSP(nil)
-	if a.LiveEdges() != 1 {
-		t.Fatalf("LiveEdges = %d after unprotected pass, want 1", a.LiveEdges())
-	}
-	a.AddEdge(0, 1, 1, Label{Site: 9})
-	if a.Mem().RecycledSlots == 0 {
-		t.Fatal("expected AddEdge to recycle a reclaimed slot")
-	}
-}
-
-func TestArenaSlotRecycling(t *testing.T) {
-	// Emit, compact, emit again: the slot array must not grow past its peak.
-	a := NewArena()
-	for round := 0; round < 5; round++ {
-		v, w := a.AddNode(), a.AddNode()
-		a.AddEdge(0, v, 2, Label{Site: uint32(round), Aux: 0})
-		a.AddEdge(v, w, 2, Label{Site: uint32(round), Aux: 1})
-		a.AddEdge(w, 1, 2, Label{Site: uint32(round), Aux: 2})
-		a.CompactSP(nil)
-	}
-	m := a.Mem()
-	if m.TotalEdges < 15 {
-		t.Fatalf("TotalEdges = %d, want >= 15", m.TotalEdges)
-	}
-	if len(a.edges) > 6 {
-		t.Fatalf("slot array grew to %d, want <= 6 (recycling)", len(a.edges))
-	}
-	if m.PeakLiveEdges > 4 {
-		t.Fatalf("PeakLiveEdges = %d, want <= 4", m.PeakLiveEdges)
+	a.Reset()
+	if a.NumNodes() != 2 || a.NumEdges() != 0 || a.Mem() != (MemStats{2, 0, 2, 0}) {
+		t.Fatalf("reset arena: %d nodes, %d edges, mem %+v", a.NumNodes(), a.NumEdges(), a.Mem())
 	}
 }
 

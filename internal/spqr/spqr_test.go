@@ -113,17 +113,145 @@ func randomDAG(rng *rand.Rand, nodes, edges int) *flowgraph.Graph {
 	return g
 }
 
+// randomNetwork builds a graph with none of randomDAG's structure: edges
+// join any two nodes, so it has back edges, cycles, self-loops, edges into
+// Source and out of Sink. It also holds an interior cycle that no other
+// edge touches and an interior cycle hanging off a random node, and
+// chains through fresh interior nodes so series contraction has work.
+func randomNetwork(rng *rand.Rand, nodes, edges int) *flowgraph.Graph {
+	g := flowgraph.New()
+	ids := []flowgraph.NodeID{flowgraph.Source, flowgraph.Sink}
+	for i := 0; i < nodes; i++ {
+		ids = append(ids, g.AddNode())
+	}
+	pick := func() flowgraph.NodeID { return ids[rng.Intn(len(ids))] }
+	capa := func() int64 { return int64(rng.Intn(20)) }
+	cycle := func(at flowgraph.NodeID, n int) {
+		prev := at
+		for i := 0; i < n; i++ {
+			v := g.AddNode()
+			g.AddEdge(prev, v, capa(), flowgraph.Label{})
+			prev = v
+		}
+		g.AddEdge(prev, at, capa(), flowgraph.Label{})
+	}
+	for i := 0; i < edges; i++ {
+		if rng.Intn(4) == 0 { // a chain of fresh interior nodes
+			prev, end := pick(), pick()
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				v := g.AddNode()
+				g.AddEdge(prev, v, capa(), flowgraph.Label{})
+				prev = v
+			}
+			g.AddEdge(prev, end, capa(), flowgraph.Label{})
+			continue
+		}
+		g.AddEdge(pick(), pick(), capa(), flowgraph.Label{})
+	}
+	cycle(g.AddNode(), 1+rng.Intn(5)) // isolated: every node in=out=1
+	cycle(pick(), 1+rng.Intn(5))
+	return g
+}
+
+// randomGraph draws from randomDAG or randomNetwork.
+func randomGraph(rng *rand.Rand, nodes, edges int) *flowgraph.Graph {
+	if rng.Intn(2) == 0 {
+		return randomDAG(rng, nodes, edges)
+	}
+	return randomNetwork(rng, nodes, edges)
+}
+
+func TestRandomNetworkShapes(t *testing.T) {
+	var back, selfLoop, intoSource, outOfSink bool
+	for seed := int64(0); seed < 20; seed++ {
+		for _, e := range randomNetwork(rand.New(rand.NewSource(seed)), 20, 80).Edges {
+			back = back || (e.From > e.To && e.To > flowgraph.Sink)
+			selfLoop = selfLoop || e.From == e.To
+			intoSource = intoSource || e.To == flowgraph.Source
+			outOfSink = outOfSink || e.From == flowgraph.Sink
+		}
+	}
+	if !back || !selfLoop || !intoSource || !outOfSink {
+		t.Fatalf("generator misses a shape: back=%v self-loop=%v into-source=%v out-of-sink=%v",
+			back, selfLoop, intoSource, outOfSink)
+	}
+}
+
+// Edges that can carry no Source–Sink flow go, and so do the nodes they
+// kept from contracting: an isolated interior cycle, an edge into Source
+// and an edge out of Sink.
+func TestUselessEdgesDropped(t *testing.T) {
+	g := flowgraph.New()
+	a, b, c, x, y := g.AddNode(), g.AddNode(), g.AddNode(), g.AddNode(), g.AddNode()
+	g.AddEdge(flowgraph.Source, flowgraph.Sink, 4, flowgraph.Label{})
+	g.AddEdge(a, b, 1, flowgraph.Label{})
+	g.AddEdge(b, c, 1, flowgraph.Label{})
+	g.AddEdge(c, a, 1, flowgraph.Label{})
+	g.AddEdge(flowgraph.Source, x, 3, flowgraph.Label{})
+	g.AddEdge(x, flowgraph.Sink, 2, flowgraph.Label{})
+	g.AddEdge(x, flowgraph.Source, 9, flowgraph.Label{})
+	g.AddEdge(flowgraph.Source, y, 1, flowgraph.Label{})
+	g.AddEdge(y, flowgraph.Sink, 1, flowgraph.Label{})
+	g.AddEdge(flowgraph.Sink, y, 9, flowgraph.Label{})
+	red, _ := Reduce(g)
+	if red.NumNodes() != 2 || red.NumEdges() != 1 || red.Edges[0].Cap != 7 {
+		t.Fatalf("want one 7-cap s-t edge, got %d nodes, %+v", red.NumNodes(), red.Edges)
+	}
+}
+
+// refFlow is an Edmonds–Karp maximum flow on g's plain edge list,
+// independent of the CSR layout that Reduce and maxflow share.
+func refFlow(g *flowgraph.Graph) int64 {
+	type arc struct {
+		to  int
+		cap int64
+	}
+	var arcs []arc
+	adj := make([][]int, g.NumNodes())
+	for _, e := range g.Edges {
+		adj[e.From] = append(adj[e.From], len(arcs))
+		adj[e.To] = append(adj[e.To], len(arcs)+1)
+		arcs = append(arcs, arc{int(e.To), e.Cap}, arc{int(e.From), 0})
+	}
+	var flow int64
+	for {
+		in := make([]int, g.NumNodes()) // arc that reached each node, -1 if none
+		for i := range in {
+			in[i] = -1
+		}
+		for queue := []int{0}; len(queue) > 0 && in[1] < 0; queue = queue[1:] {
+			for _, a := range adj[queue[0]] {
+				if v := arcs[a].to; v != 0 && in[v] < 0 && arcs[a].cap > 0 {
+					in[v] = a
+					queue = append(queue, v)
+				}
+			}
+		}
+		if in[1] < 0 {
+			return flow
+		}
+		push := flowgraph.Inf
+		for v := 1; v != 0; v = arcs[in[v]^1].to {
+			push = min(push, arcs[in[v]].cap)
+		}
+		for v := 1; v != 0; v = arcs[in[v]^1].to {
+			arcs[in[v]].cap -= push
+			arcs[in[v]^1].cap += push
+		}
+		flow += push
+	}
+}
+
 // Property: reduction preserves the Source-Sink maximum flow.
 func TestReductionPreservesMaxFlow(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomDAG(rng, 2+rng.Intn(40), rng.Intn(160))
-		want := maxflow.Compute(g, maxflow.Dinic).Flow
+		g := randomGraph(rng, 2+rng.Intn(40), rng.Intn(160))
+		want := refFlow(g)
 		red, _ := Reduce(g)
-		got := maxflow.Compute(red, maxflow.Dinic).Flow
-		return got == want
+		return refFlow(red) == want && maxflow.Compute(red, maxflow.Dinic).Flow == want
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 160}); err != nil {
 		t.Error(err)
 	}
 }
@@ -132,12 +260,13 @@ func TestReductionPreservesMaxFlow(t *testing.T) {
 func TestReductionIdempotent(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomDAG(rng, 2+rng.Intn(30), rng.Intn(100))
+		g := randomGraph(rng, 2+rng.Intn(30), rng.Intn(100))
 		r1, _ := Reduce(g)
 		r2, st2 := Reduce(r1)
-		return r2.NumEdges() == r1.NumEdges() && st2.SeriesOps == 0 && st2.ParallelOps == 0
+		return r2.NumNodes() == r1.NumNodes() && r2.NumEdges() == r1.NumEdges() &&
+			st2.SeriesOps == 0 && st2.ParallelOps == 0 && st2.DeadNodes == 0
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
 }

@@ -15,10 +15,8 @@ import (
 // their endpoints' classes are unioned — the paper's almost-linear-time
 // combination using a union-find structure (§3.2); the union-find runs in
 // lockstep with arena node allocation, so element ids and node ids
-// coincide. In exact mode every edge is given a unique label, no merging
-// occurs, and the arena can additionally be compacted online (CompactSP)
-// while execution continues, keeping live size proportional to static code
-// locations plus the execution's live frontier.
+// coincide. In exact mode every edge is given a unique label and no merging
+// occurs.
 //
 // Value pairs are canonicalized per label in collapsed mode, so the
 // builder's memory grows with code coverage (the number of distinct
@@ -34,11 +32,6 @@ type builder struct {
 	// slots maps a label to its arena edge slot (collapsed mode only;
 	// exact-mode labels are unique by construction, so no map is needed).
 	slots map[flowgraph.Label]int32
-
-	// labels counts distinct labelled edges ever emitted; unlike the
-	// arena's live-edge count it is immune to compaction, so reports keep
-	// their historical meaning.
-	labels int
 
 	srcEl, sinkEl int32
 
@@ -93,7 +86,7 @@ func (b *builder) reset() {
 	clear(b.slots)
 	clear(b.canonVal)
 	clear(b.attrib)
-	b.labels, b.serial, b.implicitEdges = 0, 0, 0
+	b.serial, b.implicitEdges = 0, 0
 }
 
 // element allocates a fresh graph element (used for region and chain nodes).
@@ -115,7 +108,6 @@ func (b *builder) addEdge(from, to int32, cap int64, lbl flowgraph.Label) {
 		b.serial++
 		lbl.Ctx = b.serial
 		b.ar.AddEdge(from, to, cap, lbl)
-		b.labels++
 		return
 	}
 	if slot, ok := b.slots[lbl]; ok {
@@ -126,7 +118,6 @@ func (b *builder) addEdge(from, to int32, cap int64, lbl flowgraph.Label) {
 		return
 	}
 	b.slots[lbl] = b.ar.AddEdge(from, to, cap, lbl)
-	b.labels++
 }
 
 // addSourceEdge is addEdge for Source-rooted secret-input edges, recording
@@ -145,7 +136,6 @@ func (b *builder) addSourceEdge(to int32, cap int64, lbl flowgraph.Label, stream
 		b.serial++
 		lbl.Ctx = b.serial
 		b.ar.AddEdge(b.srcEl, to, cap, lbl)
-		b.labels++
 	} else if slot, ok := b.slots[lbl]; ok {
 		b.ar.Accumulate(slot, cap)
 		ef, et := b.ar.EdgeEnds(slot)
@@ -153,7 +143,6 @@ func (b *builder) addSourceEdge(to int32, cap int64, lbl flowgraph.Label, stream
 		b.uf.Union(int(et), int(to))
 	} else {
 		b.slots[lbl] = b.ar.AddEdge(b.srcEl, to, cap, lbl)
-		b.labels++
 	}
 	b.attrib[lbl] = append(b.attrib[lbl], flowgraph.SourceContrib{Off: streamOff, Bits: cap})
 }
@@ -176,15 +165,6 @@ func (b *builder) value(lbl flowgraph.Label, capBits int64) (in, out int32) {
 		b.canonVal[lbl] = valPair{in: in, out: out}
 	}
 	return in, out
-}
-
-// compact runs an in-place series-parallel compaction pass over the arena.
-// protected must cover every element the tracker can still attach edges to;
-// see Tracker.MaybeCompact for the safety argument. Exact mode only: the
-// collapsed builder's label and canonical-value maps hold slot and element
-// references that compaction would invalidate.
-func (b *builder) compact(protected []bool) {
-	b.ar.CompactSP(protected)
 }
 
 // build assembles the current state into a flowgraph, resolving each node

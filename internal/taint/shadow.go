@@ -268,26 +268,6 @@ func (s *shadowMem) setRange(a vm.Word, n int, el int32, mask bits.Mask) {
 	}
 }
 
-// forEachEl calls mark for every value element currently stored anywhere in
-// shadow memory — page bytes and lazy descriptors. Online compaction uses
-// it to protect the execution's live frontier: any element reported here
-// can still feed edges and must not be contracted. Zero (public) entries
-// are skipped; duplicates may be reported.
-func (s *shadowMem) forEachEl(mark func(int32)) {
-	for _, p := range s.pages {
-		for _, el := range p.el {
-			if el != 0 {
-				mark(el)
-			}
-		}
-	}
-	for _, d := range s.descs {
-		if d.el != 0 {
-			mark(d.el)
-		}
-	}
-}
-
 // run is a maximal subrange of bytes holding the same value element.
 type run struct {
 	start   vm.Word

@@ -55,25 +55,13 @@ type Options struct {
 	// secret's disclosure independently.
 	SecretRanges []StreamRange
 
-	// Compact enables online series-parallel compaction in exact mode: when
-	// the number of live edges grows past an epoch threshold, the part of
-	// the graph the execution can no longer touch is contracted in place
-	// (§5.1 reductions), and the next epoch begins Compact edges above the
-	// compacted size. This keeps peak memory proportional to static code
-	// locations plus the live frontier rather than executed instructions —
-	// the online analogue of §5.2's collapsing. Zero disables compaction;
-	// collapsed mode ignores it (collapsing already bounds the graph).
-	Compact int
-
 	// AttributeSources records, for every Source edge emitted, which
 	// secret-stream byte offsets fed it and with how many bits, exposed
 	// via Tracker.SourceMap after the graph is built. This is the
 	// multi-commodity alternative to SecretRanges: mark everything in one
 	// execution, then overlay per-class capacity views on the shared
 	// graph (one execution, N class solves) instead of re-executing with
-	// one ranging per class. Setting it forces Compact to 0 — online
-	// compaction can merge Source edges away and lose their labels, which
-	// would silently drop attribution.
+	// one ranging per class.
 	AttributeSources bool
 }
 
@@ -180,12 +168,6 @@ type Tracker struct {
 	// secPos tracks the secret stream offset for SecretRanges filtering.
 	secPos int
 
-	// compactAt is the live-edge threshold that triggers the next online
-	// compaction pass (see Options.Compact).
-	compactAt int
-	// protScratch is the reusable protected-node mark array for compaction.
-	protScratch []bool
-
 	// csr and noteSolver serve FlowNote's mid-run measurements, reused
 	// across notes.
 	csr        flowgraph.CSR
@@ -197,9 +179,6 @@ func New(opts Options) *Tracker {
 	if opts.MaxWarnings == 0 {
 		opts.MaxWarnings = 1000
 	}
-	if opts.AttributeSources {
-		opts.Compact = 0 // compaction can drop Source-edge labels
-	}
 	t := &Tracker{
 		opts:        opts,
 		b:           newBuilder(opts.Exact, opts.AttributeSources),
@@ -208,7 +187,6 @@ func New(opts Options) *Tracker {
 		chainCanon:  map[flowgraph.Label]int32{},
 	}
 	t.chainEl = t.b.element()
-	t.compactAt = opts.Compact
 	return t
 }
 
@@ -253,7 +231,6 @@ func (t *Tracker) ResetAll() {
 	t.Reset()
 	t.b.reset()
 	t.chainEl = t.b.element()
-	t.compactAt = t.opts.Compact
 	clear(t.regionCanon)
 	clear(t.chainCanon)
 	// Diagnostics escape into Results; release rather than truncate.
@@ -289,68 +266,18 @@ func (t *Tracker) SourceMap(g *flowgraph.Graph) *flowgraph.SourceMap {
 	return m
 }
 
-// GraphSize reports the current size of the accumulating graph — live arena
-// nodes (an upper bound on exported nodes) and live edges — without
+// GraphSize reports the current size of the accumulating graph — arena
+// nodes (an upper bound on exported nodes) and edges — without
 // building it. It is cheap enough for the engine's step-interval budget
 // polling: in exact mode graph growth tracks run time, and this is the
-// handle that bounds it mid-run. With online compaction enabled, the size
-// reported (and hence budgeted) is the post-compaction live size.
+// handle that bounds it mid-run.
 func (t *Tracker) GraphSize() (nodes, edges int) {
-	return t.b.ar.LiveNodes(), t.b.ar.LiveEdges()
+	return t.b.ar.NumNodes(), t.b.ar.NumEdges()
 }
 
-// MemStats reports the graph core's memory behavior: peak live sizes,
-// totals emitted, and compaction activity.
+// MemStats reports the graph core's memory behavior: peak live sizes and
+// totals emitted.
 func (t *Tracker) MemStats() flowgraph.MemStats { return t.b.ar.Mem() }
-
-// MaybeCompact runs an online series-parallel compaction pass if compaction
-// is enabled and the live-edge count has crossed the current epoch
-// threshold. It must only be called at instruction boundaries (the engine's
-// periodic check hook): mid-instruction, partially-emitted structures (for
-// example a region being left) could reference nodes a pass would contract.
-//
-// Soundness: CompactSP only touches nodes outside the protected set, which
-// covers every element the tracker can still attach edges to — registers,
-// shadow memory (pages and descriptors), open regions, and the output
-// chain head. An unprotected node can never gain another edge, so
-// contracting it preserves the final graph's Source-Sink max flow.
-func (t *Tracker) MaybeCompact() {
-	if t.opts.Compact <= 0 || !t.opts.Exact {
-		return
-	}
-	if t.b.ar.LiveEdges() < t.compactAt {
-		return
-	}
-	t.b.compact(t.protectedSet())
-	t.compactAt = t.b.ar.LiveEdges() + t.opts.Compact
-}
-
-// protectedSet marks every arena node the tracker may still reference.
-func (t *Tracker) protectedSet() []bool {
-	n := t.b.ar.NumNodes()
-	p := t.protScratch
-	if cap(p) < n {
-		p = make([]bool, n)
-	} else {
-		p = p[:n]
-		clear(p)
-	}
-	t.protScratch = p
-	mark := func(el int32) {
-		if el > 0 {
-			p[el] = true
-		}
-	}
-	mark(t.chainEl)
-	for i := range t.regEl {
-		mark(t.regEl[i])
-	}
-	for _, r := range t.regions {
-		mark(r.el)
-	}
-	t.sh.forEachEl(mark)
-	return p
-}
 
 // Warnings returns accumulated diagnostics.
 func (t *Tracker) Warnings() []Warning { return t.warnings }
@@ -363,7 +290,7 @@ func (t *Tracker) Snapshots() []Snapshot { return t.snapshots }
 func (t *Tracker) Stats() Stats {
 	s := t.stats
 	s.Elements = t.b.ar.NumNodes()
-	s.LabelledEdges = t.b.labels
+	s.LabelledEdges = t.b.ar.NumEdges()
 	s.ImplicitEdges = t.b.implicitEdges
 	s.DescriptorFlush = t.sh.flushes
 	return s
