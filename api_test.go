@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"flowcheck/internal/lang"
-	"flowcheck/internal/maxflow"
 	"flowcheck/internal/taint"
 	"flowcheck/internal/vm"
 )
@@ -519,18 +518,6 @@ func TestGraphValidates(t *testing.T) {
 	}
 	if res.Cut.Capacity != res.Bits {
 		t.Fatalf("min cut capacity %d != max flow %d", res.Cut.Capacity, res.Bits)
-	}
-}
-
-// Edmonds-Karp and push-relabel agree with the engine's Dinic solve on a
-// real analysis graph.
-func TestAlgorithmsAgreeOnRealGraph(t *testing.T) {
-	in := "a. b? c."
-	res := analyze(t, countPunctSrc, Inputs{Secret: []byte(in)}, Config{})
-	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.EdmondsKarp, maxflow.PushRelabel} {
-		if got := maxflow.Compute(res.Graph, algo).Flow; got != res.Bits {
-			t.Fatalf("%v %d != engine %d", algo, got, res.Bits)
-		}
 	}
 }
 

@@ -5,8 +5,9 @@ package flowcheck
 // Run with: go test -bench=. -benchmem
 //
 // Absolute numbers are machine- and substrate-specific; the interesting
-// reads are the relative costs (collapsed vs exact construction, Dinic vs
-// Edmonds-Karp, lazy regions on vs off, checking vs full analysis).
+// reads are the relative costs (collapsed vs exact construction, Dinic with
+// vs without SP pre-reduction, lazy regions on vs off, checking vs full
+// analysis).
 
 import (
 	"testing"
@@ -183,9 +184,8 @@ func benchLazy(b *testing.B, opts taint.Options) {
 func BenchmarkAblationLazyRegionsOn(b *testing.B)  { benchLazy(b, taint.Options{}) }
 func BenchmarkAblationLazyRegionsOff(b *testing.B) { benchLazy(b, taint.Options{MaxDescriptors: -1}) }
 
-// Max-flow algorithms on a real analysis graph (§5). The exact graph of a
-// 512-byte run has ~100k edges — large enough to show Edmonds-Karp's
-// superlinear behavior without stalling the suite.
+// Max-flow on a real analysis graph (§5), with and without SP
+// pre-reduction. The exact graph of a 512-byte run has ~100k edges.
 func BenchmarkMaxflowAlgorithms(b *testing.B) {
 	res, err := engine.Analyze(guest.Program("compress"),
 		engine.Inputs{Secret: workload.PiWords(512)},
@@ -196,23 +196,13 @@ func BenchmarkMaxflowAlgorithms(b *testing.B) {
 	g := res.Graph
 	b.Run("Dinic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			maxflow.Compute(g, maxflow.Dinic)
-		}
-	})
-	b.Run("EdmondsKarp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			maxflow.Compute(g, maxflow.EdmondsKarp)
-		}
-	})
-	b.Run("PushRelabel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			maxflow.Compute(g, maxflow.PushRelabel)
+			maxflow.Compute(g)
 		}
 	})
 	b.Run("SPReduceThenDinic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			red, _ := spqr.Reduce(g)
-			maxflow.Compute(red, maxflow.Dinic)
+			maxflow.Compute(red)
 		}
 	})
 }

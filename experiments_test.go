@@ -250,14 +250,21 @@ func TestE13Checking(t *testing.T) {
 
 // E14 — §5.2/§5.3: collapsing shrinks the graph by orders of magnitude
 // while the measured flow stays sound (collapsed >= exact is NOT required
-// in general, but both must bound the compressed size).
+// in general, but both must bound the compressed size). The sizes and
+// flows at 1024 B are pinned exactly (flowbench collapse prints them).
 func TestE14Collapse(t *testing.T) {
 	r := experiments.Collapse(1024)
 	if r.CollapsedNodes*10 > r.ExactNodes {
 		t.Errorf("collapse ineffective: %d exact vs %d collapsed nodes", r.ExactNodes, r.CollapsedNodes)
 	}
-	if r.CollapsedBits <= 0 || r.ExactBits <= 0 {
-		t.Errorf("degenerate flows: exact %d collapsed %d", r.ExactBits, r.CollapsedBits)
+	want := experiments.CollapseResult{
+		InputBytes: 1024, Steps: 658699,
+		ExactNodes: 185135, ExactEdges: 223132, ExactBits: 2544,
+		CollapsedNodes: 1210, CollapsedEdges: 2295, CollapsedBits: 2544,
+		CtxNodes: 1336, CtxBits: 2544,
+	}
+	if r != want {
+		t.Errorf("collapse at 1024 B:\n got %+v\nwant %+v", r, want)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestEveryAnswerCertified(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s classes: %v", label, err)
 			}
-			g, solver := cg.res.Graph, maxflow.NewSolver(maxflow.Dinic)
+			g, solver := cg.res.Graph, maxflow.NewSolver()
 			certify(label+" classes joint", g, nil, cg.res)
 			n := len(secret)
 			for _, c := range []SecretClass{{"head", 0, n / 3}, {"tail", n / 3, n - n/3}} {

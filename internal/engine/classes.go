@@ -139,7 +139,7 @@ func (a *Analyzer) classShared(ctx context.Context, in Inputs, classes []SecretC
 	out := make([]ClassResult, n)
 	var next atomic.Int64
 	work := func() {
-		solver := maxflow.NewSolver(maxflow.Dinic)
+		solver := maxflow.NewSolver()
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {

@@ -187,7 +187,7 @@ func New(prog *vm.Program, cfg Config) *Analyzer {
 		}
 		return &session{
 			m:      vm.NewMachineSize(a.prog, size),
-			solver: maxflow.NewSolver(maxflow.Dinic),
+			solver: maxflow.NewSolver(),
 		}
 	}
 	return a

@@ -32,7 +32,7 @@ func SolveJoint(graphs []*flowgraph.Graph, solverWork int64) *Result {
 	t1 := time.Now()
 	var csr flowgraph.CSR
 	joint.BuildCSR(&csr)
-	res := solveBound(maxflow.NewSolver(maxflow.Dinic), joint, &csr, nil, solverWork, false)
+	res := solveBound(maxflow.NewSolver(), joint, &csr, nil, solverWork, false)
 	res.TaintedOutputBits = taintedOutputBits(joint)
 	res.Stages = StageStats{Merge: t1.Sub(t0), Solve: time.Since(t1)}
 	return res

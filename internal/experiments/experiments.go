@@ -402,7 +402,7 @@ func SPStudy(sizes []int) []SPPoint {
 			ReducedEdges: st.ReducedEdges,
 			CoreFraction: st.CoreFraction,
 			FlowBefore:   res.Bits,
-			FlowAfter:    maxflow.Compute(red, maxflow.Dinic).Flow,
+			FlowAfter:    maxflow.Compute(red).Flow,
 		})
 	}
 	return out
@@ -444,7 +444,7 @@ func Kraft() KraftResult {
 	}
 	out.PerRunSum = kraft.Sum(all)
 	out.PerRunSound = kraft.Satisfied(all)
-	out.MergedBits = maxflow.Compute(merge.Graphs(graphs...), maxflow.Dinic).Flow
+	out.MergedBits = maxflow.Compute(merge.Graphs(graphs...)).Flow
 	uniform := make([]int64, 256)
 	for i := range uniform {
 		uniform[i] = out.MergedBits

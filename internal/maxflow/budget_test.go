@@ -42,50 +42,46 @@ func csrOf(g *flowgraph.Graph) *flowgraph.CSR {
 }
 
 func TestSolveBudgetedExhaustsAndUnderestimates(t *testing.T) {
-	for _, algo := range []Algorithm{Dinic, EdmondsKarp, PushRelabel} {
-		g := budgetGraph(1)
-		exact := Compute(g, algo).Flow
+	g := budgetGraph(1)
+	exact := Compute(g).Flow
 
-		partial, exhausted := NewSolver(algo).Solve(csrOf(g), nil, 10)
-		if !exhausted {
-			t.Fatalf("%v: budget 10 on %d-edge graph not exhausted", algo, g.NumEdges())
-		}
-		if partial.Flow > exact {
-			t.Fatalf("%v: partial flow %d exceeds exact max flow %d", algo, partial.Flow, exact)
-		}
+	partial, exhausted := NewSolver().Solve(csrOf(g), nil, 10)
+	if !exhausted {
+		t.Fatalf("budget 10 on %d-edge graph not exhausted", g.NumEdges())
+	}
+	if partial.Flow > exact {
+		t.Fatalf("partial flow %d exceeds exact max flow %d", partial.Flow, exact)
+	}
 
-		full, exhausted := NewSolver(algo).Solve(csrOf(g), nil, 1<<40)
-		if exhausted {
-			t.Fatalf("%v: huge budget reported exhausted", algo)
-		}
-		if full.Flow != exact {
-			t.Fatalf("%v: budgeted flow %d != exact %d", algo, full.Flow, exact)
-		}
+	full, exhausted := NewSolver().Solve(csrOf(g), nil, 1<<40)
+	if exhausted {
+		t.Fatal("huge budget reported exhausted")
+	}
+	if full.Flow != exact {
+		t.Fatalf("budgeted flow %d != exact %d", full.Flow, exact)
 	}
 }
 
 func TestSolveBudgetedDeterministic(t *testing.T) {
-	for _, algo := range []Algorithm{Dinic, EdmondsKarp, PushRelabel} {
-		g := budgetGraph(7)
-		a, ea := NewSolver(algo).Solve(csrOf(g), nil, 500)
-		b, eb := NewSolver(algo).Solve(csrOf(g), nil, 500)
-		if a.Flow != b.Flow || ea != eb {
-			t.Fatalf("%v: budgeted solve not deterministic: %d/%v vs %d/%v",
-				algo, a.Flow, ea, b.Flow, eb)
-		}
+	g := budgetGraph(7)
+	a, ea := NewSolver().Solve(csrOf(g), nil, 500)
+	b, eb := NewSolver().Solve(csrOf(g), nil, 500)
+	if a.Flow != b.Flow || ea != eb {
+		t.Fatalf("budgeted solve not deterministic: %d/%v vs %d/%v",
+			a.Flow, ea, b.Flow, eb)
 	}
 }
 
 func TestBudgetStateResetsBetweenSolves(t *testing.T) {
 	g := budgetGraph(3)
 	c := csrOf(g)
-	s := NewSolver(Dinic)
+	s := NewSolver()
 	if _, exhausted := s.Solve(c, nil, 5); !exhausted {
 		t.Fatal("tiny budget not exhausted")
 	}
 	// The same solver with no budget must now solve exactly.
 	res, _ := s.Solve(c, nil, 0)
-	if want := Compute(g, Dinic).Flow; res.Flow != want {
+	if want := Compute(g).Flow; res.Flow != want {
 		t.Fatalf("solver after exhaustion: flow %d, want %d", res.Flow, want)
 	}
 }
@@ -103,23 +99,21 @@ func TestSolveViewHonoursBudget(t *testing.T) {
 			view.Cap = append(view.Cap, e.Cap/2)
 		}
 	}
-	for _, algo := range []Algorithm{Dinic, EdmondsKarp, PushRelabel} {
-		exact, exhausted := NewSolver(algo).Solve(c, view, 0)
-		if exhausted {
-			t.Fatalf("%v: unbudgeted view solve reported exhausted", algo)
-		}
-		partial, exhausted := NewSolver(algo).Solve(c, view, 10)
-		if !exhausted {
-			t.Fatalf("%v: budget 10 on a view solve not exhausted", algo)
-		}
-		if partial.Flow > exact.Flow {
-			t.Fatalf("%v: partial view flow %d exceeds exact %d", algo, partial.Flow, exact.Flow)
-		}
+	exact, exhausted := NewSolver().Solve(c, view, 0)
+	if exhausted {
+		t.Fatal("unbudgeted view solve reported exhausted")
+	}
+	partial, exhausted := NewSolver().Solve(c, view, 10)
+	if !exhausted {
+		t.Fatal("budget 10 on a view solve not exhausted")
+	}
+	if partial.Flow > exact.Flow {
+		t.Fatalf("partial view flow %d exceeds exact %d", partial.Flow, exact.Flow)
 	}
 }
 
 // The budget covers the whole solve: the layout is charged one unit per
-// graph edge before the algorithm examines any arc, so a budget no larger
+// graph edge before Dinic examines any arc, so a budget no larger
 // than the edge count exhausts even a graph the reduction collapses to a
 // single arc.
 func TestBudgetChargesLayout(t *testing.T) {
@@ -128,10 +122,10 @@ func TestBudgetChargesLayout(t *testing.T) {
 	if c.NumArcs() != 1 {
 		t.Fatalf("a series line lays out as %d arcs, want 1", c.NumArcs())
 	}
-	if _, exhausted := NewSolver(Dinic).Solve(c, nil, int64(g.NumEdges())); !exhausted {
+	if _, exhausted := NewSolver().Solve(c, nil, int64(g.NumEdges())); !exhausted {
 		t.Fatal("a budget of one unit per edge left work for the solve")
 	}
-	res, exhausted := NewSolver(Dinic).Solve(c, nil, int64(g.NumEdges())+16)
+	res, exhausted := NewSolver().Solve(c, nil, int64(g.NumEdges())+16)
 	if exhausted || res.Flow != 3 {
 		t.Fatalf("edges+16 units: flow %d, exhausted %v; want 3, false", res.Flow, exhausted)
 	}

@@ -1,15 +1,13 @@
 // Package maxflow computes maximum flows and minimum cuts on the flow
 // networks of package flowgraph (paper §5, §6.1).
 //
-// Three exact algorithms are provided: Dinic's algorithm (the one the
-// analysis engine uses; near linear on the shallow, layered graphs that
-// collapsed executions produce), and two baselines kept for the algorithm
-// ablation: Edmonds–Karp (simple augmenting paths) and FIFO push-relabel.
-// All operate on a shared residual representation and feed the same
-// min-cut extraction.
+// The one algorithm is Dinic's, which is near linear on the shallow,
+// layered graphs that collapsed executions produce. The paper's answer to
+// the cost of general max-flow is to collapse the graph (§5.2), not to
+// pick another algorithm; Certify checks any answer by duality.
 //
-// A Solver owns the residual network and per-algorithm scratch buffers and
-// reuses them across Solve calls, so a long-lived analysis session (one
+// A Solver owns the residual network and the scratch buffers and reuses
+// them across Solve calls, so a long-lived analysis session (one
 // engine worker solving many per-run graphs) allocates only the results.
 // Solve runs on the graph's series–parallel-reduced layout
 // (flowgraph.CSR) and reports flow and cut on the graph itself; Certify
@@ -22,28 +20,6 @@ import (
 
 	"flowcheck/internal/flowgraph"
 )
-
-// Algorithm selects the max-flow algorithm.
-type Algorithm int
-
-// Available algorithms.
-const (
-	Dinic Algorithm = iota
-	EdmondsKarp
-	PushRelabel
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case Dinic:
-		return "dinic"
-	case EdmondsKarp:
-		return "edmonds-karp"
-	case PushRelabel:
-		return "push-relabel"
-	}
-	return "unknown"
-}
 
 // Result holds a computed maximum flow and its minimum cut. It is
 // self-contained: it does not reference solver scratch buffers, so it stays
@@ -60,7 +36,7 @@ type Result struct {
 // network is the residual representation over a flowgraph.CSR: each arc a
 // of the reduced network is arc 2a (forward) and 2a+1 (backward); the
 // topology arrays (hstart, harcs, to) alias the CSR — zero-copy — and only
-// resid, the one array the algorithms mutate, is owned by the solver and
+// resid, the one array the solve mutates, is owned by the solver and
 // reused across attaches.
 type network struct {
 	n      int
@@ -98,11 +74,10 @@ func (net *network) attach(c *flowgraph.CSR, chainCap []int64) {
 }
 
 // Solver computes maximum flows with reusable buffers: the residual network
-// and all per-algorithm scratch persist across Solve calls. A Solver is not
-// safe for concurrent use; pooled analysis sessions hold one each.
+// and all scratch persist across Solve calls. A Solver is not safe for
+// concurrent use; pooled analysis sessions hold one each.
 type Solver struct {
-	algo Algorithm
-	net  network
+	net network
 
 	// Work accounting for Solve: spent counts the layout's graph edges
 	// plus arc examinations, limit is the budget (0 = unlimited),
@@ -111,18 +86,11 @@ type Solver struct {
 	limit     int64
 	exhausted bool
 
-	// Augmenting-path scratch (Dinic, Edmonds–Karp).
-	level   []int32
-	iter    []int32
-	queue   []int32
-	prevArc []int32
-
-	// Push-relabel scratch.
-	height  []int32
-	newH    []int32
-	bfsq    []int32
-	excess  []int64
-	inQueue []bool
+	// Dinic scratch: BFS levels, per-node arc cursors, and the BFS queue
+	// (reach reuses it as its DFS stack).
+	level []int32
+	iter  []int32
+	queue []int32
 
 	// Result mapping scratch: residual reachability over the reduced
 	// network, and chain capacities under a view.
@@ -130,14 +98,14 @@ type Solver struct {
 	chainCap []int64
 }
 
-// NewSolver returns a solver running the given algorithm.
-func NewSolver(algo Algorithm) *Solver { return &Solver{algo: algo} }
+// NewSolver returns a solver with empty buffers.
+func NewSolver() *Solver { return &Solver{} }
 
 // Bytes reports the capacity of the solver's pooled slices in bytes.
 func (s *Solver) Bytes() int64 {
-	return 4*int64(cap(s.level)+cap(s.iter)+cap(s.queue)+cap(s.prevArc)+cap(s.height)+cap(s.newH)+cap(s.bfsq)) +
-		8*int64(cap(s.net.resid)+cap(s.excess)+cap(s.chainCap)) +
-		int64(cap(s.inQueue)+cap(s.seen))
+	return 4*int64(cap(s.level)+cap(s.iter)+cap(s.queue)) +
+		8*int64(cap(s.net.resid)+cap(s.chainCap)) +
+		int64(cap(s.seen))
 }
 
 // Solve computes the maximum flow and minimum cut of the graph laid out
@@ -166,13 +134,12 @@ func (s *Solver) Bytes() int64 {
 // view zeroes never appear in the cut. A nil view solves the CSR as-is.
 //
 // work bounds the solve (work <= 0 means unlimited). Solve charges the
-// layout one unit per graph edge and the algorithm one unit per arc
-// examination. When the budget runs out the algorithm stops augmenting
-// and the second return value is true; the returned Result then holds a
-// partial flow — a LOWER bound on the maximum flow, so it must not be
-// used as a leakage upper bound, and its cut is not a minimum cut.
-// Callers needing a sound bound under exhaustion should fall back to a
-// trivial cut.
+// layout one unit per graph edge and Dinic one unit per arc examination.
+// When the budget runs out Dinic stops augmenting and the second return
+// value is true; the returned Result then holds a partial flow — a LOWER
+// bound on the maximum flow, so it must not be used as a leakage upper
+// bound, and its cut is not a minimum cut. Callers needing a sound bound
+// under exhaustion should fall back to a trivial cut.
 func (s *Solver) Solve(c *flowgraph.CSR, view *flowgraph.CapacityView, work int64) (*Result, bool) {
 	res := &Result{EdgeFlow: make([]int64, c.NumEdges())}
 	chainCap := c.ChainCap
@@ -182,14 +149,7 @@ func (s *Solver) Solve(c *flowgraph.CSR, view *flowgraph.CapacityView, work int6
 	s.net.attach(c, chainCap)
 	s.limit, s.spent, s.exhausted = work, int64(c.NumEdges()), false
 	if s.net.n > int(flowgraph.Sink) {
-		switch s.algo {
-		case EdmondsKarp:
-			res.Flow = s.edmondsKarp()
-		case PushRelabel:
-			res.Flow = s.pushRelabel()
-		default:
-			res.Flow = s.dinic()
-		}
+		res.Flow = s.dinic()
 	}
 	res.cut = s.expand(c, view, chainCap, res.EdgeFlow)
 	return res, s.exhausted
@@ -256,12 +216,12 @@ func (s *Solver) over() bool {
 	return s.exhausted
 }
 
-// Compute runs the selected algorithm once, unbudgeted, and returns the
-// maximum flow from flowgraph.Source to flowgraph.Sink.
-func Compute(g *flowgraph.Graph, algo Algorithm) *Result {
+// Compute solves g once, unbudgeted, and returns the maximum flow from
+// flowgraph.Source to flowgraph.Sink.
+func Compute(g *flowgraph.Graph) *Result {
 	var c flowgraph.CSR
 	g.BuildCSR(&c)
-	res, _ := NewSolver(algo).Solve(&c, nil, 0)
+	res, _ := NewSolver().Solve(&c, nil, 0)
 	return res
 }
 
@@ -338,63 +298,6 @@ func (s *Solver) dinic() int64 {
 		}
 	}
 	return total
-}
-
-func (s *Solver) edmondsKarp() int64 {
-	net := &s.net
-	n := net.n
-	s.prevArc = i32n(s.prevArc, n)
-	if cap(s.queue) < n {
-		s.queue = make([]int32, 0, n)
-	}
-	prevArc := s.prevArc
-	src, t := int32(flowgraph.Source), int32(flowgraph.Sink)
-	var total int64
-	for !s.over() {
-		for i := range prevArc {
-			prevArc[i] = -1
-		}
-		prevArc[src] = -2
-		q := append(s.queue[:0], src)
-		found := false
-	bfs:
-		for head := 0; head < len(q); head++ {
-			v := q[head]
-			s.spent += int64(len(net.arcs(v)))
-			for _, a := range net.arcs(v) {
-				w := net.to[a]
-				if net.resid[a] > 0 && prevArc[w] == -1 {
-					prevArc[w] = a
-					if w == t {
-						found = true
-						break bfs
-					}
-					q = append(q, w)
-				}
-			}
-		}
-		s.queue = q[:0]
-		if !found {
-			return total
-		}
-		// Find bottleneck along the path.
-		bottleneck := int64(math.MaxInt64)
-		for v := t; v != src; {
-			a := prevArc[v]
-			if net.resid[a] < bottleneck {
-				bottleneck = net.resid[a]
-			}
-			v = net.to[a^1]
-		}
-		for v := t; v != src; {
-			a := prevArc[v]
-			net.resid[a] -= bottleneck
-			net.resid[a^1] += bottleneck
-			v = net.to[a^1]
-		}
-		total += bottleneck
-	}
-	return total // budget exhausted mid-search: partial flow
 }
 
 // Cut is a minimum s-t cut: the set of edges crossing from the source side

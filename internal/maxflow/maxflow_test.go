@@ -26,19 +26,15 @@ func line(caps ...int64) *flowgraph.Graph {
 
 func TestEmptyGraph(t *testing.T) {
 	g := flowgraph.New()
-	for _, algo := range []Algorithm{Dinic, EdmondsKarp} {
-		if r := Compute(g, algo); r.Flow != 0 {
-			t.Errorf("%v: flow on empty graph = %d", algo, r.Flow)
-		}
+	if r := Compute(g); r.Flow != 0 {
+		t.Errorf("flow on empty graph = %d", r.Flow)
 	}
 }
 
 func TestSeriesBottleneck(t *testing.T) {
 	g := line(10, 3, 7)
-	for _, algo := range []Algorithm{Dinic, EdmondsKarp} {
-		if r := Compute(g, algo); r.Flow != 3 {
-			t.Errorf("%v: series flow = %d, want 3", algo, r.Flow)
-		}
+	if r := Compute(g); r.Flow != 3 {
+		t.Errorf("series flow = %d, want 3", r.Flow)
 	}
 }
 
@@ -46,7 +42,7 @@ func TestParallelSum(t *testing.T) {
 	g := flowgraph.New()
 	g.AddEdge(flowgraph.Source, flowgraph.Sink, 4, flowgraph.Label{})
 	g.AddEdge(flowgraph.Source, flowgraph.Sink, 5, flowgraph.Label{})
-	if r := Compute(g, Dinic); r.Flow != 9 {
+	if r := Compute(g); r.Flow != 9 {
 		t.Fatalf("parallel flow = %d, want 9", r.Flow)
 	}
 }
@@ -61,10 +57,8 @@ func TestResidualReroute(t *testing.T) {
 	g.AddEdge(a, b, 1, flowgraph.Label{})
 	g.AddEdge(a, flowgraph.Sink, 1, flowgraph.Label{})
 	g.AddEdge(b, flowgraph.Sink, 1, flowgraph.Label{})
-	for _, algo := range []Algorithm{Dinic, EdmondsKarp} {
-		if r := Compute(g, algo); r.Flow != 2 {
-			t.Errorf("%v: flow = %d, want 2", algo, r.Flow)
-		}
+	if r := Compute(g); r.Flow != 2 {
+		t.Errorf("flow = %d, want 2", r.Flow)
 	}
 }
 
@@ -79,7 +73,7 @@ func TestFigure1NodeSplitting(t *testing.T) {
 	left.AddEdge(flowgraph.Source, plus, 32, flowgraph.Label{}) // b
 	left.AddEdge(plus, flowgraph.Sink, 32, flowgraph.Label{})   // c
 	left.AddEdge(plus, flowgraph.Sink, 32, flowgraph.Label{})   // d
-	if r := Compute(left, Dinic); r.Flow != 64 {
+	if r := Compute(left); r.Flow != 64 {
 		t.Fatalf("left graph flow = %d, want 64", r.Flow)
 	}
 	// Right graph: node splitting enforces the 32-bit single output.
@@ -89,7 +83,7 @@ func TestFigure1NodeSplitting(t *testing.T) {
 	right.AddEdge(flowgraph.Source, in, 32, flowgraph.Label{})
 	right.AddEdge(out, flowgraph.Sink, 32, flowgraph.Label{})
 	right.AddEdge(out, flowgraph.Sink, 32, flowgraph.Label{})
-	if r := Compute(right, Dinic); r.Flow != 32 {
+	if r := Compute(right); r.Flow != 32 {
 		t.Fatalf("right graph flow = %d, want 32", r.Flow)
 	}
 }
@@ -98,21 +92,21 @@ func TestDisconnected(t *testing.T) {
 	g := flowgraph.New()
 	a := g.AddNode()
 	g.AddEdge(flowgraph.Source, a, 100, flowgraph.Label{})
-	if r := Compute(g, Dinic); r.Flow != 0 {
+	if r := Compute(g); r.Flow != 0 {
 		t.Fatalf("disconnected flow = %d, want 0", r.Flow)
 	}
 }
 
 func TestInfEdges(t *testing.T) {
 	g := line(flowgraph.Inf, 5, flowgraph.Inf)
-	if r := Compute(g, Dinic); r.Flow != 5 {
+	if r := Compute(g); r.Flow != 5 {
 		t.Fatalf("flow through Inf chain = %d, want 5", r.Flow)
 	}
 }
 
 func TestEdgeFlowConservation(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(7)), 20, 60)
-	if err := Certify(g, nil, Compute(g, Dinic)); err != nil {
+	if err := Certify(g, nil, Compute(g)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,27 +128,13 @@ func randomDAG(rng *rand.Rand, nodes, edges int) *flowgraph.Graph {
 	return g
 }
 
-// Property: all three algorithms agree on random DAGs.
-func TestAlgorithmsAgree(t *testing.T) {
+// Property: every answer on random DAGs is a certified maximum flow:
+// conservation, capacities, and a saturated cut of equal capacity.
+func TestDinicCertified(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomDAG(rng, 2+rng.Intn(30), rng.Intn(120))
-		d := Compute(g, Dinic).Flow
-		return d == Compute(g, EdmondsKarp).Flow && d == Compute(g, PushRelabel).Flow
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: push-relabel terminates with a genuine maximum flow: the flow
-// certificate (conservation, capacities, a saturated cut of equal
-// capacity) holds.
-func TestPushRelabelProducesValidFlow(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomDAG(rng, 2+rng.Intn(30), rng.Intn(120))
-		return Certify(g, nil, Compute(g, PushRelabel)) == nil
+		return Certify(g, nil, Compute(g)) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -166,7 +146,7 @@ func TestMaxFlowMinCut(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomDAG(rng, 2+rng.Intn(30), rng.Intn(120))
-		r := Compute(g, Dinic)
+		r := Compute(g)
 		cut := r.MinCut()
 		if cut.Capacity != r.Flow {
 			return false
@@ -203,7 +183,7 @@ func TestMaxFlowMinCut(t *testing.T) {
 
 func TestMinCutOnSeries(t *testing.T) {
 	g := line(10, 3, 7)
-	r := Compute(g, Dinic)
+	r := Compute(g)
 	cut := r.MinCut()
 	if len(cut.EdgeIndex) != 1 || g.Edges[cut.EdgeIndex[0]].Cap != 3 {
 		t.Fatalf("min cut should be the 3-capacity edge: %+v", cut)
@@ -224,7 +204,7 @@ func TestLargeChain(t *testing.T) {
 		caps[i] = 100
 	}
 	caps[2500] = 17
-	if r := Compute(line(caps...), Dinic); r.Flow != 17 {
+	if r := Compute(line(caps...)); r.Flow != 17 {
 		t.Fatalf("deep chain flow = %d, want 17", r.Flow)
 	}
 }
@@ -233,14 +213,6 @@ func BenchmarkDinicRandom(b *testing.B) {
 	g := randomDAG(rand.New(rand.NewSource(1)), 2000, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(g.Clone(), Dinic)
-	}
-}
-
-func BenchmarkEdmondsKarpRandom(b *testing.B) {
-	g := randomDAG(rand.New(rand.NewSource(1)), 2000, 10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Compute(g.Clone(), EdmondsKarp)
+		Compute(g.Clone())
 	}
 }

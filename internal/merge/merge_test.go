@@ -40,7 +40,7 @@ func TestMergeIdenticalGraphsSumsCapacity(t *testing.T) {
 	if m.NumEdges() != 2 {
 		t.Fatalf("merged edges = %d, want 2", m.NumEdges())
 	}
-	if f := maxflow.Compute(m, maxflow.Dinic).Flow; f != 6 {
+	if f := maxflow.Compute(m).Flow; f != 6 {
 		t.Fatalf("merged flow = %d, want 6 (3+3 at the bottleneck)", f)
 	}
 }
@@ -49,7 +49,7 @@ func TestMergeDisjointLabelsSideBySide(t *testing.T) {
 	g1 := chainGraph(1, 5)
 	g2 := chainGraph(2, 7)
 	m := merge.Graphs(g1, g2)
-	if f := maxflow.Compute(m, maxflow.Dinic).Flow; f != 12 {
+	if f := maxflow.Compute(m).Flow; f != 12 {
 		t.Fatalf("merged flow = %d, want 12 (parallel paths)", f)
 	}
 }
@@ -57,7 +57,7 @@ func TestMergeDisjointLabelsSideBySide(t *testing.T) {
 func TestMergeSingleGraphIsIdentity(t *testing.T) {
 	g := chainGraph(1, 8, 3, 9)
 	m := merge.Graphs(g)
-	if maxflow.Compute(m, maxflow.Dinic).Flow != maxflow.Compute(g, maxflow.Dinic).Flow {
+	if maxflow.Compute(m).Flow != maxflow.Compute(g).Flow {
 		t.Fatal("merging one graph changed its flow")
 	}
 }
@@ -68,7 +68,7 @@ func TestMergedFlowAtLeastMaxOfRuns(t *testing.T) {
 	g1 := chainGraph(1, 8, 2)
 	g2 := chainGraph(1, 8, 5)
 	m := merge.Graphs(g1, g2)
-	f := maxflow.Compute(m, maxflow.Dinic).Flow
+	f := maxflow.Compute(m).Flow
 	if f < 5 {
 		t.Fatalf("merged flow %d below individual max", f)
 	}
@@ -121,7 +121,7 @@ func TestSaltLabelsBoundaries(t *testing.T) {
 	if err := merge.SaltLabels(g2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if f := maxflow.Compute(merge.Graphs(g1, g2), maxflow.Dinic).Flow; f != 2 {
+	if f := maxflow.Compute(merge.Graphs(g1, g2)).Flow; f != 2 {
 		t.Fatalf("salted merge flow = %d, want 2 (side-by-side paths)", f)
 	}
 }
@@ -181,7 +181,7 @@ func TestUnaryBinaryConsistency(t *testing.T) {
 	// The merged graph gives one jointly-sound bound >= 8 bits, and using
 	// it for every run satisfies Kraft.
 	m := merge.Graphs(graphs...)
-	f := maxflow.Compute(m, maxflow.Dinic).Flow
+	f := maxflow.Compute(m).Flow
 	if f < 8 {
 		t.Fatalf("merged bound %d < 8 is jointly unsound", f)
 	}
@@ -211,7 +211,7 @@ func onlineBits(t *testing.T, prog *vm.Program, inputs []engine.Inputs, opts tai
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	return maxflow.Compute(tr.Graph(), maxflow.Dinic).Flow
+	return maxflow.Compute(tr.Graph()).Flow
 }
 
 // Offline merge (this package) agrees with online multi-run analysis
@@ -259,7 +259,7 @@ func TestOfflineMergeMatchesOnline(t *testing.T) {
 				}
 				graphs = append(graphs, res.Graph)
 			}
-			offline := maxflow.Compute(merge.Graphs(graphs...), maxflow.Dinic).Flow
+			offline := maxflow.Compute(merge.Graphs(graphs...)).Flow
 			if offline != online {
 				t.Fatalf("offline merge %d != online multi-run %d", offline, online)
 			}

@@ -49,7 +49,7 @@ func TestReduceGuestGraphsPinned(t *testing.T) {
 				t.Errorf("%s exact=%v: stats %d/%d disagree with the graph %d/%d",
 					name, exact, st.ReducedNodes, st.ReducedEdges, red.NumNodes(), red.NumEdges())
 			}
-			if f := maxflow.Compute(red, maxflow.Dinic).Flow; f != res.Bits {
+			if f := maxflow.Compute(red).Flow; f != res.Bits {
 				t.Errorf("%s exact=%v: reduced flow %d, want %d", name, exact, f, res.Bits)
 			}
 			got[2*i], got[2*i+1] = st.ReducedNodes, st.ReducedEdges

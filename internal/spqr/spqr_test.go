@@ -249,7 +249,7 @@ func TestReductionPreservesMaxFlow(t *testing.T) {
 		g := randomGraph(rng, 2+rng.Intn(40), rng.Intn(160))
 		want := refFlow(g)
 		red, _ := Reduce(g)
-		return refFlow(red) == want && maxflow.Compute(red, maxflow.Dinic).Flow == want
+		return refFlow(red) == want && maxflow.Compute(red).Flow == want
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 160}); err != nil {
 		t.Error(err)

@@ -1,12 +1,10 @@
 package static
 
-// Postdominator computation. The primary algorithm is the iterative
-// dataflow formulation of Cooper, Harvey & Kennedy ("A Simple, Fast
-// Dominance Algorithm"), run over the reverse CFG rooted at the virtual
-// exit block. A semi-dominator (Lengauer–Tarjan style) implementation is
-// kept alongside and cross-tested against it; the simple algorithm is
-// near-linear on our small reducible CFGs, and the agreement test guards
-// both against transcription bugs.
+// Postdominator computation: the iterative dataflow formulation of
+// Cooper, Harvey & Kennedy ("A Simple, Fast Dominance Algorithm"), run
+// over the reverse CFG rooted at the virtual exit block. It is near-linear
+// on our small reducible CFGs; the tests cross-check it against a
+// Lengauer–Tarjan oracle.
 
 // Postdominators returns ipdom, where ipdom[b] is the immediate
 // postdominator of block b, ipdom[exit] == exit, and ipdom[b] == -1 for
@@ -76,113 +74,6 @@ func Postdominators(c *FuncCFG) []int {
 				changed = true
 			}
 		}
-	}
-	return ipdom
-}
-
-// postdominatorsLT computes the same ipdom array with the classic
-// Lengauer–Tarjan semidominator algorithm (simple path-compression
-// variant) over the reverse CFG. Used only by tests as an independent
-// oracle for Postdominators.
-func postdominatorsLT(c *FuncCFG) []int {
-	n := len(c.Blocks)
-	const none = -1
-
-	semi := make([]int, n) // dfs number of semidominator
-	vertex := make([]int, 0, n)
-	parent := make([]int, n) // dfs tree parent
-	dfsnum := make([]int, n)
-	for i := range dfsnum {
-		dfsnum[i] = none
-		parent[i] = none
-		semi[i] = none
-	}
-
-	// DFS over the reverse CFG from exit.
-	var dfs func(int)
-	dfs = func(v int) {
-		dfsnum[v] = len(vertex)
-		semi[v] = dfsnum[v]
-		vertex = append(vertex, v)
-		for _, w := range c.Blocks[v].Preds {
-			if dfsnum[w] == none {
-				parent[w] = v
-				dfs(w)
-			}
-		}
-	}
-	dfs(c.Exit)
-
-	ancestor := make([]int, n)
-	label := make([]int, n)
-	for i := range ancestor {
-		ancestor[i] = none
-		label[i] = i
-	}
-	var compress func(int)
-	compress = func(v int) {
-		if ancestor[ancestor[v]] == none {
-			return
-		}
-		compress(ancestor[v])
-		if semi[label[ancestor[v]]] < semi[label[v]] {
-			label[v] = label[ancestor[v]]
-		}
-		ancestor[v] = ancestor[ancestor[v]]
-	}
-	eval := func(v int) int {
-		if ancestor[v] == none {
-			return v
-		}
-		compress(v)
-		return label[v]
-	}
-
-	bucket := make([][]int, n)
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = none
-	}
-
-	for i := len(vertex) - 1; i >= 1; i-- {
-		w := vertex[i]
-		// Edges of the reverse CFG into w are successor edges of the CFG.
-		for _, v := range c.Blocks[w].Succs {
-			if dfsnum[v] == none {
-				continue
-			}
-			u := eval(v)
-			if semi[u] < semi[w] {
-				semi[w] = semi[u]
-			}
-		}
-		bucket[vertex[semi[w]]] = append(bucket[vertex[semi[w]]], w)
-		ancestor[w] = parent[w]
-		for _, v := range bucket[parent[w]] {
-			u := eval(v)
-			if semi[u] < semi[v] {
-				idom[v] = u
-			} else {
-				idom[v] = parent[w]
-			}
-		}
-		bucket[parent[w]] = nil
-	}
-	for i := 1; i < len(vertex); i++ {
-		w := vertex[i]
-		if idom[w] != vertex[semi[w]] {
-			idom[w] = idom[idom[w]]
-		}
-	}
-
-	ipdom := make([]int, n)
-	for i := range ipdom {
-		ipdom[i] = -1
-	}
-	ipdom[c.Exit] = c.Exit
-	for i := 1; i < len(vertex); i++ {
-		w := vertex[i]
-		ipdom[w] = idom[w]
 	}
 	return ipdom
 }

@@ -20,7 +20,7 @@ func TestBuilderSimpleChain(t *testing.T) {
 	if g.NumEdges() != 3 {
 		t.Fatalf("edges = %d, want 3", g.NumEdges())
 	}
-	if f := maxflow.Compute(g, maxflow.Dinic).Flow; f != 8 {
+	if f := maxflow.Compute(g).Flow; f != 8 {
 		t.Fatalf("flow = %d, want 8", f)
 	}
 }
@@ -38,7 +38,7 @@ func TestBuilderCollapseAccumulates(t *testing.T) {
 	if g.NumEdges() != 3 {
 		t.Fatalf("collapsed edges = %d, want 3", g.NumEdges())
 	}
-	if f := maxflow.Compute(g, maxflow.Dinic).Flow; f != 800 {
+	if f := maxflow.Compute(g).Flow; f != 800 {
 		t.Fatalf("accumulated flow = %d, want 800", f)
 	}
 	if b.uf.Len() != 4 { // src, sink, one value pair
@@ -59,7 +59,7 @@ func TestBuilderExactGrows(t *testing.T) {
 		t.Fatalf("exact edges = %d, want 30", g.NumEdges())
 	}
 	// Ten disjoint 8-bit paths.
-	if f := maxflow.Compute(g, maxflow.Dinic).Flow; f != 80 {
+	if f := maxflow.Compute(g).Flow; f != 80 {
 		t.Fatalf("flow = %d, want 80", f)
 	}
 }
@@ -76,7 +76,7 @@ func TestBuilderCapSaturates(t *testing.T) {
 			t.Fatalf("capacity overflow: %d", e.Cap)
 		}
 	}
-	if f := maxflow.Compute(g, maxflow.Dinic).Flow; f != 4 {
+	if f := maxflow.Compute(g).Flow; f != 4 {
 		t.Fatalf("flow = %d, want 4", f)
 	}
 }
@@ -95,7 +95,7 @@ func TestBuilderUnionMergesClasses(t *testing.T) {
 	}
 	b.addEdge(out2, b.sinkEl, 16, lbl(6, 0, flowgraph.KindOutput))
 	g := b.build()
-	if f := maxflow.Compute(g, maxflow.Dinic).Flow; f != 16 {
+	if f := maxflow.Compute(g).Flow; f != 16 {
 		t.Fatalf("flow = %d, want 16", f)
 	}
 }
@@ -111,7 +111,7 @@ func TestBuilderSelfLoopDropped(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("graph invalid: %v", err)
 	}
-	if f := maxflow.Compute(g, maxflow.Dinic).Flow; f != 8 {
+	if f := maxflow.Compute(g).Flow; f != 8 {
 		t.Fatalf("flow = %d, want 8", f)
 	}
 }
@@ -126,8 +126,8 @@ func TestBuilderRebuildIsStable(t *testing.T) {
 	if g1.NumEdges() != g2.NumEdges() || g1.NumNodes() != g2.NumNodes() {
 		t.Fatal("build is not repeatable")
 	}
-	f1 := maxflow.Compute(g1, maxflow.Dinic).Flow
-	f2 := maxflow.Compute(g2, maxflow.Dinic).Flow
+	f1 := maxflow.Compute(g1).Flow
+	f2 := maxflow.Compute(g2).Flow
 	if f1 != f2 {
 		t.Fatalf("flows differ: %d vs %d", f1, f2)
 	}

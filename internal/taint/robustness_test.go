@@ -129,7 +129,7 @@ func TestTrackerRobustnessOnRandomCode(t *testing.T) {
 				t.Logf("seed %d: invalid graph: %v", seed, err)
 				return false
 			}
-			flow := maxflow.Compute(g, maxflow.Dinic).Flow
+			flow := maxflow.Compute(g).Flow
 			if flow > int64(8*secretBytes) {
 				t.Logf("seed %d: flow %d exceeds secret input %d bits", seed, flow, 8*secretBytes)
 				return false

@@ -983,7 +983,7 @@ func (t *Tracker) solveSoFar() (*flowgraph.Graph, *maxflow.Result) {
 	g := t.b.build()
 	g.BuildCSR(&t.csr)
 	if t.noteSolver == nil {
-		t.noteSolver = maxflow.NewSolver(maxflow.Dinic)
+		t.noteSolver = maxflow.NewSolver()
 	}
 	res, _ := t.noteSolver.Solve(&t.csr, nil, 0)
 	t.csr.Edges = nil // the reused layout must not keep this note's graph alive
