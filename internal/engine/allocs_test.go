@@ -81,9 +81,10 @@ func TestBatchAllocsSteadyState(t *testing.T) {
 var raceEnabled bool
 
 // TestExactBytesPerEdge bounds what a warmed exact-mode analysis allocates
-// per graph edge. A recycled session keeps its arena, CSR and solver
-// network, so a run allocates only its exported graph, edge flows and cut;
-// the bytes per edge therefore track the exported edge record, and
+// per graph edge. A recycled session keeps its CSR and solver network and
+// the last run's edge count; the run's arena store, sized by that count,
+// becomes its graph. So a run allocates only that store, its edge flows
+// and its cut; the bytes per edge therefore track the edge record, and
 // rebuilding any per-edge structure on every run would add its own size.
 func TestExactBytesPerEdge(t *testing.T) {
 	if raceEnabled {

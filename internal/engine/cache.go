@@ -235,10 +235,13 @@ func estimateStaticBytes(sa *static.Analysis) int64 {
 	return n
 }
 
+// estimateResultBytes charges the graph's edge store by capacity: a graph
+// that took over its arena's store may hold up to twice its edge count.
+// estimateClassGraphBytes charges its result through here.
 func estimateResultBytes(r *Result) int64 {
 	n := int64(structOverhd)
 	if r.Graph != nil {
-		n += int64(len(r.Graph.Edges)) * edgeBytes
+		n += int64(cap(r.Graph.Edges)) * edgeBytes
 	}
 	if r.Flow != nil {
 		n += int64(len(r.Flow.EdgeFlow)) * edgeFlowBytes

@@ -63,10 +63,12 @@ type Config struct {
 	// paths (internal/fault); nil injects nothing.
 	Fault *fault.Plan
 	// SessionHighWater, when non-zero, recycles pooled sessions whose last
-	// run's arena grew past this many peak live edges: the session is
+	// run's graph grew past this many peak live edges: the session is
 	// discarded and a later run builds a fresh one, so one pathological
-	// input cannot permanently balloon a pooled arena. Sessions that
-	// recovered a panic are always discarded, regardless of this knob.
+	// input cannot permanently balloon a session's pooled CSR and solver
+	// network, nor size the next run's edge store by its own. Sessions
+	// that recovered a panic are always discarded, regardless of this
+	// knob.
 	// Result-visible behavior is unchanged; PoolStats reports the churn.
 	SessionHighWater int
 	// Lint enables the static pre-pass and the static/dynamic
@@ -238,7 +240,7 @@ func (a *Analyzer) acquire() *session {
 
 // release returns a session to the pool — unless it must be recycled:
 // poisoned sessions (a recovered panic left their state inconsistent) and
-// sessions whose last run's arena outgrew Config.SessionHighWater are
+// sessions whose last run's graph outgrew Config.SessionHighWater are
 // dropped for the GC instead, and a later acquire builds a fresh one.
 func (a *Analyzer) release(s *session) {
 	a.live.Add(-1)
@@ -249,8 +251,9 @@ func (a *Analyzer) release(s *session) {
 	a.pool.Put(s)
 }
 
-// overHighWater reports whether the session's last run grew its arena past
-// the configured recycle mark.
+// overHighWater reports whether the session's last run grew its graph past
+// the configured recycle mark. The tracker's counts outlive the hand-off
+// of its edge store to the run's graph, so they still read that run.
 func (a *Analyzer) overHighWater(s *session) bool {
 	hw := a.cfg.SessionHighWater
 	if hw <= 0 {

@@ -1,0 +1,97 @@
+package engine
+
+import (
+	"context"
+	"slices"
+	"testing"
+
+	"flowcheck/internal/fault"
+	"flowcheck/internal/flowgraph"
+	"flowcheck/internal/guest"
+	"flowcheck/internal/maxflow"
+	"flowcheck/internal/taint"
+	"flowcheck/internal/workload"
+)
+
+// A run's graph takes over its tracker's edge store. The session that
+// built it goes on to a larger and then a smaller run; if the arena kept
+// any hold on the store, one of them would write over the first graph.
+func TestTakenGraphSurvivesSessionReuse(t *testing.T) {
+	a := New(guest.Program("compress"), Config{Workers: 1, Taint: taint.Options{Exact: true}})
+	s := a.acquire()
+	defer a.release(s)
+	run := func(n int) *Result {
+		res, err := a.runStages(context.Background(), s, a.sessionTracker(s), Inputs{Secret: workload.PiWords(n)}, fault.Injection{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := run(512)
+	edges := slices.Clone(first.Graph.Edges)
+	nodes := first.Graph.NumNodes()
+	stats, mem := first.Stats, first.Mem
+	if mem.TotalEdges != stats.LabelledEdges || mem.TotalEdges < len(edges) {
+		t.Fatalf("taken run reports %d arena edges (stats %d) for a %d-edge graph", mem.TotalEdges, stats.LabelledEdges, len(edges))
+	}
+	larger, smaller := run(1024), run(256)
+	if n := larger.Graph.NumEdges(); n <= len(edges) || smaller.Graph.NumEdges() >= len(edges) {
+		t.Fatalf("runs of %d, %d and %d edges do not bracket the first", len(edges), n, smaller.Graph.NumEdges())
+	}
+	if !slices.Equal(first.Graph.Edges, edges) || first.Graph.NumNodes() != nodes {
+		t.Fatal("a later run on the same session changed the first run's graph")
+	}
+	if err := maxflow.Certify(first.Graph, nil, first.Flow); err != nil {
+		t.Fatalf("first run's flow no longer certifies: %v", err)
+	}
+	if first.Stats != stats || first.Mem != mem {
+		t.Fatalf("first run's counts changed: stats %+v mem %+v, were %+v %+v", first.Stats, first.Mem, stats, mem)
+	}
+}
+
+// A graph may keep spare capacity from its arena's store, but never more
+// than its own size: sessions size each store by the last graph, so a
+// small run after a large one is the case that would leave slack.
+func TestReturnedGraphsHaveBoundedSlack(t *testing.T) {
+	check := func(what string, g *flowgraph.Graph) {
+		t.Helper()
+		if cap(g.Edges) > 2*len(g.Edges) {
+			t.Errorf("%s: graph of %d edges holds a %d-edge store", what, len(g.Edges), cap(g.Edges))
+		}
+	}
+	for _, exact := range []bool{true, false} {
+		a := New(guest.Program("compress"), Config{Workers: 1, Taint: taint.Options{Exact: exact}})
+		for _, n := range []int{1024, 64, 512, 16} {
+			in := Inputs{Secret: workload.PiWords(n)}
+			res, err := a.Analyze(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("Analyze", res.Graph)
+			ca, err := a.AnalyzeClassSet(in, []SecretClass{{Name: "head", Off: 0, Len: n / 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("AnalyzeClassSet", ca.Joint.Graph)
+		}
+		batch, err := a.AnalyzeBatch([]Inputs{{Secret: workload.PiWords(1024)}, {Secret: workload.PiWords(32)}, {Secret: workload.PiWords(32)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("AnalyzeBatch", batch.Graph)
+	}
+}
+
+// The cache budget charges a graph's edge store by capacity, slack
+// included, for results and class graphs alike.
+func TestCacheChargesEdgeCapacity(t *testing.T) {
+	bare := estimateResultBytes(&Result{})
+	res := &Result{Graph: &flowgraph.Graph{Edges: make([]flowgraph.Edge, 10, 30)}}
+	if got, want := estimateResultBytes(res)-bare, 30*edgeBytes; got != want {
+		t.Fatalf("result with a 10-edge graph in a 30-edge store charged %d B for edges, want %d", got, want)
+	}
+	cg := &classGraph{res: res, srcMap: &flowgraph.SourceMap{}}
+	if got, want := estimateClassGraphBytes(cg), estimateResultBytes(res); got != want {
+		t.Fatalf("class graph charged %d B, want its result's %d", got, want)
+	}
+}

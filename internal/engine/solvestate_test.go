@@ -11,10 +11,12 @@ import (
 )
 
 // TestPooledSolveStatePerEdge pins what a warmed exact session keeps
-// pooled for Solve, per graph edge: the CSR and the solver's slices, by
-// capacity. The reduced layout holds no per-edge column — one id per
-// node, a few words per chain and per arc of a network about a fifth the
-// graph's size — where the per-edge layout it replaced held ≈57 B/edge.
+// pooled per graph edge: the CSR and the solver's slices, by capacity,
+// and the tracker's arena store, which must be empty because the run's
+// graph took it over. The reduced layout holds no per-edge column — one
+// id per node, a few words per chain and per arc of a network about a
+// fifth the graph's size — where the per-edge layout it replaced held
+// ≈57 B/edge; a kept arena store would add 32 B/edge.
 func TestPooledSolveStatePerEdge(t *testing.T) {
 	a := New(guest.Program("compress"), Config{Workers: 1, Taint: taint.Options{Exact: true}})
 	s := a.acquire()
@@ -28,8 +30,12 @@ func TestPooledSolveStatePerEdge(t *testing.T) {
 		}
 	}
 	edges := res.Graph.NumEdges()
-	perEdge := float64(s.csr.Bytes()+s.solver.Bytes()) / float64(edges)
-	t.Logf("exact compress, %d edges, %d arcs: pooled solve state %.1f B/edge", edges, s.csr.NumArcs(), perEdge)
+	arena := s.tracker.ArenaBytes()
+	if arena != 0 {
+		t.Fatalf("the session's tracker keeps a %d B edge store after the run; its graph should have taken it", arena)
+	}
+	perEdge := float64(s.csr.Bytes()+s.solver.Bytes()+arena) / float64(edges)
+	t.Logf("exact compress, %d edges, %d arcs: pooled state %.1f B/edge", edges, s.csr.NumArcs(), perEdge)
 	// Measures 16.5; one more int32 per edge would read 20.5.
 	const ceiling = 20
 	if perEdge > ceiling {

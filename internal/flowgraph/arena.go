@@ -1,10 +1,13 @@
 package flowgraph
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Arena is the append-only edge store behind flow-graph construction: the
 // taint builder emits every dynamic edge into it while the guest runs, and
-// Export turns the store into a Graph. Collapsed construction (§5.2)
+// Take hands the store to the finished Graph. Collapsed construction (§5.2)
 // re-finds an edge by its slot and accumulates capacity into it; exact
 // construction only appends. Nodes cost nothing: the arena only counts
 // them.
@@ -16,6 +19,10 @@ import "fmt"
 type Arena struct {
 	edges    []Edge
 	numNodes int32
+	// taken is the edge count of the store Take handed to a Graph, 0
+	// while the arena owns its store. A taken arena accepts no edges
+	// until Reset, which sizes the next store by this count.
+	taken int
 }
 
 // MemStats reports a graph core's size — the observable for the paper's
@@ -33,19 +40,29 @@ func NewArena() *Arena {
 	return &Arena{numNodes: 2}
 }
 
-// Reset empties the arena back to the two terminal nodes, keeping its edge
-// slots for the next graph.
+// Reset empties the arena back to the two terminal nodes. It never keeps
+// the old store, which may belong to a Graph: the new one starts with room
+// for as many edges as the last run added, and grows by append.
 func (a *Arena) Reset() {
-	a.edges = a.edges[:0]
-	a.numNodes = 2
+	a.edges = make([]Edge, 0, a.NumEdges())
+	a.numNodes, a.taken = 2, 0
 }
 
 // NumNodes reports the number of node ids allocated; valid node ids are
 // [0, NumNodes).
 func (a *Arena) NumNodes() int { return int(a.numNodes) }
 
-// NumEdges reports the number of edges stored.
-func (a *Arena) NumEdges() int { return len(a.edges) }
+// NumEdges reports the number of edges stored, or handed over by Take.
+func (a *Arena) NumEdges() int {
+	if a.taken > 0 {
+		return a.taken
+	}
+	return len(a.edges)
+}
+
+// Bytes reports the capacity of the arena's edge store in bytes: 0 once
+// Take has handed the store over.
+func (a *Arena) Bytes() int64 { return int64(cap(a.edges)) * int64(unsafe.Sizeof(Edge{})) }
 
 // Mem returns the arena's memory statistics.
 func (a *Arena) Mem() MemStats {
@@ -62,6 +79,9 @@ func (a *Arena) AddNode() int32 {
 // AddEdge appends an edge and returns its slot, by which Accumulate and
 // EdgeEnds address it.
 func (a *Arena) AddEdge(from, to int32, cap int64, label Label) int32 {
+	if a.taken > 0 {
+		panic("flowgraph: edge added to an arena whose store was taken")
+	}
 	if from < 0 || to < 0 || from >= a.numNodes || to >= a.numNodes {
 		panic(fmt.Sprintf("flowgraph: arena edge (%d,%d) outside node range [0,%d)", from, to, a.numNodes))
 	}
@@ -90,16 +110,40 @@ func (a *Arena) EdgeEnds(slot int32) (from, to int32) {
 
 // ---------------------------------------------------------------- export ---
 
-// Export materializes the arena's edges as a Graph, renumbering nodes
-// by first appearance in slot order. resolve maps an arena node to its
-// representative (a union-find Find for collapsed construction); nil means
-// identity. Arena nodes resolving to the terminals become Source and Sink;
-// self-loops, edges out of the Sink, and edges into the Source are dropped,
-// and capacities clamp to Inf — reproducing the historical builder output
-// byte for byte.
+// Export materializes the arena's edges as a Graph in a new edge slice,
+// leaving the arena intact, so construction can go on (a mid-run FlowNote
+// snapshot). resolve maps an arena node to its representative (a
+// union-find Find for collapsed construction); nil means identity. Arena
+// nodes resolving to the terminals become Source and Sink, other nodes are
+// renumbered by first appearance in slot order; self-loops, edges out of
+// the Sink, and edges into the Source are dropped, and capacities clamp to
+// Inf — reproducing the historical builder output byte for byte.
 func (a *Arena) Export(resolve func(int32) int32) *Graph {
+	return a.export(resolve, make([]Edge, 0, len(a.edges)))
+}
+
+// Take is Export without the copy, for the end of construction: the graph
+// is written in place over the arena's own store, and the store becomes
+// the Graph's. The arena keeps reporting its node and edge counts but
+// accepts no edges until Reset. A store more than twice the graph's size
+// (spare capacity from append growth or from Reset's sizing) is copied to
+// exact size instead, so a graph never pins much more than it uses.
+func (a *Arena) Take(resolve func(int32) int32) *Graph {
+	g := a.export(resolve, a.edges[:0])
+	a.edges, a.taken = nil, len(a.edges)
+	if cap(g.Edges) > 2*len(g.Edges) {
+		g.Edges = append(make([]Edge, 0, len(g.Edges)), g.Edges...)
+	}
+	return g
+}
+
+// export is the one export loop behind Export and Take: it appends the
+// graph's edges to dst. Each arena edge yields at most one graph edge, so
+// when dst is the arena's own store emptied, the write index never passes
+// the read index and every edge is read before its slot is overwritten.
+func (a *Arena) export(resolve func(int32) int32, dst []Edge) *Graph {
 	out := New()
-	out.Edges = make([]Edge, 0, len(a.edges))
+	out.Edges = dst
 	node := make([]NodeID, a.numNodes)
 	for i := range node {
 		node[i] = -1
@@ -111,7 +155,7 @@ func (a *Arena) Export(resolve func(int32) int32) *Graph {
 	node[rs] = Source
 	node[rt] = Sink
 	for i := range a.edges {
-		e := &a.edges[i]
+		e := a.edges[i]
 		f, t := int32(e.From), int32(e.To)
 		if resolve != nil {
 			f, t = resolve(f), resolve(t)

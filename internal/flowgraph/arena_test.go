@@ -3,6 +3,7 @@ package flowgraph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -227,4 +228,99 @@ func TestRecordSizes(t *testing.T) {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
 		}
 	}
+}
+
+// fuzzArena replays fuzz bytes into an arena, three bytes per operation:
+// add a node (some stay edgeless), add an edge between any two nodes
+// (self-loops and edges into Source or out of Sink included, capacities
+// past Inf too), accumulate into an earlier slot, or union two nodes of
+// the union-find that resolve reads when unions is set. The arena first
+// hands off spare edges, so Reset sizes its store with that much room.
+func fuzzArena(data []byte, spare int, unions bool) (*Arena, func(int32) int32) {
+	a := NewArena()
+	for i := 0; i < spare; i++ {
+		a.AddEdge(0, 1, 1, Label{})
+	}
+	a.Take(nil)
+	a.Reset()
+	parent := []int32{0, 1}
+	find := func(v int32) int32 {
+		for parent[v] != v {
+			v = parent[v]
+		}
+		return v
+	}
+	for i := 0; i+2 < len(data); i += 3 {
+		op, x, y := data[i], int32(data[i+1]), int32(data[i+2])
+		n := int32(a.NumNodes())
+		switch op % 8 {
+		case 0:
+			parent = append(parent, a.AddNode())
+		case 1:
+			if e := a.NumEdges(); e > 0 {
+				a.Accumulate(x%int32(e), int64(y)<<41)
+			}
+		case 2:
+			if rx, ry := find(x%n), find(y%n); rx != ry {
+				parent[rx] = ry
+			}
+		default:
+			a.AddEdge(x%n, y%n, int64(op)<<(y%50), Label{Ctx: uint64(i), Site: uint32(x), Aux: op})
+		}
+	}
+	if !unions {
+		return a, nil
+	}
+	return a, find
+}
+
+// FuzzArenaTake checks the in-place hand-off against the copying export:
+// the same graph, a store at most twice its size, counts still reported,
+// no store left behind, and a Reset arena that neither writes into the
+// graph nor starts smaller than the last one.
+func FuzzArenaTake(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 3, 0, 2, 3, 2, 3, 3, 3, 1, 1, 0, 9, 4, 2, 0}, uint8(0), false)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 2, 3, 2, 3, 2, 2, 3, 3, 3, 1, 11, 1, 0, 4, 3, 3, 5, 4, 0}, uint8(200), true)
+	f.Add([]byte{0, 0, 0, 2, 0, 1, 3, 2, 1, 7, 0, 2}, uint8(3), true)
+	f.Add([]byte{}, uint8(9), false)
+	f.Fuzz(func(t *testing.T, data []byte, spare uint8, unions bool) {
+		ref, refResolve := fuzzArena(data, int(spare), unions)
+		a, resolve := fuzzArena(data, int(spare), unions)
+		want := ref.Export(refResolve)
+		mem := a.Mem()
+		got := a.Take(resolve)
+		if got.NumNodes() != want.NumNodes() || !slices.Equal(got.Edges, want.Edges) {
+			t.Fatalf("Take: %d nodes %v\nExport: %d nodes %v", got.NumNodes(), got.Edges, want.NumNodes(), want.Edges)
+		}
+		if cap(got.Edges) > 2*len(got.Edges) {
+			t.Fatalf("taken graph of %d edges keeps a %d-edge store", len(got.Edges), cap(got.Edges))
+		}
+		if a.Mem() != mem || a.NumNodes() != mem.TotalNodes || a.NumEdges() != mem.TotalEdges || a.Bytes() != 0 {
+			t.Fatalf("taken arena: mem %+v, %d nodes, %d edges, %d B; before Take mem %+v", a.Mem(), a.NumNodes(), a.NumEdges(), a.Bytes(), mem)
+		}
+		a.Reset()
+		if cap(a.edges) != mem.TotalEdges {
+			t.Fatalf("Reset after a %d-edge store made room for %d", mem.TotalEdges, cap(a.edges))
+		}
+		v := a.AddNode()
+		for i := 0; i <= mem.TotalEdges; i++ {
+			a.AddEdge(0, v, 1, Label{Site: 1 << 20})
+		}
+		if !slices.Equal(got.Edges, want.Edges) {
+			t.Fatal("edges added after Reset changed the taken graph")
+		}
+	})
+}
+
+func TestArenaTakenRejectsEdges(t *testing.T) {
+	a := NewArena()
+	v := a.AddNode()
+	a.AddEdge(0, v, 1, Label{})
+	a.Take(nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddEdge on a taken arena did not panic")
+		}
+	}()
+	a.AddEdge(v, 1, 1, Label{})
 }

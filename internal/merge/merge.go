@@ -82,7 +82,8 @@ func SaltLabels(g *flowgraph.Graph, salt uint64) error {
 // merge side by side without unification.
 //
 // The merge accumulates directly in an arena: label hits add capacity in
-// place and union endpoints lazily; classes are resolved once, at export.
+// place and union endpoints lazily; classes are resolved once, when the
+// merged graph takes over the arena's edge store.
 func Graphs(graphs ...*flowgraph.Graph) *flowgraph.Graph {
 	ar := flowgraph.NewArena()
 	uf := unionfind.New(2) // elements 0,1 mirror the arena terminals
@@ -118,5 +119,5 @@ func Graphs(graphs ...*flowgraph.Graph) *flowgraph.Graph {
 		}
 	}
 
-	return ar.Export(func(v int32) int32 { return int32(uf.Find(int(v))) })
+	return ar.Take(func(v int32) int32 { return int32(uf.Find(int(v))) })
 }

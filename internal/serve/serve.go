@@ -116,7 +116,7 @@ type Options struct {
 	// one half-open probe through (default 500ms).
 	BreakerCooldown time.Duration
 
-	// SessionHighWater recycles engine sessions whose last run's arena
+	// SessionHighWater recycles engine sessions whose last run's graph
 	// exceeded this many peak live edges (engine.Config.SessionHighWater);
 	// applied to registered programs that do not set their own.
 	SessionHighWater int

@@ -74,10 +74,11 @@ func newBuilder(exact, attribute bool) *builder {
 	return b
 }
 
-// reset empties the builder for an unrelated execution, keeping the arena,
-// union-find and map storage for reuse. The attribution map is cleared,
-// never truncated per label: its slices escape into SourceMaps built from
-// the previous graph.
+// reset empties the builder for an unrelated execution, keeping the
+// union-find and map storage for reuse; the arena starts a new edge store
+// sized by the last run. The attribution map is cleared, never truncated
+// per label: its slices escape into SourceMaps built from the previous
+// graph.
 func (b *builder) reset() {
 	b.ar.Reset()
 	if b.uf != nil {
@@ -168,12 +169,16 @@ func (b *builder) value(lbl flowgraph.Label, capBits int64) (in, out int32) {
 }
 
 // build assembles the current state into a flowgraph, resolving each node
-// to its union-find class representative in collapsed mode. It does not
-// consume the builder, so intermediate flows (§8.1's real-time mode) can be
-// computed mid-run.
-func (b *builder) build() *flowgraph.Graph {
+// to its union-find class representative in collapsed mode. It copies the
+// arena's edges and does not consume the builder, so intermediate flows
+// (§8.1's real-time mode) can be computed mid-run.
+func (b *builder) build() *flowgraph.Graph { return b.ar.Export(b.resolve()) }
+
+// resolve maps an arena node to its union-find class representative in
+// collapsed mode; nil (identity) in exact mode.
+func (b *builder) resolve() func(int32) int32 {
 	if b.uf == nil {
-		return b.ar.Export(nil)
+		return nil
 	}
-	return b.ar.Export(func(v int32) int32 { return int32(b.uf.Find(int(v))) })
+	return func(v int32) int32 { return int32(b.uf.Find(int(v))) }
 }

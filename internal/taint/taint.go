@@ -225,8 +225,8 @@ func (t *Tracker) SetProbe(p Probe) { t.probe = p }
 // engine's pooled sessions call this between independent runs; the parallel
 // batch path then re-establishes §3.2 soundness by merging the per-run
 // graphs offline, by label. The builder is emptied in place, keeping its
-// arena, union-find and map storage, so a recycled tracker allocates only
-// what its graph outgrows.
+// union-find and map storage; the arena's edge store went to the last
+// Graph, so it starts a new one with room for as many edges.
 func (t *Tracker) ResetAll() {
 	t.Reset()
 	t.b.reset()
@@ -239,8 +239,11 @@ func (t *Tracker) ResetAll() {
 	t.stats = Stats{}
 }
 
-// Graph builds the flow graph for the execution so far.
-func (t *Tracker) Graph() *flowgraph.Graph { return t.b.build() }
+// Graph builds the flow graph of the finished execution without copying
+// it: the graph takes over the arena's edge store. Stats, MemStats and
+// GraphSize still report the execution, but the tracker must not run
+// again before ResetAll.
+func (t *Tracker) Graph() *flowgraph.Graph { return t.b.ar.Take(t.b.resolve()) }
 
 // SourceMap extracts the Source-edge attribution of a graph built by this
 // tracker (Options.AttributeSources; nil otherwise): for each Source edge
@@ -274,6 +277,10 @@ func (t *Tracker) SourceMap(g *flowgraph.Graph) *flowgraph.SourceMap {
 func (t *Tracker) GraphSize() (nodes, edges int) {
 	return t.b.ar.NumNodes(), t.b.ar.NumEdges()
 }
+
+// ArenaBytes reports the capacity of the tracker's edge store in bytes: 0
+// between Graph and ResetAll.
+func (t *Tracker) ArenaBytes() int64 { return t.b.ar.Bytes() }
 
 // MemStats reports the graph core's memory behavior: peak live sizes and
 // totals emitted.
