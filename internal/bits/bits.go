@@ -47,9 +47,6 @@ func upFrom(m Mask) Mask {
 	return All << low
 }
 
-// Copy is the transfer function for mov/load/store: the mask is unchanged.
-func Copy(m Mask) Mask { return m }
-
 // And computes the result mask for r = a & b given operand masks and the
 // concrete operand values. A result bit is public when either operand
 // contributes a public 0 at that position (forcing the result to 0), or when

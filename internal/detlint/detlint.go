@@ -18,6 +18,10 @@
 // A range over a map reached through an interface or a function result
 // is invisible to it — the lint is a tripwire for the common regression,
 // not a proof. CI runs it over both packages via TestDeterminismClean.
+//
+// The package also holds a dead-API check in the same syntactic style:
+// UnusedExports flags exported functions under internal/ that nothing
+// else in the module references. CI runs it via TestNoUnusedExports.
 package detlint
 
 import (

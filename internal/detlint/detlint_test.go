@@ -1,6 +1,8 @@
 package detlint
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -126,5 +128,78 @@ func f(xs []int, s string, n int) {
 `)
 	if len(fs) != 0 {
 		t.Fatalf("findings = %v, want none over slices/strings/ints", fs)
+	}
+}
+
+// Every exported function under internal/ must be referenced from another
+// file of the module, or be on the explicit allowlist. CI runs this test
+// next to the determinism lint.
+func TestNoUnusedExports(t *testing.T) {
+	fs, err := UnusedExports("../..", unusedAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fs {
+		t.Error(f)
+	}
+}
+
+func TestFlagsUnusedExports(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"internal/p/p.go": `package p
+type T struct{ Field int }
+type E struct{}
+func Used() {}
+func Unused() {}
+func OnlySelf() { OnlySelf() }
+func TestOnly() {}
+func Allowed() {}
+func Dynamic() {}
+func (T) Method() {}
+func (*T) Field() {}
+func (E) Unwrap() error { return nil }
+func unexported() {}
+`,
+		"internal/p/p_test.go": "package p\nfunc use() { TestOnly() }\n",
+		"cmd/c/c.go": `package main
+import "p"
+type I interface{ Method() }
+type S struct{ Field int }
+func main() { p.Used(); var f = p.Dynamic; _ = f }
+`,
+		"cmd/c/skip_test.go":      "package main\n",
+		"testdata/x.go":           "package x\nfunc f() { p.Unused() }\n",
+		".hidden/y.go":            "package y\nfunc f() { p.Unused() }\n",
+		"internal/q/q_test.go":    "package q\nfunc Helper() {}\n",
+		"internal/q/notgo.txt":    "Unused",
+		"internal/p/p2.go":        "package p\n",
+		"internal/p/doc_extra.go": "// Unused is mentioned only in a comment.\npackage p\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs, err := UnusedExports(root, []string{"p.Allowed", "p.Gone"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range fs {
+		if f.Kind != "unused-export" {
+			t.Errorf("finding %v, want kind unused-export", f)
+		}
+		got = append(got, f.Msg[:strings.Index(f.Msg, " ")])
+	}
+	// Field is a struct field name elsewhere, not a reference; Method is an
+	// interface method; Unwrap is called by the errors package.
+	want := "p.Unused,p.OnlySelf,p.T.Field,allowlist"
+	if strings.Join(got, ",") != want {
+		t.Fatalf("findings %v\nwant %s", fs, want)
 	}
 }

@@ -7,11 +7,13 @@
 //	Report   assemble the Result (tainting baseline, diagnostics, stats)
 //
 // An Analyzer binds a program to a configuration and owns a pool of
-// sessions — machine, tracker, and max-flow solver — whose buffers are
-// reused across runs (vm.Machine.Reset, taint.Tracker.ResetAll, and the
-// solver's internal scratch), so repeated analyses stop paying the
-// per-run allocation cost of fresh guest memory pages, graph builders and
-// residual networks.
+// sessions — machine and tracker — whose buffers are reused across runs
+// (vm.Machine.Reset, taint.Tracker.ResetAll), so repeated analyses stop
+// paying the per-run allocation cost of fresh guest memory pages and graph
+// builders. A session keeps nothing whose size follows the graph: each
+// run's edge store becomes its graph, and each run is laid out and solved
+// in its own CSR and solver, so no layout sits idle through the next
+// run's Execute.
 //
 // On top of the single-run pipeline, AnalyzeBatch fans N executions across
 // worker sessions and merges the per-run graphs by code location
@@ -65,10 +67,10 @@ type Config struct {
 	// SessionHighWater, when non-zero, recycles pooled sessions whose last
 	// run's graph grew past this many peak live edges: the session is
 	// discarded and a later run builds a fresh one, so one pathological
-	// input cannot permanently balloon a session's pooled CSR and solver
-	// network, nor size the next run's edge store by its own. Sessions
-	// that recovered a panic are always discarded, regardless of this
-	// knob.
+	// input does not size the next run's edge store by its own, nor leave
+	// the union-find and label maps of a collapsed builder at its size.
+	// Sessions that recovered a panic are always discarded, regardless of
+	// this knob.
 	// Result-visible behavior is unchanged; PoolStats reports the churn.
 	SessionHighWater int
 	// Lint enables the static pre-pass and the static/dynamic
@@ -109,16 +111,15 @@ type Inputs struct {
 }
 
 // session is one worker's reusable execution state: the guest machine (with
-// its memory pages), the default tracker and the class analysis's
-// attributing one, the solver with its residual network, and the CSR buffer
-// each solved graph is laid out in. Sessions are pooled by the Analyzer and
-// are not safe for concurrent use; each worker goroutine holds its own.
+// its memory pages) and the default tracker and the class analysis's
+// attributing one. It holds no layout, no solver and no edge store between
+// runs; runStages makes each run's own. Sessions are pooled by the
+// Analyzer and are not safe for concurrent use; each worker goroutine
+// holds its own.
 type session struct {
 	m            *vm.Machine
 	tracker      *taint.Tracker
 	classTracker *taint.Tracker
-	solver       *maxflow.Solver
-	csr          flowgraph.CSR
 	rec          *static.Recorder // dynamic-event recorder for Config.Lint
 
 	// poisoned marks a session that recovered a panic mid-run: its
@@ -187,10 +188,7 @@ func New(prog *vm.Program, cfg Config) *Analyzer {
 		if size == 0 {
 			size = vm.DefaultMemSize
 		}
-		return &session{
-			m:      vm.NewMachineSize(a.prog, size),
-			solver: maxflow.NewSolver(),
-		}
+		return &session{m: vm.NewMachineSize(a.prog, size)}
 	}
 	return a
 }
@@ -434,9 +432,9 @@ func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker,
 
 	stage = fault.StageSolve
 	injectPanic(inj, fault.StageSolve)
-	g.BuildCSR(&s.csr)
-	res = solveBound(s.solver, g, &s.csr, nil, a.cfg.Budget.SolverWork, inj.ExhaustSolver)
-	s.csr.Edges = nil // the pooled layout must not keep this run's graph alive
+	var csr flowgraph.CSR
+	g.BuildCSR(&csr)
+	res = solveBound(maxflow.NewSolver(), g, &csr, nil, a.cfg.Budget.SolverWork, inj.ExhaustSolver)
 	t3 := time.Now()
 	st.Solve = t3.Sub(t2)
 

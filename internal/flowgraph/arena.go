@@ -21,8 +21,12 @@ type Arena struct {
 	numNodes int32
 	// taken is the edge count of the store Take handed to a Graph, 0
 	// while the arena owns its store. A taken arena accepts no edges
-	// until Reset, which sizes the next store by this count.
+	// until Reset.
 	taken int
+	// size is the capacity of the current store, set by Reset and
+	// allocated by the first AddEdge after it; the next Reset sizes the
+	// store after it from this one.
+	size int
 }
 
 // MemStats reports a graph core's size — the observable for the paper's
@@ -41,10 +45,16 @@ func NewArena() *Arena {
 }
 
 // Reset empties the arena back to the two terminal nodes. It never keeps
-// the old store, which may belong to a Graph: the new one starts with room
-// for as many edges as the last run added, and grows by append.
+// the old store, which may belong to a Graph. The new one has room for
+// the largest recent run, min(max(last size, last count), 2·last count),
+// and grows by append: a run as large as the ones before it never regrows
+// its store, and an outlier run sizes at most the one store after it,
+// because the cap is the same 2× slack Take allows a graph. The first
+// AddEdge allocates it, so the cost lands in the run that fills it.
 func (a *Arena) Reset() {
-	a.edges = make([]Edge, 0, a.NumEdges())
+	n := a.NumEdges()
+	a.size = min(max(a.size, n), 2*n)
+	a.edges = nil
 	a.numNodes, a.taken = 2, 0
 }
 
@@ -61,7 +71,8 @@ func (a *Arena) NumEdges() int {
 }
 
 // Bytes reports the capacity of the arena's edge store in bytes: 0 once
-// Take has handed the store over.
+// Take has handed the store over, and until the first AddEdge after
+// Reset.
 func (a *Arena) Bytes() int64 { return int64(cap(a.edges)) * int64(unsafe.Sizeof(Edge{})) }
 
 // Mem returns the arena's memory statistics.
@@ -87,6 +98,9 @@ func (a *Arena) AddEdge(from, to int32, cap int64, label Label) int32 {
 	}
 	if cap < 0 {
 		panic(fmt.Sprintf("flowgraph: negative capacity %d", cap))
+	}
+	if a.edges == nil {
+		a.edges = make([]Edge, 0, a.size)
 	}
 	a.edges = append(a.edges, Edge{From: NodeID(from), To: NodeID(to), Cap: cap, Label: label})
 	return int32(len(a.edges) - 1)

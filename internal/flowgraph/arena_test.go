@@ -276,8 +276,11 @@ func fuzzArena(data []byte, spare int, unions bool) (*Arena, func(int32) int32) 
 
 // FuzzArenaTake checks the in-place hand-off against the copying export:
 // the same graph, a store at most twice its size, counts still reported,
-// no store left behind, and a Reset arena that neither writes into the
-// graph nor starts smaller than the last one.
+// no store left behind, and a Reset arena that does not write into the
+// graph. It also checks Reset's sizing rule over a run of arenas with one
+// ten times the others: each store has room for min(max(last size, last
+// count), 2·last count) edges, allocated by the first edge, so the outlier
+// sizes only the store after it.
 func FuzzArenaTake(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 0, 2, 3, 2, 3, 3, 3, 1, 1, 0, 9, 4, 2, 0}, uint8(0), false)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 2, 3, 2, 3, 2, 2, 3, 3, 3, 1, 11, 1, 0, 4, 3, 3, 5, 4, 0}, uint8(200), true)
@@ -298,16 +301,45 @@ func FuzzArenaTake(f *testing.F) {
 		if a.Mem() != mem || a.NumNodes() != mem.TotalNodes || a.NumEdges() != mem.TotalEdges || a.Bytes() != 0 {
 			t.Fatalf("taken arena: mem %+v, %d nodes, %d edges, %d B; before Take mem %+v", a.Mem(), a.NumNodes(), a.NumEdges(), a.Bytes(), mem)
 		}
-		a.Reset()
-		if cap(a.edges) != mem.TotalEdges {
-			t.Fatalf("Reset after a %d-edge store made room for %d", mem.TotalEdges, cap(a.edges))
+		// reset resets the arena after a run that filled a store of last
+		// edges, checks the next store against Reset's rule, allocated
+		// by the first edge and not before, and returns its size.
+		var v int32
+		reset := func(last int) int {
+			n := a.NumEdges()
+			a.Reset()
+			if a.Bytes() != 0 {
+				t.Fatalf("Reset allocated %d B before any edge", a.Bytes())
+			}
+			v = a.AddNode()
+			a.AddEdge(0, v, 1, Label{Site: 1 << 20})
+			want := min(max(last, n), 2*n)
+			if cap(a.edges) != max(want, 1) {
+				t.Fatalf("Reset after a %d-edge store and a %d-edge run made room for %d, want %d", last, n, cap(a.edges), want)
+			}
+			return want
 		}
-		v := a.AddNode()
-		for i := 0; i <= mem.TotalEdges; i++ {
+		stores := []int{reset(int(spare))} // fuzzArena's first store held the spare edges
+		for a.NumEdges() <= mem.TotalEdges {
 			a.AddEdge(0, v, 1, Label{Site: 1 << 20})
 		}
 		if !slices.Equal(got.Edges, want.Edges) {
 			t.Fatal("edges added after Reset changed the taken graph")
+		}
+
+		small := mem.TotalEdges + 1
+		runs := []int{small, 10 * small, 1 + int(spare)%small, small}
+		for _, n := range runs {
+			for a.NumEdges() < n {
+				a.AddEdge(0, v, 1, Label{})
+			}
+			a.Take(nil)
+			stores = append(stores, reset(stores[len(stores)-1]))
+		}
+		// stores[i] is the store run i filled: the outlier is run 1, so
+		// stores[3] is sized after run 2, the run in between.
+		if stores[3] > 2*runs[2] {
+			t.Fatalf("runs %v: the store two resets after the outlier has room for %d edges, over twice the %d-edge run in between", runs, stores[3], runs[2])
 		}
 	})
 }

@@ -17,16 +17,15 @@ package flowgraph
 // HArcs[HStart[r]:HStart[r+1]]. A solver aliases these arrays and keeps
 // only its residuals.
 //
-// The map back to g costs no per-edge column. Edges aliases g.Edges; a
-// pooled CSR's owner clears it after the solve so the CSR does not keep
-// g alive.
+// The map back to g costs no per-edge column. Edges aliases g.Edges, so a
+// CSR keeps g's edges alive for as long as it is kept.
 // Node[v] is v's kept id, or ^e for an interior node whose out-edge is e,
 // so a chain is walked edge by edge from its first edge (ChainHead,
 // Next). Chains are numbered in the order of their first edges;
 // ChainArc[c] is chain c's arc and ChainCap[c] its capacity.
 //
-// A CSR is reusable: BuildCSR grows every slice in place, so a CSR filled
-// repeatedly stops allocating once sized for the largest graph.
+// BuildCSR sizes a fresh CSR's slices once, from upper bounds, and grows
+// a reused one's in place (spqr.Reduce lays out every round in one CSR).
 type CSR struct {
 	N      int
 	HStart []int32
@@ -131,11 +130,13 @@ func (g *Graph) BuildCSR(c *CSR) {
 	}
 
 	// Bucket the chains by head (HArcs is the bucket until index lays out
-	// the arcs), then give each head one arc per distinct end.
+	// the arcs), then give each head one arc per distinct end. There are
+	// at most as many arcs as chains, so To and HArcs are sized once, at
+	// 2·chains, and never regrow.
 	for r := int32(0); r < kept; r++ {
 		heads[r+1] += heads[r]
 	}
-	order := growI32(c.HArcs, chains)
+	order := growI32(c.HArcs, 2*chains)[:chains]
 	for i, ch := 0, int32(0); i < len(edges); i++ {
 		if x := node[edges[i].From]; x >= 0 {
 			order[heads[x]] = ch
@@ -148,6 +149,9 @@ func (g *Graph) BuildCSR(c *CSR) {
 		stamp[r] = -1
 	}
 	to := c.To[:0]
+	if cap(to) < 2*chains {
+		to = make([]int32, 0, 2*chains)
+	}
 	start := int32(0)
 	for u := int32(0); u < kept; u++ {
 		first := int32(len(to) / 2)

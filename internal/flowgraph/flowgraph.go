@@ -271,21 +271,3 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
-
-// SortEdges orders edges deterministically (by from, to, site, aux); useful
-// for stable test output after map-driven construction.
-func (g *Graph) SortEdges() {
-	sort.Slice(g.Edges, func(i, j int) bool {
-		a, b := g.Edges[i], g.Edges[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		if a.Label.Site != b.Label.Site {
-			return a.Label.Site < b.Label.Site
-		}
-		return a.Label.Aux < b.Label.Aux
-	})
-}

@@ -137,7 +137,7 @@ func AnalyzeFile(name string, f *ast.File) *Report {
 
 // classify decides how the pilot analysis fares on one declared output.
 func classify(item ast.EncItem, ws *writeSet) ItemReport {
-	expr := ExprString(item.Ptr)
+	expr := exprString(item.Ptr)
 	ir := ItemReport{Expr: expr}
 
 	// A range output `p : len` needs a statically-known extent.
@@ -354,8 +354,8 @@ func constEval(e ast.Expr) (int64, bool) {
 	return 0, false
 }
 
-// ExprString renders an expression for annotation output.
-func ExprString(e ast.Expr) string {
+// exprString renders an expression for annotation output.
+func exprString(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		return fmt.Sprintf("%d", e.Val)
@@ -364,27 +364,27 @@ func ExprString(e ast.Expr) string {
 	case *ast.Ident:
 		return e.Name
 	case *ast.Index:
-		return ExprString(e.X) + "[" + ExprString(e.Idx) + "]"
+		return exprString(e.X) + "[" + exprString(e.Idx) + "]"
 	case *ast.Unary:
-		return e.Op.String() + ExprString(e.X)
+		return e.Op.String() + exprString(e.X)
 	case *ast.Postfix:
-		return ExprString(e.X) + e.Op.String()
+		return exprString(e.X) + e.Op.String()
 	case *ast.Binary:
-		return ExprString(e.X) + e.Op.String() + ExprString(e.Y)
+		return exprString(e.X) + e.Op.String() + exprString(e.Y)
 	case *ast.Assign:
-		return ExprString(e.LHS) + e.Op.String() + ExprString(e.RHS)
+		return exprString(e.LHS) + e.Op.String() + exprString(e.RHS)
 	case *ast.Call:
 		args := make([]string, len(e.Args))
 		for i, a := range e.Args {
-			args[i] = ExprString(a)
+			args[i] = exprString(a)
 		}
 		return e.Fun.Name + "(" + strings.Join(args, ",") + ")"
 	case *ast.Cast:
-		return "(" + e.To.String() + ")" + ExprString(e.X)
+		return "(" + e.To.String() + ")" + exprString(e.X)
 	case *ast.SizeofExpr:
 		return "sizeof(" + e.Of.String() + ")"
 	case *ast.Cond:
-		return ExprString(e.C) + "?" + ExprString(e.Then) + ":" + ExprString(e.Else)
+		return exprString(e.C) + "?" + exprString(e.Then) + ":" + exprString(e.Else)
 	}
 	return "?"
 }

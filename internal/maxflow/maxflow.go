@@ -7,9 +7,9 @@
 // pick another algorithm; Certify checks any answer by duality.
 //
 // A Solver owns the residual network and the scratch buffers and reuses
-// them across Solve calls, so a long-lived analysis session (one
-// engine worker solving many per-run graphs) allocates only the results.
-// Solve runs on the graph's series–parallel-reduced layout
+// them across Solve calls on one layout (the per-class view solves of a
+// class graph). The engine gives each run its own Solver, so nothing
+// sized by a graph outlives the run that solved it. Solve runs on the graph's series–parallel-reduced layout
 // (flowgraph.CSR) and reports flow and cut on the graph itself; Certify
 // checks such an answer; Compute is the one-shot convenience wrapper over
 // a Graph.

@@ -75,8 +75,8 @@ func newBuilder(exact, attribute bool) *builder {
 }
 
 // reset empties the builder for an unrelated execution, keeping the
-// union-find and map storage for reuse; the arena starts a new edge store
-// sized by the last run. The attribution map is cleared, never truncated
+// union-find and map storage for reuse; the arena's next edge store is
+// sized for the largest recent run. The attribution map is cleared, never truncated
 // per label: its slices escape into SourceMaps built from the previous
 // graph.
 func (b *builder) reset() {

@@ -8,8 +8,8 @@ import (
 	"flowcheck/internal/vm"
 )
 
-// certifyingNotes re-solves the graph at every flow note through the
-// tracker's own reusable CSR and solver, and checks the flow certificate
+// certifyingNotes re-solves the graph at every flow note the way the
+// tracker does, and checks the flow certificate
 // and the snapshot FlowNote just recorded.
 type certifyingNotes struct {
 	*Tracker

@@ -167,11 +167,6 @@ type Tracker struct {
 
 	// secPos tracks the secret stream offset for SecretRanges filtering.
 	secPos int
-
-	// csr and noteSolver serve FlowNote's mid-run measurements, reused
-	// across notes.
-	csr        flowgraph.CSR
-	noteSolver *maxflow.Solver
 }
 
 // New creates a tracker.
@@ -226,7 +221,8 @@ func (t *Tracker) SetProbe(p Probe) { t.probe = p }
 // batch path then re-establishes §3.2 soundness by merging the per-run
 // graphs offline, by label. The builder is emptied in place, keeping its
 // union-find and map storage; the arena's edge store went to the last
-// Graph, so it starts a new one with room for as many edges.
+// Graph, so the run's first edge allocates a new one, sized for the
+// largest recent run.
 func (t *Tracker) ResetAll() {
 	t.Reset()
 	t.b.reset()
@@ -984,15 +980,13 @@ func (t *Tracker) FlowNote(site uint32) {
 	})
 }
 
-// solveSoFar lays out the graph built so far in the tracker's reusable CSR
-// and solves it.
+// solveSoFar lays out the graph built so far in a CSR of its own and
+// solves it. Nothing of the note outlives it, so a pooled tracker keeps
+// no layout between runs.
 func (t *Tracker) solveSoFar() (*flowgraph.Graph, *maxflow.Result) {
 	g := t.b.build()
-	g.BuildCSR(&t.csr)
-	if t.noteSolver == nil {
-		t.noteSolver = maxflow.NewSolver()
-	}
-	res, _ := t.noteSolver.Solve(&t.csr, nil, 0)
-	t.csr.Edges = nil // the reused layout must not keep this note's graph alive
+	var csr flowgraph.CSR
+	g.BuildCSR(&csr)
+	res, _ := maxflow.NewSolver().Solve(&csr, nil, 0)
 	return g, res
 }

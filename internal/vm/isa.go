@@ -117,12 +117,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// IsBinaryALU reports whether o is a two-source ALU or comparison operation.
-func (o Op) IsBinaryALU() bool { return o >= OpAdd && o <= OpCmpLEU && o != OpNot && o != OpNeg }
-
-// IsCompare reports whether o produces a 0/1 comparison result.
-func (o Op) IsCompare() bool { return o >= OpCmpEQ && o <= OpCmpLEU }
-
 // Syscall numbers (the Imm field of OpSys).
 const (
 	SysExit        = iota // exit with code R0
