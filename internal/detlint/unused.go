@@ -18,18 +18,8 @@ var unusedAllow = []string{
 	"experiments.Fig3Incompressible",
 	"flowgraph.Arena.Bytes",
 	"flowgraph.Graph.AddValueNode",
-	"flowgraph.Graph.InDegree",
-	"flowgraph.Graph.OutDegree",
-	"flowgraph.Graph.TotalSinkCapacity",
 	"flowgraph.Graph.Validate",
-	"kraft.MinConsistentUniform",
-	"stagecache.Stats.KindNames",
-	"static.ClassifyWrites",
-	"static.CountWrites",
-	"static.FuncCFG.BlockAt",
 	"taint.Tracker.ArenaBytes",
-	"unionfind.UF.Sets",
-	"vm.Machine.StoreWord",
 }
 
 // stdMethods are method names the standard library calls through its own

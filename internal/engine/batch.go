@@ -13,7 +13,6 @@ import (
 
 	"flowcheck/internal/fault"
 	"flowcheck/internal/flowgraph"
-	"flowcheck/internal/merge"
 	"flowcheck/internal/static"
 	"flowcheck/internal/taint"
 )
@@ -143,7 +142,7 @@ func (a *Analyzer) AnalyzeBatchContext(ctx context.Context, inputs []Inputs) (re
 
 	perRun := make([]*Result, len(inputs))
 	perErr := a.fanOut(len(inputs), func(s *session, i int) error {
-		r, err := a.runStages(ctx, s, a.sessionTracker(s), inputs[i], a.cfg.Fault.Run(i))
+		r, err := a.runStages(ctx, s, a.sessionTracker(s), inputs[i], a.cfg.Fault.Run(i), nil)
 		perRun[i] = r
 		return err
 	})
@@ -159,27 +158,15 @@ func (a *Analyzer) AnalyzeBatchContext(ctx context.Context, inputs []Inputs) (re
 		}
 	}
 
-	// Merge surviving per-run graphs in run order (§3.2). Exact-mode
-	// builders number edges with per-builder serials that collide across
-	// runs, so salt each run's labels to keep them disjoint — matching how
-	// a single exact-mode tracker numbers successive runs online. The salt
-	// is the run index, not the survivor ordinal, so poisoning run k never
-	// relabels run k+1.
+	// Merge surviving per-run graphs in run order (§3.2): collapsed runs
+	// by key, exact runs side by side, as one tracker accumulates
+	// successive runs online.
 	graphs := make([]*flowgraph.Graph, 0, len(inputs))
 	var failures []error
 	for i, r := range perRun {
 		if perErr[i] != nil {
 			failures = append(failures, fmt.Errorf("run %d: %w", i, perErr[i]))
 			continue
-		}
-		if a.cfg.Taint.Exact {
-			if serr := merge.SaltLabels(r.Graph, uint64(i+1)); serr != nil {
-				// An unsaltable graph cannot join the merge without risking
-				// label collisions; treat it like any other failed run.
-				perErr[i] = serr
-				failures = append(failures, fmt.Errorf("run %d: %w", i, serr))
-				continue
-			}
 		}
 		graphs = append(graphs, r.Graph)
 	}

@@ -204,6 +204,7 @@ func stampCacheHit(res *Result, lookup time.Duration, key cachekey.Key) *Result 
 
 const (
 	edgeBytes     = int64(unsafe.Sizeof(flowgraph.Edge{}))
+	ctxBytes      = 8  // one context word of a collapsed graph
 	instrBytes    = 16 // vm.Instr
 	perDiagBytes  = 64 // warnings, lint findings, run summaries (strings dominate)
 	structOverhd  = 512
@@ -235,13 +236,14 @@ func estimateStaticBytes(sa *static.Analysis) int64 {
 	return n
 }
 
-// estimateResultBytes charges the graph's edge store by capacity: a graph
-// that took over its arena's store may hold up to twice its edge count.
-// estimateClassGraphBytes charges its result through here.
+// estimateResultBytes charges the graph's edge store and, in a collapsed
+// graph, its context column by capacity: a graph that took over its
+// arena's store may hold up to twice its edge count. estimateClassGraphBytes
+// charges its result through here.
 func estimateResultBytes(r *Result) int64 {
 	n := int64(structOverhd)
 	if r.Graph != nil {
-		n += int64(cap(r.Graph.Edges)) * edgeBytes
+		n += int64(cap(r.Graph.Edges))*edgeBytes + int64(cap(r.Graph.Ctx))*ctxBytes
 	}
 	if r.Flow != nil {
 		n += int64(len(r.Flow.EdgeFlow)) * edgeFlowBytes

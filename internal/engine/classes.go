@@ -204,8 +204,8 @@ func (a *Analyzer) classGraphFor(ctx context.Context, in Inputs) (*classGraph, *
 
 // buildClassGraph runs the single attributed execution: every secret byte
 // marked (no ranging), source attribution on, and the joint solve done by
-// the ordinary pipeline. The CSR is built once here; per-class solves
-// attach to it read-only.
+// the ordinary pipeline. The CSR that solve lays out is the class graph's
+// one layout; per-class solves attach to it read-only.
 func (a *Analyzer) buildClassGraph(ctx context.Context, in Inputs) (*classGraph, error) {
 	s := a.acquire()
 	defer a.release(s)
@@ -216,12 +216,12 @@ func (a *Analyzer) buildClassGraph(ctx context.Context, in Inputs) (*classGraph,
 // tracker it recycles.
 func (a *Analyzer) classGraphOn(ctx context.Context, s *session, in Inputs) (*classGraph, error) {
 	tr := fresh(&s.classTracker, a.classTaintOptions())
-	res, err := a.runStages(ctx, s, tr, in, a.cfg.Fault.Run(0))
+	cg := &classGraph{}
+	res, err := a.runStages(ctx, s, tr, in, a.cfg.Fault.Run(0), &cg.csr)
 	if err != nil {
 		return nil, err
 	}
-	cg := &classGraph{res: res, srcMap: tr.SourceMap(res.Graph)}
-	res.Graph.BuildCSR(&cg.csr)
+	cg.res, cg.srcMap = res, tr.SourceMap(res.Graph)
 	return cg, nil
 }
 

@@ -349,7 +349,9 @@ func solveBound(solver *maxflow.Solver, g *flowgraph.Graph, csr *flowgraph.CSR, 
 
 // runStages executes the four pipeline stages for one input on a session,
 // with the given blank tracker (the session's reset one, or a class
-// analysis's attributing one).
+// analysis's attributing one). The graph is laid out into lay for the
+// solve; a caller that solves the graph again (the class path) passes
+// the CSR it keeps, others pass nil for one dropped after the solve.
 //
 // Failure semantics: guest traps — including typed step-limit traps — do
 // not fail the run; the partial execution is still soundly analyzable, so
@@ -358,7 +360,7 @@ func solveBound(solver *maxflow.Solver, g *flowgraph.Graph, csr *flowgraph.CSR, 
 // (ErrCanceled, ErrBudget, ErrInternal). A panic anywhere in the stages is
 // recovered here, at the stage boundary, so it cannot kill the process or
 // leak the pooled session.
-func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker, in Inputs, inj fault.Injection) (res *Result, err error) {
+func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker, in Inputs, inj fault.Injection, lay *flowgraph.CSR) (res *Result, err error) {
 	stage := fault.StageExecute
 	defer func() {
 		if r := recover(); r != nil {
@@ -432,9 +434,11 @@ func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker,
 
 	stage = fault.StageSolve
 	injectPanic(inj, fault.StageSolve)
-	var csr flowgraph.CSR
-	g.BuildCSR(&csr)
-	res = solveBound(maxflow.NewSolver(), g, &csr, nil, a.cfg.Budget.SolverWork, inj.ExhaustSolver)
+	if lay == nil {
+		lay = new(flowgraph.CSR)
+	}
+	g.BuildCSR(lay)
+	res = solveBound(maxflow.NewSolver(), g, lay, nil, a.cfg.Budget.SolverWork, inj.ExhaustSolver)
 	t3 := time.Now()
 	st.Solve = t3.Sub(t2)
 
@@ -514,7 +518,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, in Inputs) (*Result, erro
 func (a *Analyzer) analyzeDirect(ctx context.Context, in Inputs) (*Result, error) {
 	s := a.acquire()
 	defer a.release(s)
-	return a.runStages(ctx, s, a.sessionTracker(s), in, a.cfg.Fault.Run(0))
+	return a.runStages(ctx, s, a.sessionTracker(s), in, a.cfg.Fault.Run(0), nil)
 }
 
 func (a *Analyzer) sessionTracker(s *session) *taint.Tracker {

@@ -21,7 +21,7 @@ func TestTakenGraphSurvivesSessionReuse(t *testing.T) {
 	s := a.acquire()
 	defer a.release(s)
 	run := func(n int) *Result {
-		res, err := a.runStages(context.Background(), s, a.sessionTracker(s), Inputs{Secret: workload.PiWords(n)}, fault.Injection{})
+		res, err := a.runStages(context.Background(), s, a.sessionTracker(s), Inputs{Secret: workload.PiWords(n)}, fault.Injection{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,14 +49,15 @@ func TestTakenGraphSurvivesSessionReuse(t *testing.T) {
 	}
 }
 
-// A graph may keep spare capacity from its arena's store, but never more
-// than its own size: sessions size each store by the last graph, so a
-// small run after a large one is the case that would leave slack.
+// A graph may keep spare capacity from its arena's store and context
+// column, but never more than its own size: sessions size each store by
+// the last graph, so a small run after a large one is the case that would
+// leave slack.
 func TestReturnedGraphsHaveBoundedSlack(t *testing.T) {
 	check := func(what string, g *flowgraph.Graph) {
 		t.Helper()
-		if cap(g.Edges) > 2*len(g.Edges) {
-			t.Errorf("%s: graph of %d edges holds a %d-edge store", what, len(g.Edges), cap(g.Edges))
+		if cap(g.Edges) > 2*len(g.Edges) || cap(g.Ctx) > 2*len(g.Ctx) {
+			t.Errorf("%s: graph of %d edges holds a %d-edge store and a %d-word context column", what, len(g.Edges), cap(g.Edges), cap(g.Ctx))
 		}
 	}
 	for _, exact := range []bool{true, false} {
@@ -82,8 +83,9 @@ func TestReturnedGraphsHaveBoundedSlack(t *testing.T) {
 	}
 }
 
-// The cache budget charges a graph's edge store by capacity, slack
-// included, for results and class graphs alike.
+// The cache budget charges a graph's edge store and context column by
+// capacity, slack included, for results and class graphs alike, and for
+// the graphs the engine builds in either mode.
 func TestCacheChargesEdgeCapacity(t *testing.T) {
 	bare := estimateResultBytes(&Result{})
 	res := &Result{Graph: &flowgraph.Graph{Edges: make([]flowgraph.Edge, 10, 30)}}
@@ -93,5 +95,23 @@ func TestCacheChargesEdgeCapacity(t *testing.T) {
 	cg := &classGraph{res: res, srcMap: &flowgraph.SourceMap{}}
 	if got, want := estimateClassGraphBytes(cg), estimateResultBytes(res); got != want {
 		t.Fatalf("class graph charged %d B, want its result's %d", got, want)
+	}
+	collapsed := &Result{Graph: &flowgraph.Graph{Edges: make([]flowgraph.Edge, 10, 30), Ctx: make([]uint64, 10, 20)}}
+	if got, want := estimateResultBytes(collapsed)-bare, 30*edgeBytes+20*8; got != want {
+		t.Fatalf("collapsed 10-edge graph in a 30-edge store and 20-word column charged %d B, want %d", got, want)
+	}
+	for _, exact := range []bool{true, false} {
+		r, err := Analyze(guest.Program("compress"), Inputs{Secret: workload.PiWords(256)}, Config{Taint: taint.Options{Exact: exact}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, rest := r.Graph, *r
+		if g.Exact != exact || (g.Ctx == nil) != exact {
+			t.Fatalf("exact=%v engine graph: Exact %v, %d context words", exact, g.Exact, len(g.Ctx))
+		}
+		rest.Graph = nil
+		if got, want := estimateResultBytes(r)-estimateResultBytes(&rest), int64(cap(g.Edges))*24+int64(cap(g.Ctx))*8; got != want {
+			t.Fatalf("exact=%v graph of %d edges charged %d B, want %d (24 B an edge, 8 a context word)", exact, len(g.Edges), got, want)
+		}
 	}
 }

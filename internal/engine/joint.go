@@ -13,10 +13,9 @@ import (
 // out so every merge site (in-process AnalyzeBatch, the fleet
 // coordinator's distributed batch) computes it with the same code and
 // therefore the same bits. Callers pass the surviving runs' graphs —
-// trapped and failed runs already excluded — in run order, salted when
-// the labels are exact-mode serials (merge.SaltLabels with salt = run
-// index + 1, so per-builder serials cannot collide across runs). The
-// merge is deterministic in the graph order, so any two callers that
+// trapped and failed runs already excluded — in run order: exact graphs
+// merge side by side, collapsed ones by key. The merge is deterministic
+// in the graph order, so any two callers that
 // present the same graphs in the same order get bit-identical results
 // regardless of where the runs executed.
 //

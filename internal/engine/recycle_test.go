@@ -41,7 +41,7 @@ func TestPooledSessionRestoresDataImage(t *testing.T) {
 	defer a.release(s)
 	in := Inputs{Secret: []byte("WXYZ")}
 	run := func() *Result {
-		res, err := a.runStages(context.Background(), s, a.sessionTracker(s), in, fault.Injection{})
+		res, err := a.runStages(context.Background(), s, a.sessionTracker(s), in, fault.Injection{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

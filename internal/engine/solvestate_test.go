@@ -25,7 +25,7 @@ func TestPooledSessionKeepsNoEdgeState(t *testing.T) {
 		a := New(guest.Program("compress"), Config{Workers: 1, Taint: taint.Options{Exact: exact}})
 		s := a.acquire()
 		for _, n := range []int{1024, 512, 768} {
-			if _, err := a.runStages(context.Background(), s, a.sessionTracker(s), Inputs{Secret: workload.PiWords(n)}, fault.Injection{}); err != nil {
+			if _, err := a.runStages(context.Background(), s, a.sessionTracker(s), Inputs{Secret: workload.PiWords(n)}, fault.Injection{}, nil); err != nil {
 				t.Fatal(err)
 			}
 			if b := s.tracker.ArenaBytes(); b != 0 {
@@ -39,7 +39,7 @@ func TestPooledSessionKeepsNoEdgeState(t *testing.T) {
 	a := New(guest.Program("battleship"), Config{Workers: 1, Taint: taint.Options{Exact: true}})
 	s := a.acquire()
 	defer a.release(s)
-	res, err := a.runStages(context.Background(), s, a.sessionTracker(s), Inputs{Secret: secret, Public: public}, fault.Injection{})
+	res, err := a.runStages(context.Background(), s, a.sessionTracker(s), Inputs{Secret: secret, Public: public}, fault.Injection{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"flowcheck/internal/engine"
 	"flowcheck/internal/flowgraph"
-	"flowcheck/internal/merge"
 	"flowcheck/internal/serve"
 )
 
@@ -289,9 +288,8 @@ func (c *Coordinator) batchWorker(ctx context.Context, w int, req *BatchRequest,
 }
 
 // mergeBatch replays the in-process batch's merge discipline over the
-// shard outcomes: exclude failed and trapped runs, salt exact-mode
-// labels with the run index, merge in run order, solve jointly via
-// engine.SolveJoint. Identical inputs therefore yield identical bits
+// shard outcomes: exclude failed and trapped runs, merge in run order,
+// solve jointly via engine.SolveJoint. Identical inputs therefore yield identical bits
 // whether the runs executed here, on one shard, or scattered across a
 // fleet that lost a member mid-batch.
 func (c *Coordinator) mergeBatch(req *BatchRequest, outcomes []runOutcome, start time.Time) (*BatchResponse, error) {
@@ -322,8 +320,11 @@ func (c *Coordinator) mergeBatch(req *BatchRequest, outcomes []runOutcome, start
 		default:
 			rs.Bits = o.resp.Bits
 			g, err := o.resp.Graph.Decode()
-			if err == nil && o.resp.Graph.Exact {
-				err = merge.SaltLabels(g, uint64(i+1))
+			if err == nil && len(graphs) > 0 && g.Exact != graphs[0].Exact {
+				// Exact graphs merge side by side, collapsed ones by key:
+				// a shard whose mode differs from the runs before it
+				// cannot join the merge.
+				err = fmt.Errorf("fleet: shard %s returned an exact=%v graph into an exact=%v merge", o.shard, g.Exact, graphs[0].Exact)
 			}
 			if err != nil {
 				fail(err)

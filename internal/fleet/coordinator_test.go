@@ -16,6 +16,7 @@ import (
 	"flowcheck/internal/guest"
 	"flowcheck/internal/ledger"
 	"flowcheck/internal/serve"
+	"flowcheck/internal/taint"
 )
 
 // testShard is one in-process flowserved: a real serve.Service behind a
@@ -446,5 +447,28 @@ func TestStartProbesAtOnce(t *testing.T) {
 	}
 	if states["a"] != "healthy" || states["b"] != "draining" {
 		t.Fatalf("shard states after Start: %v, want a healthy, b draining", states)
+	}
+}
+
+// A shard whose graph mode differs from the batch's earlier runs fails
+// its run instead of reaching the merge, which cannot place exact and
+// collapsed graphs together.
+func TestMergeBatchRejectsMixedModes(t *testing.T) {
+	resp := func(exact bool) *serve.AnalyzeResponse {
+		res, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{3}}, engine.Config{Taint: taint.Options{Exact: exact}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &serve.AnalyzeResponse{Bits: res.Bits, Graph: serve.EncodeGraph(res.Graph)}
+	}
+	c := &Coordinator{opts: Options{Now: time.Now}}
+	out, err := c.mergeBatch(&BatchRequest{Program: "unary"}, []runOutcome{
+		{shard: "a", resp: resp(true)}, {shard: "b", resp: resp(false)}, {shard: "a", resp: resp(true)},
+	}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.MergedRuns != 2 || out.Runs[1].Error == "" || out.Runs[0].Error != "" || out.Runs[2].Error != "" {
+		t.Fatalf("merged %d runs, errors %q %q %q; want 2 merged and run 1 failed", out.MergedRuns, out.Runs[0].Error, out.Runs[1].Error, out.Runs[2].Error)
 	}
 }

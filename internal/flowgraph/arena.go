@@ -8,16 +8,21 @@ import (
 // Arena is the append-only edge store behind flow-graph construction: the
 // taint builder emits every dynamic edge into it while the guest runs, and
 // Take hands the store to the finished Graph. Collapsed construction (§5.2)
-// re-finds an edge by its slot and accumulates capacity into it; exact
-// construction only appends. Nodes cost nothing: the arena only counts
-// them.
+// re-finds an edge by its slot and accumulates capacity into it, and keeps
+// each edge's context word in a column beside the store; exact
+// construction only appends, and its edges, unique by slot, keep no
+// context. Nodes cost nothing: the arena only counts them.
 //
 // Node 0 and node 1 are pre-allocated and permanently correspond to the
 // graph Source and Sink.
 //
 // An Arena is not safe for concurrent use; each tracker owns one.
 type Arena struct {
-	edges    []Edge
+	exact bool
+	edges []Edge
+	// ctx is the context column, parallel to edges; nil in an exact
+	// arena. It is sized, allocated and handed over with edges.
+	ctx      []uint64
 	numNodes int32
 	// taken is the edge count of the store Take handed to a Graph, 0
 	// while the arena owns its store. A taken arena accepts no edges
@@ -39,9 +44,10 @@ type MemStats struct {
 	TotalNodes, TotalEdges       int
 }
 
-// NewArena returns an arena holding only the two terminal nodes.
-func NewArena() *Arena {
-	return &Arena{numNodes: 2}
+// NewArena returns an arena holding only the two terminal nodes, for an
+// exact graph or a collapsed one.
+func NewArena(exact bool) *Arena {
+	return &Arena{exact: exact, numNodes: 2}
 }
 
 // Reset empties the arena back to the two terminal nodes. It never keeps
@@ -54,7 +60,7 @@ func NewArena() *Arena {
 func (a *Arena) Reset() {
 	n := a.NumEdges()
 	a.size = min(max(a.size, n), 2*n)
-	a.edges = nil
+	a.edges, a.ctx = nil, nil
 	a.numNodes, a.taken = 2, 0
 }
 
@@ -70,10 +76,12 @@ func (a *Arena) NumEdges() int {
 	return len(a.edges)
 }
 
-// Bytes reports the capacity of the arena's edge store in bytes: 0 once
-// Take has handed the store over, and until the first AddEdge after
-// Reset.
-func (a *Arena) Bytes() int64 { return int64(cap(a.edges)) * int64(unsafe.Sizeof(Edge{})) }
+// Bytes reports the capacity of the arena's edge store and context column
+// in bytes: 0 once Take has handed them over, and until the first AddEdge
+// after Reset.
+func (a *Arena) Bytes() int64 {
+	return int64(cap(a.edges))*int64(unsafe.Sizeof(Edge{})) + int64(cap(a.ctx))*8
+}
 
 // Mem returns the arena's memory statistics.
 func (a *Arena) Mem() MemStats {
@@ -88,8 +96,8 @@ func (a *Arena) AddNode() int32 {
 }
 
 // AddEdge appends an edge and returns its slot, by which Accumulate and
-// EdgeEnds address it.
-func (a *Arena) AddEdge(from, to int32, cap int64, label Label) int32 {
+// EdgeEnds address it. An exact arena stores k's label only.
+func (a *Arena) AddEdge(from, to int32, cap int64, k Key) int32 {
 	if a.taken > 0 {
 		panic("flowgraph: edge added to an arena whose store was taken")
 	}
@@ -101,8 +109,14 @@ func (a *Arena) AddEdge(from, to int32, cap int64, label Label) int32 {
 	}
 	if a.edges == nil {
 		a.edges = make([]Edge, 0, a.size)
+		if !a.exact {
+			a.ctx = make([]uint64, 0, a.size)
+		}
 	}
-	a.edges = append(a.edges, Edge{From: NodeID(from), To: NodeID(to), Cap: cap, Label: label})
+	a.edges = append(a.edges, Edge{From: NodeID(from), To: NodeID(to), Cap: cap, Label: k.Label()})
+	if !a.exact {
+		a.ctx = append(a.ctx, k.Ctx)
+	}
 	return int32(len(a.edges) - 1)
 }
 
@@ -124,39 +138,47 @@ func (a *Arena) EdgeEnds(slot int32) (from, to int32) {
 
 // ---------------------------------------------------------------- export ---
 
-// Export materializes the arena's edges as a Graph in a new edge slice,
-// leaving the arena intact, so construction can go on (a mid-run FlowNote
-// snapshot). resolve maps an arena node to its representative (a
-// union-find Find for collapsed construction); nil means identity. Arena
-// nodes resolving to the terminals become Source and Sink, other nodes are
-// renumbered by first appearance in slot order; self-loops, edges out of
-// the Sink, and edges into the Source are dropped, and capacities clamp to
-// Inf — reproducing the historical builder output byte for byte.
+// Export materializes the arena's edges as a Graph in a new edge slice
+// (and, for a collapsed arena, a new context column), leaving the arena
+// intact, so construction can go on (a mid-run FlowNote snapshot).
+// resolve maps an arena node to its representative (a union-find Find for
+// collapsed construction); nil means identity. Arena nodes resolving to
+// the terminals become Source and Sink, other nodes are renumbered by
+// first appearance in slot order; self-loops, edges out of the Sink, and
+// edges into the Source are dropped, and capacities clamp to Inf —
+// reproducing the historical builder output byte for byte. The graph is
+// Exact if the arena is.
 func (a *Arena) Export(resolve func(int32) int32) *Graph {
-	return a.export(resolve, make([]Edge, 0, len(a.edges)))
+	return a.export(resolve, make([]Edge, 0, len(a.edges)), make([]uint64, 0, len(a.ctx)))
 }
 
 // Take is Export without the copy, for the end of construction: the graph
-// is written in place over the arena's own store, and the store becomes
-// the Graph's. The arena keeps reporting its node and edge counts but
-// accepts no edges until Reset. A store more than twice the graph's size
-// (spare capacity from append growth or from Reset's sizing) is copied to
-// exact size instead, so a graph never pins much more than it uses.
+// is written in place over the arena's own store and context column, and
+// they become the Graph's. The arena keeps reporting its node and edge
+// counts but accepts no edges until Reset. A store or column more than
+// twice the graph's size (spare capacity from append growth or from
+// Reset's sizing) is copied to exact size instead, so a graph never pins
+// much more than it uses.
 func (a *Arena) Take(resolve func(int32) int32) *Graph {
-	g := a.export(resolve, a.edges[:0])
-	a.edges, a.taken = nil, len(a.edges)
+	g := a.export(resolve, a.edges[:0], a.ctx[:0])
+	a.edges, a.ctx, a.taken = nil, nil, len(a.edges)
 	if cap(g.Edges) > 2*len(g.Edges) {
 		g.Edges = append(make([]Edge, 0, len(g.Edges)), g.Edges...)
+	}
+	if cap(g.Ctx) > 2*len(g.Ctx) { // append grows each on its own schedule
+		g.Ctx = append(make([]uint64, 0, len(g.Ctx)), g.Ctx...)
 	}
 	return g
 }
 
 // export is the one export loop behind Export and Take: it appends the
-// graph's edges to dst. Each arena edge yields at most one graph edge, so
-// when dst is the arena's own store emptied, the write index never passes
-// the read index and every edge is read before its slot is overwritten.
-func (a *Arena) export(resolve func(int32) int32, dst []Edge) *Graph {
+// graph's edges to dst and, for a collapsed arena, their context words to
+// ctx, which an exact arena ignores. Each arena edge yields at most one graph edge, so when dst and ctx
+// are the arena's own store and column emptied, the write index never
+// passes the read index and every slot is read before it is overwritten.
+func (a *Arena) export(resolve func(int32) int32, dst []Edge, ctx []uint64) *Graph {
 	out := New()
+	out.Exact = a.exact
 	out.Edges = dst
 	node := make([]NodeID, a.numNodes)
 	for i := range node {
@@ -188,6 +210,12 @@ func (a *Arena) export(resolve func(int32) int32, dst []Edge) *Graph {
 			continue
 		}
 		out.AddEdge(from, to, min(e.Cap, Inf), e.Label)
+		if !a.exact {
+			ctx = append(ctx, a.ctx[i])
+		}
+	}
+	if !a.exact {
+		out.Ctx = ctx
 	}
 	return out
 }

@@ -9,15 +9,15 @@ import (
 )
 
 func TestArenaBasics(t *testing.T) {
-	a := NewArena()
+	a := NewArena(false)
 	if a.NumNodes() != 2 || a.NumEdges() != 0 {
 		t.Fatalf("fresh arena has %d nodes, %d edges, want 2, 0", a.NumNodes(), a.NumEdges())
 	}
 	v := a.AddNode()
 	w := a.AddNode()
-	s1 := a.AddEdge(0, v, 8, Label{Site: 1, Kind: KindInput})
-	a.AddEdge(v, w, 5, Label{Site: 2})
-	a.AddEdge(w, 1, 8, Label{Site: 3, Kind: KindOutput})
+	s1 := a.AddEdge(0, v, 8, Key{Site: 1, Kind: KindInput})
+	a.AddEdge(v, w, 5, Key{Site: 2})
+	a.AddEdge(w, 1, 8, Key{Site: 3, Kind: KindOutput})
 	if a.NumEdges() != 3 {
 		t.Fatalf("NumEdges = %d, want 3", a.NumEdges())
 	}
@@ -40,6 +40,9 @@ func TestArenaBasics(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if g.Exact || !slices.Equal(g.Ctx, []uint64{0, 0, 0}) {
+		t.Fatalf("collapsed export: Exact %v, context column %v, want false and three zeros", g.Exact, g.Ctx)
+	}
 	m := a.Mem()
 	if m.TotalEdges != 3 || m.PeakLiveEdges != 3 || m.TotalNodes != 4 || m.PeakLiveNodes != 4 {
 		t.Fatalf("mem = %+v", m)
@@ -52,52 +55,60 @@ func TestArenaBasics(t *testing.T) {
 
 // TestArenaExportMatchesGraph checks that Export renumbers nodes by first
 // appearance in edge order and preserves edges, caps and labels — the
-// contract the historical label-map builder established.
+// contract the historical label-map builder established — and, from a
+// collapsed arena, each edge's context word; an exact arena exports no
+// context column.
 func TestArenaExportMatchesGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := NewArena()
-	nodes := []int32{0, 1}
-	for i := 0; i < 6; i++ {
-		nodes = append(nodes, a.AddNode())
-	}
-	type emitted struct {
-		from, to int32
-		cap      int64
-		lbl      Label
-	}
-	var want []emitted
-	for i := 0; i < 40; i++ {
-		f := nodes[rng.Intn(len(nodes))]
-		to := nodes[rng.Intn(len(nodes))]
-		if f == to || f == 1 || to == 0 {
-			continue
+	for _, exact := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(7))
+		a := NewArena(exact)
+		nodes := []int32{0, 1}
+		for i := 0; i < 6; i++ {
+			nodes = append(nodes, a.AddNode())
 		}
-		cap := int64(rng.Intn(100))
-		lbl := Label{Site: uint32(i)}
-		a.AddEdge(f, to, cap, lbl)
-		want = append(want, emitted{f, to, cap, lbl})
-	}
-	got := a.Export(nil)
-	if got.NumEdges() != len(want) {
-		t.Fatalf("edge count %d != %d", got.NumEdges(), len(want))
-	}
-	// Replay the first-appearance renumbering rule.
-	remap := map[int32]NodeID{0: Source, 1: Sink}
-	next := NodeID(2)
-	for i, w := range want {
-		for _, v := range []int32{w.from, w.to} {
-			if _, ok := remap[v]; !ok {
-				remap[v] = next
-				next++
+		type emitted struct {
+			from, to int32
+			cap      int64
+			k        Key
+		}
+		var want []emitted
+		for i := 0; i < 40; i++ {
+			f := nodes[rng.Intn(len(nodes))]
+			to := nodes[rng.Intn(len(nodes))]
+			if f == to || f == 1 || to == 0 {
+				continue
+			}
+			cap := int64(rng.Intn(100))
+			k := Key{Site: uint32(i), Ctx: rng.Uint64()}
+			a.AddEdge(f, to, cap, k)
+			want = append(want, emitted{f, to, cap, k})
+		}
+		got := a.Export(nil)
+		if got.NumEdges() != len(want) || got.Exact != exact || (exact && got.Ctx != nil) {
+			t.Fatalf("exact %v: %d edges, Exact %v, %d context words; want %d edges", exact, got.NumEdges(), got.Exact, len(got.Ctx), len(want))
+		}
+		// Replay the first-appearance renumbering rule.
+		remap := map[int32]NodeID{0: Source, 1: Sink}
+		next := NodeID(2)
+		for i, w := range want {
+			for _, v := range []int32{w.from, w.to} {
+				if _, ok := remap[v]; !ok {
+					remap[v] = next
+					next++
+				}
+			}
+			wk := w.k
+			if exact {
+				wk.Ctx = 0
+			}
+			e := got.Edges[i]
+			if e.From != remap[w.from] || e.To != remap[w.to] || e.Cap != w.cap || got.Key(i) != wk {
+				t.Fatalf("exact %v: edge %d: %+v key %+v, want (%d,%d,%d,%+v)", exact, i, e, got.Key(i), remap[w.from], remap[w.to], w.cap, wk)
 			}
 		}
-		e := got.Edges[i]
-		if e.From != remap[w.from] || e.To != remap[w.to] || e.Cap != w.cap || e.Label != w.lbl {
-			t.Fatalf("edge %d: %+v, want (%d,%d,%d,%+v)", i, e, remap[w.from], remap[w.to], w.cap, w.lbl)
+		if got.NumNodes() != int(next) {
+			t.Fatalf("exact %v: NumNodes = %d, want %d", exact, got.NumNodes(), next)
 		}
-	}
-	if got.NumNodes() != int(next) {
-		t.Fatalf("NumNodes = %d, want %d", got.NumNodes(), next)
 	}
 }
 
@@ -212,17 +223,21 @@ func checkCSRLayout(t *testing.T, name string, g *Graph, c *CSR) {
 }
 
 // TestRecordSizes pins the per-edge record sizes. Every graph, arena slot
-// and cache estimate pays them per edge, so a field reorder that brings
-// back padding must fail here rather than silently grow them.
+// and cache estimate pays them per edge — an exact one 24 bytes, a
+// collapsed one 32 with its context word — so a field reorder that brings
+// back padding, or a field that moves back onto the edge, must fail here
+// rather than silently grow them.
 func TestRecordSizes(t *testing.T) {
 	var a Arena
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"Label", unsafe.Sizeof(Label{}), 16},
-		{"Edge", unsafe.Sizeof(Edge{}), 32},
-		{"arena slot", unsafe.Sizeof(a.edges[0]), 32},
+		{"Label", unsafe.Sizeof(Label{}), 8},
+		{"Edge", unsafe.Sizeof(Edge{}), 24},
+		{"arena slot", unsafe.Sizeof(a.edges[0]), 24},
+		{"context word", unsafe.Sizeof(a.ctx[0]), 8},
+		{"Key", unsafe.Sizeof(Key{}), 16},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
@@ -234,12 +249,14 @@ func TestRecordSizes(t *testing.T) {
 // add a node (some stay edgeless), add an edge between any two nodes
 // (self-loops and edges into Source or out of Sink included, capacities
 // past Inf too), accumulate into an earlier slot, or union two nodes of
-// the union-find that resolve reads when unions is set. The arena first
-// hands off spare edges, so Reset sizes its store with that much room.
+// the union-find that resolve reads when unions is set. Like the builder,
+// it unions only in a collapsed arena, so unions also picks the mode. The
+// arena first hands off spare edges, so Reset sizes its store with that
+// much room.
 func fuzzArena(data []byte, spare int, unions bool) (*Arena, func(int32) int32) {
-	a := NewArena()
+	a := NewArena(!unions)
 	for i := 0; i < spare; i++ {
-		a.AddEdge(0, 1, 1, Label{})
+		a.AddEdge(0, 1, 1, Key{})
 	}
 	a.Take(nil)
 	a.Reset()
@@ -265,7 +282,7 @@ func fuzzArena(data []byte, spare int, unions bool) (*Arena, func(int32) int32) 
 				parent[rx] = ry
 			}
 		default:
-			a.AddEdge(x%n, y%n, int64(op)<<(y%50), Label{Ctx: uint64(i), Site: uint32(x), Aux: op})
+			a.AddEdge(x%n, y%n, int64(op)<<(y%50), Key{Site: uint32(x), Aux: op, Ctx: uint64(i)})
 		}
 	}
 	if !unions {
@@ -286,17 +303,23 @@ func FuzzArenaTake(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 2, 3, 2, 3, 2, 2, 3, 3, 3, 1, 11, 1, 0, 4, 3, 3, 5, 4, 0}, uint8(200), true)
 	f.Add([]byte{0, 0, 0, 2, 0, 1, 3, 2, 1, 7, 0, 2}, uint8(3), true)
 	f.Add([]byte{}, uint8(9), false)
+	// A collapsed run whose context column outgrew twice the graph while
+	// its edge store did not.
+	f.Add([]byte("700700700700000700700700701701700000000701700000700701701000702702702702700702702710702702700700702702700702702700702700700700"), uint8(9), true)
 	f.Fuzz(func(t *testing.T, data []byte, spare uint8, unions bool) {
 		ref, refResolve := fuzzArena(data, int(spare), unions)
 		a, resolve := fuzzArena(data, int(spare), unions)
 		want := ref.Export(refResolve)
 		mem := a.Mem()
 		got := a.Take(resolve)
-		if got.NumNodes() != want.NumNodes() || !slices.Equal(got.Edges, want.Edges) {
-			t.Fatalf("Take: %d nodes %v\nExport: %d nodes %v", got.NumNodes(), got.Edges, want.NumNodes(), want.Edges)
+		if got.NumNodes() != want.NumNodes() || !slices.Equal(got.Edges, want.Edges) || !slices.Equal(got.Ctx, want.Ctx) {
+			t.Fatalf("Take: %d nodes %v ctx %v\nExport: %d nodes %v ctx %v", got.NumNodes(), got.Edges, got.Ctx, want.NumNodes(), want.Edges, want.Ctx)
 		}
-		if cap(got.Edges) > 2*len(got.Edges) {
-			t.Fatalf("taken graph of %d edges keeps a %d-edge store", len(got.Edges), cap(got.Edges))
+		if got.Exact != !unions || (got.Exact && got.Ctx != nil) || got.Validate() != nil {
+			t.Fatalf("taken graph of an exact=%v arena: Exact %v, %d context words, Validate %v", !unions, got.Exact, len(got.Ctx), got.Validate())
+		}
+		if cap(got.Edges) > 2*len(got.Edges) || cap(got.Ctx) > 2*len(got.Ctx) {
+			t.Fatalf("taken graph of %d edges keeps a %d-edge store and %d-word column", len(got.Edges), cap(got.Edges), cap(got.Ctx))
 		}
 		if a.Mem() != mem || a.NumNodes() != mem.TotalNodes || a.NumEdges() != mem.TotalEdges || a.Bytes() != 0 {
 			t.Fatalf("taken arena: mem %+v, %d nodes, %d edges, %d B; before Take mem %+v", a.Mem(), a.NumNodes(), a.NumEdges(), a.Bytes(), mem)
@@ -312,18 +335,25 @@ func FuzzArenaTake(f *testing.F) {
 				t.Fatalf("Reset allocated %d B before any edge", a.Bytes())
 			}
 			v = a.AddNode()
-			a.AddEdge(0, v, 1, Label{Site: 1 << 20})
+			a.AddEdge(0, v, 1, Key{Site: 1 << 20})
 			want := min(max(last, n), 2*n)
 			if cap(a.edges) != max(want, 1) {
 				t.Fatalf("Reset after a %d-edge store and a %d-edge run made room for %d, want %d", last, n, cap(a.edges), want)
+			}
+			ctxCap := cap(a.edges)
+			if a.exact {
+				ctxCap = 0
+			}
+			if cap(a.ctx) != ctxCap {
+				t.Fatalf("exact=%v arena's context column has room for %d words beside a %d-edge store", a.exact, cap(a.ctx), cap(a.edges))
 			}
 			return want
 		}
 		stores := []int{reset(int(spare))} // fuzzArena's first store held the spare edges
 		for a.NumEdges() <= mem.TotalEdges {
-			a.AddEdge(0, v, 1, Label{Site: 1 << 20})
+			a.AddEdge(0, v, 1, Key{Site: 1 << 20})
 		}
-		if !slices.Equal(got.Edges, want.Edges) {
+		if !slices.Equal(got.Edges, want.Edges) || !slices.Equal(got.Ctx, want.Ctx) {
 			t.Fatal("edges added after Reset changed the taken graph")
 		}
 
@@ -331,7 +361,7 @@ func FuzzArenaTake(f *testing.F) {
 		runs := []int{small, 10 * small, 1 + int(spare)%small, small}
 		for _, n := range runs {
 			for a.NumEdges() < n {
-				a.AddEdge(0, v, 1, Label{})
+				a.AddEdge(0, v, 1, Key{})
 			}
 			a.Take(nil)
 			stores = append(stores, reset(stores[len(stores)-1]))
@@ -345,14 +375,14 @@ func FuzzArenaTake(f *testing.F) {
 }
 
 func TestArenaTakenRejectsEdges(t *testing.T) {
-	a := NewArena()
+	a := NewArena(true)
 	v := a.AddNode()
-	a.AddEdge(0, v, 1, Label{})
+	a.AddEdge(0, v, 1, Key{})
 	a.Take(nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("AddEdge on a taken arena did not panic")
 		}
 	}()
-	a.AddEdge(v, 1, 1, Label{})
+	a.AddEdge(v, 1, 1, Key{})
 }

@@ -45,3 +45,37 @@ func TestWriteDOTDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteDOTTieBreak pins the order of edges that agree up to Aux: a
+// collapsed graph orders them by context word, an exact graph by
+// position, whatever their kinds and capacities.
+func TestWriteDOTTieBreak(t *testing.T) {
+	g := New()
+	v := g.AddNode()
+	g.AddEdge(Source, v, 2, Label{Site: 1, Kind: KindImplicit})
+	g.AddEdge(Source, v, 1, Label{Site: 1, Kind: KindData})
+	for _, c := range []struct {
+		exact bool
+		ctx   []uint64
+		want  string
+	}{
+		{false, []uint64{3, 5}, "implicit:2 data:1"},
+		{false, nil, "data:1 implicit:2"}, // equal contexts: kind decides
+		{true, nil, "implicit:2 data:1"},
+	} {
+		g.Exact, g.Ctx = c.exact, c.ctx
+		var sb strings.Builder
+		if err := g.WriteDOT(&sb, ""); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if _, l, ok := strings.Cut(line, `label="`); ok && strings.Contains(line, "->") {
+				got = append(got, strings.TrimSuffix(l, `"];`))
+			}
+		}
+		if strings.Join(got, " ") != c.want {
+			t.Errorf("exact %v, ctx %v: edge order %v, want %s", c.exact, c.ctx, got, c.want)
+		}
+	}
+}

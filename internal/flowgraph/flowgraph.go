@@ -16,6 +16,7 @@ package flowgraph
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -59,18 +60,32 @@ func (k EdgeKind) String() string {
 
 // Label identifies the static program location an edge arose from, used for
 // graph collapsing (§5.2) and multi-run merging (§3.2). Site is a static
-// code-site identifier; Ctx is an optional 64-bit probabilistic
-// calling-context hash (zero when context-insensitive); Aux distinguishes
-// the several edges a single site emits (operand index, internal edge, ...).
-// Ctx comes first so the smaller fields pack behind it: a Label is 16
-// bytes and an Edge 32, which every graph, arena slot and cache estimate
-// pays per edge.
+// code-site identifier; Aux distinguishes the several edges a single site
+// emits (operand index, internal edge, ...). A Label is 8 bytes and an
+// Edge 24, which every graph, arena slot and cache estimate pays per edge.
 type Label struct {
+	Site uint32
+	Aux  uint8
+	Kind EdgeKind
+}
+
+// Key is a collapsed-mode edge identity: the edge's Label fields and its
+// context word Ctx — the optional probabilistic calling-context hash,
+// XORed with the addresses that keep per-location edges apart (zero when
+// neither applies). Collapsed construction and merging unify edges with
+// equal Keys. Exact-mode edges are unique by position and have no Key.
+// The fields are flat, not a nested Label, so a map hashes and compares
+// a Key as one run of memory: the builder's maps are on the collapsed
+// Execute path.
+type Key struct {
 	Ctx  uint64
 	Site uint32
 	Aux  uint8
 	Kind EdgeKind
 }
+
+// Label returns the label part of the key.
+func (k Key) Label() Label { return Label{Site: k.Site, Aux: k.Aux, Kind: k.Kind} }
 
 // Edge is one capacity-limited information channel.
 type Edge struct {
@@ -82,7 +97,16 @@ type Edge struct {
 // Graph is a flow network under construction or analysis.
 type Graph struct {
 	numNodes int32
-	Edges    []Edge
+	// Exact marks a graph built in exact mode (§5.2): its edges are
+	// unique by position, never by label, so merging places exact graphs
+	// side by side. Arena.Take sets it from the arena's mode.
+	Exact bool
+	Edges []Edge
+	// Ctx is the context column of a collapsed graph, parallel to Edges:
+	// Ctx[i] is the context word of Edges[i]'s Key. Exact graphs never
+	// carry it; nil in a collapsed graph means every context word is 0.
+	// Validate checks both.
+	Ctx []uint64
 }
 
 // New returns a graph containing only the Source and Sink nodes.
@@ -124,6 +148,17 @@ func (g *Graph) AddEdge(from, to NodeID, cap int64, label Label) int {
 	return len(g.Edges) - 1
 }
 
+// Key returns edge i's collapsed-mode identity: its label and context
+// word.
+func (g *Graph) Key(i int) Key {
+	l := g.Edges[i].Label
+	k := Key{Site: l.Site, Aux: l.Aux, Kind: l.Kind}
+	if g.Ctx != nil {
+		k.Ctx = g.Ctx[i]
+	}
+	return k
+}
+
 // AddValueNode allocates a split node pair for a value holding `capBits`
 // secret bits: it returns the in and out halves joined by an internal edge.
 // Producers should point edges at in; consumers read from out.
@@ -135,41 +170,9 @@ func (g *Graph) AddValueNode(capBits int64, label Label) (in, out NodeID) {
 	return in, out
 }
 
-// OutDegree returns a slice mapping each node to its out-degree.
-func (g *Graph) OutDegree() []int32 {
-	deg := make([]int32, g.numNodes)
-	for _, e := range g.Edges {
-		deg[e.From]++
-	}
-	return deg
-}
-
-// InDegree returns a slice mapping each node to its in-degree.
-func (g *Graph) InDegree() []int32 {
-	deg := make([]int32, g.numNodes)
-	for _, e := range g.Edges {
-		deg[e.To]++
-	}
-	return deg
-}
-
-// TotalSinkCapacity returns the sum of capacities of edges entering Sink —
-// the bound a plain tainting analysis would report (paper §7).
-func (g *Graph) TotalSinkCapacity() int64 {
-	var total int64
-	for _, e := range g.Edges {
-		if e.To == Sink {
-			total += e.Cap
-		}
-	}
-	return total
-}
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{numNodes: g.numNodes, Edges: make([]Edge, len(g.Edges))}
-	copy(c.Edges, g.Edges)
-	return c
+	return &Graph{numNodes: g.numNodes, Exact: g.Exact, Edges: slices.Clone(g.Edges), Ctx: slices.Clone(g.Ctx)}
 }
 
 // Stats summarizes a graph for reports.
@@ -212,8 +215,17 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	for i := range order {
 		order[i] = i
 	}
+	// Context words order edges that agree up to Aux; in an exact graph
+	// the position is the edge's identity and takes their place.
+	ctx := func(i int) uint64 {
+		if g.Exact {
+			return uint64(i)
+		}
+		return g.Key(i).Ctx
+	}
 	sort.Slice(order, func(x, y int) bool {
-		a, b := g.Edges[order[x]], g.Edges[order[y]]
+		i, j := order[x], order[y]
+		a, b := g.Edges[i], g.Edges[j]
 		if a.From != b.From {
 			return a.From < b.From
 		}
@@ -226,8 +238,8 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 		if a.Label.Aux != b.Label.Aux {
 			return a.Label.Aux < b.Label.Aux
 		}
-		if a.Label.Ctx != b.Label.Ctx {
-			return a.Label.Ctx < b.Label.Ctx
+		if ci, cj := ctx(i), ctx(j); ci != cj {
+			return ci < cj
 		}
 		if a.Label.Kind != b.Label.Kind {
 			return a.Label.Kind < b.Label.Kind
@@ -252,9 +264,13 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 }
 
 // Validate checks structural invariants: edge endpoints in range, no edges
-// out of Sink or into Source, non-negative capacities. It returns the first
-// violation found, or nil.
+// out of Sink or into Source, non-negative capacities, and a context
+// column only on a collapsed graph and parallel to its edges. It returns
+// the first violation found, or nil.
 func (g *Graph) Validate() error {
+	if g.Ctx != nil && (g.Exact || len(g.Ctx) != len(g.Edges)) {
+		return fmt.Errorf("context column of %d words on a graph of %d edges (exact %v)", len(g.Ctx), len(g.Edges), g.Exact)
+	}
 	for i, e := range g.Edges {
 		if int32(e.From) >= g.numNodes || int32(e.To) >= g.numNodes || e.From < 0 || e.To < 0 {
 			return fmt.Errorf("edge %d: endpoint out of range: (%d,%d)", i, e.From, e.To)

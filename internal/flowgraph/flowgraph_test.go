@@ -98,10 +98,16 @@ func TestCloneIsDeep(t *testing.T) {
 	g := New()
 	a := g.AddNode()
 	g.AddEdge(Source, a, 5, Label{})
+	g.Ctx = []uint64{7}
 	c := g.Clone()
 	c.Edges[0].Cap = 99
-	if g.Edges[0].Cap != 5 {
-		t.Fatal("Clone shares edge storage")
+	c.Ctx[0] = 9
+	if g.Edges[0].Cap != 5 || g.Ctx[0] != 7 {
+		t.Fatal("Clone shares edge storage or context column")
+	}
+	g.Ctx, g.Exact = nil, true
+	if c := g.Clone(); !c.Exact || c.Ctx != nil {
+		t.Fatalf("clone of an exact graph: Exact %v, context column %v", c.Exact, c.Ctx)
 	}
 }
 
@@ -145,4 +151,34 @@ func TestEdgeKindString(t *testing.T) {
 	if KindImplicit.String() != "implicit" || KindChain.String() != "chain" {
 		t.Fatal("EdgeKind names wrong")
 	}
+}
+
+// OutDegree returns a slice mapping each node to its out-degree.
+func (g *Graph) OutDegree() []int32 {
+	deg := make([]int32, g.numNodes)
+	for _, e := range g.Edges {
+		deg[e.From]++
+	}
+	return deg
+}
+
+// InDegree returns a slice mapping each node to its in-degree.
+func (g *Graph) InDegree() []int32 {
+	deg := make([]int32, g.numNodes)
+	for _, e := range g.Edges {
+		deg[e.To]++
+	}
+	return deg
+}
+
+// TotalSinkCapacity returns the sum of capacities of edges entering Sink —
+// the bound a plain tainting analysis would report (paper §7).
+func (g *Graph) TotalSinkCapacity() int64 {
+	var total int64
+	for _, e := range g.Edges {
+		if e.To == Sink {
+			total += e.Cap
+		}
+	}
+	return total
 }

@@ -74,3 +74,20 @@ func TestMinConsistentUniform(t *testing.T) {
 		}
 	}
 }
+
+// MinConsistentUniform returns the smallest single bound k that is jointly
+// sound for n equally-informative distinct messages: ceil(log2 n). (Paper
+// §3.1: distinguishing N messages requires log2 N bits each.)
+func MinConsistentUniform(n int) int64 {
+	if n <= 1 {
+		return 0
+	}
+	k := int64(0)
+	for p := 1; p < n; p *= 2 {
+		k++
+		if p > (1 << 62) {
+			break
+		}
+	}
+	return k
+}

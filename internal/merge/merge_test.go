@@ -1,8 +1,8 @@
 package merge_test
 
 import (
-	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"flowcheck/internal/engine"
@@ -74,56 +74,91 @@ func TestMergedFlowAtLeastMaxOfRuns(t *testing.T) {
 	}
 }
 
-func TestSaltLabelsBoundaries(t *testing.T) {
-	mk := func(ctx uint64) *flowgraph.Graph {
+// saltLabels is the retired exact-merge discipline, kept as the oracle
+// of the side-by-side merge: exact builders once stamped each edge with a
+// per-builder serial from 1 as its context word, and merging callers
+// salted run k's serials with (k+1)<<44 so that runs could not collide.
+// It returns g so stamped and salted as a collapsed graph, whose key
+// merge then keeps every edge apart.
+func saltLabels(g *flowgraph.Graph, run int) *flowgraph.Graph {
+	c := g.Clone()
+	c.Exact = false
+	c.Ctx = make([]uint64, len(c.Edges))
+	for i := range c.Ctx {
+		c.Ctx[i] = uint64(run+1)<<44 | uint64(i+1)
+	}
+	return c
+}
+
+// checkExactMerge merges exact graphs side by side and by the salted key
+// oracle, and requires the same nodes, edges and max flow of both.
+func checkExactMerge(t *testing.T, graphs []*flowgraph.Graph) {
+	t.Helper()
+	salted := make([]*flowgraph.Graph, len(graphs))
+	for i, g := range graphs {
+		salted[i] = saltLabels(g, i)
+	}
+	got, want := merge.Graphs(graphs...), merge.Graphs(salted...)
+	if !got.Exact || got.Ctx != nil || got.Validate() != nil {
+		t.Fatalf("exact merge: Exact %v, %d context words, Validate %v", got.Exact, len(got.Ctx), got.Validate())
+	}
+	if got.NumNodes() != want.NumNodes() || !slices.Equal(got.Edges, want.Edges) {
+		t.Fatalf("side by side: %d nodes %v\nsalted oracle: %d nodes %v", got.NumNodes(), got.Edges, want.NumNodes(), want.Edges)
+	}
+	if f, w := maxflow.Compute(got).Flow, maxflow.Compute(want).Flow; f != w {
+		t.Fatalf("side-by-side flow %d, salted oracle %d", f, w)
+	}
+}
+
+// Exact graphs merge side by side even when their labels agree: two
+// identical one-edge runs are two parallel paths.
+func TestExactMergeSideBySide(t *testing.T) {
+	mk := func() *flowgraph.Graph {
 		g := flowgraph.New()
-		g.AddEdge(flowgraph.Source, flowgraph.Sink, 1, flowgraph.Label{Site: 1, Ctx: ctx})
+		g.Exact = true
+		g.AddEdge(flowgraph.Source, flowgraph.Sink, 1, flowgraph.Label{Site: 1})
 		return g
 	}
+	if f := maxflow.Compute(merge.Graphs(mk(), mk())).Flow; f != 2 {
+		t.Fatalf("exact merge flow = %d, want 2 (side-by-side paths)", f)
+	}
+	checkExactMerge(t, []*flowgraph.Graph{mk(), mk()})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merging an exact and a collapsed graph did not panic")
+		}
+	}()
+	merge.Graphs(mk(), chainGraph(1, 1))
+}
 
-	// Valid: max salt with a Ctx below the salt field.
-	g := mk(1<<44 - 1)
-	if err := merge.SaltLabels(g, merge.MaxSalt); err != nil {
-		t.Fatalf("max salt rejected: %v", err)
-	}
-	if got, want := g.Edges[0].Label.Ctx, (merge.MaxSalt<<44)|(1<<44-1); got != want {
-		t.Fatalf("salted Ctx = %#x, want %#x", got, want)
-	}
-
-	// Salt too wide for the 20-bit field.
-	var serr *merge.SaltError
-	err := merge.SaltLabels(mk(0), merge.MaxSalt+1)
-	if err == nil {
-		t.Fatal("overflowing salt accepted")
-	}
-	if !errors.As(err, &serr) || serr.Edge != -1 {
-		t.Fatalf("err = %#v, want *SaltError with Edge=-1", err)
-	}
-
-	// Ctx already occupying the salt field: collision, graph unmodified.
-	g = mk(1 << 44)
-	err = merge.SaltLabels(g, 1)
-	if err == nil {
-		t.Fatal("colliding Ctx accepted")
-	}
-	if !errors.As(err, &serr) || serr.Edge != 0 {
-		t.Fatalf("err = %#v, want *SaltError with Edge=0", err)
-	}
-	if g.Edges[0].Label.Ctx != 1<<44 {
-		t.Fatalf("failed SaltLabels modified the graph: Ctx = %#x", g.Edges[0].Label.Ctx)
-	}
-
-	// Distinct salts keep two identical exact-mode graphs disjoint.
-	g1, g2 := mk(7), mk(7)
-	if err := merge.SaltLabels(g1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := merge.SaltLabels(g2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if f := maxflow.Compute(merge.Graphs(g1, g2)).Flow; f != 2 {
-		t.Fatalf("salted merge flow = %d, want 2 (side-by-side paths)", f)
-	}
+// FuzzExactMerge checks the side-by-side exact merge against the salted
+// key-merge oracle on random exact graphs: up to four of them, six bytes
+// per edge, with self-loops, edges into Source or out of Sink, edgeless
+// nodes and capacities past Inf among them.
+func FuzzExactMerge(f *testing.F) {
+	f.Add([]byte{3, 0, 2, 8, 1, 0, 2, 1, 1, 0, 2, 0, 5, 0, 0, 0, 0, 0, 1, 1, 0, 1, 7, 0})
+	f.Add([]byte{2, 4, 3, 250, 9, 1, 3, 2, 255, 9, 1, 1, 1, 3, 16, 9, 2, 0, 0, 9, 1, 1, 2})
+	f.Add([]byte{0, 1, 1, 200, 1, 1, 2, 2, 2, 100, 0, 0, 5, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var graphs []*flowgraph.Graph
+		for len(data) > 0 && len(graphs) < 4 {
+			n := 2 + int(data[0]%6)
+			m := min(int(data[0]/6)%8, (len(data)-1)/6)
+			g := flowgraph.New()
+			g.Exact = true
+			g.EnsureNodes(n)
+			for e := range slices.Chunk(data[1:1+6*m], 6) {
+				g.AddEdge(flowgraph.NodeID(int(e[0])%n), flowgraph.NodeID(int(e[1])%n), int64(e[2])<<(e[3]%52),
+					flowgraph.Label{Site: uint32(e[4] % 4), Aux: e[5] % 2, Kind: flowgraph.EdgeKind(e[5] % 7)})
+			}
+			graphs = append(graphs, g)
+			data = data[1+6*m:]
+		}
+		if len(graphs) == 0 {
+			return // no graph, no mode: Graphs() is an empty collapsed graph
+		}
+		checkExactMerge(t, graphs)
+	})
 }
 
 // The paper's §3.2 unsoundness example, end to end: a program that prints
@@ -237,9 +272,9 @@ func TestOfflineMergeMatchesOnline(t *testing.T) {
 		opts   taint.Options
 	}{
 		{"collapsed", unary, unaryIn, taint.Options{}},
-		// Exact-mode builders number edges per builder, so the offline
-		// merge salts each run's labels the way one online tracker numbers
-		// successive runs.
+		// Exact-mode edges are unique by position, so the offline merge
+		// places runs side by side, as one online tracker accumulates
+		// them.
 		{"exact", unary, unaryIn, taint.Options{Exact: true}},
 		{"compress", guest.Program("compress"), compressIn, taint.Options{}},
 	}
@@ -247,15 +282,10 @@ func TestOfflineMergeMatchesOnline(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			online := onlineBits(t, c.prog, c.inputs, c.opts)
 			var graphs []*flowgraph.Graph
-			for i, in := range c.inputs {
+			for _, in := range c.inputs {
 				res, err := engine.Analyze(c.prog, in, engine.Config{Taint: c.opts})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if c.opts.Exact {
-					if err := merge.SaltLabels(res.Graph, uint64(i+1)); err != nil {
-						t.Fatal(err)
-					}
 				}
 				graphs = append(graphs, res.Graph)
 			}

@@ -246,11 +246,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		out.Classes = append(out.Classes, cresp)
 	}
 	if req.IncludeGraph && res.Graph != nil {
-		exact := false
-		if p := s.lookup(resp.Program); p != nil {
-			exact = p.cfg.Taint.Exact
-		}
-		out.Graph = EncodeGraph(res.Graph, exact)
+		out.Graph = EncodeGraph(res.Graph)
 	}
 	if res.Rung != "" {
 		w.Header().Set("X-Flow-Rung", res.Rung)

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"encoding/base64"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,53 +11,75 @@ import (
 	"flowcheck/internal/flowgraph"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/serve"
+	"flowcheck/internal/taint"
 )
 
-func wireTestGraph() *flowgraph.Graph {
+// wireTestGraph is a small graph of either mode; the collapsed one
+// carries a context column.
+func wireTestGraph(exact bool) *flowgraph.Graph {
 	g := flowgraph.New()
+	g.Exact = exact
 	g.EnsureNodes(5)
 	g.AddEdge(flowgraph.Source, 2, 8, flowgraph.Label{Site: 10, Kind: flowgraph.KindInput})
-	g.AddEdge(2, 3, 1<<40, flowgraph.Label{Site: 11, Ctx: 0xdeadbeef, Aux: 2})
+	g.AddEdge(2, 3, 1<<40, flowgraph.Label{Site: 11, Aux: 2})
 	g.AddEdge(3, flowgraph.Sink, 7, flowgraph.Label{Site: 12, Kind: flowgraph.KindOutput})
+	if !exact {
+		g.Ctx = []uint64{0, 0xdeadbeef, 1 << 63}
+	}
 	return g
 }
 
-func TestWireGraphRoundTrip(t *testing.T) {
-	g := wireTestGraph()
-	w := serve.EncodeGraph(g, true)
-	if w.Nodes != g.NumNodes() || w.Edges != g.NumEdges() || !w.Exact {
-		t.Fatalf("wire header %+v does not match graph (%d nodes, %d edges)", w, g.NumNodes(), g.NumEdges())
+// checkWireRoundTrip requires a graph to come back from the wire bit-
+// identical: nodes, edges, mode and context column.
+func checkWireRoundTrip(t *testing.T, name string, g *flowgraph.Graph) *serve.WireGraph {
+	t.Helper()
+	w := serve.EncodeGraph(g)
+	if w.Nodes != g.NumNodes() || w.Edges != g.NumEdges() || w.Exact != g.Exact {
+		t.Fatalf("%s: wire header %+v does not match graph (%d nodes, %d edges, exact %v)", name, w, g.NumNodes(), g.NumEdges(), g.Exact)
 	}
 	got, err := w.Decode()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	if got.NumNodes() != g.NumNodes() {
-		t.Fatalf("decoded %d nodes, want %d", got.NumNodes(), g.NumNodes())
+	if got.NumNodes() != g.NumNodes() || got.Exact != g.Exact || !reflect.DeepEqual(got.Edges, g.Edges) || !reflect.DeepEqual(got.Ctx, g.Ctx) {
+		t.Fatalf("%s: decoded graph differs:\n got %d nodes exact %v %+v ctx %v\nwant %d nodes exact %v %+v ctx %v",
+			name, got.NumNodes(), got.Exact, got.Edges, got.Ctx, g.NumNodes(), g.Exact, g.Edges, g.Ctx)
 	}
-	if !reflect.DeepEqual(got.Edges, g.Edges) {
-		t.Fatalf("decoded edges differ:\n got %+v\nwant %+v", got.Edges, g.Edges)
+	return w
+}
+
+// Both modes round-trip; only the collapsed graph ships its context
+// column, 8 bytes per edge.
+func TestWireGraphRoundTrip(t *testing.T) {
+	size := map[bool]int{}
+	for _, exact := range []bool{true, false} {
+		w := checkWireRoundTrip(t, fmt.Sprintf("exact=%v", exact), wireTestGraph(exact))
+		raw, _ := base64.StdEncoding.DecodeString(w.Data)
+		size[exact] = len(raw)
+	}
+	if size[false]-size[true] != 3*8 {
+		t.Fatalf("collapsed payload %d B, exact %d B: want the 3-edge context column, 24 B, between them", size[false], size[true])
 	}
 }
 
 // The wire format must survive a real engine-produced graph exactly —
-// edge order included, since order is what keys the deterministic merge.
+// edge order included, since order is what keys the deterministic merge
+// and is an exact graph's identity.
 func TestWireGraphRoundTripEngineGraph(t *testing.T) {
-	res, err := engine.Analyze(guest.Program("count_punct"), engine.Inputs{Secret: []byte("hello, world")}, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := serve.EncodeGraph(res.Graph, false).Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Edges, res.Graph.Edges) {
-		t.Fatalf("engine graph did not survive the wire (%d vs %d edges)", got.NumEdges(), res.Graph.NumEdges())
+	for _, exact := range []bool{false, true} {
+		res, err := engine.Analyze(guest.Program("count_punct"), engine.Inputs{Secret: []byte("hello, world")}, engine.Config{Taint: taint.Options{Exact: exact, ContextSensitive: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Graph.Exact != exact || (res.Graph.Ctx == nil) != exact {
+			t.Fatalf("engine graph of exact=%v: Exact %v, %d context words", exact, res.Graph.Exact, len(res.Graph.Ctx))
+		}
+		checkWireRoundTrip(t, fmt.Sprintf("engine exact=%v", exact), res.Graph)
 	}
 }
 
 func TestEncodeGraphNil(t *testing.T) {
-	if serve.EncodeGraph(nil, true) != nil {
+	if serve.EncodeGraph(nil) != nil {
 		t.Fatal("nil graph must encode to nil")
 	}
 	var w *serve.WireGraph
@@ -68,7 +91,7 @@ func TestEncodeGraphNil(t *testing.T) {
 // Corrupt and adversarial payloads must fail with errors, never panic:
 // the coordinator decodes bytes that crossed a network.
 func TestWireGraphDecodeRejectsCorruption(t *testing.T) {
-	good := serve.EncodeGraph(wireTestGraph(), false)
+	good := serve.EncodeGraph(wireTestGraph(false))
 	raw, _ := base64.StdEncoding.DecodeString(good.Data)
 
 	corrupt := func(name string, mutate func(w *serve.WireGraph)) {
@@ -81,6 +104,11 @@ func TestWireGraphDecodeRejectsCorruption(t *testing.T) {
 	}
 
 	corrupt("not base64", func(w *serve.WireGraph) { w.Data = "!!!" })
+	corrupt("version 1 payload", func(w *serve.WireGraph) {
+		old := append([]byte("FG1\n"), raw[len("FG2\n"):]...)
+		w.Data = base64.StdEncoding.EncodeToString(old)
+	})
+	corrupt("collapsed payload marked exact", func(w *serve.WireGraph) { w.Exact = true })
 	corrupt("bad magic", func(w *serve.WireGraph) {
 		bad := append([]byte(nil), raw...)
 		bad[0] ^= 0xff
@@ -95,7 +123,7 @@ func TestWireGraphDecodeRejectsCorruption(t *testing.T) {
 	corrupt("negative capacity", func(w *serve.WireGraph) {
 		bad := append([]byte(nil), raw...)
 		// First edge's cap is a little-endian i64 at offset magic+8.
-		off := len("FG1\n") + 8
+		off := len("FG2\n") + 8
 		for i := 0; i < 8; i++ {
 			bad[off+i] = 0xff
 		}

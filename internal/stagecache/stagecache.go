@@ -21,7 +21,6 @@
 package stagecache
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -306,16 +305,6 @@ func (st Stats) Totals() KindStats {
 		t.Bytes += k.Bytes
 	}
 	return t
-}
-
-// KindNames returns the kinds seen so far, sorted, for stable rendering.
-func (st Stats) KindNames() []string {
-	names := make([]string, 0, len(st.Kinds))
-	for n := range st.Kinds {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Stats snapshots the cache.

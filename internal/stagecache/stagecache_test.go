@@ -3,6 +3,7 @@ package stagecache
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,4 +259,14 @@ func TestStatsKindNamesSorted(t *testing.T) {
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
 		t.Fatalf("KindNames = %v; want [alpha zeta]", names)
 	}
+}
+
+// KindNames returns the kinds seen so far, sorted, for stable rendering.
+func (st Stats) KindNames() []string {
+	names := make([]string, 0, len(st.Kinds))
+	for n := range st.Kinds {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -49,15 +49,6 @@ type FuncCFG struct {
 	blockOf []int // pc-Entry -> block index
 }
 
-// BlockAt returns the index of the block containing pc, or -1 if pc is
-// outside the function.
-func (c *FuncCFG) BlockAt(pc int) int {
-	if pc < c.Entry || pc >= c.End {
-		return -1
-	}
-	return c.blockOf[pc-c.Entry]
-}
-
 // BuildCFG partitions every function of p into basic blocks and connects
 // them. Programs without a function table (hand-assembled tests) yield no
 // CFGs; callers treat their code as statically unknown.

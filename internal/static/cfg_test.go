@@ -347,3 +347,12 @@ func postdominatorsLT(c *FuncCFG) []int {
 	}
 	return ipdom
 }
+
+// BlockAt returns the index of the block containing pc, or -1 if pc is
+// outside the function.
+func (c *FuncCFG) BlockAt(pc int) int {
+	if pc < c.Entry || pc >= c.End {
+		return -1
+	}
+	return c.blockOf[pc-c.Entry]
+}

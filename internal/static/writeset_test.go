@@ -78,3 +78,137 @@ func TestClassifyWritesAcrossCall(t *testing.T) {
 		t.Fatalf("calls = %d, want 1", w.Calls)
 	}
 }
+
+// WriteKind classifies one store instruction.
+type WriteKind int
+
+const (
+	WriteGlobal  WriteKind = iota // constant data address
+	WriteFrame                    // constant frame-pointer offset
+	WriteDynamic                  // address not statically resolvable
+)
+
+func (k WriteKind) String() string {
+	switch k {
+	case WriteGlobal:
+		return "global"
+	case WriteFrame:
+		return "frame"
+	case WriteDynamic:
+		return "dynamic"
+	}
+	return "?"
+}
+
+// WriteCounts aggregates a range's stores per kind, plus the calls that
+// leave the range (Figure 6's interprocedural outputs).
+type WriteCounts struct {
+	Global  int
+	Frame   int
+	Dynamic int
+	Calls   int
+}
+
+// Found returns the directly-classified store count (Figure 6 "found").
+func (w WriteCounts) Found() int { return w.Global + w.Frame }
+
+// ClassifyWrites runs the store classification over every CFG and
+// returns the kind of each store instruction, indexed by pc (stores
+// only; other pcs are absent).
+func ClassifyWrites(p *vm.Program, cfgs []*FuncCFG) map[int]WriteKind {
+	kinds := make(map[int]WriteKind)
+	for _, c := range cfgs {
+		for _, b := range c.Blocks[:c.Exit] {
+			classifyBlock(p, b, kinds)
+		}
+	}
+	return kinds
+}
+
+func classifyBlock(p *vm.Program, b *Block, kinds map[int]WriteKind) {
+	var regs [vm.NumRegs]absVal
+	for i := range regs {
+		regs[i] = top
+	}
+	regs[vm.BP] = absVal{kind: absBP}
+
+	// The compiler routes operands through push/pop pairs (evaluate
+	// address, push, evaluate value, pop address back), so an abstract
+	// operand stack is needed to see frame addresses at all. A pop past
+	// the values pushed in this block yields ⊤; call/ret leave SP
+	// balanced, so pushed values survive a call (though registers do not).
+	var stk []absVal
+
+	for pc := b.Start; pc < b.End; pc++ {
+		in := &p.Code[pc]
+		switch in.Op {
+		case vm.OpConst:
+			regs[in.A] = absVal{kind: absConst, off: int64(in.Imm)}
+		case vm.OpMov:
+			regs[in.A] = regs[in.B]
+		case vm.OpAdd:
+			regs[in.A] = absAdd(regs[in.B], regs[in.C])
+		case vm.OpSub:
+			regs[in.A] = absSub(regs[in.B], regs[in.C])
+		case vm.OpPush:
+			stk = append(stk, regs[in.B])
+		case vm.OpPop:
+			if n := len(stk); n > 0 {
+				regs[in.A] = stk[n-1]
+				stk = stk[:n-1]
+			} else {
+				regs[in.A] = top
+			}
+		case vm.OpStore:
+			addr := absAdd(regs[in.A], absVal{kind: absConst, off: int64(in.Imm)})
+			switch addr.kind {
+			case absConst:
+				kinds[pc] = WriteGlobal
+			case absBP:
+				kinds[pc] = WriteFrame
+			default:
+				kinds[pc] = WriteDynamic
+			}
+		case vm.OpLoad:
+			regs[in.A] = top
+		case vm.OpCall, vm.OpCallInd:
+			// Callee clobbers scratch registers; MiniC's convention
+			// preserves SP/BP (and the words already pushed) across calls.
+			for r := 0; r < vm.SP; r++ {
+				regs[r] = top
+			}
+		case vm.OpSys, vm.OpJmp, vm.OpJz, vm.OpJnz,
+			vm.OpJmpInd, vm.OpRet, vm.OpHalt, vm.OpNop:
+			// No register results (OpSys writes R0).
+			if in.Op == vm.OpSys {
+				regs[vm.R0] = top
+			}
+		default:
+			// Remaining ALU/compare/byte ops produce unknown values.
+			regs[in.A] = top
+		}
+	}
+}
+
+// CountWrites tallies the classified stores and calls within the
+// instruction range [start, end].
+func CountWrites(p *vm.Program, kinds map[int]WriteKind, start, end int) WriteCounts {
+	var w WriteCounts
+	for pc := start; pc <= end && pc < len(p.Code); pc++ {
+		if k, ok := kinds[pc]; ok {
+			switch k {
+			case WriteGlobal:
+				w.Global++
+			case WriteFrame:
+				w.Frame++
+			case WriteDynamic:
+				w.Dynamic++
+			}
+		}
+		switch p.Code[pc].Op {
+		case vm.OpCall, vm.OpCallInd:
+			w.Calls++
+		}
+	}
+	return w
+}

@@ -10,17 +10,17 @@ import (
 //
 // It implements both construction modes of paper §4.2/§5.2 with one
 // mechanism. Every runtime value is a pair of arena nodes (the two halves
-// of a split node); every edge carries a Label. In collapsed mode, edges
-// with the same label are merged: their capacities accumulate in place and
+// of a split node); every edge carries a Key: its label and context word.
+// In collapsed mode, edges with the same key are merged: their capacities accumulate in place and
 // their endpoints' classes are unioned — the paper's almost-linear-time
 // combination using a union-find structure (§3.2); the union-find runs in
 // lockstep with arena node allocation, so element ids and node ids
-// coincide. In exact mode every edge is given a unique label and no merging
-// occurs.
+// coincide. In exact mode every edge is unique by its arena slot and no
+// merging occurs; the arena keeps no context word for it.
 //
 // Value pairs are canonicalized per label in collapsed mode, so the
 // builder's memory grows with code coverage (the number of distinct
-// labels), not with run time — the property §5.2 relies on for analyzing
+// keys), not with run time — the property §5.2 relies on for analyzing
 // long executions.
 type builder struct {
 	ar *flowgraph.Arena
@@ -29,25 +29,28 @@ type builder struct {
 	// at export. nil in exact mode, where no unions ever happen.
 	uf *unionfind.UF
 
-	// slots maps a label to its arena edge slot (collapsed mode only;
-	// exact-mode labels are unique by construction, so no map is needed).
-	slots map[flowgraph.Label]int32
+	// slots maps a key to its arena edge slot (collapsed mode only;
+	// exact-mode edges are unique by slot, so no map is needed).
+	slots map[flowgraph.Key]int32
 
 	srcEl, sinkEl int32
 
-	exact  bool
-	serial uint64
+	exact, attribute bool
 
-	// canonVal maps a site label to its canonical value pair (collapsed
+	// canonVal maps a site key to its canonical value pair (collapsed
 	// mode only).
-	canonVal map[flowgraph.Label]valPair
+	canonVal map[flowgraph.Key]valPair
 
-	// attrib records, per final edge label, which secret-stream bytes fed
-	// the Source edges emitted under that label (Options.AttributeSources
-	// mode; nil otherwise). It is keyed on the label as stored in the
-	// arena — after the exact-mode serial stamp — so exported edges look
-	// their attribution up by Edge.Label directly.
-	attrib map[flowgraph.Label][]flowgraph.SourceContrib
+	// attrib records, per edge key, which secret-stream bytes fed the
+	// Source edges emitted under that key (collapsed mode with
+	// Options.AttributeSources; nil otherwise), so exported edges look
+	// their attribution up by Graph.Key.
+	attrib map[flowgraph.Key][]flowgraph.SourceContrib
+	// srcAttrib is exact mode's attribution: one contribution per Source
+	// edge, in slot order. Export keeps every exact Source edge (its head
+	// is a fresh node), in slot order, so the k-th Source edge of the
+	// graph is the one in the k-th Source slot.
+	srcAttrib []flowgraph.SourceContrib
 
 	implicitEdges int
 }
@@ -58,27 +61,28 @@ type valPair struct {
 
 func newBuilder(exact, attribute bool) *builder {
 	b := &builder{
-		ar:    flowgraph.NewArena(),
-		exact: exact,
+		ar:        flowgraph.NewArena(exact),
+		exact:     exact,
+		attribute: attribute,
 	}
 	b.srcEl = 0 // arena Source
 	b.sinkEl = 1
 	if !exact {
 		b.uf = unionfind.New(2) // elements 0,1 mirror the terminal nodes
-		b.slots = map[flowgraph.Label]int32{}
-		b.canonVal = map[flowgraph.Label]valPair{}
-	}
-	if attribute {
-		b.attrib = map[flowgraph.Label][]flowgraph.SourceContrib{}
+		b.slots = map[flowgraph.Key]int32{}
+		b.canonVal = map[flowgraph.Key]valPair{}
+		if attribute {
+			b.attrib = map[flowgraph.Key][]flowgraph.SourceContrib{}
+		}
 	}
 	return b
 }
 
 // reset empties the builder for an unrelated execution, keeping the
 // union-find and map storage for reuse; the arena's next edge store is
-// sized for the largest recent run. The attribution map is cleared, never truncated
-// per label: its slices escape into SourceMaps built from the previous
-// graph.
+// sized for the largest recent run. Attribution is cleared or released,
+// never truncated: its slices escape into SourceMaps built from the
+// previous graph.
 func (b *builder) reset() {
 	b.ar.Reset()
 	if b.uf != nil {
@@ -87,7 +91,7 @@ func (b *builder) reset() {
 	clear(b.slots)
 	clear(b.canonVal)
 	clear(b.attrib)
-	b.serial, b.implicitEdges = 0, 0
+	b.srcAttrib, b.implicitEdges = nil, 0
 }
 
 // element allocates a fresh graph element (used for region and chain nodes).
@@ -100,70 +104,58 @@ func (b *builder) element() int32 {
 }
 
 // addEdge records an information channel of cap bits from element `from` to
-// element `to` under the given label.
-func (b *builder) addEdge(from, to int32, cap int64, lbl flowgraph.Label) {
-	if lbl.Kind == flowgraph.KindImplicit {
+// element `to` under the given key.
+func (b *builder) addEdge(from, to int32, cap int64, k flowgraph.Key) {
+	if k.Kind == flowgraph.KindImplicit {
 		b.implicitEdges++
 	}
 	if b.exact {
-		b.serial++
-		lbl.Ctx = b.serial
-		b.ar.AddEdge(from, to, cap, lbl)
+		b.ar.AddEdge(from, to, cap, k)
 		return
 	}
-	if slot, ok := b.slots[lbl]; ok {
+	if slot, ok := b.slots[k]; ok {
 		b.ar.Accumulate(slot, cap)
 		ef, et := b.ar.EdgeEnds(slot)
 		b.uf.Union(int(ef), int(from))
 		b.uf.Union(int(et), int(to))
 		return
 	}
-	b.slots[lbl] = b.ar.AddEdge(from, to, cap, lbl)
+	b.slots[k] = b.ar.AddEdge(from, to, cap, k)
 }
 
 // addSourceEdge is addEdge for Source-rooted secret-input edges, recording
 // the emitting byte's secret-stream offset when attribution is enabled.
 // streamOff < 0 marks an unattributed byte (memory marked secret with no
-// stream position); every class view then keeps its capacity. Attribution
-// is recorded against the label as finally stored — in exact mode that is
-// the post-serial label, which addEdge would otherwise hide — which is why
-// this cannot be layered on top of addEdge from the tracker.
-func (b *builder) addSourceEdge(to int32, cap int64, lbl flowgraph.Label, streamOff int) {
-	if b.attrib == nil {
-		b.addEdge(b.srcEl, to, cap, lbl)
+// stream position); every class view then keeps its capacity.
+func (b *builder) addSourceEdge(to int32, cap int64, k flowgraph.Key, streamOff int) {
+	b.addEdge(b.srcEl, to, cap, k)
+	if !b.attribute {
 		return
 	}
+	c := flowgraph.SourceContrib{Off: streamOff, Bits: cap}
 	if b.exact {
-		b.serial++
-		lbl.Ctx = b.serial
-		b.ar.AddEdge(b.srcEl, to, cap, lbl)
-	} else if slot, ok := b.slots[lbl]; ok {
-		b.ar.Accumulate(slot, cap)
-		ef, et := b.ar.EdgeEnds(slot)
-		b.uf.Union(int(ef), int(b.srcEl))
-		b.uf.Union(int(et), int(to))
+		b.srcAttrib = append(b.srcAttrib, c)
 	} else {
-		b.slots[lbl] = b.ar.AddEdge(b.srcEl, to, cap, lbl)
+		b.attrib[k] = append(b.attrib[k], c)
 	}
-	b.attrib[lbl] = append(b.attrib[lbl], flowgraph.SourceContrib{Off: streamOff, Bits: cap})
 }
 
 // value creates (or, in collapsed mode, re-finds) the split node pair for a
-// value produced at the given site label, charging capBits to its internal
+// value produced at the given site key, charging capBits to its internal
 // edge. Producers attach edges to in; consumers read from out.
-func (b *builder) value(lbl flowgraph.Label, capBits int64) (in, out int32) {
-	lbl.Kind = flowgraph.KindInternal
+func (b *builder) value(k flowgraph.Key, capBits int64) (in, out int32) {
+	k.Kind = flowgraph.KindInternal
 	if !b.exact {
-		if vp, ok := b.canonVal[lbl]; ok {
-			b.ar.Accumulate(b.slots[lbl], capBits)
+		if vp, ok := b.canonVal[k]; ok {
+			b.ar.Accumulate(b.slots[k], capBits)
 			return vp.in, vp.out
 		}
 	}
 	in = b.element()
 	out = b.element()
-	b.addEdge(in, out, capBits, lbl)
+	b.addEdge(in, out, capBits, k)
 	if !b.exact {
-		b.canonVal[lbl] = valPair{in: in, out: out}
+		b.canonVal[k] = valPair{in: in, out: out}
 	}
 	return in, out
 }

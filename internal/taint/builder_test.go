@@ -7,8 +7,8 @@ import (
 	"flowcheck/internal/maxflow"
 )
 
-func lbl(site uint32, aux uint8, kind flowgraph.EdgeKind) flowgraph.Label {
-	return flowgraph.Label{Site: site, Aux: aux, Kind: kind}
+func lbl(site uint32, aux uint8, kind flowgraph.EdgeKind) flowgraph.Key {
+	return flowgraph.Key{Site: site, Aux: aux, Kind: kind}
 }
 
 func TestBuilderSimpleChain(t *testing.T) {

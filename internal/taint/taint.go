@@ -157,8 +157,8 @@ type Tracker struct {
 	ctx      uint64
 	ctxStack []uint64
 
-	regionCanon map[flowgraph.Label]int32
-	chainCanon  map[flowgraph.Label]int32
+	regionCanon map[flowgraph.Key]int32
+	chainCanon  map[flowgraph.Key]int32
 
 	warnings  []Warning
 	snapshots []Snapshot
@@ -178,8 +178,8 @@ func New(opts Options) *Tracker {
 		opts:        opts,
 		b:           newBuilder(opts.Exact, opts.AttributeSources),
 		sh:          newShadowMem(opts.MaxDescriptors, opts.MaxExceptions),
-		regionCanon: map[flowgraph.Label]int32{},
-		chainCanon:  map[flowgraph.Label]int32{},
+		regionCanon: map[flowgraph.Key]int32{},
+		chainCanon:  map[flowgraph.Key]int32{},
 	}
 	t.chainEl = t.b.element()
 	return t
@@ -243,24 +243,38 @@ func (t *Tracker) Graph() *flowgraph.Graph { return t.b.ar.Take(t.b.resolve()) }
 
 // SourceMap extracts the Source-edge attribution of a graph built by this
 // tracker (Options.AttributeSources; nil otherwise): for each Source edge
-// of g, the secret-stream bytes that fed it. Source edges with no
-// recorded attribution are left out of the map and thus keep full
-// capacity in every class view, which is conservative.
+// of g, the secret-stream bytes that fed it. A collapsed graph's Source
+// edges look theirs up by key; an exact graph's k-th Source edge has the
+// k-th recorded contribution, and a graph whose Source edges do not
+// number the recorded ones gets none. Source edges with no recorded
+// attribution are left out of the map and thus keep full capacity in
+// every class view, which is conservative.
 func (t *Tracker) SourceMap(g *flowgraph.Graph) *flowgraph.SourceMap {
-	if t.b.attrib == nil {
+	if !t.b.attribute {
 		return nil
 	}
 	m := &flowgraph.SourceMap{}
+	src := t.b.srcAttrib
 	for i, e := range g.Edges {
 		if e.From != flowgraph.Source {
 			continue
 		}
-		contribs, ok := t.b.attrib[e.Label]
-		if !ok {
+		var contribs []flowgraph.SourceContrib
+		if t.b.exact {
+			if len(src) == 0 {
+				return &flowgraph.SourceMap{}
+			}
+			contribs, src = src[:1:1], src[1:]
+		} else if c, ok := t.b.attrib[g.Key(i)]; ok {
+			contribs = c
+		} else {
 			continue
 		}
 		m.Edge = append(m.Edge, int32(i))
 		m.Contribs = append(m.Contribs, contribs)
+	}
+	if len(src) != 0 {
+		return &flowgraph.SourceMap{}
 	}
 	return m
 }
@@ -310,13 +324,14 @@ func (t *Tracker) warnf(site uint32, format string, args ...interface{}) {
 	t.warnings = append(t.warnings, Warning{Site: loc, Msg: fmt.Sprintf(format, args...)})
 }
 
-// label builds an edge label for the current instruction.
-func (t *Tracker) label(kind flowgraph.EdgeKind, aux uint8) flowgraph.Label {
-	l := flowgraph.Label{Site: uint32(t.m.PC), Aux: aux, Kind: kind}
+// label builds an edge key for the current instruction: its label, and
+// the calling-context hash as context word when context-sensitive.
+func (t *Tracker) label(kind flowgraph.EdgeKind, aux uint8) flowgraph.Key {
+	k := flowgraph.Key{Site: uint32(t.m.PC), Aux: aux, Kind: kind}
 	if t.opts.ContextSensitive {
-		l.Ctx = t.ctx
+		k.Ctx = t.ctx
 	}
-	return l
+	return k
 }
 
 func (t *Tracker) setReg(r int, el int32, m bits.Mask) {
@@ -870,10 +885,11 @@ func (t *Tracker) LeaveRegion(site uint32) {
 			continue
 		}
 		capBits := int64(8) * int64(rng.Len)
-		// Labels are salted with addresses so that distinct locations keep
-		// distinct nodes: a shared label would union every old value in
-		// the range into one class and erase their individual capacity
-		// bottlenecks (the same scheme markSecretRange uses).
+		// Context words are salted with addresses so that distinct
+		// locations keep distinct nodes: a shared key would union every
+		// old value in the range into one class and erase their
+		// individual capacity bottlenecks (the same scheme
+		// markSecretRange uses).
 		vlbl := t.label(flowgraph.KindInternal, uint8(i))
 		vlbl.Ctx ^= uint64(rng.Addr) << 32
 		in, out := t.b.value(vlbl, capBits)

@@ -12,7 +12,6 @@ package unionfind
 type UF struct {
 	parent []int32
 	rank   []uint8
-	sets   int
 }
 
 // New returns a union-find structure with n initial singleton elements.
@@ -27,7 +26,6 @@ func (u *UF) Grow(n int) {
 	for len(u.parent) < n {
 		u.parent = append(u.parent, int32(len(u.parent)))
 		u.rank = append(u.rank, 0)
-		u.sets++
 	}
 }
 
@@ -36,15 +34,11 @@ func (u *UF) Grow(n int) {
 func (u *UF) Reset(n int) {
 	u.parent = u.parent[:0]
 	u.rank = u.rank[:0]
-	u.sets = 0
 	u.Grow(n)
 }
 
 // Len reports the number of elements.
 func (u *UF) Len() int { return len(u.parent) }
-
-// Sets reports the number of disjoint sets.
-func (u *UF) Sets() int { return u.sets }
 
 // MakeSet creates a fresh singleton element and returns its id.
 func (u *UF) MakeSet() int {
@@ -83,7 +77,6 @@ func (u *UF) Union(x, y int) int {
 	if u.rank[rx] == u.rank[ry] {
 		u.rank[rx]++
 	}
-	u.sets--
 	return rx
 }
 

@@ -143,3 +143,15 @@ func BenchmarkUnionFind(b *testing.B) {
 		}
 	}
 }
+
+// Sets reports the number of disjoint sets: the elements that are their
+// own parent.
+func (u *UF) Sets() int {
+	n := 0
+	for i, p := range u.parent {
+		if int(p) == i {
+			n++
+		}
+	}
+	return n
+}

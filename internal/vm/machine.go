@@ -170,15 +170,6 @@ func (m *Machine) LoadWord(addr Word) (Word, bool) {
 	return m.load32(addr), true
 }
 
-// StoreWord writes a little-endian word (no tracing).
-func (m *Machine) StoreWord(addr Word, v Word) bool {
-	if !m.checkMem(addr, 4) {
-		return false
-	}
-	m.store32(addr, v)
-	return true
-}
-
 // Bytes returns a copy of the guest memory range [addr, addr+n), or nil if
 // out of bounds. Writing to the copy does not change guest memory; use
 // SetBytes for that.

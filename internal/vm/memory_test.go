@@ -233,3 +233,12 @@ func TestMemoryDemandPaged(t *testing.T) {
 		t.Fatalf("writing through Bytes changed guest memory to %q", got)
 	}
 }
+
+// StoreWord writes a little-endian word (no tracing).
+func (m *Machine) StoreWord(addr Word, v Word) bool {
+	if !m.checkMem(addr, 4) {
+		return false
+	}
+	m.store32(addr, v)
+	return true
+}
