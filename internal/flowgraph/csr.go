@@ -37,8 +37,9 @@ type CSR struct {
 	ChainArc []int32
 	ChainCap []int64
 
-	// stamp[w] is the last arc laid out into kept node w, so chains from
-	// one head to w find their arc without a map.
+	// stamp is BuildCSR's scratch: first, per kept node w, the last arc
+	// laid out into w, so chains from one head to w find their arc without
+	// a map; then the chains bucketed by head.
 	stamp []int32
 }
 
@@ -129,14 +130,15 @@ func (g *Graph) BuildCSR(c *CSR) {
 		ch++
 	}
 
-	// Bucket the chains by head (HArcs is the bucket until index lays out
-	// the arcs), then give each head one arc per distinct end. There are
-	// at most as many arcs as chains, so To and HArcs are sized once, at
-	// 2·chains, and never regrow.
+	// Bucket the chains by head, then give each head one arc per distinct
+	// end. The bucket and stamp share one scratch array. A first pass over
+	// the buckets counts the arcs, so To and HArcs are sized once, at
+	// exactly 2·arcs, and a fresh CSR never regrows.
 	for r := int32(0); r < kept; r++ {
 		heads[r+1] += heads[r]
 	}
-	order := growI32(c.HArcs, 2*chains)[:chains]
+	scratch := growI32(c.stamp, int(kept)+chains)
+	stamp, order := scratch[:kept], scratch[kept:]
 	for i, ch := 0, int32(0); i < len(edges); i++ {
 		if x := node[edges[i].From]; x >= 0 {
 			order[heads[x]] = ch
@@ -144,15 +146,27 @@ func (g *Graph) BuildCSR(c *CSR) {
 			ch++
 		}
 	}
-	stamp := growI32(c.stamp, int(kept))
+	for r := range stamp {
+		stamp[r] = -1
+	}
+	arcs, start := 0, int32(0)
+	for u := int32(0); u < kept; u++ {
+		for _, ch := range order[start:heads[u]] {
+			if w := c.ChainArc[ch]; stamp[w] != u {
+				stamp[w] = u
+				arcs++
+			}
+		}
+		start = heads[u]
+	}
 	for r := range stamp {
 		stamp[r] = -1
 	}
 	to := c.To[:0]
-	if cap(to) < 2*chains {
-		to = make([]int32, 0, 2*chains)
+	if cap(to) < 2*arcs {
+		to = make([]int32, 0, 2*arcs)
 	}
-	start := int32(0)
+	start = 0
 	for u := int32(0); u < kept; u++ {
 		first := int32(len(to) / 2)
 		for _, ch := range order[start:heads[u]] {
@@ -165,7 +179,7 @@ func (g *Graph) BuildCSR(c *CSR) {
 		}
 		start = heads[u]
 	}
-	c.HStart, c.HArcs, c.To, c.stamp = heads, order, to, stamp
+	c.HStart, c.To, c.stamp = heads, to, scratch
 	c.index(int(kept))
 }
 

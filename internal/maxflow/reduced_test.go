@@ -281,3 +281,21 @@ func FuzzReducedLayout(f *testing.F) {
 		}
 	})
 }
+
+// A fresh reduced layout sizes To and HArcs at exactly two entries per
+// arc, in both graph modes: BuildCSR counts the arcs before it allocates.
+func TestReducedLayoutSizedByArcs(t *testing.T) {
+	in := engine.Inputs{Secret: workload.PiWords(1024)}
+	for _, exact := range []bool{false, true} {
+		res, err := engine.Analyze(guest.Program("compress"), in, engine.Config{Taint: taint.Options{Exact: exact}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c flowgraph.CSR
+		res.Graph.BuildCSR(&c)
+		if cap(c.To) != len(c.To) || cap(c.HArcs) != len(c.HArcs) || len(c.To) != 2*c.NumArcs() {
+			t.Errorf("exact=%v: To %d/%d and HArcs %d/%d (len/cap) for %d arcs",
+				exact, len(c.To), cap(c.To), len(c.HArcs), cap(c.HArcs), c.NumArcs())
+		}
+	}
+}

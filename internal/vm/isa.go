@@ -11,7 +11,10 @@
 // Valgrind IR.
 package vm
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Word is the machine word: all registers and ALU operations are 32-bit.
 type Word = uint32
@@ -187,6 +190,19 @@ type Program struct {
 	// Globals maps global symbol names to their data-segment addresses,
 	// for tests and debugging.
 	Globals map[string]Word
+
+	// image is Data laid out as read-only pages, shared by every machine
+	// of the program (memory.go). It is built by the first NewMachine, so
+	// Data must not change once a machine of the program exists.
+	imageOnce sync.Once
+	image     PageTable[page]
+}
+
+// dataImage returns the program's shared data image, building it on
+// first use.
+func (p *Program) dataImage() PageTable[page] {
+	p.imageOnce.Do(func() { p.image = buildImage(p.Data) })
+	return p.image
 }
 
 // SiteString renders a site id as file:line for diagnostics.

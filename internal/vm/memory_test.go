@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -21,11 +23,23 @@ func imageBytes(n int) []byte {
 	return b
 }
 
+// mixedImage spans five pages: a full page, an all-zero page, a page with
+// a few non-zero bytes, another all-zero page, and a partial last page.
+// The zero pages are absent from the shared image.
+func mixedImage() []byte {
+	b := make([]byte, 4*PageSize+100)
+	copy(b, imageBytes(PageSize))
+	b[2*PageSize+17], b[3*PageSize-1] = 0x5A, 0xA5
+	copy(b[4*PageSize:], imageBytes(100))
+	return b
+}
+
 var memConfigs = []memConfig{
 	{size: int(DataBase) + 16, data: imageBytes(10)}, // a last partial page, as in robustness_test.go
 	{size: 1 << 16, data: imageBytes(5000)},          // a data image straddling a page boundary
-	{size: 5*pageSize + 7, data: imageBytes(3)},      // a short last page
-	{size: 1 << 20, data: imageBytes(3 * pageSize)},  // an image ending on a page boundary
+	{size: 5*PageSize + 7, data: imageBytes(3)},      // a short last page
+	{size: 1 << 20, data: imageBytes(3 * PageSize)},  // an image ending on a page boundary
+	{size: 1 << 16, data: mixedImage()},              // an image with all-zero pages
 }
 
 // accessCode holds one load and one store per width; the fuzzer runs a
@@ -101,7 +115,7 @@ func (r *opReader) addr(size int) Word {
 	if sel >= 0xC0 {
 		return r.word() % Word(size+8)
 	}
-	bases := []Word{0, DataBase, DataBase + pageSize, 2 * pageSize, Word(size) &^ pageMask, Word(size), ^Word(0)}
+	bases := []Word{0, DataBase, DataBase + PageSize, 3 * PageSize, Word(size) &^ pageMask, Word(size), ^Word(0)}
 	return bases[int(sel)%len(bases)] + Word(int(r.byte()%10)-5)
 }
 
@@ -231,6 +245,88 @@ func TestMemoryDemandPaged(t *testing.T) {
 	binary.LittleEndian.PutUint32(m.Bytes(DataBase, 4), 0) // a copy: no effect
 	if got := m.Bytes(DataBase, 5); string(got) != "hello" {
 		t.Fatalf("writing through Bytes changed guest memory to %q", got)
+	}
+}
+
+// A store into a data-image page, zero or not, is private to the machine
+// that made it, and Reset restores the image. The two machines also run
+// concurrently, so under -race a write to a shared page is reported.
+func TestSharedImageCopyOnWrite(t *testing.T) {
+	data := mixedImage()
+	p := &Program{Code: accessCode, Data: data}
+	const size = 1 << 16
+	// One address on each of the image's five pages: full, zero, sparse,
+	// zero and partial.
+	addrs := []Word{DataBase + 8, 2*PageSize + 12, 3*PageSize + 16, 4*PageSize + 20, 5*PageSize + 24}
+	// access runs accessCode[pc]: 2 loads a word into R0, 5 stores R0.
+	access := func(m *Machine, pc int, addr, v Word) Word {
+		m.PC, m.Regs[R0], m.Regs[R1] = pc, v, addr
+		if err := m.Step(); err != nil {
+			t.Errorf("access at %#x: %v", addr, err)
+		}
+		return m.Regs[R0]
+	}
+
+	a, b := NewMachineSize(p, size), NewMachineSize(p, size)
+	for _, addr := range addrs {
+		want := b.loadSlow(addr, 4)
+		access(a, 5, addr, 0xDEADBEEF)
+		if got := access(b, 2, addr, 0); got != want {
+			t.Fatalf("a store by one machine at %#x shows in the other: %#x, want %#x", addr, got, want)
+		}
+		if got := access(a, 2, addr, 0); got != 0xDEADBEEF {
+			t.Fatalf("store at %#x reads back %#x", addr, got)
+		}
+	}
+	a.Reset()
+	if got := a.Bytes(DataBase, len(data)); !bytes.Equal(got, data) {
+		t.Fatal("Reset did not restore the data image")
+	}
+
+	var wg sync.WaitGroup
+	for k, m := range []*Machine{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 64; round++ {
+				for i, addr := range addrs {
+					v := Word(k+1)<<24 | Word(round)<<8 | Word(i)
+					access(m, 5, addr, v)
+					if got := access(m, 2, addr, 0); got != v {
+						t.Errorf("machine %d round %d: %#x reads %#x, want %#x", k, round, addr, got, v)
+						return
+					}
+				}
+				m.Reset()
+				if !bytes.Equal(m.Bytes(DataBase, len(data)), data) {
+					t.Errorf("machine %d round %d: Reset did not restore the data image", k, round)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := NewMachineSize(p, size).Bytes(DataBase, len(data)); !bytes.Equal(got, data) {
+		t.Fatal("the shared image changed")
+	}
+}
+
+// The shared image holds only its non-zero pages, and a fresh machine
+// points at them without copying.
+func TestSharedImageSkipsZeroPages(t *testing.T) {
+	p := &Program{Code: accessCode, Data: mixedImage()}
+	m := NewMachineSize(p, 1<<16)
+	var present []int
+	for i, pg := range m.pages {
+		if pg != nil {
+			present = append(present, i)
+			if pg != p.dataImage()[i] {
+				t.Fatalf("page %d is not the shared image page", i)
+			}
+		}
+	}
+	if want := []int{1, 3, 5}; !slices.Equal(present, want) {
+		t.Fatalf("fresh machine reads pages %v, want %v", present, want)
 	}
 }
 
