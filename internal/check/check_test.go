@@ -364,3 +364,61 @@ func TestViolationStringFormat(t *testing.T) {
 		t.Fatalf("violation format: %q", s)
 	}
 }
+
+// An enclosure region may declare outputs past the end of guest memory:
+// only the descriptor words are read, never the range. Both the analysis
+// and the checker must retag such a range like any other, both byte by
+// byte (a short range) and through a lazy descriptor that a later,
+// partly overlapping region flushes.
+func TestRegionOutputsPastMemory(t *testing.T) {
+	src := `
+int main() {
+    char buf[1];
+    read_secret(buf, 1);
+    char *p; p = buf; p = p + 8388608;
+    char *q; q = p + 4096;
+    char *s; s = q + 60;
+    char r;
+    __enclose(r, p : 4, q : 64) {
+        if (buf[0] > 'm') r = 1;
+        else r = 0;
+    }
+    __enclose(s : 8) {
+        if (buf[0] > 'c') r = r + 1;
+    }
+    putc('0' + r);
+    return 0;
+}`
+	prog, cut, res := cutFor(t, src, []byte("x"))
+	if res.Trap != nil {
+		t.Fatalf("analysis trapped: %v", res.Trap)
+	}
+	if res.Bits != 2 {
+		t.Fatalf("bits = %d, want 2 (one per branch)", res.Bits)
+	}
+	// A pooled session analyzes it again, over the shadow the first run
+	// grew, with the same answer.
+	a := engine.New(prog, engine.Config{})
+	for run := 0; run < 2; run++ {
+		res, err := a.Analyze(engine.Inputs{Secret: []byte("x")})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if res.Bits != 2 {
+			t.Fatalf("run %d: bits = %d, want 2", run, res.Bits)
+		}
+	}
+	r, err := RunTaintCheck(prog, []byte("x"), nil, cut, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.OK(res.Bits + 8) {
+		t.Fatalf("violations: %v (revealed %d)", r.Violations, r.RevealedBits)
+	}
+	if r, err = RunTaintCheck(prog, []byte("x"), nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Violations) == 0 {
+		t.Fatal("the region's output reaches putc past an empty cut: want a violation")
+	}
+}
