@@ -280,14 +280,14 @@ func BenchmarkCheckingModes(b *testing.B) {
 	})
 	b.Run("TaintCheck", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := check.RunTaintCheck(prog, secret, nil, cut, 0); err != nil {
+			if _, err := check.RunTaintCheck(prog, secret, nil, cut); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Lockstep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := check.RunLockstep(prog, secret, dummy, nil, cut, 0); err != nil {
+			if _, err := check.RunLockstep(prog, secret, dummy, nil, cut); err != nil {
 				b.Fatal(err)
 			}
 		}

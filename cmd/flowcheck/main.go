@@ -510,7 +510,7 @@ func cmdCheck(args []string) error {
 		}
 		fmt.Printf("derived cut from analysis (flow %d bits):\n%s", res.Bits, describeSites(prog, cut))
 	}
-	r, err := check.RunTaintCheck(prog, in.Secret, in.Public, cut, 0)
+	r, err := check.RunTaintCheck(prog, in.Secret, in.Public, cut)
 	if err != nil {
 		return err
 	}
@@ -554,7 +554,7 @@ func cmdLockstep(args []string) error {
 	}
 	cut := res.CutSites()
 	fmt.Printf("derived cut from analysis (flow %d bits):\n%s", res.Bits, describeSites(prog, cut))
-	r, err := check.RunLockstep(prog, in.Secret, dummy, in.Public, cut, 0)
+	r, err := check.RunLockstep(prog, in.Secret, dummy, in.Public, cut)
 	if err != nil {
 		return err
 	}

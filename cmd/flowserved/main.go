@@ -85,7 +85,6 @@ func run() error {
 	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive internal failures that open a program's circuit breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", 500*time.Millisecond, "open-breaker cooldown before a half-open probe")
 	retryDegraded := fs.Bool("retry-degraded", false, "retry solver-degraded results with the solver budget doubled")
-	highWater := fs.Int("recycle-high-water", 1<<20, "recycle sessions whose last graph exceeded this many peak live edges (0 = never)")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "shared content-addressed stage cache budget in bytes (0 = disable caching)")
 	ledgerDir := fs.String("ledger-dir", "", "durable leakage-budget ledger directory (empty = no ledger)")
 	budgetBits := fs.Int64("budget-bits", 0, "cumulative leakage budget per (principal, program) in bits (0 = account but never deny; requires -ledger-dir or -budget-bits>0 to enable the ledger)")
@@ -151,7 +150,6 @@ func run() error {
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 		RetryDegraded:    *retryDegraded,
-		SessionHighWater: *highWater,
 		CacheBytes:       *cacheBytes,
 		Ledger:           led,
 		ShardName:        *shardName,

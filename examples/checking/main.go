@@ -35,7 +35,7 @@ func main() {
 
 	// Phase 2a: tainting-based checking of a new run.
 	newSecret := []byte("a? b? c? d. e? f?")
-	chk, err := check.RunTaintCheck(prog, newSecret, nil, cut, 0)
+	chk, err := check.RunTaintCheck(prog, newSecret, nil, cut)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	// Phase 2b: lockstep output comparison (~2x a plain run, §6.3).
 	dummy := []byte(strings.Repeat("x", len(newSecret)))
-	ls, err := check.RunLockstep(prog, newSecret, dummy, nil, cut, 0)
+	ls, err := check.RunLockstep(prog, newSecret, dummy, nil, cut)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	chk2, err := check.RunTaintCheck(xprog, xsecret, []byte{2}, bbox.CutSites(), 0)
+	chk2, err := check.RunTaintCheck(xprog, xsecret, []byte{2}, bbox.CutSites())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,11 @@
 // engine uses as edge capacities in the flow graph.
 package bits
 
-import mbits "math/bits"
+import (
+	mbits "math/bits"
+
+	"flowcheck/internal/vm"
+)
 
 // Mask is a 32-bit secrecy mask: bit i set means bit i of the shadowed value
 // may depend on secret input.
@@ -290,4 +294,54 @@ func Extract(m Mask, i int) Mask { return (m >> uint(8*i)) & 0xFF }
 func Insert(m Mask, b Mask, i int) Mask {
 	sh := uint(8 * i)
 	return (m &^ (Mask(0xFF) << sh)) | ((b & 0xFF) << sh)
+}
+
+// Binop computes the result mask of the binary ALU or comparison
+// instruction op on operands with masks ma, mb and values va, vb. An op
+// with no rule of its own makes the result fully secret when either
+// operand is.
+func Binop(op vm.Op, ma, mb Mask, va, vb uint32) Mask {
+	switch op {
+	case vm.OpAdd:
+		return Add(ma, mb, va, vb)
+	case vm.OpSub:
+		return Sub(ma, mb, va, vb)
+	case vm.OpMul:
+		return Mul(ma, mb, va, vb)
+	case vm.OpDivU:
+		return DivU(ma, mb, va, vb)
+	case vm.OpDivS:
+		return DivS(ma, mb, va, vb)
+	case vm.OpModU:
+		return ModU(ma, mb, va, vb)
+	case vm.OpModS:
+		return ModS(ma, mb, va, vb)
+	case vm.OpAnd:
+		return And(ma, mb, va, vb)
+	case vm.OpOr:
+		return Or(ma, mb, va, vb)
+	case vm.OpXor:
+		return Xor(ma, mb)
+	case vm.OpShl:
+		return Shl(ma, mb, va, vb)
+	case vm.OpShrU:
+		return Shr(ma, mb, va, vb)
+	case vm.OpShrS:
+		return Sar(ma, mb, va, vb)
+	case vm.OpCmpEQ, vm.OpCmpNE, vm.OpCmpLTS, vm.OpCmpLES, vm.OpCmpLTU, vm.OpCmpLEU:
+		return Cmp(ma, mb)
+	}
+	if ma|mb != 0 {
+		return All
+	}
+	return 0
+}
+
+// Unop computes the result mask of the unary ALU instruction op (bitwise
+// not or negation) on an operand with mask m and value v.
+func Unop(op vm.Op, m Mask, v uint32) Mask {
+	if op == vm.OpNot {
+		return Not(m)
+	}
+	return Sub(0, m, 0, v) // negation is 0 - x
 }

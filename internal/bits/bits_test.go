@@ -1,8 +1,11 @@
 package bits
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"flowcheck/internal/vm"
 )
 
 func TestCount(t *testing.T) {
@@ -293,5 +296,49 @@ func TestDivSoundnessProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 4000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Binop and Unop dispatch every opcode to its primitive; an opcode with
+// no rule of its own is fully secret when either operand is.
+func TestOpDispatch(t *testing.T) {
+	cmp := func(ma, mb Mask, _, _ uint32) Mask { return Cmp(ma, mb) }
+	binops := map[vm.Op]func(ma, mb Mask, va, vb uint32) Mask{
+		vm.OpAdd: Add, vm.OpSub: Sub, vm.OpMul: Mul,
+		vm.OpDivU: DivU, vm.OpDivS: DivS, vm.OpModU: ModU, vm.OpModS: ModS,
+		vm.OpAnd: And, vm.OpOr: Or,
+		vm.OpXor: func(ma, mb Mask, _, _ uint32) Mask { return Xor(ma, mb) },
+		vm.OpShl: Shl, vm.OpShrU: Shr, vm.OpShrS: Sar,
+		vm.OpCmpEQ: cmp, vm.OpCmpNE: cmp, vm.OpCmpLTS: cmp,
+		vm.OpCmpLES: cmp, vm.OpCmpLTU: cmp, vm.OpCmpLEU: cmp,
+	}
+	unops := map[vm.Op]func(m Mask, v uint32) Mask{
+		vm.OpNot: func(m Mask, _ uint32) Mask { return Not(m) },
+		vm.OpNeg: func(m Mask, v uint32) Mask { return Sub(0, m, 0, v) },
+	}
+	masks := []Mask{0, 1, 0xFF, 0x80000000, 0x00F0F000, All}
+	r := rand.New(rand.NewPCG(1, 2))
+	for op := vm.OpNop; op <= vm.OpHalt; op++ {
+		for _, ma := range masks {
+			for _, mb := range masks {
+				va, vb := r.Uint32(), r.Uint32()%40
+				want := Mask(0)
+				if ma|mb != 0 {
+					want = All
+				}
+				if f, ok := binops[op]; ok {
+					want = f(ma, mb, va, vb)
+				}
+				if got := Binop(op, ma, mb, va, vb); got != want {
+					t.Errorf("Binop(%v, %#x, %#x, %#x, %#x) = %#x, want %#x", op, ma, mb, va, vb, got, want)
+				}
+			}
+			if f, ok := unops[op]; ok {
+				v := r.Uint32()
+				if got, want := Unop(op, ma, v), f(ma, v); got != want {
+					t.Errorf("Unop(%v, %#x, %#x) = %#x, want %#x", op, ma, v, got, want)
+				}
+			}
+		}
 	}
 }

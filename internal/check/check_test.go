@@ -33,7 +33,7 @@ int main() {
 
 func TestTaintCheckAllowsCutFlows(t *testing.T) {
 	prog, cut, res := cutFor(t, copySrc, []byte("abcd"))
-	r, err := RunTaintCheck(prog, []byte("wxyz"), nil, cut, 0)
+	r, err := RunTaintCheck(prog, []byte("wxyz"), nil, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTaintCheckDetectsUncutLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunTaintCheck(prog, []byte("wxyz"), nil, nil, 0)
+	r, err := RunTaintCheck(prog, []byte("wxyz"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunTaintCheck(prog, []byte("ssss"), nil, nil, 0)
+	r, err := RunTaintCheck(prog, []byte("ssss"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunTaintCheck(prog, []byte("q"), nil, nil, 0)
+	r, err := RunTaintCheck(prog, []byte("q"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ int main() {
     return 0;
 }`
 	prog, cut, res := cutFor(t, src, []byte("K"))
-	r, err := RunTaintCheck(prog, []byte("J"), nil, cut, 0)
+	r, err := RunTaintCheck(prog, []byte("J"), nil, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunLockstep(prog, []byte("ssss"), []byte("dddd"), nil, nil, 0)
+	r, err := RunLockstep(prog, []byte("ssss"), []byte("dddd"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestLockstepDetectsLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No cut: the secret byte reaches the output, so the copies diverge.
-	r, err := RunLockstep(prog, []byte("abcd"), []byte("wxyz"), nil, nil, 0)
+	r, err := RunLockstep(prog, []byte("abcd"), []byte("wxyz"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestLockstepDetectsLeak(t *testing.T) {
 
 func TestLockstepWithCutPasses(t *testing.T) {
 	prog, cut, _ := cutFor(t, copySrc, []byte("abcd"))
-	r, err := RunLockstep(prog, []byte("abcd"), []byte("wxyz"), nil, cut, 0)
+	r, err := RunLockstep(prog, []byte("abcd"), []byte("wxyz"), nil, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ int main() {
 }`
 	prog, cut, _ := cutFor(t, src, []byte("q"))
 	// Without the cut: divergence (different branch taken).
-	r, err := RunLockstep(prog, []byte("q"), []byte("a"), nil, nil, 0)
+	r, err := RunLockstep(prog, []byte("q"), []byte("a"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ int main() {
 		t.Fatal("secret-dependent branch must diverge without a cut")
 	}
 	// With the analysis-derived cut: the branch decision is transferred.
-	r, err = RunLockstep(prog, []byte("q"), []byte("a"), nil, cut, 0)
+	r, err = RunLockstep(prog, []byte("q"), []byte("a"), nil, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ int main() {
 		dummy[i] = 'x'
 	}
 	prog, cut, _ := cutFor(t, src, secret)
-	r, err := RunLockstep(prog, secret, dummy, nil, cut, 0)
+	r, err := RunLockstep(prog, secret, dummy, nil, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestLockstepRejectsLengthMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunLockstep(prog, []byte("abcd"), []byte("ab"), nil, nil, 0); err == nil {
+	if _, err := RunLockstep(prog, []byte("abcd"), []byte("ab"), nil, nil); err == nil {
 		t.Fatal("length mismatch must error")
 	}
 }
@@ -293,7 +293,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunLockstep(prog, []byte{2}, []byte{0}, nil, nil, 0)
+	r, err := RunLockstep(prog, []byte{2}, []byte{0}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunLockstep(prog, []byte{3}, []byte{9}, nil, nil, 0)
+	r, err := RunLockstep(prog, []byte{3}, []byte{9}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunLockstep(prog, []byte{2}, []byte{5}, nil, nil, 0)
+	r, err := RunLockstep(prog, []byte{2}, []byte{5}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestTaintCheckStepsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := RunTaintCheck(prog, []byte("abcd"), nil, nil, 0)
+	r, _ := RunTaintCheck(prog, []byte("abcd"), nil, nil)
 	if r.Steps == 0 {
 		t.Fatal("steps not counted")
 	}
@@ -408,14 +408,14 @@ int main() {
 			t.Fatalf("run %d: bits = %d, want 2", run, res.Bits)
 		}
 	}
-	r, err := RunTaintCheck(prog, []byte("x"), nil, cut, 0)
+	r, err := RunTaintCheck(prog, []byte("x"), nil, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.OK(res.Bits + 8) {
 		t.Fatalf("violations: %v (revealed %d)", r.Violations, r.RevealedBits)
 	}
-	if r, err = RunTaintCheck(prog, []byte("x"), nil, nil, 0); err != nil {
+	if r, err = RunTaintCheck(prog, []byte("x"), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Violations) == 0 {

@@ -43,22 +43,19 @@ type event struct {
 // into the shadow, and at outputs, which must match byte for byte — the
 // mostly-uninstrumented checking mode of §6.3. A policy violation shows up
 // as an output (or synchronization) divergence.
-func RunLockstep(prog *vm.Program, secret, dummy, public []byte, cutSites []uint32, memSize int) (*LockstepResult, error) {
+func RunLockstep(prog *vm.Program, secret, dummy, public []byte, cutSites []uint32) (*LockstepResult, error) {
 	if len(dummy) != len(secret) {
 		return nil, fmt.Errorf("check: dummy input length %d != secret length %d", len(dummy), len(secret))
-	}
-	if memSize == 0 {
-		memSize = vm.DefaultMemSize
 	}
 	cut := map[uint32]bool{}
 	for _, s := range cutSites {
 		cut[s] = true
 	}
 
-	m1 := vm.NewMachineSize(prog, memSize)
+	m1 := vm.NewMachine(prog)
 	m1.SecretIn = secret
 	m1.PublicIn = public
-	m2 := vm.NewMachineSize(prog, memSize)
+	m2 := vm.NewMachine(prog)
 	m2.SecretIn = dummy
 	m2.PublicIn = public
 

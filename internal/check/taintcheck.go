@@ -67,11 +67,8 @@ type checkRegion struct {
 
 // RunTaintCheck executes prog under the tainting-based checker. cutSites
 // are the instruction addresses of the minimum cut (core.Result.CutSites).
-func RunTaintCheck(prog *vm.Program, secret, public []byte, cutSites []uint32, memSize int) (*TaintResult, error) {
-	if memSize == 0 {
-		memSize = vm.DefaultMemSize
-	}
-	m := vm.NewMachineSize(prog, memSize)
+func RunTaintCheck(prog *vm.Program, secret, public []byte, cutSites []uint32) (*TaintResult, error) {
+	m := vm.NewMachine(prog)
 	m.SecretIn = secret
 	m.PublicIn = public
 	c := &taintChecker{
@@ -143,52 +140,12 @@ func (c *taintChecker) Mov(site uint32, rd, rs int) { c.regMask[rd] = c.regMask[
 
 // Binop implements vm.Tracer.
 func (c *taintChecker) Binop(site uint32, op vm.Op, rd, ra, rb int, va, vb vm.Word) {
-	ma, mb := c.regMask[ra], c.regMask[rb]
-	var rm bits.Mask
-	switch op {
-	case vm.OpAdd:
-		rm = bits.Add(ma, mb, va, vb)
-	case vm.OpSub:
-		rm = bits.Sub(ma, mb, va, vb)
-	case vm.OpMul:
-		rm = bits.Mul(ma, mb, va, vb)
-	case vm.OpDivU:
-		rm = bits.DivU(ma, mb, va, vb)
-	case vm.OpDivS:
-		rm = bits.DivS(ma, mb, va, vb)
-	case vm.OpModU:
-		rm = bits.ModU(ma, mb, va, vb)
-	case vm.OpModS:
-		rm = bits.ModS(ma, mb, va, vb)
-	case vm.OpAnd:
-		rm = bits.And(ma, mb, va, vb)
-	case vm.OpOr:
-		rm = bits.Or(ma, mb, va, vb)
-	case vm.OpXor:
-		rm = bits.Xor(ma, mb)
-	case vm.OpShl:
-		rm = bits.Shl(ma, mb, va, vb)
-	case vm.OpShrU:
-		rm = bits.Shr(ma, mb, va, vb)
-	case vm.OpShrS:
-		rm = bits.Sar(ma, mb, va, vb)
-	case vm.OpCmpEQ, vm.OpCmpNE, vm.OpCmpLTS, vm.OpCmpLES, vm.OpCmpLTU, vm.OpCmpLEU:
-		rm = bits.Cmp(ma, mb)
-	default:
-		if ma|mb != 0 {
-			rm = bits.All
-		}
-	}
-	c.regMask[rd] = c.cutFilter(rm)
+	c.regMask[rd] = c.cutFilter(bits.Binop(op, c.regMask[ra], c.regMask[rb], va, vb))
 }
 
 // Unop implements vm.Tracer.
 func (c *taintChecker) Unop(site uint32, op vm.Op, rd, rs int, vs vm.Word) {
-	m := c.regMask[rs]
-	if op != vm.OpNot {
-		m = bits.Sub(0, m, 0, vs)
-	}
-	c.regMask[rd] = c.cutFilter(m)
+	c.regMask[rd] = c.cutFilter(bits.Unop(op, c.regMask[rs], vs))
 }
 
 // ExtB implements vm.Tracer.

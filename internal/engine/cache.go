@@ -125,26 +125,22 @@ func (a *Analyzer) keys() (prog, cfg cachekey.Key) {
 }
 
 // configKey canonicalizes the result-relevant configuration. Fields that
-// cannot change the Result are deliberately excluded: Workers and
-// SessionHighWater only shape scheduling and pooling, and Fault gates
-// cacheability instead of keying it. Everything else — tracker
-// options, machine geometry, budgets, lint — changes either the
-// bound or the diagnostics, so it keys.
+// cannot change the Result are deliberately excluded: Workers only
+// shapes scheduling, and Fault gates cacheability instead of keying it.
+// Everything else — tracker options, step limit, budgets, lint —
+// changes either the bound or the diagnostics, so it keys.
 func (a *Analyzer) configKey() cachekey.Key {
 	opts := a.cfg.Taint
-	h := cachekey.New("config/v1").
+	h := cachekey.New("config/v2").
 		Bool(opts.Exact).
 		Bool(opts.ContextSensitive).
 		Int(int64(opts.MaxDescriptors)).
-		Int(int64(opts.MaxExceptions)).
 		Bool(opts.WarnImplicit).
-		Int(int64(opts.MaxWarnings)).
 		Int(int64(len(opts.SecretRanges)))
 	for _, r := range opts.SecretRanges {
 		h.Int(int64(r.Off)).Int(int64(r.Len))
 	}
-	h.Int(int64(a.cfg.MemSize)).
-		Uint(a.cfg.MaxSteps).
+	h.Uint(a.cfg.MaxSteps).
 		Bool(a.cfg.Lint).
 		Int(int64(a.cfg.Precision)).
 		Int(a.cfg.AdaptiveThreshold)

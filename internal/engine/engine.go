@@ -48,8 +48,6 @@ type Config struct {
 	// Taint configures the tracker (collapsing, context sensitivity, lazy
 	// region limits, implicit-flow warnings).
 	Taint taint.Options
-	// MemSize is the guest memory size (default vm.DefaultMemSize).
-	MemSize int
 	// MaxSteps bounds guest execution (default vm.DefaultMaxSteps). An
 	// exhausted step budget is a typed trap (errors.Is(res.Trap,
 	// ErrStepLimit)); the partial run is still soundly analyzable.
@@ -64,15 +62,6 @@ type Config struct {
 	// Fault injects deterministic failures for testing the degradation
 	// paths (internal/fault); nil injects nothing.
 	Fault *fault.Plan
-	// SessionHighWater, when non-zero, recycles pooled sessions whose last
-	// run's graph grew past this many peak live edges: the session is
-	// discarded and a later run builds a fresh one, so one pathological
-	// input does not size the next run's edge store by its own, nor leave
-	// the union-find and label maps of a collapsed builder at its size.
-	// Sessions that recovered a panic are always discarded, regardless of
-	// this knob.
-	// Result-visible behavior is unchanged; PoolStats reports the churn.
-	SessionHighWater int
 	// Lint enables the static pre-pass and the static/dynamic
 	// cross-check: CFGs, postdominator-based enclosure regions, and
 	// enclosure-span matching are computed once per program process-wide
@@ -150,6 +139,14 @@ func fresh(tr **taint.Tracker, opts taint.Options) *taint.Tracker {
 	return *tr
 }
 
+// sessionHighWater recycles pooled sessions whose last run's graph grew
+// past this many peak live edges: the session is discarded and a later
+// run builds a fresh one, so one pathological input does not size the
+// next run's edge store by its own, nor leave the union-find and label
+// maps of a collapsed builder at its size. Result-visible behavior is
+// unchanged; PoolStats reports the churn.
+const sessionHighWater = 1 << 20
+
 // Analyzer runs the staged pipeline for one program under one
 // configuration, reusing pooled sessions across calls. It is safe for
 // concurrent use: concurrent calls draw distinct sessions from the pool.
@@ -162,10 +159,12 @@ type Analyzer struct {
 	// observable that the robustness tests use to prove no failure path
 	// leaks a session. created and recycled count pool churn: sessions
 	// built by pool.New, and sessions quarantined instead of pooled
-	// (poisoned by a recovered panic, or over the SessionHighWater mark).
+	// (poisoned by a recovered panic, or over the high-water mark).
 	live     atomic.Int64
 	created  atomic.Int64
 	recycled atomic.Int64
+	// highWater is sessionHighWater; tests lower it to force recycling.
+	highWater int
 
 	// Static analysis is a pure function of the (immutable) program; it is
 	// fetched at most once per Analyzer from the process-global program
@@ -181,14 +180,10 @@ type Analyzer struct {
 
 // New creates an Analyzer for prog under cfg.
 func New(prog *vm.Program, cfg Config) *Analyzer {
-	a := &Analyzer{prog: prog, cfg: cfg}
+	a := &Analyzer{prog: prog, cfg: cfg, highWater: sessionHighWater}
 	a.pool.New = func() any {
 		a.created.Add(1)
-		size := a.cfg.MemSize
-		if size == 0 {
-			size = vm.DefaultMemSize
-		}
-		return &session{m: vm.NewMachineSize(a.prog, size)}
+		return &session{m: vm.NewMachine(a.prog)}
 	}
 	return a
 }
@@ -238,7 +233,7 @@ func (a *Analyzer) acquire() *session {
 
 // release returns a session to the pool — unless it must be recycled:
 // poisoned sessions (a recovered panic left their state inconsistent) and
-// sessions whose last run's graph outgrew Config.SessionHighWater are
+// sessions whose last run's graph outgrew the high-water mark are
 // dropped for the GC instead, and a later acquire builds a fresh one.
 func (a *Analyzer) release(s *session) {
 	a.live.Add(-1)
@@ -250,14 +245,10 @@ func (a *Analyzer) release(s *session) {
 }
 
 // overHighWater reports whether the session's last run grew its graph past
-// the configured recycle mark. The tracker's counts outlive the hand-off
-// of its edge store to the run's graph, so they still read that run.
+// the recycle mark. The tracker's counts outlive the hand-off of its edge
+// store to the run's graph, so they still read that run.
 func (a *Analyzer) overHighWater(s *session) bool {
-	hw := a.cfg.SessionHighWater
-	if hw <= 0 {
-		return false
-	}
-	over := func(tr *taint.Tracker) bool { return tr != nil && tr.MemStats().PeakLiveEdges > hw }
+	over := func(tr *taint.Tracker) bool { return tr != nil && tr.MemStats().PeakLiveEdges > a.highWater }
 	return over(s.tracker) || over(s.classTracker)
 }
 
@@ -480,7 +471,8 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, in Inputs) (*Result, erro
 	// Cheap ladder rungs never execute, never draw a session, and skip the
 	// result cache: the static rung is already served by the process-global
 	// static cache, so a warm answer is a lookup plus arithmetic.
-	if res, ok := a.ladderResult(in); ok {
+	if res, ok := a.ladderMulti([]Inputs{in}); ok {
+		res.Runs = nil
 		return res, nil
 	}
 	if !a.cacheable() {
@@ -574,11 +566,7 @@ func AnalyzeClassSetContext(ctx context.Context, prog *vm.Program, in Inputs, cl
 // comparisons, and the second machine of the §6.3 lockstep checker). The
 // machine escapes to the caller, so it is not drawn from a session pool.
 func RunPlain(prog *vm.Program, in Inputs, cfg Config) (*vm.Machine, error) {
-	size := cfg.MemSize
-	if size == 0 {
-		size = vm.DefaultMemSize
-	}
-	m := vm.NewMachineSize(prog, size)
+	m := vm.NewMachine(prog)
 	if cfg.MaxSteps != 0 {
 		m.MaxSteps = cfg.MaxSteps
 	}

@@ -16,8 +16,12 @@ func LiveSessions(a *Analyzer) int64 { return a.live.Load() }
 func SessionsCreated(a *Analyzer) int64 { return a.created.Load() }
 
 // SessionsRecycled exposes how many sessions release quarantined instead
-// of pooling (poisoned by a recovered panic, or over SessionHighWater).
+// of pooling (poisoned by a recovered panic, or over the high-water mark).
 func SessionsRecycled(a *Analyzer) int64 { return a.recycled.Load() }
+
+// SetHighWater lowers the analyzer's session recycle mark, so a test can
+// reach it with a small graph. Call it before the first analysis.
+func SetHighWater(a *Analyzer, edges int) { a.highWater = edges }
 
 var unseenNames atomic.Int64
 

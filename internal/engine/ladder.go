@@ -100,52 +100,20 @@ func satBits(a, b int64) int64 {
 	return a + b
 }
 
-// ladderResult answers one analysis at a cheap rung, or reports
-// handled=false when the configuration demands the full solve
-// (PrecisionFull, or adaptive with the cheap bounds above threshold).
-func (a *Analyzer) ladderResult(in Inputs) (*Result, bool) {
-	if a.cfg.Precision == PrecisionFull {
-		return nil, false
-	}
-	t0 := time.Now()
-	trivial := TrivialBoundBits(len(in.Secret))
-	var rung string
-	var bits int64
-	var staticDur time.Duration
-	staticHit := false
+// ladderMulti answers N runs at a cheap rung, or reports handled=false
+// when the configuration demands the full solve (PrecisionFull, a
+// Precision out of range, or adaptive with the cheap bounds above
+// threshold). N runs leak at most the sum of the per-run bounds, so the
+// joint bound composes by saturating addition. Adaptive mode compares
+// that sum against the threshold — the whole batch escalates together
+// or not at all, keeping the result's provenance uniform.
+func (a *Analyzer) ladderMulti(inputs []Inputs) (*Result, bool) {
 	switch a.cfg.Precision {
-	case PrecisionTrivial:
-		rung, bits = RungTrivial, trivial
-	case PrecisionStatic:
-		sa, d, hit := a.staticAnalysis()
-		rung, bits = RungStatic, sa.Bound.Bits(len(in.Secret))
-		staticDur, staticHit = d, hit
-	case PrecisionAdaptive:
-		if trivial <= a.cfg.AdaptiveThreshold {
-			rung, bits = RungTrivial, trivial
-			break
-		}
-		sa, d, hit := a.staticAnalysis()
-		staticDur, staticHit = d, hit
-		if b := sa.Bound.Bits(len(in.Secret)); b <= a.cfg.AdaptiveThreshold {
-			rung, bits = RungStatic, b
-			break
-		}
-		return nil, false // escalate to the full solve
+	case PrecisionTrivial, PrecisionStatic, PrecisionAdaptive:
 	default:
 		return nil, false
 	}
-	res := a.rungResult(rung, bits, staticDur, staticHit)
-	res.Stages.Total = time.Since(t0)
-	return res, true
-}
-
-// ladderMulti is AnalyzeBatch's rung path: N runs leak at most the sum of the per-run bounds, so
-// the joint bound composes by saturating addition. Adaptive mode
-// compares that sum against the threshold — the whole batch escalates
-// together or not at all, keeping the result's provenance uniform.
-func (a *Analyzer) ladderMulti(inputs []Inputs) (*Result, bool) {
-	if a.cfg.Precision == PrecisionFull || len(inputs) == 0 {
+	if len(inputs) == 0 {
 		return nil, false
 	}
 	t0 := time.Now()

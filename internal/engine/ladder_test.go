@@ -147,6 +147,40 @@ func TestAdaptiveEscalation(t *testing.T) {
 	}
 }
 
+// A Precision outside the ladder answers no rung: the single-run and the
+// batch path both escalate to the full solve, and a single-run rung
+// answer carries no per-run summaries.
+func TestOutOfRangePrecisionEscalates(t *testing.T) {
+	prog, err := lang.Compile("ladder_range.mc", ladderSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := Inputs{Secret: []byte("ab")}
+	cfg := Config{Precision: PrecisionAdaptive + 1}
+	res, err := Analyze(prog, in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rung != RungFull || res.Degraded {
+		t.Errorf("single run: rung=%q degraded=%v, want an escalated full solve", res.Rung, res.Degraded)
+	}
+	batch, err := AnalyzeBatch(prog, []Inputs{in, in}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.Rung != RungFull || batch.Degraded {
+		t.Errorf("batch: rung=%q degraded=%v, want an escalated full solve", batch.Rung, batch.Degraded)
+	}
+
+	rung, err := Analyze(prog, in, Config{Precision: PrecisionTrivial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rung.Runs != nil {
+		t.Errorf("single-run rung answer carries %d run summaries, want none", len(rung.Runs))
+	}
+}
+
 // Rung provenance: a solver-budget degradation is RungTrivial with a
 // graph; rung short-circuits have no graph; full solves are RungFull.
 // Multi-run summaries carry the rung per run.

@@ -65,9 +65,9 @@ func TestPanickedSessionQuarantinedSingleRun(t *testing.T) {
 	mustZeroLive(t, a)
 }
 
-// SessionHighWater retires fat sessions: when a run's arena peak exceeds
-// the high-water mark the session is recycled instead of pooled, so the
-// next run pays a fresh allocation instead of inheriting a bloated arena.
+// The session high-water mark retires fat sessions: when a run's arena
+// peak exceeds it the session is recycled instead of pooled, so the next
+// run pays a fresh allocation instead of inheriting a bloated arena.
 // Results must be unaffected either way.
 func TestSessionHighWaterRecycles(t *testing.T) {
 	prog := guest.Program("unary")
@@ -79,10 +79,8 @@ func TestSessionHighWaterRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := engine.New(prog, engine.Config{
-		Taint:            taint.Options{Exact: true},
-		SessionHighWater: 1,
-	})
+	a := engine.New(prog, engine.Config{Taint: taint.Options{Exact: true}})
+	engine.SetHighWater(a, 1)
 	for i := 0; i < 3; i++ {
 		res, err := a.Analyze(in)
 		if err != nil {
@@ -100,7 +98,7 @@ func TestSessionHighWaterRecycles(t *testing.T) {
 	}
 	mustZeroLive(t, a)
 
-	// Sanity: without a high-water mark nothing is recycled. (Created-count
+	// Sanity: under the default mark nothing is recycled. (Created-count
 	// reuse is not asserted — sync.Pool may legally drop entries under GC.)
 	b := engine.New(prog, engine.Config{Taint: taint.Options{Exact: true}})
 	for i := 0; i < 3; i++ {
@@ -109,6 +107,6 @@ func TestSessionHighWaterRecycles(t *testing.T) {
 		}
 	}
 	if got := engine.SessionsRecycled(b); got != 0 {
-		t.Fatalf("%d sessions recycled without a high-water mark, want 0", got)
+		t.Fatalf("%d sessions recycled under the default high-water mark, want 0", got)
 	}
 }

@@ -333,7 +333,7 @@ func XServer() XServerResult {
 	// allowed. The exploit run must produce violations under the §6.2
 	// checker.
 	bbox := mustAnalyze("xserver", engine.Inputs{Secret: mkSecret(cardPaste), Public: []byte{0}}, engine.Config{})
-	chk, err := check.RunTaintCheck(guest.Program("xserver"), mkSecret(cardPaste), []byte{2}, bbox.CutSites(), 0)
+	chk, err := check.RunTaintCheck(guest.Program("xserver"), mkSecret(cardPaste), []byte{2}, bbox.CutSites())
 	if err != nil {
 		panic(err)
 	}
@@ -477,7 +477,7 @@ func Checking() CheckResult {
 	var out CheckResult
 	out.AnalysisBits = res.Bits
 
-	chk, err := check.RunTaintCheck(prog, secret, nil, res.CutSites(), 0)
+	chk, err := check.RunTaintCheck(prog, secret, nil, res.CutSites())
 	if err != nil {
 		panic(err)
 	}
@@ -489,7 +489,7 @@ func Checking() CheckResult {
 	for i := range dummy {
 		dummy[i] = 'x'
 	}
-	ls, err := check.RunLockstep(prog, secret, dummy, nil, res.CutSites(), 0)
+	ls, err := check.RunLockstep(prog, secret, dummy, nil, res.CutSites())
 	if err != nil {
 		panic(err)
 	}

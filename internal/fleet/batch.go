@@ -108,7 +108,7 @@ func (c *Coordinator) AnalyzeBatch(ctx context.Context, req *BatchRequest) (*Bat
 	c.inflight.Add(1)
 	defer c.inflight.Done()
 	c.batches.Add(1)
-	start := c.opts.Now()
+	start := time.Now()
 
 	if len(req.Runs) == 0 {
 		return nil, fmt.Errorf("fleet: batch with no runs")
@@ -270,7 +270,7 @@ func (c *Coordinator) batchWorker(ctx context.Context, w int, req *BatchRequest,
 					untried++
 				}
 			}
-			if retryable && untried > 0 && br.dispatches <= c.opts.MaxRedispatch {
+			if retryable && untried > 0 && br.dispatches <= 2*len(c.shards) {
 				// Shard loss: hand the run to the next shard in its
 				// preference order. The re-dispatched run produces the same
 				// graph anywhere, so the merge below cannot tell.
@@ -357,6 +357,6 @@ func (c *Coordinator) mergeBatch(req *BatchRequest, outcomes []runOutcome, start
 			out.Steals++
 		}
 	}
-	out.LatencyMS = float64(c.opts.Now().Sub(start).Microseconds()) / 1000
+	out.LatencyMS = float64(time.Since(start).Microseconds()) / 1000
 	return out, nil
 }

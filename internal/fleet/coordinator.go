@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -30,7 +30,10 @@ type ShardSpec struct {
 }
 
 // Options configures a Coordinator. The zero value of every knob gets a
-// sensible default.
+// sensible default. The coordinator reads time.Now, draws failover jitter
+// from the process-wide math/rand/v2 source, bounds each health probe by
+// probeTimeout, and re-dispatches one batch run at most 2×len(Shards)
+// times.
 type Options struct {
 	// Shards is the fleet membership. Names must be unique; they key the
 	// ring, the NetPlan chaos targets, and the X-Flow-Shard header.
@@ -43,10 +46,8 @@ type Options struct {
 	// min(3, len(Shards))).
 	Replicas int
 
-	// ProbeInterval is the health-probe cadence (default 250ms);
-	// ProbeTimeout bounds one probe (default 1s).
+	// ProbeInterval is the health-probe cadence (default 250ms).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// FailThreshold is how many consecutive failures mark a shard down
 	// (default 2). Down shards rejoin on the next passing probe.
 	FailThreshold int
@@ -62,17 +63,13 @@ type Options struct {
 	MaxHedges     int
 
 	// BaseBackoff/MaxBackoff shape the capped, jittered failover backoff
-	// (defaults 10ms/500ms); BackoffSeed fixes the jitter for tests.
+	// (defaults 10ms/500ms).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	BackoffSeed int64
 
 	// BatchWorkersPerShard is each shard's concurrent run width during a
-	// batch fan-out (default 4). MaxRedispatch bounds how many times one
-	// run may be re-dispatched after shard failures (default
-	// 2×len(Shards)) before the run is recorded failed.
+	// batch fan-out (default 4).
 	BatchWorkersPerShard int
-	MaxRedispatch        int
 
 	// SolverWork bounds the coordinator's joint solve of merged batch
 	// graphs; it must match the shards' configuration for distributed
@@ -86,9 +83,10 @@ type Options struct {
 
 	// Logger receives per-request routing decisions; nil disables.
 	Logger *slog.Logger
-	// Now overrides the clock (tests).
-	Now func() time.Time
 }
+
+// probeTimeout bounds one health probe.
+const probeTimeout = time.Second
 
 func (o Options) withDefaults() Options {
 	if o.VirtualNodes <= 0 {
@@ -102,9 +100,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 250 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
 	}
 	if o.FailThreshold <= 0 {
 		o.FailThreshold = 2
@@ -127,14 +122,8 @@ func (o Options) withDefaults() Options {
 	if o.BatchWorkersPerShard <= 0 {
 		o.BatchWorkersPerShard = 4
 	}
-	if o.MaxRedispatch <= 0 {
-		o.MaxRedispatch = 2 * len(o.Shards)
-	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if o.Now == nil {
-		o.Now = time.Now
 	}
 	return o
 }
@@ -150,9 +139,6 @@ type Coordinator struct {
 	shards []*shard
 	client *http.Client
 	start  time.Time
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
@@ -193,8 +179,7 @@ func New(opts Options) (*Coordinator, error) {
 		opts:  opts,
 		log:   opts.Logger,
 		ring:  newRing(names, opts.VirtualNodes),
-		start: opts.Now(),
-		rng:   rand.New(rand.NewSource(opts.BackoffSeed)),
+		start: time.Now(),
 		client: &http.Client{
 			Transport: opts.Transport,
 		},
@@ -209,7 +194,7 @@ func New(opts Options) (*Coordinator, error) {
 // health-probe loop. Optional: without it the coordinator still demotes
 // shards on request failures, but down shards never rejoin and drain
 // states are only discovered the hard way. Start returns once the first
-// round has finished (within ProbeTimeout), so a coordinator knows its
+// round has finished (within probeTimeout), so a coordinator knows its
 // shards' states from the start instead of one ProbeInterval later.
 func (c *Coordinator) Start() {
 	if c.probeDone != nil {
@@ -289,9 +274,7 @@ func (c *Coordinator) backoff(k int) time.Duration {
 	if d > c.opts.MaxBackoff || d <= 0 {
 		d = c.opts.MaxBackoff
 	}
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
+	return d/2 + rand.N(d/2+1)
 }
 
 // hedgeDelay is how long the coordinator waits on a shard before

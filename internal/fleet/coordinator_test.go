@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -461,7 +462,7 @@ func TestMergeBatchRejectsMixedModes(t *testing.T) {
 		}
 		return &serve.AnalyzeResponse{Bits: res.Bits, Graph: serve.EncodeGraph(res.Graph)}
 	}
-	c := &Coordinator{opts: Options{Now: time.Now}}
+	c := &Coordinator{}
 	out, err := c.mergeBatch(&BatchRequest{Program: "unary"}, []runOutcome{
 		{shard: "a", resp: resp(true)}, {shard: "b", resp: resp(false)}, {shard: "a", resp: resp(true)},
 	}, time.Now())
@@ -470,5 +471,28 @@ func TestMergeBatchRejectsMixedModes(t *testing.T) {
 	}
 	if out.MergedRuns != 2 || out.Runs[1].Error == "" || out.Runs[0].Error != "" || out.Runs[2].Error != "" {
 		t.Fatalf("merged %d runs, errors %q %q %q; want 2 merged and run 1 failed", out.MergedRuns, out.Runs[0].Error, out.Runs[1].Error, out.Runs[2].Error)
+	}
+}
+
+// Failover jitter decorrelates retry storms only if separate coordinators
+// draw different jitter: two coordinators with identical options must not
+// produce the same backoff sequence, and every draw stays in [d/2, d].
+func TestBackoffJitterDiffersAcrossCoordinators(t *testing.T) {
+	draw := func() []time.Duration {
+		c, err := New(Options{Shards: []ShardSpec{{Name: "a", URL: "http://127.0.0.1:1"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]time.Duration, 16)
+		for i := range out {
+			out[i] = c.backoff(8) // capped at MaxBackoff: the widest jitter range
+			if d := c.opts.MaxBackoff; out[i] < d/2 || out[i] > d {
+				t.Fatalf("backoff %v outside [%v, %v]", out[i], d/2, d)
+			}
+		}
+		return out
+	}
+	if a, b := draw(), draw(); slices.Equal(a, b) {
+		t.Fatalf("two coordinators drew the same backoff sequence %v", a)
 	}
 }

@@ -55,7 +55,7 @@ type Stats struct {
 func (c *Coordinator) Stats() Stats {
 	st := Stats{
 		StartTime:    c.start.UTC().Format(time.RFC3339),
-		UptimeMS:     c.opts.Now().Sub(c.start).Milliseconds(),
+		UptimeMS:     time.Since(c.start).Milliseconds(),
 		Draining:     c.draining.Load(),
 		Requests:     c.requests.Load(),
 		Batches:      c.batches.Load(),

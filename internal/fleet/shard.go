@@ -181,7 +181,7 @@ func (c *Coordinator) do(ctx context.Context, sh *shard, req *serve.AnalyzeReque
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 
-	t0 := c.opts.Now()
+	t0 := time.Now()
 	hresp, err := c.client.Do(hreq)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -236,7 +236,7 @@ func (c *Coordinator) do(ctx context.Context, sh *shard, req *serve.AnalyzeReque
 		sh.noteFailure(c.opts.FailThreshold)
 		return nil, &shardError{shard: sh.name, err: fmt.Errorf("decoding response: %w", err)}
 	}
-	sh.observe(c.opts.Now().Sub(t0))
+	sh.observe(time.Since(t0))
 	sh.noteSuccess()
 	return &out, nil
 }
@@ -244,8 +244,8 @@ func (c *Coordinator) do(ctx context.Context, sh *shard, req *serve.AnalyzeReque
 // probe refreshes one shard's health from /healthz: liveness, the
 // shard's own latency EWMA, and its draining flag.
 func (c *Coordinator) probe(ctx context.Context, sh *shard) {
-	sh.lastProbeMS.Store(c.opts.Now().UnixMilli())
-	pctx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
+	sh.lastProbeMS.Store(time.Now().UnixMilli())
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(pctx, http.MethodGet, sh.url+"/healthz", nil)
 	if err != nil {

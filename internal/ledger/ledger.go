@@ -104,11 +104,9 @@ type Options struct {
 	// nothing survives a restart.
 	Dir string
 
-	// BudgetBits is the default cumulative budget per (principal, program)
+	// BudgetBits is the cumulative budget per (principal, program)
 	// pair; 0 means unlimited (the ledger still accounts, never denies).
 	BudgetBits int64
-	// ProgramBudgets overrides BudgetBits per program name.
-	ProgramBudgets map[string]int64
 
 	// Window, when positive, is the decay policy: a pair's settled bits
 	// reset once the window has elapsed since the pair's window began, so
@@ -270,18 +268,6 @@ func Open(opts Options) (*Ledger, error) {
 func (l *Ledger) walPath() string  { return filepath.Join(l.opts.Dir, "ledger.wal") }
 func (l *Ledger) snapPath() string { return filepath.Join(l.opts.Dir, "ledger.snap") }
 
-// budgetFor resolves a program's cumulative budget (0 = unlimited).
-func (l *Ledger) budgetFor(program string) int64 {
-	if b, ok := l.opts.ProgramBudgets[program]; ok {
-		return b
-	}
-	return l.opts.BudgetBits
-}
-
-// BudgetBits reports the budget the ledger enforces for program
-// (0 = unlimited).
-func (l *Ledger) BudgetBits(program string) int64 { return l.budgetFor(program) }
-
 func (l *Ledger) entryLocked(k pairKey) *entry {
 	e := l.mu.entries[k]
 	if e == nil {
@@ -330,7 +316,7 @@ func (l *Ledger) Charge(principal, program string, estimate int64) (*Charge, err
 	e := l.entryLocked(k)
 	l.maybeResetWindowLocked(k, e, l.opts.Now())
 
-	if budget := l.budgetFor(program); budget > 0 && e.cumulative()+estimate > budget {
+	if budget := l.opts.BudgetBits; budget > 0 && e.cumulative()+estimate > budget {
 		e.denied++
 		l.mu.stats.denied++
 		exc := &ExceededError{
@@ -464,7 +450,7 @@ func (l *Ledger) Cumulative(principal, program string) int64 {
 // Remaining reports how many bits of budget a pair has left; unlimited
 // pairs report (0, false).
 func (l *Ledger) Remaining(principal, program string) (int64, bool) {
-	budget := l.budgetFor(program)
+	budget := l.opts.BudgetBits
 	if budget <= 0 {
 		return 0, false
 	}
@@ -656,7 +642,7 @@ func (l *Ledger) Stats() Stats {
 			SettledBits:    e.settled,
 			PendingBits:    e.pendingBits,
 			CumulativeBits: e.cumulative(),
-			BudgetBits:     l.budgetFor(k.program),
+			BudgetBits:     l.opts.BudgetBits,
 			RemainingBits:  -1,
 			Queries:        e.queries,
 			Denied:         e.denied,

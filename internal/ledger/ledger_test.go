@@ -106,20 +106,6 @@ func TestPendingCountsTowardBudget(t *testing.T) {
 	}
 }
 
-func TestProgramBudgetOverride(t *testing.T) {
-	l := mustOpen(t, Options{
-		Dir:            t.TempDir(),
-		BudgetBits:     100,
-		ProgramBudgets: map[string]int64{"sshauth": 4},
-	})
-	if _, err := l.Charge("alice", "sshauth", 5); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("per-program budget not enforced: %v", err)
-	}
-	if _, err := l.Charge("alice", "other", 5); err != nil {
-		t.Fatalf("default budget should admit: %v", err)
-	}
-}
-
 func TestUnlimitedBudgetNeverDenies(t *testing.T) {
 	l := mustOpen(t, Options{Dir: t.TempDir()}) // BudgetBits 0 = unlimited
 	for i := 0; i < 10; i++ {

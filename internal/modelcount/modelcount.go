@@ -39,11 +39,6 @@ type Options struct {
 	Public []byte
 	// MaxSecrets caps how many secrets are enumerated (default 256).
 	MaxSecrets int
-	// MaxSteps caps each run (default vm.DefaultMaxSteps); a run that
-	// exhausts it counts as the "trapped" behavior it is.
-	MaxSteps uint64
-	// MemSize is the guest memory size (default vm.DefaultMemSize).
-	MemSize int
 }
 
 // Count is the enumeration outcome.
@@ -68,10 +63,6 @@ func Enumerate(p *vm.Program, opts Options) Count {
 	if maxSecrets <= 0 {
 		maxSecrets = 256
 	}
-	memSize := opts.MemSize
-	if memSize == 0 {
-		memSize = vm.DefaultMemSize
-	}
 
 	domain := math.Inf(1)
 	if opts.SecretLen < 8 { // 256^8 overflows; beyond that it is surely > maxSecrets
@@ -82,10 +73,7 @@ func Enumerate(p *vm.Program, opts Options) Count {
 	behaviors := make(map[string]struct{})
 	// One machine serves every secret: Reset restores only the pages the
 	// previous run wrote.
-	m := vm.NewMachineSize(p, memSize)
-	if opts.MaxSteps != 0 {
-		m.MaxSteps = opts.MaxSteps
-	}
+	m := vm.NewMachine(p)
 	n := 0
 	for ; n < maxSecrets; n++ {
 		m.Reset()

@@ -199,7 +199,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	t0 := s.opts.Now()
+	t0 := time.Now()
 	resp, err := s.Analyze(ctx, sreq)
 	if err != nil {
 		status, kind := httpStatus(err)
@@ -221,7 +221,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Steps:             res.Steps,
 		OutputBytes:       len(res.Output),
 		Attempts:          resp.Attempts,
-		LatencyMS:         float64(s.opts.Now().Sub(t0).Microseconds()) / 1000,
+		LatencyMS:         float64(time.Since(t0).Microseconds()) / 1000,
 	}
 	if res.Trap != nil {
 		out.Trap = res.Trap.Error()
@@ -315,7 +315,7 @@ func (s *Service) handleStatz(w http.ResponseWriter, r *http.Request) {
 	}{
 		Service: statzService{
 			StartTime: s.start.UTC().Format(time.RFC3339),
-			UptimeMS:  s.opts.Now().Sub(s.start).Milliseconds(),
+			UptimeMS:  time.Since(s.start).Milliseconds(),
 			Version:   s.version,
 			Draining:  s.draining.Load(),
 		},

@@ -18,8 +18,8 @@
 //     ErrInternal results, rejects fast while open, and half-open-probes
 //     one request after a cooldown before closing again.
 //   - Crash-isolated worker recycling, delegated to the engine: sessions
-//     that recovered a panic or outgrew Config.SessionHighWater are
-//     discarded rather than pooled (engine.PoolStats counts the churn).
+//     that recovered a panic or outgrew the engine's high-water mark
+//     are discarded rather than pooled (engine.PoolStats counts the churn).
 //   - Graceful drain: StartDrain stops admitting, Drain waits for
 //     in-flight work; the HTTP layer maps these onto /readyz and SIGTERM.
 //
@@ -35,7 +35,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -87,6 +87,9 @@ func (e *OverloadError) Error() string {
 func (e *OverloadError) Is(target error) bool { return target == ErrOverload }
 
 // Options configures a Service. The zero value gets sensible defaults.
+// The service reads time.Now, draws backoff jitter from the process-wide
+// math/rand/v2 source, and leaves session recycling to the engine's fixed
+// high-water mark.
 type Options struct {
 	// Workers bounds concurrently running analyses (default GOMAXPROCS).
 	Workers int
@@ -102,8 +105,6 @@ type Options struct {
 	// result into [d/2, d] to decorrelate retry storms.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// BackoffSeed seeds the jitter RNG, so tests can fix it.
-	BackoffSeed int64
 	// RetryDegraded retries solver-budget-degraded (but successful)
 	// results with the solver budget doubled, returning the degraded
 	// result only if no retry produces an exact solve.
@@ -115,11 +116,6 @@ type Options struct {
 	// BreakerCooldown is how long an open breaker rejects before letting
 	// one half-open probe through (default 500ms).
 	BreakerCooldown time.Duration
-
-	// SessionHighWater recycles engine sessions whose last run's graph
-	// exceeded this many peak live edges (engine.Config.SessionHighWater);
-	// applied to registered programs that do not set their own.
-	SessionHighWater int
 
 	// Ledger, when non-nil, gates every request through the durable
 	// leakage-budget ledger: a pessimistic estimate (8 bits per secret
@@ -150,8 +146,6 @@ type Options struct {
 	// logging.
 	Logger *slog.Logger
 
-	// Now overrides the service clock (tests); nil means time.Now.
-	Now func() time.Time
 	// Sleep overrides backoff sleeping (tests); nil means time.Sleep.
 	Sleep func(time.Duration)
 }
@@ -180,9 +174,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if o.Now == nil {
-		o.Now = time.Now
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
@@ -275,9 +266,6 @@ type Service struct {
 
 	ewmaNS atomic.Int64 // EWMA of per-attempt latency, nanoseconds
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	// cache is the shared content-addressed stage cache (Options.CacheBytes);
 	// nil when disabled. cacheFast counts requests answered by the warm
 	// fast path — deliberately outside the admitted/completed ledger, since
@@ -348,11 +336,10 @@ func New(opts Options) *Service {
 	s := &Service{
 		opts:     opts,
 		log:      opts.Logger,
-		start:    opts.Now(),
+		start:    time.Now(),
 		version:  buildVersion(),
 		programs: map[string]*program{},
 		slots:    make(chan struct{}, opts.Workers),
-		rng:      rand.New(rand.NewSource(opts.BackoffSeed)),
 	}
 	if opts.CacheBytes > 0 {
 		s.cache = stagecache.New(stagecache.Options{MaxBytes: opts.CacheBytes})
@@ -364,12 +351,8 @@ func New(opts Options) *Service {
 // disabled.
 func (s *Service) Cache() *stagecache.Cache { return s.cache }
 
-// Register adds (or replaces) a program under the given name. The
-// service-level SessionHighWater applies unless cfg sets its own.
+// Register adds (or replaces) a program under the given name.
 func (s *Service) Register(name string, prog *vm.Program, cfg engine.Config) {
-	if cfg.SessionHighWater == 0 {
-		cfg.SessionHighWater = s.opts.SessionHighWater
-	}
 	if cfg.Cache == nil {
 		cfg.Cache = s.cache // nil when caching is disabled
 	}
@@ -543,7 +526,7 @@ func (s *Service) serveAdmitted(ctx context.Context, p *program, req Request, in
 		}
 	}
 
-	if err := p.br.allow(s.opts.Now()); err != nil {
+	if err := p.br.allow(time.Now()); err != nil {
 		s.breakerRej.Add(1)
 		s.logOutcome(p, 0, "breaker-open", 0, err, inj)
 		return nil, err
@@ -583,7 +566,7 @@ func (s *Service) admit(ctx context.Context) (release func(), err error) {
 				// Everyone queued ahead drains in waves of Workers runs of
 				// ~EWMA each; then our own run takes ~EWMA.
 				est := time.Duration(q/int64(s.opts.Workers)+1) * ewma
-				if s.opts.Now().Add(est).After(dl) {
+				if time.Now().Add(est).After(dl) {
 					return nil, &OverloadError{Reason: "deadline", Queued: q, EstWait: est}
 				}
 			}
@@ -624,7 +607,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 	for attempt := 1; ; attempt++ {
 		an := s.analyzerFor(p, req, scale)
 		s.started.Add(1)
-		t0 := s.opts.Now()
+		t0 := time.Now()
 		var res *engine.Result
 		var classes []engine.ClassResult
 		var err error
@@ -639,7 +622,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 		} else {
 			res, err = an.AnalyzeContext(ctx, req.Inputs)
 		}
-		lat := s.opts.Now().Sub(t0)
+		lat := time.Since(t0)
 		s.observeLatency(lat)
 
 		if err == nil {
@@ -684,7 +667,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 
 		// Feed the breaker before deciding on a retry.
 		if errors.Is(err, engine.ErrInternal) {
-			p.br.onInternal(s.opts.Now(), func(consec int) {
+			p.br.onInternal(time.Now(), func(consec int) {
 				s.log.Warn("breaker opened", "program", p.name, "consecutive-internal", consec)
 			})
 		} else {
@@ -698,7 +681,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 			if dl, ok := ctx.Deadline(); ok {
 				// Abandon a retry that cannot finish before the deadline:
 				// backoff plus one more EWMA-sized run must fit.
-				if s.opts.Now().Add(wait + s.EWMALatency()).After(dl) {
+				if time.Now().Add(wait + s.EWMALatency()).After(dl) {
 					retryable = false
 				}
 			}
@@ -793,10 +776,7 @@ func (s *Service) backoff(attempt int) time.Duration {
 		d = s.opts.MaxBackoff
 	}
 	// Jitter into [d/2, d] to decorrelate concurrent retries.
-	s.rngMu.Lock()
-	j := time.Duration(s.rng.Int63n(int64(d/2) + 1))
-	s.rngMu.Unlock()
-	return d/2 + j
+	return d/2 + rand.N(d/2+1)
 }
 
 // observeLatency folds one run's latency into the admission EWMA
@@ -941,7 +921,7 @@ func (s *Service) Stats() Stats {
 	st := Stats{
 		StartTime:         s.start.UTC().Format(time.RFC3339),
 		Version:           s.version,
-		UptimeMS:          s.opts.Now().Sub(s.start).Milliseconds(),
+		UptimeMS:          time.Since(s.start).Milliseconds(),
 		Workers:           s.opts.Workers,
 		QueueDepth:        s.opts.QueueDepth,
 		Queued:            s.queued.Load(),

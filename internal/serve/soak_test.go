@@ -45,7 +45,6 @@ func TestServiceChaosSoak(t *testing.T) {
 		MaxBackoff:       4 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  10 * time.Millisecond,
-		SessionHighWater: 1 << 20,
 	})
 	prog := guest.Program("unary")
 	svc.Register("healthy", prog, engine.Config{})

@@ -30,16 +30,13 @@ type builder struct {
 	uf *unionfind.UF
 
 	// slots maps a key to its arena edge slot (collapsed mode only;
-	// exact-mode edges are unique by slot, so no map is needed).
+	// exact-mode edges are unique by slot, so no map is needed). A value
+	// key's slot holds the value's canonical split-node pair as its ends.
 	slots map[flowgraph.Key]int32
 
 	srcEl, sinkEl int32
 
 	exact, attribute bool
-
-	// canonVal maps a site key to its canonical value pair (collapsed
-	// mode only).
-	canonVal map[flowgraph.Key]valPair
 
 	// attrib records, per edge key, which secret-stream bytes fed the
 	// Source edges emitted under that key (collapsed mode with
@@ -55,10 +52,6 @@ type builder struct {
 	implicitEdges int
 }
 
-type valPair struct {
-	in, out int32
-}
-
 func newBuilder(exact, attribute bool) *builder {
 	b := &builder{
 		ar:        flowgraph.NewArena(exact),
@@ -70,7 +63,6 @@ func newBuilder(exact, attribute bool) *builder {
 	if !exact {
 		b.uf = unionfind.New(2) // elements 0,1 mirror the terminal nodes
 		b.slots = map[flowgraph.Key]int32{}
-		b.canonVal = map[flowgraph.Key]valPair{}
 		if attribute {
 			b.attrib = map[flowgraph.Key][]flowgraph.SourceContrib{}
 		}
@@ -89,7 +81,6 @@ func (b *builder) reset() {
 		b.uf.Reset(2)
 	}
 	clear(b.slots)
-	clear(b.canonVal)
 	clear(b.attrib)
 	b.srcAttrib, b.implicitEdges = nil, 0
 }
@@ -142,21 +133,20 @@ func (b *builder) addSourceEdge(to int32, cap int64, k flowgraph.Key, streamOff 
 
 // value creates (or, in collapsed mode, re-finds) the split node pair for a
 // value produced at the given site key, charging capBits to its internal
-// edge. Producers attach edges to in; consumers read from out.
+// edge. Producers attach edges to in; consumers read from out. Internal
+// keys enter the builder only here, so a collapsed key's edge slot still
+// has the pair its first call created as its ends.
 func (b *builder) value(k flowgraph.Key, capBits int64) (in, out int32) {
 	k.Kind = flowgraph.KindInternal
 	if !b.exact {
-		if vp, ok := b.canonVal[k]; ok {
-			b.ar.Accumulate(b.slots[k], capBits)
-			return vp.in, vp.out
+		if slot, ok := b.slots[k]; ok {
+			b.ar.Accumulate(slot, capBits)
+			return b.ar.EdgeEnds(slot)
 		}
 	}
 	in = b.element()
 	out = b.element()
 	b.addEdge(in, out, capBits, k)
-	if !b.exact {
-		b.canonVal[k] = valPair{in: in, out: out}
-	}
 	return in, out
 }
 

@@ -36,19 +36,15 @@ type Options struct {
 	// (Bond–McKinley, as in §3.2), trading graph size for precision.
 	ContextSensitive bool
 
-	// MaxDescriptors and MaxExceptions bound the lazy large-region
-	// machinery of §4.3 (defaults 40 and 30). A negative MaxDescriptors
+	// MaxDescriptors bounds the lazy large-region descriptors of §4.3
+	// (default 40, each with at most 30 exceptions). A negative value
 	// disables the lazy path entirely — the per-byte ablation of §4.3.
 	MaxDescriptors int
-	MaxExceptions  int
 
 	// WarnImplicit logs every implicit-flow operation that is not inside
 	// an enclosure region — the mode §8 uses to find where annotations are
-	// needed.
+	// needed. A run keeps at most 1000 of them.
 	WarnImplicit bool
-
-	// MaxWarnings bounds diagnostic accumulation (default 1000).
-	MaxWarnings int
 
 	// SecretRanges restricts which byte offsets of the secret input stream
 	// are treated as secret; nil means all of it. This implements the
@@ -235,7 +231,6 @@ type Tracker struct {
 	ctxStack []uint64
 
 	regionCanon map[flowgraph.Key]int32
-	chainCanon  map[flowgraph.Key]int32
 
 	warnings  []Warning
 	snapshots []Snapshot
@@ -248,15 +243,11 @@ type Tracker struct {
 
 // New creates a tracker.
 func New(opts Options) *Tracker {
-	if opts.MaxWarnings == 0 {
-		opts.MaxWarnings = 1000
-	}
 	t := &Tracker{
 		opts:        opts,
 		b:           newBuilder(opts.Exact, opts.AttributeSources),
-		sh:          newShadowMem(opts.MaxDescriptors, opts.MaxExceptions),
+		sh:          newShadowMem(opts.MaxDescriptors, defaultMaxExceptions),
 		regionCanon: map[flowgraph.Key]int32{},
-		chainCanon:  map[flowgraph.Key]int32{},
 	}
 	t.chainEl = t.b.element()
 	return t
@@ -310,7 +301,6 @@ func (t *Tracker) ResetAll() {
 	t.b.reset()
 	t.chainEl = t.b.element()
 	clear(t.regionCanon)
-	clear(t.chainCanon)
 	// Diagnostics escape into Results; release rather than truncate.
 	t.warnings = nil
 	t.snapshots = nil
@@ -395,8 +385,11 @@ func (t *Tracker) Stats() Stats {
 	return s
 }
 
+// maxWarnings bounds a run's diagnostic accumulation.
+const maxWarnings = 1000
+
 func (t *Tracker) warnf(site uint32, format string, args ...interface{}) {
-	if len(t.warnings) >= t.opts.MaxWarnings {
+	if len(t.warnings) >= maxWarnings {
 		return
 	}
 	loc := fmt.Sprintf("pc=%d", t.m.PC)
@@ -462,42 +455,7 @@ func (t *Tracker) Binop(site uint32, op vm.Op, rd, ra, rb int, va, vb vm.Word) {
 		return
 	}
 	ma, mb := t.regMask[ra], t.regMask[rb]
-	var rm bits.Mask
-	switch op {
-	case vm.OpAdd:
-		rm = bits.Add(ma, mb, va, vb)
-	case vm.OpSub:
-		rm = bits.Sub(ma, mb, va, vb)
-	case vm.OpMul:
-		rm = bits.Mul(ma, mb, va, vb)
-	case vm.OpDivU:
-		rm = bits.DivU(ma, mb, va, vb)
-	case vm.OpDivS:
-		rm = bits.DivS(ma, mb, va, vb)
-	case vm.OpModU:
-		rm = bits.ModU(ma, mb, va, vb)
-	case vm.OpModS:
-		rm = bits.ModS(ma, mb, va, vb)
-	case vm.OpAnd:
-		rm = bits.And(ma, mb, va, vb)
-	case vm.OpOr:
-		rm = bits.Or(ma, mb, va, vb)
-	case vm.OpXor:
-		rm = bits.Xor(ma, mb)
-	case vm.OpShl:
-		rm = bits.Shl(ma, mb, va, vb)
-	case vm.OpShrU:
-		rm = bits.Shr(ma, mb, va, vb)
-	case vm.OpShrS:
-		rm = bits.Sar(ma, mb, va, vb)
-	case vm.OpCmpEQ, vm.OpCmpNE, vm.OpCmpLTS, vm.OpCmpLES, vm.OpCmpLTU, vm.OpCmpLEU:
-		rm = bits.Cmp(ma, mb)
-	default:
-		rm = bits.Mask(0)
-		if ma|mb != 0 {
-			rm = bits.All
-		}
-	}
+	rm := bits.Binop(op, ma, mb, va, vb)
 	if rm == 0 {
 		t.clearReg(rd)
 		return
@@ -520,12 +478,7 @@ func (t *Tracker) Unop(site uint32, op vm.Op, rd, rs int, vs vm.Word) {
 		return
 	}
 	ms := t.regMask[rs]
-	var rm bits.Mask
-	if op == vm.OpNot {
-		rm = bits.Not(ms)
-	} else {
-		rm = bits.Sub(0, ms, 0, vs) // negation is 0 - x
-	}
+	rm := bits.Unop(op, ms, vs)
 	if rm == 0 {
 		t.clearReg(rd)
 		return
@@ -825,15 +778,14 @@ func (t *Tracker) WriteOutput(site uint32, addr vm.Word, data []byte, reg int) {
 // ones).
 func (t *Tracker) advanceChain(site uint32) {
 	t.b.addEdge(t.chainEl, t.b.sinkEl, flowgraph.Inf, t.label(flowgraph.KindChain, 1))
+	// A collapsed link key's edge leads to its canonical chain node; exact
+	// mode keeps no slots, so each output gets a fresh node.
 	linkLbl := t.label(flowgraph.KindChain, 2)
 	var next int32
-	if t.opts.Exact {
-		next = t.b.element()
-	} else if el, ok := t.chainCanon[linkLbl]; ok {
-		next = el
+	if slot, ok := t.b.slots[linkLbl]; ok {
+		_, next = t.b.ar.EdgeEnds(slot)
 	} else {
 		next = t.b.element()
-		t.chainCanon[linkLbl] = next
 	}
 	t.b.addEdge(t.chainEl, next, flowgraph.Inf, linkLbl)
 	t.chainEl = next
