@@ -77,9 +77,6 @@ func TestBatchAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// raceEnabled is set by race_test.go in race-detector builds.
-var raceEnabled bool
-
 // TestExactBytesPerEdge bounds what a warmed exact-mode analysis allocates
 // per graph edge. A recycled session keeps only the size of its next edge
 // store; the run's arena store, sized for the largest recent run, becomes
@@ -87,13 +84,16 @@ var raceEnabled bool
 // solver residuals, its edge flows and its cut; the bytes per edge
 // therefore track the edge record, and rebuilding any other per-edge
 // structure on every run would add its own size.
+//
+// The warm-up and the measured runs share one held session: through the
+// pool, a run on a goroutine that had moved to another P could draw a
+// fresh session and regrow its edge store inside the measured window.
 func TestExactBytesPerEdge(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops sessions at random under the race detector")
-	}
 	in := engine.Inputs{Secret: workload.PiWords(1024)}
 	a := engine.New(guest.Program("compress"), engine.Config{Workers: 1, Taint: taint.Options{Exact: true}})
-	res, err := a.Analyze(in)
+	h := engine.HoldSession(a)
+	defer h.Release()
+	res, err := h.Analyze(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestExactBytesPerEdge(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := a.Analyze(in); err != nil {
+		if _, err := h.Analyze(in); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 )
@@ -22,6 +23,28 @@ func SessionsRecycled(a *Analyzer) int64 { return a.recycled.Load() }
 // SetHighWater lowers the analyzer's session recycle mark, so a test can
 // reach it with a small graph. Call it before the first analysis.
 func SetHighWater(a *Analyzer, edges int) { a.highWater = edges }
+
+// HeldSession is one session drawn from an analyzer's pool and held
+// across analyses. A test that measures warmed runs uses it because the
+// pool does not promise to hand the same session back: Put leaves a
+// session in the current P's private slot, and a Get from a goroutine
+// that has since moved to another P builds a fresh one.
+type HeldSession struct {
+	a *Analyzer
+	s *session
+}
+
+// HoldSession draws a session from a's pool until Release.
+func HoldSession(a *Analyzer) *HeldSession { return &HeldSession{a: a, s: a.acquire()} }
+
+// Analyze runs one execution on the held session, as Analyze does on a
+// pooled one when no cache or ladder rung answers first.
+func (h *HeldSession) Analyze(in Inputs) (*Result, error) {
+	return h.a.runStages(context.Background(), h.s, h.a.sessionTracker(h.s), in, h.a.cfg.Fault.Run(0), nil)
+}
+
+// Release returns the held session to the pool.
+func (h *HeldSession) Release() { h.a.release(h.s) }
 
 var unseenNames atomic.Int64
 

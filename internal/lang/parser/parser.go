@@ -32,12 +32,15 @@ func Parse(file, src string) (*ast.File, error) {
 	return p.file(file)
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.pos] }
-func (p *parser) peek() token.Token {
+// cur points at the current token; reading through it copies no token.
+func (p *parser) cur() *token.Token { return &p.toks[p.pos] }
+
+// peek returns the kind of the token after the current one.
+func (p *parser) peek() token.Kind {
 	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+		return p.toks[p.pos+1].Kind
 	}
-	return p.toks[len(p.toks)-1]
+	return p.toks[len(p.toks)-1].Kind
 }
 
 func (p *parser) next() token.Token {
@@ -200,7 +203,7 @@ func (p *parser) arraySuffix(t *ast.Type) (*ast.Type, error) {
 // and case labels: literals, sizeof, unary -/~, and the binary arithmetic,
 // shift, and bitwise operators over them.
 func (p *parser) constExpr() (int64, error) {
-	e, err := p.binaryExpr(0)
+	e, err := p.binaryExpr(1)
 	if err != nil {
 		return 0, err
 	}
@@ -277,7 +280,7 @@ func (p *parser) funcDecl(nameTok token.Token, result *ast.Type) (*ast.FuncDecl,
 		return nil, err
 	}
 	fd := &ast.FuncDecl{P: nameTok.Pos, Name: nameTok.Text, Result: result}
-	if p.at(token.KwVoid) && p.peek().Kind == token.RParen {
+	if p.at(token.KwVoid) && p.peek() == token.RParen {
 		p.next()
 	}
 	if !p.at(token.RParen) {
@@ -623,13 +626,13 @@ func (p *parser) encloseStmt() (ast.Stmt, error) {
 		for {
 			// Items are parsed below the ternary level so that the
 			// `ptr : len` form is unambiguous.
-			item, err := p.binaryExpr(0)
+			item, err := p.binaryExpr(1)
 			if err != nil {
 				return nil, err
 			}
 			it := ast.EncItem{Ptr: item}
 			if p.accept(token.Colon) {
-				l, err := p.binaryExpr(0)
+				l, err := p.binaryExpr(1)
 				if err != nil {
 					return nil, err
 				}
@@ -656,7 +659,7 @@ func (p *parser) encloseStmt() (ast.Stmt, error) {
 
 func (p *parser) expr() (ast.Expr, error) { return p.assignExpr() }
 
-var assignOps = map[token.Kind]bool{
+var assignOps = [256]bool{
 	token.Assign: true, token.PlusAssign: true, token.MinusAssign: true,
 	token.StarAssign: true, token.SlashAssign: true, token.PercentAssign: true,
 	token.AmpAssign: true, token.PipeAssign: true, token.CaretAssign: true,
@@ -680,7 +683,7 @@ func (p *parser) assignExpr() (ast.Expr, error) {
 }
 
 func (p *parser) ternaryExpr() (ast.Expr, error) {
-	cond, err := p.binaryExpr(0)
+	cond, err := p.binaryExpr(1)
 	if err != nil {
 		return nil, err
 	}
@@ -701,45 +704,43 @@ func (p *parser) ternaryExpr() (ast.Expr, error) {
 	return &ast.Cond{ExprBase: ast.NewExprBase(cond.Pos()), C: cond, Then: then, Else: els}, nil
 }
 
-// Binary operator precedence levels, lowest first.
-var precLevels = [][]token.Kind{
-	{token.OrOr},
-	{token.AndAnd},
-	{token.Pipe},
-	{token.Caret},
-	{token.Amp},
-	{token.EqEq, token.NotEq},
-	{token.Lt, token.Le, token.Gt, token.Ge},
-	{token.Shl, token.Shr},
-	{token.Plus, token.Minus},
-	{token.Star, token.Slash, token.Percent},
+// binaryPrec gives each binary operator's precedence, from 1 (||, the
+// loosest) to 10 (* / %, the tightest). 0 marks a kind that is not a
+// binary operator.
+var binaryPrec = [256]uint8{
+	token.OrOr:   1,
+	token.AndAnd: 2,
+	token.Pipe:   3,
+	token.Caret:  4,
+	token.Amp:    5,
+	token.EqEq:   6, token.NotEq: 6,
+	token.Lt: 7, token.Le: 7, token.Gt: 7, token.Ge: 7,
+	token.Shl: 8, token.Shr: 8,
+	token.Plus: 9, token.Minus: 9,
+	token.Star: 10, token.Slash: 10, token.Percent: 10,
 }
 
-func (p *parser) binaryExpr(level int) (ast.Expr, error) {
-	if level >= len(precLevels) {
-		return p.unaryExpr()
-	}
-	lhs, err := p.binaryExpr(level + 1)
+// binaryExpr parses a chain of binary operators of precedence minPrec or
+// tighter by precedence climbing: one call per operator, each operand one
+// unaryExpr, and operators of equal precedence associate to the left.
+// binaryExpr(1) parses every binary operator.
+func (p *parser) binaryExpr(minPrec uint8) (ast.Expr, error) {
+	lhs, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := false
-		for _, k := range precLevels[level] {
-			if p.at(k) {
-				p.next()
-				rhs, err := p.binaryExpr(level + 1)
-				if err != nil {
-					return nil, err
-				}
-				lhs = &ast.Binary{ExprBase: ast.NewExprBase(lhs.Pos()), Op: k, X: lhs, Y: rhs}
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		op := p.cur().Kind
+		prec := binaryPrec[op]
+		if prec < minPrec {
 			return lhs, nil
 		}
+		p.next()
+		rhs, err := p.binaryExpr(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		lhs = &ast.Binary{ExprBase: ast.NewExprBase(lhs.Pos()), Op: op, X: lhs, Y: rhs}
 	}
 }
 
@@ -778,7 +779,7 @@ func (p *parser) unaryExpr() (ast.Expr, error) {
 
 	case token.LParen:
 		// Cast if the parenthesis starts a type.
-		if isTypeKeyword(p.peek().Kind) {
+		if isTypeKeyword(p.peek()) {
 			p.next()
 			typ, err := p.typeName()
 			if err != nil {
