@@ -142,8 +142,8 @@ func fresh(tr **taint.Tracker, opts taint.Options) *taint.Tracker {
 // sessionHighWater recycles pooled sessions whose last run's graph grew
 // past this many peak live edges: the session is discarded and a later
 // run builds a fresh one, so one pathological input does not size the
-// next run's edge store by its own, nor leave the union-find and label
-// maps of a collapsed builder at its size. Result-visible behavior is
+// next run's edge store by its own, nor leave a collapsed arena's key
+// index and union-find at its size. Result-visible behavior is
 // unchanged; PoolStats reports the churn.
 const sessionHighWater = 1 << 20
 

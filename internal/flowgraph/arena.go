@@ -3,15 +3,21 @@ package flowgraph
 import (
 	"fmt"
 	"unsafe"
+
+	"flowcheck/internal/unionfind"
 )
 
 // Arena is the append-only edge store behind flow-graph construction: the
-// taint builder emits every dynamic edge into it while the guest runs, and
-// Take hands the store to the finished Graph. Collapsed construction (§5.2)
-// re-finds an edge by its slot and accumulates capacity into it, and keeps
-// each edge's context word in a column beside the store; exact
-// construction only appends, and its edges, unique by slot, keep no
-// context. Nodes cost nothing: the arena only counts them.
+// taint builder emits every dynamic edge into it while the guest runs,
+// merge.Graphs replays finished graphs into it, and Take hands the store
+// to the finished Graph. A collapsed arena (§5.2) indexes its edges by
+// Key: an edge whose key it already holds adds its capacity to that slot
+// and unions its endpoints with the slot's in a union-find, which Export
+// and Take resolve — one mechanism for collapsing within a run and
+// merging across runs (§3.2). It keeps each edge's context word in a
+// column beside the store. An exact arena only appends, and its edges,
+// unique by slot, keep no context. Nodes cost nothing: the arena only
+// counts them, and a collapsed arena's union-find grows in lockstep.
 //
 // Node 0 and node 1 are pre-allocated and permanently correspond to the
 // graph Source and Sink.
@@ -22,7 +28,12 @@ type Arena struct {
 	edges []Edge
 	// ctx is the context column, parallel to edges; nil in an exact
 	// arena. It is sized, allocated and handed over with edges.
-	ctx      []uint64
+	ctx []uint64
+	// slots maps a collapsed arena's keys to their edge slots, and uf
+	// unions the endpoints of edges that share a key; classes are
+	// resolved only at export. Both nil in an exact arena.
+	slots    map[Key]int32
+	uf       *unionfind.UF
 	numNodes int32
 	// taken is the edge count of the store Take handed to a Graph, 0
 	// while the arena owns its store. A taken arena accepts no edges
@@ -47,7 +58,12 @@ type MemStats struct {
 // NewArena returns an arena holding only the two terminal nodes, for an
 // exact graph or a collapsed one.
 func NewArena(exact bool) *Arena {
-	return &Arena{exact: exact, numNodes: 2}
+	a := &Arena{exact: exact, numNodes: 2}
+	if !exact {
+		a.slots = map[Key]int32{}
+		a.uf = unionfind.New(2) // elements 0,1 mirror the terminals
+	}
+	return a
 }
 
 // Reset empties the arena back to the two terminal nodes. It never keeps
@@ -56,12 +72,17 @@ func NewArena(exact bool) *Arena {
 // and grows by append: a run as large as the ones before it never regrows
 // its store, and an outlier run sizes at most the one store after it,
 // because the cap is the same 2× slack Take allows a graph. The first
-// AddEdge allocates it, so the cost lands in the run that fills it.
+// AddEdge allocates it, so the cost lands in the run that fills it. The
+// key index and union-find are emptied and keep their storage.
 func (a *Arena) Reset() {
 	n := a.NumEdges()
 	a.size = min(max(a.size, n), 2*n)
 	a.edges, a.ctx = nil, nil
 	a.numNodes, a.taken = 2, 0
+	clear(a.slots)
+	if a.uf != nil {
+		a.uf.Reset(2)
+	}
 }
 
 // NumNodes reports the number of node ids allocated; valid node ids are
@@ -92,11 +113,18 @@ func (a *Arena) Mem() MemStats {
 // AddNode allocates a new node and returns its id.
 func (a *Arena) AddNode() int32 {
 	a.numNodes++
+	if a.uf != nil {
+		a.uf.MakeSet()
+	}
 	return a.numNodes - 1
 }
 
-// AddEdge appends an edge and returns its slot, by which Accumulate and
-// EdgeEnds address it. An exact arena stores k's label only.
+// AddEdge records an edge under key k and returns its slot, by which
+// Accumulate and EdgeEnds address it. A collapsed arena already holding k
+// adds cap to that slot (saturating at Inf) and unions from and to with
+// the slot's endpoints — the collapsed-mode label hit (§5.2) and the
+// cross-run merge (§3.2); otherwise the edge is appended. An exact arena
+// always appends and stores k's label only.
 func (a *Arena) AddEdge(from, to int32, cap int64, k Key) int32 {
 	if a.taken > 0 {
 		panic("flowgraph: edge added to an arena whose store was taken")
@@ -107,21 +135,36 @@ func (a *Arena) AddEdge(from, to int32, cap int64, k Key) int32 {
 	if cap < 0 {
 		panic(fmt.Sprintf("flowgraph: negative capacity %d", cap))
 	}
+	if slot, ok := a.slots[k]; ok {
+		a.Accumulate(slot, cap)
+		e := &a.edges[slot]
+		a.uf.Union(int(e.From), int(from))
+		a.uf.Union(int(e.To), int(to))
+		return slot
+	}
 	if a.edges == nil {
 		a.edges = make([]Edge, 0, a.size)
 		if !a.exact {
 			a.ctx = make([]uint64, 0, a.size)
 		}
 	}
+	slot := int32(len(a.edges))
 	a.edges = append(a.edges, Edge{From: NodeID(from), To: NodeID(to), Cap: cap, Label: k.Label()})
 	if !a.exact {
 		a.ctx = append(a.ctx, k.Ctx)
+		a.slots[k] = slot
 	}
-	return int32(len(a.edges) - 1)
+	return slot
 }
 
-// Accumulate adds cap to an edge's capacity, saturating at Inf — the
-// collapsed-mode label hit (§5.2).
+// Slot returns the slot of a collapsed arena's edge under key k; it
+// always misses in an exact arena.
+func (a *Arena) Slot(k Key) (int32, bool) {
+	slot, ok := a.slots[k]
+	return slot, ok
+}
+
+// Accumulate adds cap to an edge's capacity, saturating at Inf.
 func (a *Arena) Accumulate(slot int32, cap int64) {
 	e := &a.edges[slot]
 	e.Cap += cap
@@ -141,15 +184,14 @@ func (a *Arena) EdgeEnds(slot int32) (from, to int32) {
 // Export materializes the arena's edges as a Graph in a new edge slice
 // (and, for a collapsed arena, a new context column), leaving the arena
 // intact, so construction can go on (a mid-run FlowNote snapshot).
-// resolve maps an arena node to its representative (a union-find Find for
-// collapsed construction); nil means identity. Arena nodes resolving to
-// the terminals become Source and Sink, other nodes are renumbered by
-// first appearance in slot order; self-loops, edges out of the Sink, and
-// edges into the Source are dropped, and capacities clamp to Inf —
-// reproducing the historical builder output byte for byte. The graph is
-// Exact if the arena is.
-func (a *Arena) Export(resolve func(int32) int32) *Graph {
-	return a.export(resolve, make([]Edge, 0, len(a.edges)), make([]uint64, 0, len(a.ctx)))
+// Each arena node resolves to its union-find class in a collapsed arena,
+// to itself in an exact one. Nodes resolving to the terminals become
+// Source and Sink, other nodes are renumbered by first appearance in slot
+// order; self-loops, edges out of the Sink, and edges into the Source are
+// dropped, and capacities clamp to Inf — reproducing the historical
+// builder output byte for byte. The graph is Exact if the arena is.
+func (a *Arena) Export() *Graph {
+	return a.export(make([]Edge, 0, len(a.edges)), make([]uint64, 0, len(a.ctx)))
 }
 
 // Take is Export without the copy, for the end of construction: the graph
@@ -159,8 +201,8 @@ func (a *Arena) Export(resolve func(int32) int32) *Graph {
 // twice the graph's size (spare capacity from append growth or from
 // Reset's sizing) is copied to exact size instead, so a graph never pins
 // much more than it uses.
-func (a *Arena) Take(resolve func(int32) int32) *Graph {
-	g := a.export(resolve, a.edges[:0], a.ctx[:0])
+func (a *Arena) Take() *Graph {
+	g := a.export(a.edges[:0], a.ctx[:0])
 	a.edges, a.ctx, a.taken = nil, nil, len(a.edges)
 	if cap(g.Edges) > 2*len(g.Edges) {
 		g.Edges = append(make([]Edge, 0, len(g.Edges)), g.Edges...)
@@ -173,10 +215,11 @@ func (a *Arena) Take(resolve func(int32) int32) *Graph {
 
 // export is the one export loop behind Export and Take: it appends the
 // graph's edges to dst and, for a collapsed arena, their context words to
-// ctx, which an exact arena ignores. Each arena edge yields at most one graph edge, so when dst and ctx
-// are the arena's own store and column emptied, the write index never
-// passes the read index and every slot is read before it is overwritten.
-func (a *Arena) export(resolve func(int32) int32, dst []Edge, ctx []uint64) *Graph {
+// ctx, which an exact arena ignores. Each arena edge yields at most one
+// graph edge, so when dst and ctx are the arena's own store and column
+// emptied, the write index never passes the read index and every slot is
+// read before it is overwritten.
+func (a *Arena) export(dst []Edge, ctx []uint64) *Graph {
 	out := New()
 	out.Exact = a.exact
 	out.Edges = dst
@@ -184,18 +227,11 @@ func (a *Arena) export(resolve func(int32) int32, dst []Edge, ctx []uint64) *Gra
 	for i := range node {
 		node[i] = -1
 	}
-	rs, rt := int32(0), int32(1)
-	if resolve != nil {
-		rs, rt = resolve(0), resolve(1)
-	}
-	node[rs] = Source
-	node[rt] = Sink
+	node[a.find(0)] = Source
+	node[a.find(1)] = Sink
 	for i := range a.edges {
 		e := a.edges[i]
-		f, t := int32(e.From), int32(e.To)
-		if resolve != nil {
-			f, t = resolve(f), resolve(t)
-		}
+		f, t := a.find(int32(e.From)), a.find(int32(e.To))
 		from := node[f]
 		if from < 0 {
 			from = out.AddNode()
@@ -218,6 +254,15 @@ func (a *Arena) export(resolve func(int32) int32, dst []Edge, ctx []uint64) *Gra
 		out.Ctx = ctx
 	}
 	return out
+}
+
+// find returns a node's union-find class representative in a collapsed
+// arena, the node itself in an exact one.
+func (a *Arena) find(v int32) int32 {
+	if a.uf == nil {
+		return v
+	}
+	return int32(a.uf.Find(int(v)))
 }
 
 // growI32 returns a length-n []int32, reusing s's backing array if it fits.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -25,7 +26,7 @@ func TestArenaBasics(t *testing.T) {
 	if f, to := a.EdgeEnds(s1); f != 0 || to != v {
 		t.Fatalf("EdgeEnds = (%d,%d), want (0,%d)", f, to, v)
 	}
-	g := a.Export(nil)
+	g := a.Export()
 	if g.NumEdges() != 3 {
 		t.Fatalf("exported %d edges, want 3", g.NumEdges())
 	}
@@ -83,7 +84,7 @@ func TestArenaExportMatchesGraph(t *testing.T) {
 			a.AddEdge(f, to, cap, k)
 			want = append(want, emitted{f, to, cap, k})
 		}
-		got := a.Export(nil)
+		got := a.Export()
 		if got.NumEdges() != len(want) || got.Exact != exact || (exact && got.Ctx != nil) {
 			t.Fatalf("exact %v: %d edges, Exact %v, %d context words; want %d edges", exact, got.NumEdges(), got.Exact, len(got.Ctx), len(want))
 		}
@@ -248,47 +249,39 @@ func TestRecordSizes(t *testing.T) {
 // fuzzArena replays fuzz bytes into an arena, three bytes per operation:
 // add a node (some stay edgeless), add an edge between any two nodes
 // (self-loops and edges into Source or out of Sink included, capacities
-// past Inf too), accumulate into an earlier slot, or union two nodes of
-// the union-find that resolve reads when unions is set. Like the builder,
-// it unions only in a collapsed arena, so unions also picks the mode. The
-// arena first hands off spare edges, so Reset sizes its store with that
-// much room.
-func fuzzArena(data []byte, spare int, unions bool) (*Arena, func(int32) int32) {
-	a := NewArena(!unions)
+// past Inf too) under a fresh key, accumulate into an earlier slot, or add
+// an edge under an earlier edge's key, which a collapsed arena merges
+// into that slot, unioning endpoints. The arena first hands off spare
+// edges, so Reset sizes its store with that much room.
+func fuzzArena(data []byte, spare int, collapsed bool) *Arena {
+	a := NewArena(!collapsed)
 	for i := 0; i < spare; i++ {
-		a.AddEdge(0, 1, 1, Key{})
+		a.AddEdge(0, 1, 1, Key{Site: uint32(i)})
 	}
-	a.Take(nil)
+	a.Take()
 	a.Reset()
-	parent := []int32{0, 1}
-	find := func(v int32) int32 {
-		for parent[v] != v {
-			v = parent[v]
-		}
-		return v
-	}
+	var keys []Key
 	for i := 0; i+2 < len(data); i += 3 {
 		op, x, y := data[i], int32(data[i+1]), int32(data[i+2])
 		n := int32(a.NumNodes())
 		switch op % 8 {
 		case 0:
-			parent = append(parent, a.AddNode())
+			a.AddNode()
 		case 1:
 			if e := a.NumEdges(); e > 0 {
 				a.Accumulate(x%int32(e), int64(y)<<41)
 			}
 		case 2:
-			if rx, ry := find(x%n), find(y%n); rx != ry {
-				parent[rx] = ry
+			if len(keys) > 0 {
+				a.AddEdge(x%n, y%n, int64(op)<<(y%50), keys[int(x)%len(keys)])
 			}
 		default:
-			a.AddEdge(x%n, y%n, int64(op)<<(y%50), Key{Site: uint32(x), Aux: op, Ctx: uint64(i)})
+			k := Key{Site: uint32(x), Aux: op, Ctx: uint64(i)}
+			a.AddEdge(x%n, y%n, int64(op)<<(y%50), k)
+			keys = append(keys, k)
 		}
 	}
-	if !unions {
-		return a, nil
-	}
-	return a, find
+	return a
 }
 
 // FuzzArenaTake checks the in-place hand-off against the copying export:
@@ -306,17 +299,16 @@ func FuzzArenaTake(f *testing.F) {
 	// A collapsed run whose context column outgrew twice the graph while
 	// its edge store did not.
 	f.Add([]byte("700700700700000700700700701701700000000701700000700701701000702702702702700702702710702702700700702702700702702700702700700700"), uint8(9), true)
-	f.Fuzz(func(t *testing.T, data []byte, spare uint8, unions bool) {
-		ref, refResolve := fuzzArena(data, int(spare), unions)
-		a, resolve := fuzzArena(data, int(spare), unions)
-		want := ref.Export(refResolve)
+	f.Fuzz(func(t *testing.T, data []byte, spare uint8, collapsed bool) {
+		want := fuzzArena(data, int(spare), collapsed).Export()
+		a := fuzzArena(data, int(spare), collapsed)
 		mem := a.Mem()
-		got := a.Take(resolve)
+		got := a.Take()
 		if got.NumNodes() != want.NumNodes() || !slices.Equal(got.Edges, want.Edges) || !slices.Equal(got.Ctx, want.Ctx) {
 			t.Fatalf("Take: %d nodes %v ctx %v\nExport: %d nodes %v ctx %v", got.NumNodes(), got.Edges, got.Ctx, want.NumNodes(), want.Edges, want.Ctx)
 		}
-		if got.Exact != !unions || (got.Exact && got.Ctx != nil) || got.Validate() != nil {
-			t.Fatalf("taken graph of an exact=%v arena: Exact %v, %d context words, Validate %v", !unions, got.Exact, len(got.Ctx), got.Validate())
+		if got.Exact != !collapsed || (got.Exact && got.Ctx != nil) || got.Validate() != nil {
+			t.Fatalf("taken graph of an exact=%v arena: Exact %v, %d context words, Validate %v", !collapsed, got.Exact, len(got.Ctx), got.Validate())
 		}
 		if cap(got.Edges) > 2*len(got.Edges) || cap(got.Ctx) > 2*len(got.Ctx) {
 			t.Fatalf("taken graph of %d edges keeps a %d-edge store and %d-word column", len(got.Edges), cap(got.Edges), cap(got.Ctx))
@@ -324,10 +316,17 @@ func FuzzArenaTake(f *testing.F) {
 		if a.Mem() != mem || a.NumNodes() != mem.TotalNodes || a.NumEdges() != mem.TotalEdges || a.Bytes() != 0 {
 			t.Fatalf("taken arena: mem %+v, %d nodes, %d edges, %d B; before Take mem %+v", a.Mem(), a.NumNodes(), a.NumEdges(), a.Bytes(), mem)
 		}
+		// Every edge added from here on has a key of its own, so a
+		// collapsed arena grows its store with each.
+		var v int32
+		site := uint32(0)
+		addEdge := func() {
+			site++
+			a.AddEdge(0, v, 1, Key{Site: site})
+		}
 		// reset resets the arena after a run that filled a store of last
 		// edges, checks the next store against Reset's rule, allocated
 		// by the first edge and not before, and returns its size.
-		var v int32
 		reset := func(last int) int {
 			n := a.NumEdges()
 			a.Reset()
@@ -335,7 +334,7 @@ func FuzzArenaTake(f *testing.F) {
 				t.Fatalf("Reset allocated %d B before any edge", a.Bytes())
 			}
 			v = a.AddNode()
-			a.AddEdge(0, v, 1, Key{Site: 1 << 20})
+			addEdge()
 			want := min(max(last, n), 2*n)
 			if cap(a.edges) != max(want, 1) {
 				t.Fatalf("Reset after a %d-edge store and a %d-edge run made room for %d, want %d", last, n, cap(a.edges), want)
@@ -351,7 +350,7 @@ func FuzzArenaTake(f *testing.F) {
 		}
 		stores := []int{reset(int(spare))} // fuzzArena's first store held the spare edges
 		for a.NumEdges() <= mem.TotalEdges {
-			a.AddEdge(0, v, 1, Key{Site: 1 << 20})
+			addEdge()
 		}
 		if !slices.Equal(got.Edges, want.Edges) || !slices.Equal(got.Ctx, want.Ctx) {
 			t.Fatal("edges added after Reset changed the taken graph")
@@ -361,9 +360,9 @@ func FuzzArenaTake(f *testing.F) {
 		runs := []int{small, 10 * small, 1 + int(spare)%small, small}
 		for _, n := range runs {
 			for a.NumEdges() < n {
-				a.AddEdge(0, v, 1, Key{})
+				addEdge()
 			}
-			a.Take(nil)
+			a.Take()
 			stores = append(stores, reset(stores[len(stores)-1]))
 		}
 		// stores[i] is the store run i filled: the outlier is run 1, so
@@ -374,15 +373,66 @@ func FuzzArenaTake(f *testing.F) {
 	})
 }
 
+// TestArenaCollapsesByKey checks the key index: in a collapsed arena an
+// edge under a key the arena holds adds its capacity to that slot,
+// saturating at Inf, and unions its endpoints with the slot's; an exact
+// arena appends every edge, and Slot never finds one.
+func TestArenaCollapsesByKey(t *testing.T) {
+	k := Key{Site: 7, Ctx: 3}
+	a := NewArena(false)
+	u, v, w, x := a.AddNode(), a.AddNode(), a.AddNode(), a.AddNode()
+	s := a.AddEdge(u, v, 5, k)
+	a.AddEdge(0, u, 8, Key{Site: 1})
+	a.AddEdge(x, 1, 8, Key{Site: 2})
+	if got := a.AddEdge(w, x, 6, k); got != s {
+		t.Fatalf("repeated key went to slot %d, want %d", got, s)
+	}
+	if slot, ok := a.Slot(k); !ok || slot != s {
+		t.Fatalf("Slot = %d, %v, want %d, true", slot, ok, s)
+	}
+	if _, ok := a.Slot(Key{Site: 7}); ok {
+		t.Fatal("Slot found a key that differs in its context word")
+	}
+	g := a.Export()
+	// u∪w and v∪x: Source→u, u→v and v→Sink remain, 11 bits wide inside.
+	if a.NumEdges() != 3 || g.NumNodes() != 4 || g.Edges[0].Cap != 11 {
+		t.Fatalf("%d arena edges, graph of %d nodes %v; want 3 edges over 4 nodes, slot 0 holding 11", a.NumEdges(), g.NumNodes(), g.Edges)
+	}
+	if g.Edges[0].From != g.Edges[1].To || g.Edges[0].To != g.Edges[2].From {
+		t.Fatalf("repeated key did not union its endpoints: %v", g.Edges)
+	}
+	a.AddEdge(u, v, Inf, k)
+	if g := a.Export(); g.Edges[0].Cap != Inf {
+		t.Fatalf("accumulated cap = %d, want saturated Inf", g.Edges[0].Cap)
+	}
+
+	e := NewArena(true)
+	u, v = e.AddNode(), e.AddNode()
+	if s1, s2 := e.AddEdge(u, v, 5, k), e.AddEdge(u, v, 6, k); s1 == s2 || e.NumEdges() != 2 {
+		t.Fatalf("exact arena: slots %d and %d, %d edges; want two edges", s1, s2, e.NumEdges())
+	}
+	if _, ok := e.Slot(k); ok {
+		t.Fatal("Slot found a key in an exact arena")
+	}
+}
+
+// TestArenaTakenRejectsEdges checks that a taken arena of either mode
+// refuses an edge, under a new key or one its store held.
 func TestArenaTakenRejectsEdges(t *testing.T) {
-	a := NewArena(true)
-	v := a.AddNode()
-	a.AddEdge(0, v, 1, Key{})
-	a.Take(nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddEdge on a taken arena did not panic")
+	for _, exact := range []bool{true, false} {
+		for _, k := range []Key{{Site: 1}, {Site: 2}} {
+			a := NewArena(exact)
+			v := a.AddNode()
+			a.AddEdge(0, v, 1, Key{Site: 1})
+			a.Take()
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "taken") {
+						t.Fatalf("exact=%v: AddEdge under %+v on a taken arena: panic %v, want the taken-store panic", exact, k, r)
+					}
+				}()
+				a.AddEdge(v, 1, 1, k)
+			}()
 		}
-	}()
-	a.AddEdge(v, 1, 1, Key{})
+	}
 }

@@ -1,9 +1,6 @@
 package taint
 
-import (
-	"flowcheck/internal/flowgraph"
-	"flowcheck/internal/unionfind"
-)
+import "flowcheck/internal/flowgraph"
 
 // builder incrementally constructs a flow graph during execution, emitting
 // directly into an arena-backed graph core (flowgraph.Arena).
@@ -11,28 +8,20 @@ import (
 // It implements both construction modes of paper §4.2/§5.2 with one
 // mechanism. Every runtime value is a pair of arena nodes (the two halves
 // of a split node); every edge carries a Key: its label and context word.
-// In collapsed mode, edges with the same key are merged: their capacities accumulate in place and
-// their endpoints' classes are unioned — the paper's almost-linear-time
-// combination using a union-find structure (§3.2); the union-find runs in
-// lockstep with arena node allocation, so element ids and node ids
-// coincide. In exact mode every edge is unique by its arena slot and no
-// merging occurs; the arena keeps no context word for it.
+// In collapsed mode the arena merges edges with the same key: their
+// capacities accumulate in place and their endpoints' classes are unioned
+// — the paper's almost-linear-time combination using a union-find
+// structure (§3.2). In exact mode every edge is unique by its arena slot
+// and no merging occurs; the arena keeps no context word for it.
 //
 // Value pairs are canonicalized per label in collapsed mode, so the
 // builder's memory grows with code coverage (the number of distinct
 // keys), not with run time — the property §5.2 relies on for analyzing
 // long executions.
 type builder struct {
+	// ar holds the edges; in collapsed mode a value key's slot holds the
+	// value's canonical split-node pair as its ends.
 	ar *flowgraph.Arena
-
-	// uf unions collapsed-label endpoints lazily; classes are resolved only
-	// at export. nil in exact mode, where no unions ever happen.
-	uf *unionfind.UF
-
-	// slots maps a key to its arena edge slot (collapsed mode only;
-	// exact-mode edges are unique by slot, so no map is needed). A value
-	// key's slot holds the value's canonical split-node pair as its ends.
-	slots map[flowgraph.Key]int32
 
 	srcEl, sinkEl int32
 
@@ -60,38 +49,21 @@ func newBuilder(exact, attribute bool) *builder {
 	}
 	b.srcEl = 0 // arena Source
 	b.sinkEl = 1
-	if !exact {
-		b.uf = unionfind.New(2) // elements 0,1 mirror the terminal nodes
-		b.slots = map[flowgraph.Key]int32{}
-		if attribute {
-			b.attrib = map[flowgraph.Key][]flowgraph.SourceContrib{}
-		}
+	if !exact && attribute {
+		b.attrib = map[flowgraph.Key][]flowgraph.SourceContrib{}
 	}
 	return b
 }
 
 // reset empties the builder for an unrelated execution, keeping the
-// union-find and map storage for reuse; the arena's next edge store is
-// sized for the largest recent run. Attribution is cleared or released,
-// never truncated: its slices escape into SourceMaps built from the
-// previous graph.
+// arena's key index and union-find storage for reuse; the arena's next
+// edge store is sized for the largest recent run. Attribution is cleared
+// or released, never truncated: its slices escape into SourceMaps built
+// from the previous graph.
 func (b *builder) reset() {
 	b.ar.Reset()
-	if b.uf != nil {
-		b.uf.Reset(2)
-	}
-	clear(b.slots)
 	clear(b.attrib)
 	b.srcAttrib, b.implicitEdges = nil, 0
-}
-
-// element allocates a fresh graph element (used for region and chain nodes).
-func (b *builder) element() int32 {
-	el := b.ar.AddNode()
-	if b.uf != nil {
-		b.uf.MakeSet() // keep element ids and arena node ids in lockstep
-	}
-	return el
 }
 
 // addEdge records an information channel of cap bits from element `from` to
@@ -100,18 +72,7 @@ func (b *builder) addEdge(from, to int32, cap int64, k flowgraph.Key) {
 	if k.Kind == flowgraph.KindImplicit {
 		b.implicitEdges++
 	}
-	if b.exact {
-		b.ar.AddEdge(from, to, cap, k)
-		return
-	}
-	if slot, ok := b.slots[k]; ok {
-		b.ar.Accumulate(slot, cap)
-		ef, et := b.ar.EdgeEnds(slot)
-		b.uf.Union(int(ef), int(from))
-		b.uf.Union(int(et), int(to))
-		return
-	}
-	b.slots[k] = b.ar.AddEdge(from, to, cap, k)
+	b.ar.AddEdge(from, to, cap, k)
 }
 
 // addSourceEdge is addEdge for Source-rooted secret-input edges, recording
@@ -138,29 +99,17 @@ func (b *builder) addSourceEdge(to int32, cap int64, k flowgraph.Key, streamOff 
 // has the pair its first call created as its ends.
 func (b *builder) value(k flowgraph.Key, capBits int64) (in, out int32) {
 	k.Kind = flowgraph.KindInternal
-	if !b.exact {
-		if slot, ok := b.slots[k]; ok {
-			b.ar.Accumulate(slot, capBits)
-			return b.ar.EdgeEnds(slot)
-		}
+	if slot, ok := b.ar.Slot(k); ok {
+		b.ar.Accumulate(slot, capBits)
+		return b.ar.EdgeEnds(slot)
 	}
-	in = b.element()
-	out = b.element()
+	in = b.ar.AddNode()
+	out = b.ar.AddNode()
 	b.addEdge(in, out, capBits, k)
 	return in, out
 }
 
-// build assembles the current state into a flowgraph, resolving each node
-// to its union-find class representative in collapsed mode. It copies the
+// build assembles the current state into a flowgraph. It copies the
 // arena's edges and does not consume the builder, so intermediate flows
 // (§8.1's real-time mode) can be computed mid-run.
-func (b *builder) build() *flowgraph.Graph { return b.ar.Export(b.resolve()) }
-
-// resolve maps an arena node to its union-find class representative in
-// collapsed mode; nil (identity) in exact mode.
-func (b *builder) resolve() func(int32) int32 {
-	if b.uf == nil {
-		return nil
-	}
-	return func(v int32) int32 { return int32(b.uf.Find(int(v))) }
-}
+func (b *builder) build() *flowgraph.Graph { return b.ar.Export() }

@@ -41,8 +41,8 @@ func TestBuilderCollapseAccumulates(t *testing.T) {
 	if f := maxflow.Compute(g).Flow; f != 800 {
 		t.Fatalf("accumulated flow = %d, want 800", f)
 	}
-	if b.uf.Len() != 4 { // src, sink, one value pair
-		t.Fatalf("uf elements = %d, want 4 (bounded by labels)", b.uf.Len())
+	if b.ar.NumNodes() != 4 { // src, sink, one value pair
+		t.Fatalf("arena nodes = %d, want 4 (bounded by labels)", b.ar.NumNodes())
 	}
 }
 
@@ -103,13 +103,18 @@ func TestBuilderUnionMergesClasses(t *testing.T) {
 func TestBuilderSelfLoopDropped(t *testing.T) {
 	b := newBuilder(false, false)
 	in, out := b.value(lbl(1, 0, flowgraph.KindInternal), 8)
-	// Force a union that turns an edge into a self-loop.
-	b.uf.Union(int(in), int(out))
+	// Force a union that turns an edge into a self-loop: two edges under
+	// one key, from in and from out, unite the two halves.
+	b.addEdge(in, b.sinkEl, 1, lbl(3, 0, flowgraph.KindOutput))
+	b.addEdge(out, b.sinkEl, 1, lbl(3, 0, flowgraph.KindOutput))
 	b.addEdge(b.srcEl, in, 8, lbl(1, 1, flowgraph.KindInput))
 	b.addEdge(out, b.sinkEl, 8, lbl(2, 0, flowgraph.KindOutput))
 	g := b.build()
 	if err := g.Validate(); err != nil {
 		t.Fatalf("graph invalid: %v", err)
+	}
+	if g.NumEdges() != 3 { // the value's internal edge is the self-loop
+		t.Fatalf("edges = %d, want 3", g.NumEdges())
 	}
 	if f := maxflow.Compute(g).Flow; f != 8 {
 		t.Fatalf("flow = %d, want 8", f)

@@ -249,7 +249,7 @@ func New(opts Options) *Tracker {
 		sh:          newShadowMem(opts.MaxDescriptors, defaultMaxExceptions),
 		regionCanon: map[flowgraph.Key]int32{},
 	}
-	t.chainEl = t.b.element()
+	t.chainEl = t.b.ar.AddNode()
 	return t
 }
 
@@ -293,13 +293,13 @@ func (t *Tracker) SetProbe(p Probe) { t.probe = p }
 // engine's pooled sessions call this between independent runs; the parallel
 // batch path then re-establishes §3.2 soundness by merging the per-run
 // graphs offline, by label. The builder is emptied in place, keeping its
-// union-find and map storage; the arena's edge store went to the last
-// Graph, so the run's first edge allocates a new one, sized for the
-// largest recent run.
+// arena's key index and union-find storage; the arena's edge store went
+// to the last Graph, so the run's first edge allocates a new one, sized
+// for the largest recent run.
 func (t *Tracker) ResetAll() {
 	t.Reset()
 	t.b.reset()
-	t.chainEl = t.b.element()
+	t.chainEl = t.b.ar.AddNode()
 	clear(t.regionCanon)
 	// Diagnostics escape into Results; release rather than truncate.
 	t.warnings = nil
@@ -311,7 +311,7 @@ func (t *Tracker) ResetAll() {
 // it: the graph takes over the arena's edge store. Stats, MemStats and
 // GraphSize still report the execution, but the tracker must not run
 // again before ResetAll.
-func (t *Tracker) Graph() *flowgraph.Graph { return t.b.ar.Take(t.b.resolve()) }
+func (t *Tracker) Graph() *flowgraph.Graph { return t.b.ar.Take() }
 
 // SourceMap extracts the Source-edge attribution of a graph built by this
 // tracker (Options.AttributeSources; nil otherwise): for each Source edge
@@ -782,10 +782,10 @@ func (t *Tracker) advanceChain(site uint32) {
 	// mode keeps no slots, so each output gets a fresh node.
 	linkLbl := t.label(flowgraph.KindChain, 2)
 	var next int32
-	if slot, ok := t.b.slots[linkLbl]; ok {
+	if slot, ok := t.b.ar.Slot(linkLbl); ok {
 		_, next = t.b.ar.EdgeEnds(slot)
 	} else {
-		next = t.b.element()
+		next = t.b.ar.AddNode()
 	}
 	t.b.addEdge(t.chainEl, next, flowgraph.Inf, linkLbl)
 	t.chainEl = next
@@ -818,11 +818,11 @@ func (t *Tracker) EnterRegion(site uint32, outputs []vm.Range) {
 	lbl := t.label(flowgraph.KindRegion, 99)
 	var el int32
 	if t.opts.Exact {
-		el = t.b.element()
+		el = t.b.ar.AddNode()
 	} else if e, ok := t.regionCanon[lbl]; ok {
 		el = e
 	} else {
-		el = t.b.element()
+		el = t.b.ar.AddNode()
 		t.regionCanon[lbl] = el
 	}
 	// The region's state reuses the slot, and the write set's page list,

@@ -1,10 +1,10 @@
 // Package unionfind provides a disjoint-set (union-find) structure with
 // path compression and union by rank.
 //
-// The taint engine and the multi-run graph merger (paper §3.2, §5.2) use it
-// to identify flow-graph nodes that share an edge label: for each edge
-// (u, v) at location l, the sets containing u and the placeholder "source of
-// edges at l" are merged, and similarly for v and "target of edges at l".
+// A collapsed flowgraph.Arena uses it to identify flow-graph nodes that
+// share an edge key, for the taint builder and the multi-run graph merger
+// alike (paper §3.2, §5.2): when an edge (u, v) repeats key l, u is merged
+// with the source of l's edge and v with its target.
 package unionfind
 
 // UF is a union-find structure over dense integer elements. New elements are
