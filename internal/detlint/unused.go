@@ -17,7 +17,6 @@ import (
 var unusedAllow = []string{
 	"experiments.Fig3Incompressible",
 	"flowgraph.Arena.Bytes",
-	"flowgraph.Graph.AddValueNode",
 	"flowgraph.Graph.Validate",
 	"taint.Tracker.ArenaBytes",
 }

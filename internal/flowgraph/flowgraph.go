@@ -159,17 +159,6 @@ func (g *Graph) Key(i int) Key {
 	return k
 }
 
-// AddValueNode allocates a split node pair for a value holding `capBits`
-// secret bits: it returns the in and out halves joined by an internal edge.
-// Producers should point edges at in; consumers read from out.
-func (g *Graph) AddValueNode(capBits int64, label Label) (in, out NodeID) {
-	in = g.AddNode()
-	out = g.AddNode()
-	label.Kind = KindInternal
-	g.AddEdge(in, out, capBits, label)
-	return in, out
-}
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	return &Graph{numNodes: g.numNodes, Exact: g.Exact, Edges: slices.Clone(g.Edges), Ctx: slices.Clone(g.Ctx)}

@@ -32,21 +32,6 @@ func TestAddNodeAndEdge(t *testing.T) {
 	}
 }
 
-func TestAddValueNodeSplit(t *testing.T) {
-	g := New()
-	in, out := g.AddValueNode(16, Label{Site: 9})
-	if in == out {
-		t.Fatal("split node halves must differ")
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("want internal edge, got %d edges", g.NumEdges())
-	}
-	e := g.Edges[0]
-	if e.From != in || e.To != out || e.Cap != 16 || e.Label.Kind != KindInternal {
-		t.Fatalf("internal edge mismatch: %+v", e)
-	}
-}
-
 func TestEdgePanicsOnBadEndpoint(t *testing.T) {
 	g := New()
 	defer func() {

@@ -78,7 +78,8 @@ func TestFigure1NodeSplitting(t *testing.T) {
 	}
 	// Right graph: node splitting enforces the 32-bit single output.
 	right := flowgraph.New()
-	in, out := right.AddValueNode(32, flowgraph.Label{})
+	in, out := right.AddNode(), right.AddNode()
+	right.AddEdge(in, out, 32, flowgraph.Label{Kind: flowgraph.KindInternal})
 	right.AddEdge(flowgraph.Source, in, 32, flowgraph.Label{})
 	right.AddEdge(flowgraph.Source, in, 32, flowgraph.Label{})
 	right.AddEdge(out, flowgraph.Sink, 32, flowgraph.Label{})
