@@ -56,38 +56,42 @@ func (a *Analyzer) fanOut(n int, fn func(s *session, i int) error) []error {
 		}()
 		errs[i] = fn(s, i)
 	}
-	work := func(claim func() int) {
+	a.spread(n, func(claim func() int) {
 		s := a.acquire()
 		defer func() { a.release(s) }()
-		for {
-			i := claim()
-			if i >= n {
-				return
-			}
+		for i := claim(); i < n; i = claim() {
 			call(s, i)
 			if s.poisoned {
 				a.release(s) // quarantines; the next item gets a clean session
 				s = a.acquire()
 			}
 		}
-	}
+	})
+	return errs
+}
+
+// spread runs work on the configured number of workers for n items — on
+// the calling goroutine alone when that is one. Each worker's claim
+// returns the next unclaimed index, n or more once all are taken, from
+// one counter, so any worker may take any index: callers write results
+// into index-addressed slots to stay deterministic.
+func (a *Analyzer) spread(n int, work func(claim func() int)) {
+	var next atomic.Int64
+	claim := func() int { return int(next.Add(1)) - 1 }
 	workers := a.workers(n)
 	if workers == 1 {
-		serial := 0
-		work(func() int { i := serial; serial++; return i })
-		return errs
+		work(claim)
+		return
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(func() int { return int(next.Add(1)) - 1 })
+			work(claim)
 		}()
 	}
 	wg.Wait()
-	return errs
 }
 
 // AnalyzeBatch analyzes several executions of the program in parallel:

@@ -27,8 +27,6 @@ import (
 	"context"
 	"errors"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"flowcheck/internal/cachekey"
@@ -137,34 +135,16 @@ func (a *Analyzer) classShared(ctx context.Context, in Inputs, classes []SecretC
 	}
 	n := len(classes)
 	out := make([]ClassResult, n)
-	var next atomic.Int64
-	work := func() {
+	a.spread(n, func(claim func() int) {
 		solver := maxflow.NewSolver()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
+		for i := claim(); i < n; i = claim() {
 			if err := ctxErr(ctx); err != nil {
 				out[i] = ClassResult{Class: classes[i], Err: err}
 				continue
 			}
 			out[i] = a.solveClass(solver, cg, classes[i], a.cfg.Fault.Run(i))
 		}
-	}
-	if w := a.workers(n); w == 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
