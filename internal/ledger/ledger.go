@@ -161,15 +161,23 @@ func (o Options) withDefaults() Options {
 // pairKey identifies one ledger entry.
 type pairKey struct{ principal, program string }
 
-// entry is one (principal, program) pair's accounting.
+// entry is one (principal, program) pair's accounting. Its in-flight
+// charges live in the ledger's pending index, not in the entry.
 type entry struct {
-	settled     int64            // settled bits in the current window
-	pending     map[uint64]int64 // charge LSN -> pessimistic estimate
-	pendingBits int64            // sum of pending estimates
-	queries     int64            // settled charges, ever
-	denied      int64            // charges denied over budget, ever
-	lastBits    int64            // most recent settled amount
+	key         pairKey
+	settled     int64 // settled bits in the current window
+	pendingBits int64 // sum of pending estimates
+	queries     int64 // settled charges, ever
+	denied      int64 // charges denied over budget, ever
+	lastBits    int64 // most recent settled amount
 	windowStart time.Time
+}
+
+// pendingCharge is one charge awaiting its settle: the entry it counts
+// toward and its pessimistic estimate.
+type pendingCharge struct {
+	e   *entry
+	est int64
 }
 
 func (e *entry) cumulative() int64 { return e.settled + e.pendingBits }
@@ -199,7 +207,10 @@ type lockedState struct {
 	ch chan struct{} // 1-token semaphore; select-free Lock/Unlock below
 
 	entries map[pairKey]*entry
-	pending map[uint64]pairKey // charge LSN -> entry (for settle + replay)
+	// pending is the one index of in-flight charges, by charge LSN: the
+	// live settle path, replay, recovery and the snapshot all go through
+	// it.
+	pending map[uint64]pendingCharge
 	nextLSN uint64
 
 	wal       *os.File
@@ -242,7 +253,7 @@ func Open(opts Options) (*Ledger, error) {
 	}
 	l.mu.ch = make(chan struct{}, 1)
 	l.mu.entries = map[pairKey]*entry{}
-	l.mu.pending = map[uint64]pairKey{}
+	l.mu.pending = map[uint64]pendingCharge{}
 	l.mu.nextLSN = 1
 
 	if l.stateless {
@@ -271,7 +282,7 @@ func (l *Ledger) snapPath() string { return filepath.Join(l.opts.Dir, "ledger.sn
 func (l *Ledger) entryLocked(k pairKey) *entry {
 	e := l.mu.entries[k]
 	if e == nil {
-		e = &entry{pending: map[uint64]int64{}, windowStart: l.opts.Now()}
+		e = &entry{key: k, windowStart: l.opts.Now()}
 		l.mu.entries[k] = e
 	}
 	return e
@@ -347,9 +358,8 @@ func (l *Ledger) Charge(principal, program string, estimate int64) (*Charge, err
 			"principal", principal, "program", program, "estimate_bits", estimate, "err", err)
 	}
 	l.mu.nextLSN = lsn + 1
-	e.pending[lsn] = estimate
 	e.pendingBits += estimate
-	l.mu.pending[lsn] = k
+	l.mu.pending[lsn] = pendingCharge{e, estimate}
 	l.maybeCompactLocked()
 	return &Charge{LSN: lsn, Principal: principal, Program: program, EstimateBits: estimate}, nil
 }
@@ -372,7 +382,7 @@ func (l *Ledger) Settle(c *Charge, actual int64) error {
 	if l.mu.closed {
 		return ErrClosed
 	}
-	k, ok := l.mu.pending[c.LSN]
+	p, ok := l.mu.pending[c.LSN]
 	if !ok {
 		return nil // already settled (or recovered by a concurrent close path)
 	}
@@ -386,28 +396,21 @@ func (l *Ledger) Settle(c *Charge, actual int64) error {
 			"principal", c.Principal, "program", c.Program, "actual_bits", actual, "err", err)
 	}
 	l.mu.nextLSN = lsn + 1
-	l.settleLocked(k, c.LSN, actual)
+	l.settleLocked(c.LSN, p, actual)
+	l.mu.stats.settled++
 	l.maybeCompactLocked()
 	return nil
 }
 
-// settleLocked applies a settle to the in-memory state.
-func (l *Ledger) settleLocked(k pairKey, chargeLSN uint64, actual int64) {
-	e := l.mu.entries[k]
-	if e == nil {
-		return
-	}
-	est, ok := e.pending[chargeLSN]
-	if !ok {
-		return
-	}
-	delete(e.pending, chargeLSN)
+// settleLocked applies a settle to the in-memory state: the live path and
+// replay both come through here.
+func (l *Ledger) settleLocked(chargeLSN uint64, p pendingCharge, actual int64) {
 	delete(l.mu.pending, chargeLSN)
-	e.pendingBits -= est
+	e := p.e
+	e.pendingBits -= p.est
 	e.settled += actual
 	e.queries++
 	e.lastBits = actual
-	l.mu.stats.settled++
 }
 
 // Reset durably zeroes a pair's settled bits (an operator action: the

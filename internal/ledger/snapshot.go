@@ -82,17 +82,16 @@ func (l *Ledger) loadSnapshot() (uint64, error) {
 	for _, se := range sf.Entries {
 		k := pairKey{se.Principal, se.Program}
 		e := &entry{
+			key:         k,
 			settled:     se.Settled,
-			pending:     map[uint64]int64{},
 			queries:     se.Queries,
 			denied:      se.Denied,
 			lastBits:    se.LastBits,
 			windowStart: time.Unix(0, se.WindowStartNS),
 		}
 		for lsn, est := range se.Pending {
-			e.pending[lsn] = est
 			e.pendingBits += est
-			l.mu.pending[lsn] = k
+			l.mu.pending[lsn] = pendingCharge{e, est}
 		}
 		l.mu.entries[k] = e
 	}
@@ -103,6 +102,11 @@ func (l *Ledger) loadSnapshot() (uint64, error) {
 // the file at the first torn or corrupt frame. The fault plan's scripted
 // tail corruption is applied to the file first, so the injected damage
 // goes through exactly the code path real damage would.
+//
+// Every frame decodes into one walRecord, and a replay-scoped table finds
+// a record's entry by its encoded principal and program, so a pair seen
+// before costs a lookup that allocates nothing. The table is dropped when
+// replay returns.
 func (l *Ledger) replayWAL(snapLSN uint64) error {
 	path := l.walPath()
 	data, err := os.ReadFile(path)
@@ -129,14 +133,15 @@ func (l *Ledger) replayWAL(snapLSN uint64) error {
 		l.log.Warn("ledger: injected tail corruption", "bytes", n)
 	}
 
+	var rec walRecord
+	pairs := map[string]*entry{}
 	off := 0
 	for off < len(data) {
 		payload, consumed, ok := readFrame(data[off:])
 		if !ok {
 			break
 		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
+		if derr := decodeRecord(payload, &rec); derr != nil {
 			// CRC-valid but undecodable: version skew or in-frame damage.
 			// Framing downstream can't be trusted either; stop here.
 			l.log.Warn("ledger: undecodable WAL record; truncating", "offset", off, "err", derr)
@@ -146,7 +151,7 @@ func (l *Ledger) replayWAL(snapLSN uint64) error {
 		if rec.lsn <= snapLSN {
 			continue // already folded into the snapshot
 		}
-		l.applyRecord(rec)
+		l.applyRecord(&rec, pairs)
 		l.mu.stats.replayedRecords++
 		if rec.lsn >= l.mu.nextLSN {
 			l.mu.nextLSN = rec.lsn + 1
@@ -168,34 +173,36 @@ func (l *Ledger) replayWAL(snapLSN uint64) error {
 	return nil
 }
 
-// applyRecord folds one replayed record into the in-memory state.
-func (l *Ledger) applyRecord(rec walRecord) {
+// applyRecord folds one replayed record into the in-memory state. pairs
+// maps an encoded principal and program to its entry.
+func (l *Ledger) applyRecord(rec *walRecord, pairs map[string]*entry) {
 	switch rec.typ {
 	case recCharge:
-		k := pairKey{rec.principal, rec.program}
-		e := l.entryLocked(k)
-		e.pending[rec.lsn] = rec.estimate
+		e := l.replayEntry(rec.pair, pairs)
 		e.pendingBits += rec.estimate
-		l.mu.pending[rec.lsn] = k
+		l.mu.pending[rec.lsn] = pendingCharge{e, rec.estimate}
 	case recSettle:
-		if k, ok := l.mu.pending[rec.chargeLSN]; ok {
-			if e := l.mu.entries[k]; e != nil {
-				if est, ok := e.pending[rec.chargeLSN]; ok {
-					delete(e.pending, rec.chargeLSN)
-					delete(l.mu.pending, rec.chargeLSN)
-					e.pendingBits -= est
-					e.settled += rec.actual
-					e.queries++
-					e.lastBits = rec.actual
-				}
-			}
+		if p, ok := l.mu.pending[rec.chargeLSN]; ok {
+			l.settleLocked(rec.chargeLSN, p, rec.actual)
 		}
 	case recReset:
-		k := pairKey{rec.principal, rec.program}
-		e := l.entryLocked(k)
+		e := l.replayEntry(rec.pair, pairs)
 		e.settled = 0
 		e.windowStart = time.Unix(0, rec.windowStartNS)
 	}
+}
+
+// replayEntry returns the entry of an encoded pair, creating it on the
+// pair's first record. The map lookup converts pair without a copy; only
+// a new pair copies its strings, once, out of the WAL buffer.
+func (l *Ledger) replayEntry(pair []byte, pairs map[string]*entry) *entry {
+	if e := pairs[string(pair)]; e != nil {
+		return e
+	}
+	key, principal, program := decodePair(pair)
+	e := l.entryLocked(pairKey{principal, program})
+	pairs[key] = e
+	return e
 }
 
 // settleRecovered pessimistically settles every charge that was in flight
@@ -208,27 +215,21 @@ func (l *Ledger) settleRecovered() {
 	if len(l.mu.pending) == 0 {
 		return
 	}
-	for lsn, k := range l.mu.pending {
-		e := l.mu.entries[k]
-		if e == nil {
-			delete(l.mu.pending, lsn)
-			continue
-		}
-		est := e.pending[lsn]
+	for lsn, p := range l.mu.pending {
+		e := p.e
 		settleLSN := l.mu.nextLSN
-		if err := l.appendLocked(encodeSettle(settleLSN, lsn, est)); err != nil {
+		if err := l.appendLocked(encodeSettle(settleLSN, lsn, p.est)); err != nil {
 			l.log.Warn("ledger: recovered charge not durably settled; replay will re-derive it",
-				"charge_lsn", lsn, "estimate_bits", est, "err", err)
+				"charge_lsn", lsn, "estimate_bits", p.est, "err", err)
 		} else {
 			l.mu.nextLSN = settleLSN + 1
 		}
-		delete(e.pending, lsn)
 		delete(l.mu.pending, lsn)
-		e.pendingBits -= est
-		e.settled += est // pessimistic: the whole estimate, not a measured bound
+		e.pendingBits -= p.est
+		e.settled += p.est // pessimistic: the whole estimate, not a measured bound
 		l.mu.stats.recoveredPending++
 		l.log.Warn("ledger: recovered in-flight charge at full estimate",
-			"principal", k.principal, "program", k.program, "bits", est)
+			"principal", e.key.principal, "program", e.key.program, "bits", p.est)
 	}
 	l.maybeCompactLocked()
 }
@@ -238,6 +239,15 @@ func (l *Ledger) settleRecovered() {
 // in the file comment.
 func (l *Ledger) snapshotLocked() error {
 	sf := snapFile{LastLSN: l.mu.nextLSN - 1}
+	pending := map[*entry]map[uint64]int64{}
+	for lsn, p := range l.mu.pending {
+		m := pending[p.e]
+		if m == nil {
+			m = map[uint64]int64{}
+			pending[p.e] = m
+		}
+		m[lsn] = p.est
+	}
 	for k, e := range l.mu.entries {
 		se := snapEntry{
 			Principal:     k.principal,
@@ -247,12 +257,7 @@ func (l *Ledger) snapshotLocked() error {
 			Denied:        e.denied,
 			LastBits:      e.lastBits,
 			WindowStartNS: e.windowStart.UnixNano(),
-		}
-		if len(e.pending) > 0 {
-			se.Pending = make(map[uint64]int64, len(e.pending))
-			for lsn, est := range e.pending {
-				se.Pending[lsn] = est
-			}
+			Pending:       pending[e],
 		}
 		sf.Entries = append(sf.Entries, se)
 	}

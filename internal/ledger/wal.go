@@ -113,20 +113,31 @@ func (d *recDecoder) u64() uint64 {
 	return v
 }
 func (d *recDecoder) i64() int64 { return int64(d.u64()) }
-func (d *recDecoder) str() string {
+
+// skipStr steps over one length-prefixed string.
+func (d *recDecoder) skipStr() {
 	if d.bad || len(d.b) < 2 {
 		d.bad = true
-		return ""
+		return
 	}
 	n := int(binary.LittleEndian.Uint16(d.b))
-	d.b = d.b[2:]
-	if len(d.b) < n {
+	if len(d.b) < 2+n {
 		d.bad = true
-		return ""
+		return
 	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
+	d.b = d.b[2+n:]
+}
+
+// pair steps over a principal and a program and returns their encoding,
+// a subslice of the payload.
+func (d *recDecoder) pair() []byte {
+	start := d.b
+	d.skipStr()
+	d.skipStr()
+	if d.bad {
+		return nil
+	}
+	return start[:len(start)-len(d.b)]
 }
 
 // --- record payloads --------------------------------------------------
@@ -160,38 +171,52 @@ func encodeReset(lsn uint64, principal, program string, windowStartNS int64) []b
 	return frame(e.buf)
 }
 
-// walRecord is one decoded WAL record.
+// walRecord is one decoded WAL record. Replay decodes every frame into
+// the same walRecord.
 type walRecord struct {
 	typ           byte
 	lsn           uint64
-	principal     string
-	program       string
 	estimate      int64 // charge
 	chargeLSN     uint64
 	actual        int64 // settle
 	windowStartNS int64 // reset
+	// pair is a charge or reset record's principal and program, still
+	// encoded (two length-prefixed strings). It aliases the payload, so
+	// it is valid only until the next frame is decoded.
+	pair []byte
 }
 
-func decodeRecord(payload []byte) (walRecord, error) {
-	d := &recDecoder{b: payload}
-	r := walRecord{typ: d.u8(), lsn: d.u64()}
+// decodeRecord decodes one payload into r.
+func decodeRecord(payload []byte, r *walRecord) error {
+	d := recDecoder{b: payload}
+	*r = walRecord{typ: d.u8(), lsn: d.u64()}
 	switch r.typ {
 	case recCharge:
 		r.estimate = d.i64()
-		r.principal = d.str()
-		r.program = d.str()
+		r.pair = d.pair()
 	case recSettle:
 		r.chargeLSN = d.u64()
 		r.actual = d.i64()
 	case recReset:
 		r.windowStartNS = d.i64()
-		r.principal = d.str()
-		r.program = d.str()
+		r.pair = d.pair()
 	default:
-		return r, fmt.Errorf("ledger: unknown record type %d", r.typ)
+		return fmt.Errorf("ledger: unknown record type %d", r.typ)
 	}
 	if d.bad {
-		return r, fmt.Errorf("ledger: short record payload (type %d)", r.typ)
+		return fmt.Errorf("ledger: short record payload (type %d)", r.typ)
 	}
-	return r, nil
+	return nil
+}
+
+// decodePair copies a record's principal and program out of its encoded
+// pair. Both are substrings of one copy of the pair, so they never alias
+// the WAL buffer, and the copy is returned too for a caller that keys a
+// map by the encoded pair.
+func decodePair(pair []byte) (key, principal, program string) {
+	key = string(pair)
+	n := int(binary.LittleEndian.Uint16(pair))
+	principal = key[2 : 2+n]
+	program = key[2+n+2:]
+	return key, principal, program
 }
