@@ -40,27 +40,109 @@ type Block struct {
 type FuncCFG struct {
 	Name       string
 	Entry, End int // instruction range [Entry, End)
-	Blocks     []*Block
+	Blocks     []Block
 	Exit       int // index of the virtual exit block
 	// Indirect reports that the function contains indirect jumps, whose
 	// successors are over-approximated as every block leader.
 	Indirect bool
 
-	blockOf []int // pc-Entry -> block index
+	blockOf []int32 // pc-Entry -> block index
 }
 
 // BuildCFG partitions every function of p into basic blocks and connects
 // them. Programs without a function table (hand-assembled tests) yield no
 // CFGs; callers treat their code as statically unknown.
+//
+// The whole program's CFGs share a few backing arrays, sized by counting
+// passes: one for the FuncCFGs, one for every block, one for the
+// pc-to-block maps and one for every successor and predecessor list.
 func BuildCFG(p *vm.Program) []*FuncCFG {
-	cfgs := make([]*FuncCFG, 0, len(p.Funcs))
+	var nf, npc int
 	for _, f := range p.Funcs {
-		if f.Entry < 0 || f.End > len(p.Code) || f.Entry >= f.End {
+		if validFunc(p, f) {
+			nf++
+			npc += f.End - f.Entry
+		}
+	}
+	if nf == 0 {
+		return nil
+	}
+	vals := make([]FuncCFG, nf)
+	cfgs := make([]*FuncCFG, nf)
+	blockOf := make([]int32, npc)
+
+	// Leaders: the entry, every in-function jump target, and every
+	// instruction following a block terminator (so fallthrough into a jump
+	// target still starts a fresh block there). A leader is marked by a
+	// block index of 1 until the blocks are numbered.
+	nblocks := 0
+	fi := 0
+	for _, f := range p.Funcs {
+		if !validFunc(p, f) {
 			continue
 		}
-		cfgs = append(cfgs, buildFuncCFG(p, f))
+		c := &vals[fi]
+		cfgs[fi] = c
+		fi++
+		*c = FuncCFG{Name: f.Name, Entry: f.Entry, End: f.End}
+		c.blockOf, blockOf = blockOf[:f.End-f.Entry:f.End-f.Entry], blockOf[f.End-f.Entry:]
+		c.markLeaders(p)
+		nblocks += c.Exit + 1
+	}
+
+	// Partition into blocks.
+	blocks := make([]Block, nblocks)
+	nedges, most := 0, 0
+	for _, c := range cfgs {
+		n := c.Exit
+		c.Blocks, blocks = blocks[:n+1:n+1], blocks[n+1:]
+		id := -1
+		for i := range c.blockOf {
+			if c.blockOf[i] == 1 || i == 0 {
+				id++
+				c.Blocks[id] = Block{ID: id, Start: c.Entry + i}
+			}
+			c.Blocks[id].End = c.Entry + i + 1
+			c.blockOf[i] = int32(id)
+		}
+		c.Blocks[n] = Block{ID: n, Start: c.End, End: c.End}
+		for i := range c.Blocks[:n] {
+			nedges += c.numSuccs(p, &c.Blocks[i])
+		}
+		most = max(most, n+1)
+	}
+
+	// Connect blocks: carve each block's successor list, count
+	// predecessors, then carve the predecessor lists and fill them in
+	// block order.
+	adj := make([]int, 2*nedges)
+	succs, preds := adj[:nedges], adj[nedges:]
+	npred := make([]int, most)
+	for _, c := range cfgs {
+		npred := npred[:len(c.Blocks)]
+		clear(npred)
+		for i := range c.Blocks[:c.Exit] {
+			b := &c.Blocks[i]
+			n := c.numSuccs(p, b)
+			b.Succs, succs = c.appendSuccs(succs[:0:n], p, b), succs[n:]
+			for _, s := range b.Succs {
+				npred[s]++
+			}
+		}
+		for i := range c.Blocks {
+			c.Blocks[i].Preds, preds = preds[:0:npred[i]], preds[npred[i]:]
+		}
+		for i := range c.Blocks[:c.Exit] {
+			for _, s := range c.Blocks[i].Succs {
+				c.Blocks[s].Preds = append(c.Blocks[s].Preds, i)
+			}
+		}
 	}
 	return cfgs
+}
+
+func validFunc(p *vm.Program, f vm.FuncInfo) bool {
+	return f.Entry >= 0 && f.End <= len(p.Code) && f.Entry < f.End
 }
 
 // endsBlock reports whether the instruction terminates a basic block, and
@@ -79,104 +161,81 @@ func endsBlock(in *vm.Instr) (ends, isExit bool) {
 	return false, false
 }
 
-func buildFuncCFG(p *vm.Program, f vm.FuncInfo) *FuncCFG {
-	c := &FuncCFG{Name: f.Name, Entry: f.Entry, End: f.End}
-	n := f.End - f.Entry
-
-	// Leaders: the entry, every in-function jump target, and every
-	// instruction following a block terminator (so fallthrough into a jump
-	// target still starts a fresh block there).
-	leader := make([]bool, n)
-	leader[0] = true
-	for pc := f.Entry; pc < f.End; pc++ {
+// markLeaders sets blockOf[i] to 1 at every leader but the entry, which
+// always leads, sets Indirect, and sets Exit to the number of real blocks,
+// which is the exit block's index.
+func (c *FuncCFG) markLeaders(p *vm.Program) {
+	c.Exit = 1
+	mark := func(i int) {
+		if i > 0 && c.blockOf[i] == 0 {
+			c.blockOf[i] = 1
+			c.Exit++
+		}
+	}
+	for pc := c.Entry; pc < c.End; pc++ {
 		in := &p.Code[pc]
 		switch in.Op {
 		case vm.OpJmp, vm.OpJz, vm.OpJnz:
-			if t := int(in.Imm); t >= f.Entry && t < f.End {
-				leader[t-f.Entry] = true
+			if t := int(in.Imm); t >= c.Entry && t < c.End {
+				mark(t - c.Entry)
 			}
 		case vm.OpJmpInd:
 			c.Indirect = true
 		}
-		if ends, _ := endsBlock(in); ends && pc+1 < f.End {
-			leader[pc+1-f.Entry] = true
+		if ends, _ := endsBlock(in); ends && pc+1 < c.End {
+			mark(pc + 1 - c.Entry)
 		}
 	}
-
-	// Partition into blocks.
-	c.blockOf = make([]int, n)
-	var cur *Block
-	for i := 0; i < n; i++ {
-		if leader[i] {
-			cur = &Block{ID: len(c.Blocks), Start: f.Entry + i}
-			c.Blocks = append(c.Blocks, cur)
-		}
-		cur.End = f.Entry + i + 1
-		c.blockOf[i] = cur.ID
-	}
-	exit := &Block{ID: len(c.Blocks), Start: f.End, End: f.End}
-	c.Blocks = append(c.Blocks, exit)
-	c.Exit = exit.ID
-
-	// Collect every leader once for the indirect-jump over-approximation.
-	var leaders []int
-	if c.Indirect {
-		for _, b := range c.Blocks[:c.Exit] {
-			leaders = append(leaders, b.ID)
-		}
-	}
-
-	// Connect blocks. Targets that leave the function range (which the
-	// MiniC compiler never emits) conservatively fall to the exit block.
-	inFn := func(t int) int {
-		if t >= f.Entry && t < f.End {
-			return c.blockOf[t-f.Entry]
-		}
-		return c.Exit
-	}
-	for _, b := range c.Blocks[:c.Exit] {
-		last := &p.Code[b.End-1]
-		var succs []int
-		ends, isExit := endsBlock(last)
-		switch {
-		case isExit:
-			succs = []int{c.Exit}
-		case !ends:
-			// Straight-line fall-through; calls are assumed to return, so
-			// OpCall/OpCallInd keep their fallthrough edge.
-			if b.End < f.End {
-				succs = []int{c.blockOf[b.End-f.Entry]}
-			} else {
-				succs = []int{c.Exit}
-			}
-		case last.Op == vm.OpJmp:
-			succs = []int{inFn(int(last.Imm))}
-		case last.Op == vm.OpJz || last.Op == vm.OpJnz:
-			fall := c.Exit
-			if b.End < f.End {
-				fall = c.blockOf[b.End-f.Entry]
-			}
-			succs = []int{fall, inFn(int(last.Imm))}
-		case last.Op == vm.OpJmpInd:
-			// Over-approximate: a jump table can reach any leader.
-			succs = append([]int(nil), leaders...)
-		}
-		b.Succs = dedupInts(succs)
-		for _, s := range b.Succs {
-			c.Blocks[s].Preds = append(c.Blocks[s].Preds, b.ID)
-		}
-	}
-	return c
 }
 
-func dedupInts(in []int) []int {
-	seen := map[int]bool{}
-	out := in[:0]
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
+// inFn maps a jump target to its block. Targets that leave the function
+// range (which the MiniC compiler never emits) conservatively fall to the
+// exit block.
+func (c *FuncCFG) inFn(t int) int {
+	if t >= c.Entry && t < c.End {
+		return int(c.blockOf[t-c.Entry])
 	}
-	return out
+	return c.Exit
+}
+
+// numSuccs counts block b's successors, as appendSuccs lists them.
+func (c *FuncCFG) numSuccs(p *vm.Program, b *Block) int {
+	last := &p.Code[b.End-1]
+	switch last.Op {
+	case vm.OpJz, vm.OpJnz:
+		if c.inFn(b.End) == c.inFn(int(last.Imm)) {
+			return 1
+		}
+		return 2
+	case vm.OpJmpInd:
+		return c.Exit
+	}
+	return 1
+}
+
+// appendSuccs appends block b's successors to dst, each once.
+func (c *FuncCFG) appendSuccs(dst []int, p *vm.Program, b *Block) []int {
+	last := &p.Code[b.End-1]
+	ends, isExit := endsBlock(last)
+	switch {
+	case isExit:
+		return append(dst, c.Exit)
+	case !ends:
+		// Straight-line fall-through; calls are assumed to return, so
+		// OpCall/OpCallInd keep their fallthrough edge.
+		return append(dst, c.inFn(b.End))
+	case last.Op == vm.OpJmp:
+		return append(dst, c.inFn(int(last.Imm)))
+	case last.Op == vm.OpJz || last.Op == vm.OpJnz:
+		fall, t := c.inFn(b.End), c.inFn(int(last.Imm))
+		if t == fall {
+			return append(dst, fall)
+		}
+		return append(dst, fall, t)
+	}
+	// OpJmpInd. Over-approximate: a jump table can reach any leader.
+	for id := range c.Exit {
+		dst = append(dst, id)
+	}
+	return dst
 }

@@ -2,6 +2,7 @@ package static
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flowcheck/internal/guest"
@@ -214,12 +215,12 @@ func TestPostdominatorsAgreeRandom(t *testing.T) {
 		n := 2 + rng.Intn(12) // real blocks
 		c := &FuncCFG{Name: "rand", Entry: 0, End: n}
 		for i := 0; i < n; i++ {
-			c.Blocks = append(c.Blocks, &Block{ID: i, Start: i, End: i + 1})
+			c.Blocks = append(c.Blocks, Block{ID: i, Start: i, End: i + 1})
 		}
-		exit := &Block{ID: n, Start: n, End: n}
-		c.Blocks = append(c.Blocks, exit)
+		c.Blocks = append(c.Blocks, Block{ID: n, Start: n, End: n})
 		c.Exit = n
-		for _, b := range c.Blocks[:n] {
+		for i := range c.Blocks[:n] {
+			b := &c.Blocks[i]
 			deg := 1 + rng.Intn(2)
 			var succs []int
 			for d := 0; d < deg; d++ {
@@ -354,5 +355,16 @@ func (c *FuncCFG) BlockAt(pc int) int {
 	if pc < c.Entry || pc >= c.End {
 		return -1
 	}
-	return c.blockOf[pc-c.Entry]
+	return int(c.blockOf[pc-c.Entry])
+}
+
+// dedupInts drops repeated values in place, keeping first occurrences.
+func dedupInts(in []int) []int {
+	out := in[:0]
+	for _, v := range in {
+		if !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	}
+	return out
 }

@@ -10,32 +10,48 @@ package static
 // postdominator of block b, ipdom[exit] == exit, and ipdom[b] == -1 for
 // blocks that cannot reach the exit (e.g. bodies of infinite loops).
 func Postdominators(c *FuncCFG) []int {
+	var sc domScratch
+	return sc.postdominators(c)
+}
+
+// domScratch is the postdominator pass's working storage, reused from one
+// function to the next. The ipdom slice postdominators returns is part of
+// it, valid until the next call.
+type domScratch struct {
+	order  []int // postorder of the reverse-CFG DFS
+	number []int // block -> postorder number, -1 if unreached
+	ipdom  []int
+	work   []sccFrame
+}
+
+func (sc *domScratch) postdominators(c *FuncCFG) []int {
 	// Reverse-postorder of the reverse CFG, rooted at exit: a DFS over
 	// predecessor edges, then reversed finish order.
 	n := len(c.Blocks)
-	order := make([]int, 0, n) // postorder of reverse-DFS
-	number := make([]int, n)   // block -> postorder number
-	visited := make([]bool, n)
-	for i := range number {
-		number[i] = -1
-	}
-	var dfs func(int)
-	dfs = func(b int) {
-		visited[b] = true
-		for _, p := range c.Blocks[b].Preds {
-			if !visited[p] {
-				dfs(p)
+	const unvisited, open = -1, -2
+	number := fill(sc.number, n, unvisited)
+	order := sc.order[:0]
+	work := append(sc.work[:0], sccFrame{c.Exit, 0})
+	number[c.Exit] = open
+	for len(work) > 0 {
+		f := &work[len(work)-1]
+		if preds := c.Blocks[f.v].Preds; f.i < len(preds) {
+			p := preds[f.i]
+			f.i++
+			if number[p] == unvisited {
+				number[p] = open
+				work = append(work, sccFrame{p, 0})
 			}
+			continue
 		}
-		number[b] = len(order)
-		order = append(order, b)
+		number[f.v] = len(order)
+		order = append(order, f.v)
+		work = work[:len(work)-1]
 	}
-	dfs(c.Exit)
+	sc.number, sc.order, sc.work = number, order, work
 
-	ipdom := make([]int, n)
-	for i := range ipdom {
-		ipdom[i] = -1
-	}
+	ipdom := fill(sc.ipdom, n, -1)
+	sc.ipdom = ipdom
 	ipdom[c.Exit] = c.Exit
 
 	intersect := func(a, b int) int {

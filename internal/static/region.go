@@ -73,22 +73,39 @@ func (a *Analysis) RegionsAt(pc int) []*Region {
 // region inference, and enclosure-span matching.
 func Analyze(p *vm.Program) *Analysis {
 	a := &Analysis{Prog: p, CFGs: BuildCFG(p), covered: newBitset(len(p.Code))}
+
+	// Count the branches first: the regions and their pc sets each come
+	// from one array.
+	nr, most := 0, 0
+	for _, c := range a.CFGs {
+		for i := range c.Blocks[:c.Exit] {
+			if _, ok := branchAt(p, &c.Blocks[i]); ok {
+				nr++
+			}
+		}
+		most = max(most, len(c.Blocks))
+	}
+	regions := make([]Region, nr)
+	a.Regions = make([]*Region, 0, nr)
+	words := len(a.covered)
+	pcs := make(bitset, nr*words)
+	sc := regionScratch{seen: make([]bool, most), stack: make([]int, 0, most)}
+	var dom domScratch
+
 	for _, c := range a.CFGs {
 		a.Stats.Funcs++
 		a.Stats.Blocks += len(c.Blocks) - 1 // exclude the virtual exit
-		ipdom := Postdominators(c)
-		for _, b := range c.Blocks[:c.Exit] {
-			last := &p.Code[b.End-1]
-			var indirect bool
-			switch last.Op {
-			case vm.OpJz, vm.OpJnz:
-			case vm.OpJmpInd:
-				indirect = true
-			default:
+		ipdom := dom.postdominators(c)
+		for i := range c.Blocks[:c.Exit] {
+			b := &c.Blocks[i]
+			indirect, ok := branchAt(p, b)
+			if !ok {
 				continue
 			}
 			a.Stats.Branches++
-			r := inferRegion(p, c, ipdom, b, indirect)
+			r := &regions[len(a.Regions)]
+			r.pcs, pcs = pcs[:words:words], pcs[words:]
+			inferRegion(r, c, ipdom, b, indirect, &sc)
 			a.Regions = append(a.Regions, r)
 			a.covered.or(r.pcs)
 		}
@@ -100,26 +117,41 @@ func Analyze(p *vm.Program) *Analysis {
 	return a
 }
 
-// inferRegion computes the control-dependence region of the branch
-// terminating block b: blocks reachable from b's successors without
-// passing through b's immediate postdominator.
-func inferRegion(p *vm.Program, c *FuncCFG, ipdom []int, b *Block, indirect bool) *Region {
-	r := &Region{
-		Branch:   b.End - 1,
-		PostDom:  -1,
-		Func:     c.Name,
-		Indirect: indirect,
-		pcs:      newBitset(len(p.Code)),
+// branchAt reports whether block b ends in a branch that gets a region:
+// a conditional, or an indirect jump (indirect set).
+func branchAt(p *vm.Program, b *Block) (indirect, ok bool) {
+	switch p.Code[b.End-1].Op {
+	case vm.OpJz, vm.OpJnz:
+		return false, true
+	case vm.OpJmpInd:
+		return true, true
 	}
+	return false, false
+}
+
+// regionScratch is inferRegion's working storage, shared by every region
+// of one program.
+type regionScratch struct {
+	seen  []bool
+	stack []int
+}
+
+// inferRegion fills r, whose pcs is an empty bitset, with the
+// control-dependence region of the branch terminating block b: blocks
+// reachable from b's successors without passing through b's immediate
+// postdominator.
+func inferRegion(r *Region, c *FuncCFG, ipdom []int, b *Block, indirect bool, sc *regionScratch) {
+	r.Branch, r.PostDom, r.Func, r.Indirect = b.End-1, -1, c.Name, indirect
 	stop := ipdom[b.ID]
 	if stop >= 0 && stop != c.Exit {
 		r.PostDom = c.Blocks[stop].Start
 	}
-	seen := make([]bool, len(c.Blocks))
+	seen := sc.seen[:len(c.Blocks)]
+	clear(seen)
 	if stop >= 0 {
 		seen[stop] = true // barrier: do not cross the postdominator
 	}
-	stack := make([]int, 0, len(c.Blocks))
+	stack := sc.stack[:0]
 	for _, s := range b.Succs {
 		if !seen[s] {
 			seen[s] = true
@@ -129,7 +161,7 @@ func inferRegion(p *vm.Program, c *FuncCFG, ipdom []int, b *Block, indirect bool
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		blk := c.Blocks[v]
+		blk := &c.Blocks[v]
 		for pc := blk.Start; pc < blk.End; pc++ {
 			r.pcs.set(pc)
 		}
@@ -141,7 +173,6 @@ func inferRegion(p *vm.Program, c *FuncCFG, ipdom []int, b *Block, indirect bool
 		}
 	}
 	r.pcs.set(r.Branch)
-	return r
 }
 
 // bitset is a fixed-size bit vector over instruction indices.

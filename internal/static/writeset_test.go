@@ -118,8 +118,8 @@ func (w WriteCounts) Found() int { return w.Global + w.Frame }
 func ClassifyWrites(p *vm.Program, cfgs []*FuncCFG) map[int]WriteKind {
 	kinds := make(map[int]WriteKind)
 	for _, c := range cfgs {
-		for _, b := range c.Blocks[:c.Exit] {
-			classifyBlock(p, b, kinds)
+		for i := range c.Blocks[:c.Exit] {
+			classifyBlock(p, &c.Blocks[i], kinds)
 		}
 	}
 	return kinds
