@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"unsafe"
 
 	"flowcheck/internal/vm"
 )
@@ -58,10 +59,12 @@ func (h *Hasher) Bytes(b []byte) *Hasher {
 	return h
 }
 
-// Str writes a length-prefixed string field.
+// Str writes a length-prefixed string field. The string's bytes go to
+// the digest in place: a hash.Hash neither keeps nor modifies what it is
+// given, so there is no copy to make.
 func (h *Hasher) Str(s string) *Hasher {
 	h.writeUint64(uint64(len(s)))
-	h.h.Write([]byte(s))
+	h.h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 	return h
 }
 
@@ -105,25 +108,78 @@ func (h *Hasher) Sum() Key {
 // tables are included because cached results embed rendered source
 // locations (cut descriptions, lint findings), so two programs that differ
 // only in locations must not share result entries.
+//
+// The fields are encoded exactly as the Hasher's Int, Bytes and Str would
+// write them, but into a chunk buffer that goes to the digest once per
+// chunkSize bytes instead of once per field.
 func Program(p *vm.Program) Key {
 	h := New("program/v1")
-	h.Int(int64(p.Entry))
-	h.Int(int64(len(p.Code)))
+	c := chunks{h: h.h, buf: make([]byte, 0, chunkSize+64)}
+	c.u64(uint64(p.Entry))
+	c.u64(uint64(len(p.Code)))
 	for i := range p.Code {
 		in := &p.Code[i]
-		h.writeUint64(uint64(in.Op)<<32 | uint64(in.W)<<24 | uint64(in.A)<<16 | uint64(in.B)<<8 | uint64(in.C))
-		h.writeUint64(uint64(uint32(in.Imm))<<32 | uint64(in.Site))
+		c.u64(uint64(in.Op)<<32 | uint64(in.W)<<24 | uint64(in.A)<<16 | uint64(in.B)<<8 | uint64(in.C))
+		c.u64(uint64(uint32(in.Imm))<<32 | uint64(in.Site))
 	}
-	h.Bytes(p.Data)
-	h.Int(int64(len(p.Sites)))
+	c.bytes(p.Data)
+	c.u64(uint64(len(p.Sites)))
 	for _, s := range p.Sites {
-		h.Str(s.File).Int(int64(s.Line)).Str(s.Fn)
+		c.str(s.File)
+		c.u64(uint64(s.Line))
+		c.str(s.Fn)
 	}
-	h.Int(int64(len(p.Funcs)))
+	c.u64(uint64(len(p.Funcs)))
 	for _, f := range p.Funcs {
-		h.Str(f.Name).Int(int64(f.Entry)).Int(int64(f.End))
+		c.str(f.Name)
+		c.u64(uint64(f.Entry))
+		c.u64(uint64(f.End))
 	}
+	c.flush()
 	return h.Sum()
+}
+
+// chunkSize is how many encoded bytes chunks gathers per digest write.
+const chunkSize = 4096
+
+// chunks encodes fields the way Hasher does into a buffer and writes the
+// buffer to the digest whenever it holds chunkSize bytes.
+type chunks struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (c *chunks) u64(v uint64) {
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, v)
+	c.full()
+}
+
+// bytes writes a length-prefixed field. One that does not fit the chunk
+// flushes it, and one of a chunk or more then goes to the digest as is.
+func (c *chunks) bytes(b []byte) {
+	c.u64(uint64(len(b)))
+	if len(c.buf)+len(b) > cap(c.buf) {
+		c.flush()
+		if len(b) >= chunkSize {
+			c.h.Write(b)
+			return
+		}
+	}
+	c.buf = append(c.buf, b...)
+	c.full()
+}
+
+func (c *chunks) str(s string) { c.bytes(unsafe.Slice(unsafe.StringData(s), len(s))) }
+
+func (c *chunks) full() {
+	if len(c.buf) >= chunkSize {
+		c.flush()
+	}
+}
+
+func (c *chunks) flush() {
+	c.h.Write(c.buf)
+	c.buf = c.buf[:0]
 }
 
 // Inputs hashes one execution's secret/public input pair.

@@ -168,6 +168,12 @@ func (g *gen) internString(s string) vm.Word {
 }
 
 func (g *gen) setSite(p token.Pos) {
+	// Consecutive statements and expressions mostly share a line: compare
+	// with the current site before hashing its strings. Site 0, the
+	// unknown site, is not in siteIdx, so it never matches here.
+	if cur := &g.sites[g.curSite]; g.curSite != 0 && cur.Line == p.Line && cur.File == p.File && cur.Fn == g.curFn {
+		return
+	}
 	si := vm.SiteInfo{File: p.File, Line: p.Line, Fn: g.curFn}
 	if idx, ok := g.siteIdx[si]; ok {
 		g.curSite = idx
