@@ -85,6 +85,15 @@ func (a *Arena) Reset() {
 	}
 }
 
+// Reserve sizes the next store the arena allocates for n edges, for a
+// caller that knows the edge count in advance. It has no effect once the
+// current store is allocated.
+func (a *Arena) Reserve(n int) {
+	if a.edges == nil {
+		a.size = n
+	}
+}
+
 // NumNodes reports the number of node ids allocated; valid node ids are
 // [0, NumNodes).
 func (a *Arena) NumNodes() int { return int(a.numNodes) }

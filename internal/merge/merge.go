@@ -29,14 +29,19 @@ import "flowcheck/internal/flowgraph"
 // the arena's edge store.
 func Graphs(graphs ...*flowgraph.Graph) *flowgraph.Graph {
 	exact := len(graphs) > 0 && graphs[0].Exact
-	most := 0
+	most, edges := 0, 0
 	for _, g := range graphs {
 		if g.Exact != exact {
 			panic("merge: exact and collapsed graphs in one merge")
 		}
 		most = max(most, g.NumNodes())
+		edges += len(g.Edges)
 	}
 	ar := flowgraph.NewArena(exact)
+	if exact {
+		// Every edge of an exact graph is its own: size the store once.
+		ar.Reserve(edges)
+	}
 	buf := make([]int32, most)
 	for _, g := range graphs {
 		// Fresh arena nodes for this graph's nodes, with Source and Sink

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"flowcheck/internal/engine"
 	"flowcheck/internal/flowgraph"
@@ -159,6 +160,45 @@ func FuzzExactMerge(f *testing.F) {
 		}
 		checkExactMerge(t, graphs)
 	})
+}
+
+// TestExactMergeSizesStoreOnce merges eight exact graphs of 20 000
+// edges each and caps the bytes the merge allocates at twice the merged
+// edge store: the store is sized once from the input edge count, where
+// growing it by append from empty allocated about four times its size.
+func TestExactMergeSizesStoreOnce(t *testing.T) {
+	var graphs []*flowgraph.Graph
+	for run := range 8 {
+		g := flowgraph.New()
+		g.Exact = true
+		prev := flowgraph.Source
+		for i := range 20000 {
+			next := g.AddNode()
+			if i == 19999 {
+				next = flowgraph.Sink
+			}
+			g.AddEdge(prev, next, int64(1+(i+run)%7), flowgraph.Label{Site: uint32(i % 300)})
+			prev = next
+		}
+		graphs = append(graphs, g)
+	}
+	var before, after runtime.MemStats
+	least := uint64(1 << 62)
+	var merged *flowgraph.Graph
+	for range 3 {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		merged = merge.Graphs(graphs...)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	storeBytes := uint64(len(merged.Edges)) * uint64(unsafe.Sizeof(flowgraph.Edge{}))
+	if len(merged.Edges) != 8*20000 {
+		t.Fatalf("merged %d edges, want %d", len(merged.Edges), 8*20000)
+	}
+	if least > 2*storeBytes {
+		t.Fatalf("exact merge allocated %d bytes for a %d-byte edge store; ceiling 2x", least, storeBytes)
+	}
 }
 
 // The paper's §3.2 unsoundness example, end to end: a program that prints
