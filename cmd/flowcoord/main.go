@@ -1,15 +1,19 @@
 // Command flowcoord is the fleet coordinator: it fronts N flowserved
-// shards, consistent-hashes programs across them (so each shard's
-// session pool, stage cache, and breaker state stay hot for its
-// programs), probes shard health, fails over on shard errors with
-// capped backoff, hedges slow requests to the next ring replica, and
-// fans batches across the fleet with work stealing — merging the
-// per-run graphs into a joint bound that is bit-identical to a
-// single-process run, even when a shard dies mid-batch.
+// shards, consistent-hashes programs across them (64 ring points per
+// shard, so each shard's session pool, stage cache, and breaker state
+// stay hot for its programs), probes shard health, fails over on shard
+// errors with capped backoff across up to three replicas, hedges a slow
+// request once to the next replica after max(-hedge-after, 3× the
+// shard's latency EWMA), and fans batches across the fleet with work
+// stealing — merging the per-run graphs into a joint bound that is
+// bit-identical to a single-process run, even when a shard dies
+// mid-batch. The joint solve runs under the solver budget the shards
+// report with their graphs, so only the shards configure it.
 //
 // Usage:
 //
 //	flowcoord -shard a=http://127.0.0.1:8091 -shard b=http://127.0.0.1:8092 [-addr :8077]
+//	          [-probe-interval 250ms] [-fail-threshold 2] [-hedge-after 50ms] [-batch-workers 4]
 //
 // Endpoints:
 //
@@ -74,15 +78,10 @@ func run() error {
 	addr := fs.String("addr", ":8077", "listen address")
 	var shards shardList
 	fs.Var(&shards, "shard", "shard as name=url (repeatable)")
-	replicas := fs.Int("replicas", 0, "failover depth per program key (0 = min(3, shards))")
-	vnodes := fs.Int("vnodes", 64, "virtual nodes per shard on the ring")
 	probeInterval := fs.Duration("probe-interval", 250*time.Millisecond, "shard health probe cadence")
 	failThreshold := fs.Int("fail-threshold", 2, "consecutive failures that mark a shard down")
-	hedgeAfter := fs.Duration("hedge-after", 50*time.Millisecond, "floor delay before hedging to the next replica")
-	hedgeMultiple := fs.Float64("hedge-multiple", 3, "hedge when a shard exceeds this multiple of its latency EWMA")
-	maxHedges := fs.Int("max-hedges", 1, "duplicate requests per analysis beyond the first")
+	hedgeAfter := fs.Duration("hedge-after", 50*time.Millisecond, "floor delay before the one hedge to the next replica")
 	batchWorkers := fs.Int("batch-workers", 4, "concurrent batch runs per shard")
-	solverBudget := fs.Int64("solver-budget", 0, "joint-solve work budget for merged batches (0 = unlimited; must match the shards')")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return err
@@ -99,15 +98,10 @@ func run() error {
 
 	coord, err := fleet.New(fleet.Options{
 		Shards:               shards,
-		Replicas:             *replicas,
-		VirtualNodes:         *vnodes,
 		ProbeInterval:        *probeInterval,
 		FailThreshold:        *failThreshold,
 		HedgeAfter:           *hedgeAfter,
-		HedgeMultiple:        *hedgeMultiple,
-		MaxHedges:            *maxHedges,
 		BatchWorkersPerShard: *batchWorkers,
-		SolverWork:           *solverBudget,
 		Logger:               log,
 	})
 	if err != nil {

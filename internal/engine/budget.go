@@ -35,10 +35,6 @@ type Budget struct {
 	// examination on the series–parallel-reduced network. Exceeding it
 	// does not fail the run: the result degrades to the trivial-cut bound.
 	SolverWork int64
-
-	// CheckEvery is the step interval between cancellation/budget polls
-	// during execution (default vm.DefaultCheckEvery).
-	CheckEvery uint64
 }
 
 // active reports whether any execution-time budget is set.

@@ -131,7 +131,7 @@ func (a *Analyzer) keys() (prog, cfg cachekey.Key) {
 // changes either the bound or the diagnostics, so it keys.
 func (a *Analyzer) configKey() cachekey.Key {
 	opts := a.cfg.Taint
-	h := cachekey.New("config/v2").
+	h := cachekey.New("config/v3").
 		Bool(opts.Exact).
 		Bool(opts.ContextSensitive).
 		Int(int64(opts.MaxDescriptors)).
@@ -148,8 +148,7 @@ func (a *Analyzer) configKey() cachekey.Key {
 	h.Int(int64(b.MaxGraphNodes)).
 		Int(int64(b.MaxGraphEdges)).
 		Int(int64(b.MaxOutputBytes)).
-		Int(b.SolverWork).
-		Uint(b.CheckEvery)
+		Int(b.SolverWork)
 	return h.Sum()
 }
 

@@ -387,7 +387,6 @@ func (a *Analyzer) runStages(ctx context.Context, s *session, tr *taint.Tracker,
 	}
 	if check := a.checkHook(ctx, tr, inj); check != nil {
 		s.m.Check = check
-		s.m.CheckEvery = a.cfg.Budget.CheckEvery
 		if inj.TrapAtStep != 0 || inj.StallAtStep != 0 {
 			s.m.CheckEvery = 1 // exact injected step counts
 		}
@@ -459,7 +458,7 @@ func (a *Analyzer) Analyze(in Inputs) (*Result, error) {
 
 // AnalyzeContext is Analyze under a context: cancellation and deadlines
 // are polled between pipeline stages and, during execution, every
-// Budget.CheckEvery guest steps, so a stuck guest or an impatient caller
+// vm.DefaultCheckEvery guest steps, so a stuck guest or an impatient caller
 // aborts mid-flight with ErrCanceled.
 //
 // With Config.Cache set, the run is content-addressed: a repeat of a

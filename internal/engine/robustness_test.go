@@ -259,17 +259,44 @@ func TestGraphBudgetExceeded(t *testing.T) {
 	mustZeroLive(t, a)
 }
 
+// The mid-run hook stops a guest at the output cap long before it ends:
+// the guest writes one byte per loop iteration across many 4096-step poll
+// intervals, and the abort reports fewer output bytes than the whole run
+// writes — the count the post-run re-check alone would report.
 func TestOutputBudgetExceededMidRun(t *testing.T) {
-	a := engine.New(guest.Program("unary"), engine.Config{
-		Budget: engine.Budget{MaxOutputBytes: 10, CheckEvery: 1},
+	prog, err := lang.Compile("stream.mc", `
+int main() {
+    char buf[1];
+    int i;
+    read_secret(buf, 1);
+    i = 0;
+    while (i < 4000) { putc(buf[0]); i = i + 1; }
+    return 0;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := engine.Inputs{Secret: []byte{'*'}}
+	full, err := engine.Analyze(prog, in, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Steps < 8*vm.DefaultCheckEvery {
+		t.Fatalf("guest ran %d steps; the test needs a run well past one poll interval", full.Steps)
+	}
+	a := engine.New(prog, engine.Config{
+		Budget: engine.Budget{MaxOutputBytes: 10},
 	})
-	_, err := a.Analyze(engine.Inputs{Secret: []byte{255}}) // writes 255 bytes
+	_, err = a.Analyze(in)
 	if !errors.Is(err, engine.ErrBudget) {
 		t.Fatalf("got %v, want ErrBudget", err)
 	}
 	var be *engine.BudgetError
 	if !errors.As(err, &be) || be.Resource != "output-bytes" {
 		t.Fatalf("got %v, want output-bytes BudgetError", err)
+	}
+	if be.Used >= int64(len(full.Output)) {
+		t.Fatalf("aborted with %d output bytes, the whole run's %d: the mid-run poll never fired", be.Used, len(full.Output))
 	}
 	mustZeroLive(t, a)
 }
@@ -279,7 +306,7 @@ func TestOutputBudgetExceededMidRun(t *testing.T) {
 // post-run re-check covers what the mid-run hook never saw.
 func TestOutputBudgetExceededShortRun(t *testing.T) {
 	a := engine.New(guest.Program("unary"), engine.Config{
-		Budget: engine.Budget{MaxOutputBytes: 10}, // default CheckEvery
+		Budget: engine.Budget{MaxOutputBytes: 10},
 	})
 	_, err := a.Analyze(engine.Inputs{Secret: []byte{255}})
 	if !errors.Is(err, engine.ErrBudget) {

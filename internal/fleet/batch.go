@@ -298,6 +298,7 @@ func (c *Coordinator) mergeBatch(req *BatchRequest, outcomes []runOutcome, start
 		Runs:    make([]BatchRunStatus, 0, len(outcomes)),
 	}
 	graphs := make([]*flowgraph.Graph, 0, len(outcomes))
+	var solverWork int64 // the first merged run's, which every other must match
 	var failures []error
 	for i, o := range outcomes {
 		rs := BatchRunStatus{Run: i, Shard: o.shard, Dispatches: o.dispatches, Stolen: o.stolen}
@@ -320,11 +321,20 @@ func (c *Coordinator) mergeBatch(req *BatchRequest, outcomes []runOutcome, start
 		default:
 			rs.Bits = o.resp.Bits
 			g, err := o.resp.Graph.Decode()
-			if err == nil && len(graphs) > 0 && g.Exact != graphs[0].Exact {
+			switch {
+			case err != nil:
+			case len(graphs) == 0:
+				solverWork = o.resp.SolverWork
+			case g.Exact != graphs[0].Exact:
 				// Exact graphs merge side by side, collapsed ones by key:
 				// a shard whose mode differs from the runs before it
 				// cannot join the merge.
 				err = fmt.Errorf("fleet: shard %s returned an exact=%v graph into an exact=%v merge", o.shard, g.Exact, graphs[0].Exact)
+			case o.resp.SolverWork != solverWork:
+				// The joint bound is solved under one budget; a run from
+				// a shard configured with another would make the answer
+				// depend on which shard ran first.
+				err = fmt.Errorf("fleet: shard %s solves under budget %d, the merge under %d", o.shard, o.resp.SolverWork, solverWork)
 			}
 			if err != nil {
 				fail(err)
@@ -337,7 +347,7 @@ func (c *Coordinator) mergeBatch(req *BatchRequest, outcomes []runOutcome, start
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("fleet: all %d runs failed: %w", len(outcomes), errors.Join(failures...))
 	}
-	res := engine.SolveJoint(graphs, c.opts.SolverWork)
+	res := engine.SolveJoint(graphs, solverWork)
 	out.Bits = res.Bits
 	out.TaintedOutputBits = res.TaintedOutputBits
 	out.Rung = res.Rung

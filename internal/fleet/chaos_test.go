@@ -435,3 +435,132 @@ func TestShardKillUnderLoad(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// A request launches at most one hedge: with every replica stalled past
+// the hedge delay, the primary and one duplicate race, and the third
+// replica never sees the request.
+func TestOneHedgeAcrossStallingReplicas(t *testing.T) {
+	plan := fault.NewNetPlan()
+	for _, name := range []string{"s0", "s1", "s2"} {
+		plan.EveryRequest(name, fault.NetInjection{StallFor: 150 * time.Millisecond})
+	}
+	f := newChaosFleet(t, 3, engine.Config{}, plan, Options{HedgeAfter: 5 * time.Millisecond})
+
+	want := unaryDirect(t, 42)
+	resp, _, err := f.coord.Analyze(context.Background(), unaryRequest(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Bits != want.Bits {
+		t.Fatalf("answer %d bits, want %d", resp.Bits, want.Bits)
+	}
+	st := f.coord.Stats()
+	if st.HedgesFired != 1 {
+		t.Fatalf("%d hedges fired, want exactly 1", st.HedgesFired)
+	}
+	third := f.coord.ring.Lookup(programKey("unary"), 3)[2]
+	if n := st.Shards[third].Requests; n != 0 {
+		t.Fatalf("third replica %s served %d requests; only the primary and one hedge may run", st.Shards[third].Name, n)
+	}
+}
+
+// Work stealing: one shard stalls every request, so the other shard's
+// worker claims the runs queued for the stalled one. Stolen runs are
+// flagged, and the merge is still bit-identical to one process.
+func TestBatchStealsFromStalledShard(t *testing.T) {
+	const nRuns = 8
+	names := []string{"s0", "s1"}
+	r := newRing(names, virtualNodes)
+	prefer := make([]int, nRuns)
+	owned := make([]int, len(names))
+	for i := range prefer {
+		prefer[i] = r.Lookup(runKey("unary", i), 1)[0]
+		owned[prefer[i]]++
+	}
+	// Stall the shard that prefers more runs: it holds one in its stall,
+	// and the rest are left for the other shard to steal.
+	slow := 0
+	if owned[1] > owned[0] {
+		slow = 1
+	}
+	if owned[slow] < 2 {
+		t.Fatalf("runs per preferred shard %v: nothing left to steal", owned)
+	}
+	plan := fault.NewNetPlan().EveryRequest(names[slow], fault.NetInjection{StallFor: 300 * time.Millisecond})
+	f := newChaosFleet(t, 2, engine.Config{}, plan, Options{BatchWorkersPerShard: 1})
+
+	req := &BatchRequest{Program: "unary"}
+	inputs := make([]engine.Inputs, nRuns)
+	for i := range inputs {
+		secret := []byte{byte(3 + i*29)}
+		inputs[i] = engine.Inputs{Secret: secret}
+		req.Runs = append(req.Runs, RunInput{SecretB64: base64.StdEncoding.EncodeToString(secret)})
+	}
+	want, err := engine.New(guest.Program("unary"), engine.Config{}).AnalyzeBatch(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := f.coord.AnalyzeBatch(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.MergedRuns != nRuns || resp.Bits != want.Bits {
+		t.Fatalf("merged %d of %d runs into %d bits, single-process %d", resp.MergedRuns, nRuns, resp.Bits, want.Bits)
+	}
+	if resp.Steals == 0 {
+		t.Fatalf("no run was stolen from the stalled shard: %+v", resp.Runs)
+	}
+	var flagged, fromSlow int64
+	for _, rs := range resp.Runs {
+		if rs.Stolen != (rs.Shard != names[prefer[rs.Run]]) {
+			t.Fatalf("run %d preferred %s ran on %s with stolen=%v", rs.Run, names[prefer[rs.Run]], rs.Shard, rs.Stolen)
+		}
+		if rs.Stolen {
+			flagged++
+			if prefer[rs.Run] == slow {
+				fromSlow++
+			}
+		}
+	}
+	if flagged != resp.Steals || f.coord.Stats().Steals != resp.Steals {
+		t.Fatalf("%d runs flagged stolen, response counts %d, coordinator %d", flagged, resp.Steals, f.coord.Stats().Steals)
+	}
+	if fromSlow == 0 {
+		t.Fatal("no stolen run came from the stalled shard's queue")
+	}
+}
+
+// The coordinator solves the merged graphs under the solver budget the
+// shards report: with the shards' budget small enough to degrade the
+// joint solve, the fleet answers with the bits, rung and degradation an
+// in-process batch under that budget gives.
+func TestBatchSolvesUnderShardBudget(t *testing.T) {
+	cfg := engine.Config{Budget: engine.Budget{SolverWork: 1}}
+	f := newChaosFleet(t, 2, cfg, fault.NewNetPlan(), Options{})
+
+	req := &BatchRequest{Program: "unary"}
+	inputs := make([]engine.Inputs, 6)
+	for i := range inputs {
+		secret := []byte{byte(5 + i*37)}
+		inputs[i] = engine.Inputs{Secret: secret}
+		req.Runs = append(req.Runs, RunInput{SecretB64: base64.StdEncoding.EncodeToString(secret)})
+	}
+	want, err := engine.New(guest.Program("unary"), cfg).AnalyzeBatch(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Degraded {
+		t.Fatalf("in-process batch under SolverWork 1 did not degrade: %+v", want)
+	}
+	resp, err := f.coord.AnalyzeBatch(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.MergedRuns != len(inputs) {
+		t.Fatalf("merged %d of %d runs: %+v", resp.MergedRuns, len(inputs), resp.Runs)
+	}
+	if resp.Bits != want.Bits || resp.Rung != want.Rung || resp.Degraded != want.Degraded {
+		t.Fatalf("fleet %d bits rung %q degraded %v; in-process %d bits rung %q degraded %v",
+			resp.Bits, resp.Rung, resp.Degraded, want.Bits, want.Rung, want.Degraded)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand/v2"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -33,18 +32,14 @@ type ShardSpec struct {
 // sensible default. The coordinator reads time.Now, draws failover jitter
 // from the process-wide math/rand/v2 source, bounds each health probe by
 // probeTimeout, and re-dispatches one batch run at most 2×len(Shards)
-// times.
+// times. Each shard owns 64 points on the ring, a request may try
+// min(3, len(Shards)) distinct shards across failover and hedging, and
+// the merged batch graphs are solved under the solver budget the shards
+// report with them.
 type Options struct {
 	// Shards is the fleet membership. Names must be unique; they key the
 	// ring, the NetPlan chaos targets, and the X-Flow-Shard header.
 	Shards []ShardSpec
-
-	// VirtualNodes per shard on the ring (default 64).
-	VirtualNodes int
-	// Replicas is each key's preference-list depth: how many distinct
-	// shards a request may try across failover and hedging (default
-	// min(3, len(Shards))).
-	Replicas int
 
 	// ProbeInterval is the health-probe cadence (default 250ms).
 	ProbeInterval time.Duration
@@ -53,14 +48,12 @@ type Options struct {
 	FailThreshold int
 
 	// HedgeAfter is the floor hedge delay (default 50ms); the effective
-	// delay is max(HedgeAfter, HedgeMultiple × the shard's latency EWMA).
-	// MaxHedges bounds duplicate launches per request (default 1); zero
-	// HedgeMultiple defaults to 3. Hedging duplicates work, so it costs
-	// capacity to buy tail latency — the loser is canceled and its
-	// ledger charge settles to zero (serve settles canceled runs at 0).
-	HedgeAfter    time.Duration
-	HedgeMultiple float64
-	MaxHedges     int
+	// delay is max(HedgeAfter, hedgeMultiple × the shard's latency EWMA).
+	// A request launches at most one hedge, to the next replica. Hedging
+	// duplicates work, so it costs capacity to buy tail latency — the
+	// loser is canceled and its ledger charge settles to zero (serve
+	// settles canceled runs at 0).
+	HedgeAfter time.Duration
 
 	// BaseBackoff/MaxBackoff shape the capped, jittered failover backoff
 	// (defaults 10ms/500ms).
@@ -71,12 +64,6 @@ type Options struct {
 	// batch fan-out (default 4).
 	BatchWorkersPerShard int
 
-	// SolverWork bounds the coordinator's joint solve of merged batch
-	// graphs; it must match the shards' configuration for distributed
-	// batches to be bit-identical to in-process ones (default unlimited —
-	// the engine's own default).
-	SolverWork int64
-
 	// Transport is the chaos seam: the fleet's HTTP round tripper
 	// (fault.NetTransport in tests). Nil means http.DefaultTransport.
 	Transport http.RoundTripper
@@ -85,19 +72,18 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// probeTimeout bounds one health probe.
-const probeTimeout = time.Second
+const (
+	// probeTimeout bounds one health probe.
+	probeTimeout = time.Second
+	// virtualNodes is each shard's point count on the ring.
+	virtualNodes = 64
+	// maxReplicas caps a key's preference-list depth.
+	maxReplicas = 3
+	// hedgeMultiple scales a shard's latency EWMA into its hedge delay.
+	hedgeMultiple = 3
+)
 
 func (o Options) withDefaults() Options {
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = 64
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 3
-	}
-	if o.Replicas > len(o.Shards) {
-		o.Replicas = len(o.Shards)
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 250 * time.Millisecond
 	}
@@ -106,12 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HedgeAfter <= 0 {
 		o.HedgeAfter = 50 * time.Millisecond
-	}
-	if o.HedgeMultiple <= 0 {
-		o.HedgeMultiple = 3
-	}
-	if o.MaxHedges <= 0 {
-		o.MaxHedges = 1
 	}
 	if o.BaseBackoff <= 0 {
 		o.BaseBackoff = 10 * time.Millisecond
@@ -178,7 +158,7 @@ func New(opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:  opts,
 		log:   opts.Logger,
-		ring:  newRing(names, opts.VirtualNodes),
+		ring:  newRing(names, virtualNodes),
 		start: time.Now(),
 		client: &http.Client{
 			Transport: opts.Transport,
@@ -252,7 +232,7 @@ func (c *Coordinator) Draining() bool { return c.draining.Load() }
 // ring order — the health picture may be stale, and a refused desperate
 // attempt is better than refusing the client outright.
 func (c *Coordinator) candidates(key uint64) []*shard {
-	order := c.ring.Lookup(key, c.opts.Replicas)
+	order := c.ring.Lookup(key, maxReplicas)
 	out := make([]*shard, 0, len(order))
 	for _, i := range order {
 		if c.shards[i].routable() {
@@ -267,23 +247,13 @@ func (c *Coordinator) candidates(key uint64) []*shard {
 	return out
 }
 
-// backoff is the capped, jittered failover delay before the k-th
-// failover attempt (k ≥ 1): base·2^(k-1) capped, jittered into [d/2, d].
-func (c *Coordinator) backoff(k int) time.Duration {
-	d := c.opts.BaseBackoff << (k - 1)
-	if d > c.opts.MaxBackoff || d <= 0 {
-		d = c.opts.MaxBackoff
-	}
-	return d/2 + rand.N(d/2+1)
-}
-
 // hedgeDelay is how long the coordinator waits on a shard before
 // launching the duplicate: a multiple of the shard's latency budget,
 // floored so cold shards are not hedged instantly.
 func (c *Coordinator) hedgeDelay(sh *shard) time.Duration {
 	d := c.opts.HedgeAfter
 	if b := sh.latencyBudgetUS(); b > 0 {
-		m := time.Duration(float64(b)*c.opts.HedgeMultiple) * time.Microsecond
+		m := time.Duration(b*hedgeMultiple) * time.Microsecond
 		if m > d {
 			d = m
 		}
@@ -350,20 +320,20 @@ func (c *Coordinator) Analyze(ctx context.Context, req *serve.AnalyzeRequest) (*
 	}
 
 	launch(0, false, false)
+	// One hedge at most: the timer is armed once, for the primary.
 	var hedgeCh <-chan time.Time
-	if next < len(cands) && c.opts.MaxHedges > 0 {
+	if next < len(cands) {
 		t := time.NewTimer(c.hedgeDelay(cands[0]))
 		defer t.Stop()
 		hedgeCh = t.C
 	}
-	hedges, failoverK := 0, 0
+	failoverK := 0
 	var lastErr error
 	for outstanding > 0 {
 		select {
 		case <-hedgeCh:
 			hedgeCh = nil
-			if hedges < c.opts.MaxHedges && next < len(cands) {
-				hedges++
+			if next < len(cands) {
 				c.log.Info("fleet: hedging", "program", req.Program, "to", cands[next].name)
 				launch(0, true, false)
 			}
@@ -392,7 +362,7 @@ func (c *Coordinator) Analyze(ctx context.Context, req *serve.AnalyzeRequest) (*
 			if next < len(cands) {
 				failoverK++
 				c.log.Info("fleet: failover", "program", req.Program, "from", out.sh.name, "to", cands[next].name, "err", out.err)
-				launch(c.backoff(failoverK), false, true)
+				launch(serve.Backoff(c.opts.BaseBackoff, c.opts.MaxBackoff, failoverK), false, true)
 			}
 		}
 	}

@@ -73,7 +73,7 @@ func unaryDirect(t *testing.T, secret byte) *engine.Result {
 // program on the ring, so tests can place faults on the primary
 // deterministically.
 func unaryPrimary(names ...string) int {
-	return newRing(names, 64).Lookup(programKey("unary"), len(names))[0]
+	return newRing(names, virtualNodes).Lookup(programKey("unary"), len(names))[0]
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -474,6 +474,32 @@ func TestMergeBatchRejectsMixedModes(t *testing.T) {
 	}
 }
 
+// A run from a shard solving under another budget than the batch's
+// earlier runs fails alone; the runs that agree still merge, under the
+// budget the first of them reported.
+func TestMergeBatchRejectsMixedBudgets(t *testing.T) {
+	res, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{3}}, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := func(solverWork int64) *serve.AnalyzeResponse {
+		return &serve.AnalyzeResponse{Bits: res.Bits, Graph: serve.EncodeGraph(res.Graph), SolverWork: solverWork}
+	}
+	c := &Coordinator{}
+	out, err := c.mergeBatch(&BatchRequest{Program: "unary"}, []runOutcome{
+		{shard: "a", resp: resp(1)}, {shard: "b", resp: resp(0)}, {shard: "a", resp: resp(1)},
+	}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.MergedRuns != 2 || out.Runs[1].Error == "" || out.Runs[0].Error != "" || out.Runs[2].Error != "" {
+		t.Fatalf("merged %d runs, errors %q %q %q; want 2 merged and run 1 failed", out.MergedRuns, out.Runs[0].Error, out.Runs[1].Error, out.Runs[2].Error)
+	}
+	if !out.Degraded {
+		t.Fatal("the merge of two graphs under budget 1 did not degrade: it did not solve under the first run's budget")
+	}
+}
+
 // Failover jitter decorrelates retry storms only if separate coordinators
 // draw different jitter: two coordinators with identical options must not
 // produce the same backoff sequence, and every draw stays in [d/2, d].
@@ -485,7 +511,7 @@ func TestBackoffJitterDiffersAcrossCoordinators(t *testing.T) {
 		}
 		out := make([]time.Duration, 16)
 		for i := range out {
-			out[i] = c.backoff(8) // capped at MaxBackoff: the widest jitter range
+			out[i] = serve.Backoff(c.opts.BaseBackoff, c.opts.MaxBackoff, 8) // capped at MaxBackoff: the widest jitter range
 			if d := c.opts.MaxBackoff; out[i] < d/2 || out[i] > d {
 				t.Fatalf("backoff %v outside [%v, %v]", out[i], d/2, d)
 			}

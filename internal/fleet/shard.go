@@ -80,7 +80,7 @@ func (sh *shard) routable() bool {
 }
 
 // observe folds one measured RTT into the coordinator-side EWMA
-// (α = 0.2, the same smoothing serve's admission controller uses).
+// (α = 0.2; serve's admission EWMA uses α = 1/4).
 func (sh *shard) observe(rtt time.Duration) {
 	us := rtt.Microseconds()
 	for {

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"flowcheck/internal/fault"
@@ -87,6 +88,28 @@ func TestCrashRecoversInFlightPessimistically(t *testing.T) {
 	}
 	if st := l3.Stats(); st.RecoveredPending != 0 {
 		t.Fatalf("second recovery RecoveredPending = %d, want 0", st.RecoveredPending)
+	}
+}
+
+// Recovery settles an in-flight charge the way a replay of the settle
+// record it appends does: the process that recovered and a later restart
+// of the same WAL report the same entries, query count and last bits
+// included.
+func TestRecoveredChargeReplaysIdentically(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, BudgetBits: 1000}
+	l := abandon(t, opts)
+	chargeSettle(t, l, "alice", "auth", 32, 3)
+	if _, err := l.Charge("alice", "auth", 10); err != nil { // in flight at crash
+		t.Fatal(err)
+	}
+	first := abandon(t, opts).Stats().Entries
+	second := abandon(t, opts).Stats().Entries
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("reopened entries differ:\nfirst  %+v\nsecond %+v", first, second)
+	}
+	if e := first[0]; e.SettledBits != 13 || e.Queries != 2 || e.LastBits != 10 {
+		t.Fatalf("recovered entry %+v, want 13 settled bits over 2 queries, last 10", e)
 	}
 }
 

@@ -11,12 +11,15 @@ package ledger
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -89,7 +92,7 @@ type oracleState struct {
 }
 
 // oracleOpen replays data as Open did, then settles every recovered
-// charge at its estimate.
+// charge at its estimate, the way a settle record applies.
 func oracleOpen(data []byte) oracleState {
 	st := oracleState{entries: map[pairKey]*oracleEntry{}}
 	index := map[uint64]pairKey{}
@@ -139,12 +142,16 @@ func oracleOpen(data []byte) oracleState {
 		}
 		st.replayed++
 	}
-	for lsn, k := range index {
-		e := st.entries[k]
+	// Recovery settles each charge left in flight at its estimate, in LSN
+	// order, as a settle record would.
+	for _, lsn := range slices.Sorted(maps.Keys(index)) {
+		e := st.entries[index[lsn]]
 		est := e.pending[lsn]
 		delete(e.pending, lsn)
 		e.pendingBits -= est
 		e.settled += est
+		e.queries++
+		e.lastBits = est
 		st.recoveredPending++
 	}
 	return st
@@ -232,7 +239,10 @@ func parentOptions(dir string) Options {
 // TestReplayParentFixture replays a WAL tail and snapshot written by an
 // earlier ledger (charges, settles, resets, denials, and charges left in
 // flight both in the snapshot and in the WAL) and compares the whole
-// Stats with what that ledger recovered from the same files.
+// Stats with testdata/parent.stats.json: what that ledger recovered from
+// the same files, except that each charge recovered in flight also counts
+// as a query whose last bits are its estimate (settled in LSN order), as
+// the settle record recovery appends applies on replay.
 func TestReplayParentFixture(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, "testdata/parent", dir)
@@ -381,10 +391,19 @@ func TestReplayMatchesLive(t *testing.T) {
 					}
 				}
 			}
+			// Recovery settles each in-flight charge at its full estimate,
+			// in LSN order, as a live settle would.
 			live := entryKeys(l.Stats().Entries)
-			for i := range live {
-				live[i].settled += live[i].pending // recovered at full estimate
-				live[i].pending = 0
+			slices.SortFunc(open, func(a, b *Charge) int { return cmp.Compare(a.LSN, b.LSN) })
+			for _, c := range open {
+				for i := range live {
+					if live[i].principal == c.Principal && live[i].program == c.Program {
+						live[i].settled += c.EstimateBits
+						live[i].pending -= c.EstimateBits
+						live[i].queries++
+						live[i].last = c.EstimateBits
+					}
+				}
 			}
 
 			re := mustOpen(t, opts)

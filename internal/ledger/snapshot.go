@@ -14,7 +14,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -208,15 +210,18 @@ func (l *Ledger) replayEntry(pair []byte, pairs map[string]*entry) *entry {
 // settleRecovered pessimistically settles every charge that was in flight
 // when the previous process died: the run may have completed and released
 // its output just before the crash, so each is settled at its full
-// estimate — charged, never dropped. The settle records are appended so a
-// second crash replays the same state; an append failure here only means
-// the next replay re-derives the identical pessimistic answer.
+// estimate — charged, never dropped — through the same settleLocked a
+// live settle and replay use, so the state here is the state the next
+// replay of the appended settle records rebuilds. Charges settle in LSN
+// order, so every recovery of one WAL appends the same records. An
+// append failure here only means the next replay re-derives the
+// identical pessimistic answer.
 func (l *Ledger) settleRecovered() {
 	if len(l.mu.pending) == 0 {
 		return
 	}
-	for lsn, p := range l.mu.pending {
-		e := p.e
+	for _, lsn := range slices.Sorted(maps.Keys(l.mu.pending)) {
+		p := l.mu.pending[lsn]
 		settleLSN := l.mu.nextLSN
 		if err := l.appendLocked(encodeSettle(settleLSN, lsn, p.est)); err != nil {
 			l.log.Warn("ledger: recovered charge not durably settled; replay will re-derive it",
@@ -224,12 +229,10 @@ func (l *Ledger) settleRecovered() {
 		} else {
 			l.mu.nextLSN = settleLSN + 1
 		}
-		delete(l.mu.pending, lsn)
-		e.pendingBits -= p.est
-		e.settled += p.est // pessimistic: the whole estimate, not a measured bound
+		l.settleLocked(lsn, p, p.est)
 		l.mu.stats.recoveredPending++
 		l.log.Warn("ledger: recovered in-flight charge at full estimate",
-			"principal", e.key.principal, "program", e.key.program, "bits", p.est)
+			"principal", p.e.key.principal, "program", p.e.key.program, "bits", p.est)
 	}
 	l.maybeCompactLocked()
 }

@@ -105,6 +105,11 @@ type AnalyzeResponse struct {
 	// Graph is the run's packed flow graph, present when the request set
 	// include_graph and the answering rung produced one.
 	Graph *WireGraph `json:"graph,omitempty"`
+	// SolverWork rides with Graph: the solver budget the request's
+	// analyzer solves under before any degraded-retry growth (0 =
+	// unlimited), so the fleet coordinator solves the merged batch under
+	// the shards' budget.
+	SolverWork int64 `json:"solver_work,omitempty"`
 }
 
 // ClassResponse is one secret class's measurement.
@@ -247,6 +252,10 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.IncludeGraph && res.Graph != nil {
 		out.Graph = EncodeGraph(res.Graph)
+		out.SolverWork = s.lookup(resp.Program).cfg.Budget.SolverWork
+		if sreq.Budget != nil {
+			out.SolverWork = sreq.Budget.SolverWork
+		}
 	}
 	if res.Rung != "" {
 		w.Header().Set("X-Flow-Rung", res.Rung)

@@ -637,7 +637,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 				// exactly, the degraded bound is still the answer.
 				degraded, degradedAttempt = res, attempt
 				scale *= 2
-				d := s.backoff(attempt)
+				d := Backoff(s.opts.BaseBackoff, s.opts.MaxBackoff, attempt)
 				s.retried.Add(1)
 				p.retries.Add(1)
 				s.logOutcome(p, attempt, "degraded-retry", lat, nil, inj)
@@ -677,7 +677,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 		retryable := engine.Classify(err) == engine.ClassTransient && attempt < max
 		var wait time.Duration
 		if retryable {
-			wait = s.backoff(attempt)
+			wait = Backoff(s.opts.BaseBackoff, s.opts.MaxBackoff, attempt)
 			if dl, ok := ctx.Deadline(); ok {
 				// Abandon a retry that cannot finish before the deadline:
 				// backoff plus one more EWMA-sized run must fit.
@@ -765,17 +765,18 @@ func growBudget(b engine.Budget, k int64) engine.Budget {
 	return b
 }
 
-// backoff computes the capped, jittered exponential backoff after the
-// given attempt number (1-based).
-func (s *Service) backoff(attempt int) time.Duration {
-	d := s.opts.BaseBackoff
-	for i := 1; i < attempt && d < s.opts.MaxBackoff; i++ {
+// Backoff is the capped, jittered exponential backoff before retry k
+// (k ≥ 1): base doubled per earlier retry up to max, then jittered into
+// [d/2, d] to decorrelate concurrent retries. The service's run retries
+// and the fleet coordinator's failovers both wait this long.
+func Backoff(base, max time.Duration, k int) time.Duration {
+	d := base
+	for i := 1; i < k && d < max; i++ {
 		d *= 2
 	}
-	if d > s.opts.MaxBackoff {
-		d = s.opts.MaxBackoff
+	if d > max {
+		d = max
 	}
-	// Jitter into [d/2, d] to decorrelate concurrent retries.
 	return d/2 + rand.N(d/2+1)
 }
 
