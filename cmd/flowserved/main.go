@@ -1,9 +1,10 @@
 // Command flowserved is the long-lived analysis daemon: it serves the
 // quantitative information-flow analysis over HTTP/JSON, with the
 // resilience layer of internal/serve in front of the engine — bounded
-// deadline-aware admission, retry with capped backoff for transient
-// failures, per-program circuit breaking, crash-isolated session
-// recycling, and graceful drain on SIGTERM.
+// deadline-aware admission, immediate retry with the budget doubled when a
+// run exceeds it (up to three attempts), per-program circuit breaking
+// (three consecutive internal failures open it for 500ms), crash-isolated
+// session recycling, and graceful drain on SIGTERM.
 //
 // Usage:
 //
@@ -79,11 +80,6 @@ func run() error {
 	addr := fs.String("addr", ":8077", "listen address")
 	workers := fs.Int("workers", 0, "concurrent analysis workers (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", 0, "admission queue depth (0 = 4x workers)")
-	maxAttempts := fs.Int("max-attempts", 3, "attempts per request, first try included")
-	baseBackoff := fs.Duration("base-backoff", 5*time.Millisecond, "initial retry backoff (doubles per attempt, jittered)")
-	maxBackoff := fs.Duration("max-backoff", 250*time.Millisecond, "retry backoff cap")
-	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive internal failures that open a program's circuit breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", 500*time.Millisecond, "open-breaker cooldown before a half-open probe")
 	retryDegraded := fs.Bool("retry-degraded", false, "retry solver-degraded results with the solver budget doubled")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "shared content-addressed stage cache budget in bytes (0 = disable caching)")
 	ledgerDir := fs.String("ledger-dir", "", "durable leakage-budget ledger directory (empty = no ledger)")
@@ -142,18 +138,13 @@ func run() error {
 	}
 
 	svc := serve.New(serve.Options{
-		Workers:          *workers,
-		QueueDepth:       *queueDepth,
-		MaxAttempts:      *maxAttempts,
-		BaseBackoff:      *baseBackoff,
-		MaxBackoff:       *maxBackoff,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		RetryDegraded:    *retryDegraded,
-		CacheBytes:       *cacheBytes,
-		Ledger:           led,
-		ShardName:        *shardName,
-		Logger:           log,
+		Workers:       *workers,
+		QueueDepth:    *queueDepth,
+		RetryDegraded: *retryDegraded,
+		CacheBytes:    *cacheBytes,
+		Ledger:        led,
+		ShardName:     *shardName,
+		Logger:        log,
 	})
 
 	cfg := engine.Config{

@@ -46,11 +46,9 @@ const (
 	// more; it is kept for readers of per-kind stats that still ask for it.
 	KindSkeleton = "skeleton"
 	// KindClassGraph holds the shared attributed graph + CSR of a class
-	// analysis, keyed by (program, config, inputs) — class-set changes
-	// reuse it, re-solving without re-executing. KindClassSet holds the
-	// full per-class answer, keyed additionally by the classes.
+	// analysis, keyed by (program, config, inputs): every class request
+	// over those inputs re-solves its views on it without re-executing.
 	KindClassGraph = "classgraph"
-	KindClassSet   = "classset"
 )
 
 // Cache dispositions reported in Result.Cache and service responses.
@@ -125,13 +123,16 @@ func (a *Analyzer) keys() (prog, cfg cachekey.Key) {
 }
 
 // configKey canonicalizes the result-relevant configuration. Fields that
-// cannot change the Result are deliberately excluded: Workers only
-// shapes scheduling, and Fault gates cacheability instead of keying it.
-// Everything else — tracker options, step limit, budgets, lint —
-// changes either the bound or the diagnostics, so it keys.
+// cannot change a cached Result are deliberately excluded: Workers only
+// shapes scheduling, Fault gates cacheability instead of keying it, and
+// Precision and AdaptiveThreshold only choose whether a cheap rung
+// answers — rung answers never enter the cache, and an escalated run
+// returns exactly the full run's Result. Everything else — tracker
+// options, step limit, budgets, lint — changes either the bound or the
+// diagnostics, so it keys.
 func (a *Analyzer) configKey() cachekey.Key {
 	opts := a.cfg.Taint
-	h := cachekey.New("config/v3").
+	h := cachekey.New("config/v4").
 		Bool(opts.Exact).
 		Bool(opts.ContextSensitive).
 		Int(int64(opts.MaxDescriptors)).
@@ -141,9 +142,7 @@ func (a *Analyzer) configKey() cachekey.Key {
 		h.Int(int64(r.Off)).Int(int64(r.Len))
 	}
 	h.Uint(a.cfg.MaxSteps).
-		Bool(a.cfg.Lint).
-		Int(int64(a.cfg.Precision)).
-		Int(a.cfg.AdaptiveThreshold)
+		Bool(a.cfg.Lint)
 	b := a.cfg.Budget
 	h.Int(int64(b.MaxGraphNodes)).
 		Int(int64(b.MaxGraphEdges)).
@@ -164,11 +163,16 @@ func (a *Analyzer) staticKey() cachekey.Key {
 	return cachekey.New("static/v1").Key(p).Sum()
 }
 
-// Cached returns the cached result for in, or ok=false without computing
-// anything. The service uses it as the warm-program fast path: a hit is
-// answered before the request ever enters admission queuing.
+// Cached returns the cached result for in, or ok=false without running
+// the pipeline. The service uses it as the warm-program fast path: a hit
+// is answered before the request ever enters admission queuing. A
+// configuration a cheap rung answers gets ok=false, since the cached
+// full result under its key is not its answer.
 func (a *Analyzer) Cached(in Inputs) (*Result, bool) {
 	if !a.cacheable() {
+		return nil, false
+	}
+	if _, ok := a.ladderMulti([]Inputs{in}); ok {
 		return nil, false
 	}
 	key := a.resultKey(in)

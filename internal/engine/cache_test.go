@@ -149,9 +149,9 @@ func TestFullHitSkipsPipeline(t *testing.T) {
 }
 
 // A class request served from the cache reports this call's lookup, not
-// the stages of the execution that filled the cache. Both hit paths are
-// covered: a repeated class set (class-set hit) and a new class set over
-// the same inputs (class-graph hit, re-solved without executing).
+// the stages of the execution that filled the cache. Both a repeated class
+// set and a new class set over the same inputs hit the class graph and
+// re-solve their views without executing.
 func TestClassHitReportsLookupStages(t *testing.T) {
 	prog, err := lang.Compile("straight.mc", straightSrc)
 	if err != nil {
@@ -171,8 +171,8 @@ func TestClassHitReportsLookupStages(t *testing.T) {
 		name    string
 		classes []SecretClass
 	}{
-		{"class-set hit", halves},
-		{"class-graph hit", []SecretClass{{Name: "all", Off: 0, Len: 4}}},
+		{"repeated class set", halves},
+		{"new class set", []SecretClass{{Name: "all", Off: 0, Len: 4}}},
 	} {
 		ca, err := a.AnalyzeClassSet(in, tc.classes)
 		if err != nil {

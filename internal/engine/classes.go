@@ -25,7 +25,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"runtime/debug"
 	"time"
 
@@ -73,62 +72,14 @@ func (a *Analyzer) AnalyzeClassSet(in Inputs, classes []SecretClass) (*ClassAnal
 // isolated: a failed class carries its typed error in ClassResult.Err
 // while the others still report their bounds. Precision is ignored
 // (per-class bounds need the per-class flows); the result cache, when
-// configured, keys the shared graph by (program, config, inputs) — so a
-// changed class set over warm inputs re-solves without re-executing — and
-// the full per-class answer by (program, config, inputs, classes).
+// configured, keys the shared graph by (program, config, inputs), so a
+// repeated or changed class set over warm inputs re-solves its views
+// without re-executing. The per-class view solves fan across sessionless
+// workers — a solve needs only a solver, and each worker owns one.
 func (a *Analyzer) AnalyzeClassSetContext(ctx context.Context, in Inputs, classes []SecretClass) (*ClassAnalysis, error) {
 	if len(classes) == 0 {
 		return &ClassAnalysis{}, nil
 	}
-	if !a.cacheable() {
-		return a.classShared(ctx, in, classes)
-	}
-	key := a.classSetKey(in, classes)
-	var partial *ClassAnalysis
-	t0 := time.Now()
-	v, hit, err := a.cfg.Cache.Do(KindClassSet, key, func() (any, int64, error) {
-		ca, err := a.classShared(ctx, in, classes)
-		if err != nil {
-			return nil, 0, err
-		}
-		for i := range ca.Classes {
-			if ca.Classes[i].Err != nil {
-				// Per-class failures must reach the caller but not the
-				// cache; stash the partial answer and store nothing.
-				partial = ca
-				return nil, 0, errClassPartial
-			}
-		}
-		return ca, estimateClassAnalysisBytes(ca), nil
-	})
-	if errors.Is(err, errClassPartial) {
-		if partial != nil {
-			return partial, nil
-		}
-		// Coalesced onto another caller's partial computation: recompute.
-		return a.classShared(ctx, in, classes)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ca := v.(*ClassAnalysis)
-	if hit {
-		cp := *ca // cached value is shared and immutable
-		cp.Executions = 0
-		cp.Joint = stampCacheHit(ca.Joint, time.Since(t0), key)
-		return &cp, nil
-	}
-	return ca, nil
-}
-
-// errClassPartial routes a class analysis with per-class failures around
-// the result cache without losing the partial answer.
-var errClassPartial = errors.New("engine: class analysis partially failed")
-
-// classShared is the one-execution path: build (or fetch) the shared
-// attributed graph, then fan the per-class view solves across sessionless
-// workers — a solve needs only a solver, and each worker owns one.
-func (a *Analyzer) classShared(ctx context.Context, in Inputs, classes []SecretClass) (*ClassAnalysis, error) {
 	cg, joint, executions, err := a.classGraphFor(ctx, in)
 	if err != nil {
 		return nil, err
@@ -241,25 +192,13 @@ func (a *Analyzer) solveClass(solver *maxflow.Solver, cg *classGraph, c SecretCl
 	return cr
 }
 
-// Cache keys for the class path. The class graph is keyed like a result
-// (program x config x inputs) but under its own kind — its config slice
-// differs (attribution on, ranging off) and its value is the graph+CSR,
-// not a Result. The class set adds the classes, so a changed class set
-// misses here but still hits the class graph: re-solve, no re-execute.
-
+// classGraphKey keys the class graph like a result (program x config x
+// inputs) but under its own kind — its config slice differs (attribution
+// on, ranging off) and its value is the graph+CSR, not a Result. Classes
+// do not key it: any class set over the same inputs re-solves on it.
 func (a *Analyzer) classGraphKey(in Inputs) cachekey.Key {
 	p, c := a.keys()
 	return cachekey.New("classgraph/v1").Key(p).Key(c).Key(cachekey.Inputs(in.Secret, in.Public)).Sum()
-}
-
-func (a *Analyzer) classSetKey(in Inputs, classes []SecretClass) cachekey.Key {
-	p, c := a.keys()
-	h := cachekey.New("classset/v1").Key(p).Key(c).Key(cachekey.Inputs(in.Secret, in.Public))
-	h.Int(int64(len(classes)))
-	for _, cl := range classes {
-		h.Str(cl.Name).Int(int64(cl.Off)).Int(int64(cl.Len))
-	}
-	return h.Sum()
 }
 
 func estimateClassGraphBytes(cg *classGraph) int64 {
@@ -268,14 +207,5 @@ func estimateClassGraphBytes(cg *classGraph) int64 {
 	for _, contribs := range cg.srcMap.Contribs {
 		n += 8 + int64(len(contribs))*16
 	}
-	return n
-}
-
-func estimateClassAnalysisBytes(ca *ClassAnalysis) int64 {
-	n := int64(structOverhd)
-	for i := range ca.Classes {
-		n += perDiagBytes + int64(len(ca.Classes[i].Cut))
-	}
-	// Joint is shared with the class-graph entry; charge the strings only.
 	return n
 }

@@ -243,8 +243,8 @@ func TestRungProvenance(t *testing.T) {
 	}
 }
 
-// Precision keys the result cache: a full solve and a rung answer for the
-// same inputs must not collide.
+// A full solve and a rung answer for the same inputs must not collide in
+// the result cache.
 func TestPrecisionKeysCache(t *testing.T) {
 	prog, err := lang.Compile("ladder_key.mc", ladderSrc)
 	if err != nil {
@@ -270,6 +270,43 @@ func TestPrecisionKeysCache(t *testing.T) {
 	}
 	if again.Rung != RungFull || again.Bits != full.Bits {
 		t.Errorf("cached full solve polluted by rung answer: rung=%q bits=%d", again.Rung, again.Bits)
+	}
+}
+
+// Precision and the adaptive threshold do not key the result cache: an
+// adaptive analyzer whose cheap bounds exceed its threshold escalates to
+// the full run, so it is served the full analyzer's cached Result. A
+// trivial analyzer on the same cache still answers its rung, fast path
+// included.
+func TestAdaptiveEscalationHitsFullCache(t *testing.T) {
+	prog, err := lang.Compile("ladder_adaptive.mc", ladderSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := stagecache.New(stagecache.Options{MaxBytes: 8 << 20})
+	in := Inputs{Secret: []byte("ab")}
+	full, err := Analyze(prog, in, Config{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive := New(prog, Config{Cache: cache, Precision: PrecisionAdaptive, AdaptiveThreshold: 1})
+	if adaptive.StaticBoundBits(len(in.Secret)) <= 1 {
+		t.Fatal("static bound within the threshold: the adaptive run would not escalate")
+	}
+	res, err := adaptive.Analyze(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache.Disposition != CacheHit || res.Rung != RungFull || res.Bits != full.Bits {
+		t.Fatalf("escalated adaptive run: cache %q rung %q bits %d, want a hit on the full run's %d bits",
+			res.Cache.Disposition, res.Rung, res.Bits, full.Bits)
+	}
+	if _, ok := adaptive.Cached(in); !ok {
+		t.Error("escalating adaptive analyzer missed the fast path")
+	}
+	trivial := New(prog, Config{Cache: cache, Precision: PrecisionTrivial})
+	if res, ok := trivial.Cached(in); ok {
+		t.Errorf("trivial analyzer's fast path answered the full run (rung %q)", res.Rung)
 	}
 }
 

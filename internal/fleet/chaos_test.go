@@ -89,8 +89,6 @@ func TestBatchBitIdenticalUnderShardKill(t *testing.T) {
 			plan := fault.NewNetPlan().Partition("s1", 1, 1<<30)
 			f := newChaosFleet(t, 3, cfg, plan, Options{
 				FailThreshold:        1,
-				BaseBackoff:          time.Millisecond,
-				MaxBackoff:           2 * time.Millisecond,
 				BatchWorkersPerShard: 2,
 			})
 
@@ -147,8 +145,6 @@ func TestChaosSoak(t *testing.T) {
 		FailThreshold: 2,
 		ProbeInterval: 20 * time.Millisecond,
 		HedgeAfter:    2 * time.Millisecond,
-		BaseBackoff:   time.Millisecond,
-		MaxBackoff:    5 * time.Millisecond,
 	})
 	f.coord.Start()
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -29,13 +30,13 @@ type ShardSpec struct {
 }
 
 // Options configures a Coordinator. The zero value of every knob gets a
-// sensible default. The coordinator reads time.Now, draws failover jitter
-// from the process-wide math/rand/v2 source, bounds each health probe by
-// probeTimeout, and re-dispatches one batch run at most 2×len(Shards)
-// times. Each shard owns 64 points on the ring, a request may try
-// min(3, len(Shards)) distinct shards across failover and hedging, and
-// the merged batch graphs are solved under the solver budget the shards
-// report with them.
+// sensible default. The coordinator reads time.Now, waits 5–10ms before
+// a request's first failover and 10–20ms before its second, bounds each
+// health probe by probeTimeout, and re-dispatches one batch run at most
+// 2×len(Shards) times. Each shard owns 64 points on the ring, a request
+// may try min(3, len(Shards)) distinct shards across failover and
+// hedging, and the merged batch graphs are solved under the solver
+// budget the shards report with them.
 type Options struct {
 	// Shards is the fleet membership. Names must be unique; they key the
 	// ring, the NetPlan chaos targets, and the X-Flow-Shard header.
@@ -54,11 +55,6 @@ type Options struct {
 	// loser is canceled and its ledger charge settles to zero (serve
 	// settles canceled runs at 0).
 	HedgeAfter time.Duration
-
-	// BaseBackoff/MaxBackoff shape the capped, jittered failover backoff
-	// (defaults 10ms/500ms).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 
 	// BatchWorkersPerShard is each shard's concurrent run width during a
 	// batch fan-out (default 4).
@@ -81,7 +77,20 @@ const (
 	maxReplicas = 3
 	// hedgeMultiple scales a shard's latency EWMA into its hedge delay.
 	hedgeMultiple = 3
+	// failoverBackoff is the wait before the first failover; each later
+	// one doubles it.
+	failoverBackoff = 10 * time.Millisecond
 )
+
+// backoff is the jittered wait before failover k (k ≥ 1):
+// failoverBackoff doubled per earlier failover, then drawn from [d/2, d]
+// out of the process-wide math/rand/v2 source, so concurrent failovers —
+// in one coordinator or several — spread out. A request tries at most
+// maxReplicas shards, so k < maxReplicas and d stays at most 20ms.
+func backoff(k int) time.Duration {
+	d := failoverBackoff << (k - 1)
+	return d/2 + rand.N(d/2+1)
+}
 
 func (o Options) withDefaults() Options {
 	if o.ProbeInterval <= 0 {
@@ -92,12 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HedgeAfter <= 0 {
 		o.HedgeAfter = 50 * time.Millisecond
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 10 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 500 * time.Millisecond
 	}
 	if o.BatchWorkersPerShard <= 0 {
 		o.BatchWorkersPerShard = 4
@@ -263,7 +266,7 @@ func (c *Coordinator) hedgeDelay(sh *shard) time.Duration {
 
 // Analyze routes one request: primary attempt on the program's home
 // shard, a hedged duplicate on the next replica when the primary
-// exceeds its latency budget, and failover with capped backoff on
+// exceeds its latency budget, and failover with jittered backoff on
 // retryable failures. The first sound answer wins and every other
 // in-flight attempt is canceled — a canceled shard run settles its
 // ledger charge to zero, so the race never double-charges the
@@ -362,7 +365,7 @@ func (c *Coordinator) Analyze(ctx context.Context, req *serve.AnalyzeRequest) (*
 			if next < len(cands) {
 				failoverK++
 				c.log.Info("fleet: failover", "program", req.Program, "from", out.sh.name, "to", cands[next].name, "err", out.err)
-				launch(serve.Backoff(c.opts.BaseBackoff, c.opts.MaxBackoff, failoverK), false, true)
+				launch(backoff(failoverK), false, true)
 			}
 		}
 	}

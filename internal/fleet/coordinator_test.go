@@ -133,8 +133,6 @@ func TestFailoverOnDeadPrimary(t *testing.T) {
 			{Name: liveName, URL: live.ts.URL},
 		},
 		FailThreshold: 1,
-		BaseBackoff:   time.Millisecond,
-		MaxBackoff:    2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -501,19 +499,17 @@ func TestMergeBatchRejectsMixedBudgets(t *testing.T) {
 }
 
 // Failover jitter decorrelates retry storms only if separate coordinators
-// draw different jitter: two coordinators with identical options must not
-// produce the same backoff sequence, and every draw stays in [d/2, d].
+// draw different jitter: two draws from the process-wide source must not
+// produce the same backoff sequence, and every draw stays in [d/2, d],
+// where d doubles per earlier failover.
 func TestBackoffJitterDiffersAcrossCoordinators(t *testing.T) {
 	draw := func() []time.Duration {
-		c, err := New(Options{Shards: []ShardSpec{{Name: "a", URL: "http://127.0.0.1:1"}}})
-		if err != nil {
-			t.Fatal(err)
-		}
 		out := make([]time.Duration, 16)
 		for i := range out {
-			out[i] = serve.Backoff(c.opts.BaseBackoff, c.opts.MaxBackoff, 8) // capped at MaxBackoff: the widest jitter range
-			if d := c.opts.MaxBackoff; out[i] < d/2 || out[i] > d {
-				t.Fatalf("backoff %v outside [%v, %v]", out[i], d/2, d)
+			k := 1 + i%(maxReplicas-1) // every failover a request can make
+			d := failoverBackoff << (k - 1)
+			if out[i] = backoff(k); out[i] < d/2 || out[i] > d {
+				t.Fatalf("failover %d: backoff %v outside [%v, %v]", k, out[i], d/2, d)
 			}
 		}
 		return out

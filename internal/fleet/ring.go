@@ -7,7 +7,7 @@
 // PR 6's content-addressed program keys, so a program's requests land on
 // the same shard run after run and that shard's session pool, stage
 // cache, and breaker state stay hot for it. Single requests fail over
-// along the key's replica list with capped backoff and hedge to the next
+// along the key's replica list with jittered backoff and hedge to the next
 // replica when the owner dawdles past its latency budget; batches fan
 // their runs across every healthy shard with work stealing and merge the
 // per-run graphs at the coordinator through the same engine.SolveJoint

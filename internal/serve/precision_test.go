@@ -94,10 +94,7 @@ func TestPrecisionBadRequest(t *testing.T) {
 // Rung answers report Degraded (no cut exists) but must not trigger the
 // degraded-retry loop: there is no larger budget that un-degrades them.
 func TestPrecisionRungNotRetried(t *testing.T) {
-	svc := newGateService(t, serve.Options{
-		MaxAttempts:   3,
-		RetryDegraded: true,
-	})
+	svc := newGateService(t, serve.Options{RetryDegraded: true})
 	resp, err := svc.Analyze(context.Background(), serve.Request{
 		Program:   "gate",
 		Inputs:    engine.Inputs{Secret: []byte("ab")},

@@ -85,7 +85,8 @@ func TestHTTP429LifetimeBudgetHasNoRetryAfter(t *testing.T) {
 // Retry-After, so clients back off for exactly as long as the breaker
 // will keep rejecting.
 func TestHTTP503BreakerRetryAfter(t *testing.T) {
-	svc := serve.New(serve.Options{BreakerThreshold: 1, BreakerCooldown: 2 * time.Second})
+	svc := serve.New(serve.Options{})
+	serve.SetBreaker(svc, 1, 2*time.Second)
 	svc.Register("boom", guest.Program("unary"), engine.Config{
 		Fault: fault.NewPlan().Every(fault.Injection{PanicStage: fault.StageSolve}),
 	})

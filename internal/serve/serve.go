@@ -9,11 +9,14 @@
 //     given the queue depth and an EWMA of recent per-run latency are
 //     refused immediately with a typed ErrOverload — before consuming a
 //     worker — instead of timing out after wasting one.
-//   - Retry with capped exponential backoff and jitter for transient
-//     failures (engine.Classify): exceeded budgets retry with the budget
-//     grown, and optionally degraded solves retry with more solver work.
-//     Permanent failures (cancellation, guest traps, internal errors)
-//     are never retried.
+//   - Budget escalation: a run is a deterministic function of its
+//     program, inputs, configuration and fault plan, so only a larger
+//     budget can change its outcome. An exceeded budget (engine.ErrBudget)
+//     retries at once with every cap doubled, up to three attempts, and
+//     with RetryDegraded a solver-degraded result retries with the solver
+//     budget doubled. Nothing else retries: a step-limit trap is a
+//     successful Result.Trap, and a guest fault, a cancellation or an
+//     internal error would recur unchanged.
 //   - A per-program circuit breaker that opens after consecutive
 //     ErrInternal results, rejects fast while open, and half-open-probes
 //     one request after a cooldown before closing again.
@@ -35,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -87,9 +89,9 @@ func (e *OverloadError) Error() string {
 func (e *OverloadError) Is(target error) bool { return target == ErrOverload }
 
 // Options configures a Service. The zero value gets sensible defaults.
-// The service reads time.Now, draws backoff jitter from the process-wide
-// math/rand/v2 source, and leaves session recycling to the engine's fixed
-// high-water mark.
+// The service reads time.Now, leaves session recycling to the engine's
+// fixed high-water mark, runs a request at most three times, and opens a
+// program's breaker for 500ms after three consecutive internal failures.
 type Options struct {
 	// Workers bounds concurrently running analyses (default GOMAXPROCS).
 	Workers int
@@ -97,25 +99,10 @@ type Options struct {
 	// 4×Workers). A full queue sheds with ErrOverload.
 	QueueDepth int
 
-	// MaxAttempts bounds tries per request, first attempt included
-	// (default 3). Only transient failures (engine.Classify) retry.
-	MaxAttempts int
-	// BaseBackoff is the first retry's backoff (default 5ms); each retry
-	// doubles it up to MaxBackoff (default 250ms), then jitters the
-	// result into [d/2, d] to decorrelate retry storms.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// RetryDegraded retries solver-budget-degraded (but successful)
 	// results with the solver budget doubled, returning the degraded
 	// result only if no retry produces an exact solve.
 	RetryDegraded bool
-
-	// BreakerThreshold is how many consecutive ErrInternal results open a
-	// program's circuit breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects before letting
-	// one half-open probe through (default 500ms).
-	BreakerCooldown time.Duration
 
 	// Ledger, when non-nil, gates every request through the durable
 	// leakage-budget ledger: a pessimistic estimate (8 bits per secret
@@ -145,10 +132,18 @@ type Options struct {
 	// Logger receives the structured per-request log lines; nil disables
 	// logging.
 	Logger *slog.Logger
-
-	// Sleep overrides backoff sleeping (tests); nil means time.Sleep.
-	Sleep func(time.Duration)
 }
+
+const (
+	// maxAttempts bounds runs per request, first attempt included.
+	maxAttempts = 3
+	// breakerThreshold is how many consecutive ErrInternal results open a
+	// program's circuit breaker.
+	breakerThreshold = 3
+	// breakerCooldown is how long an open breaker rejects before letting
+	// one half-open probe through.
+	breakerCooldown = 500 * time.Millisecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -157,26 +152,8 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4 * o.Workers
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 5 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 250 * time.Millisecond
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 500 * time.Millisecond
-	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if o.Sleep == nil {
-		o.Sleep = time.Sleep
 	}
 	return o
 }
@@ -252,6 +229,12 @@ type Service struct {
 
 	mu       sync.Mutex
 	programs map[string]*program
+
+	// brThreshold and brCooldown configure each program's breaker at
+	// Register: breakerThreshold and breakerCooldown, unless a test has
+	// lowered them (export_test.go's SetBreaker).
+	brThreshold int
+	brCooldown  time.Duration
 
 	slots  chan struct{} // worker tokens; len() = running analyses
 	queued atomic.Int64  // admitted, waiting for a worker
@@ -334,12 +317,14 @@ func buildVersion() string {
 func New(opts Options) *Service {
 	opts = opts.withDefaults()
 	s := &Service{
-		opts:     opts,
-		log:      opts.Logger,
-		start:    time.Now(),
-		version:  buildVersion(),
-		programs: map[string]*program{},
-		slots:    make(chan struct{}, opts.Workers),
+		opts:        opts,
+		log:         opts.Logger,
+		start:       time.Now(),
+		version:     buildVersion(),
+		programs:    map[string]*program{},
+		brThreshold: breakerThreshold,
+		brCooldown:  breakerCooldown,
+		slots:       make(chan struct{}, opts.Workers),
 	}
 	if opts.CacheBytes > 0 {
 		s.cache = stagecache.New(stagecache.Options{MaxBytes: opts.CacheBytes})
@@ -369,7 +354,7 @@ func (s *Service) Register(name string, prog *vm.Program, cfg engine.Config) {
 		prog:     prog,
 		cfg:      cfg,
 		analyzer: engine.New(prog, cfg),
-		br:       breaker{name: name, threshold: s.opts.BreakerThreshold, cooldown: s.opts.BreakerCooldown},
+		br:       breaker{name: name, threshold: s.brThreshold, cooldown: s.brCooldown},
 	}
 	s.mu.Lock()
 	s.programs[name] = p
@@ -503,10 +488,10 @@ func (p *program) ledgerEstimate(in engine.Inputs) int64 {
 func (s *Service) serveAdmitted(ctx context.Context, p *program, req Request, inj fault.Injection) (*Response, error) {
 	// Warm-program fast path: a full cache hit is answered before the
 	// breaker, the queue, and the worker pool — it costs one lookup and
-	// touches no session. Budget and precision overrides change the result
-	// key's config half, so they always take the slow path (the cheap
+	// touches no session. Budget and precision overrides are served by
+	// one-off analyzers, so they always take the slow path (the cheap
 	// precision rungs are themselves no-execution answers); class requests
-	// carry their own class-set cache inside the engine; a draining
+	// re-solve their views on the engine's cached class graph; a draining
 	// service refuses even warm requests (readyz has already failed the
 	// balancer).
 	if req.Budget == nil && req.Precision == "" && len(req.Classes) == 0 && !s.draining.Load() {
@@ -598,12 +583,13 @@ func (s *Service) admit(ctx context.Context) (release func(), err error) {
 }
 
 // attempts is the run/retry loop for one admitted request, holding a
-// worker slot throughout.
+// worker slot throughout. Retries run at once: the run is deterministic,
+// so waiting before one would change nothing but how long the slot is
+// held.
 func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fault.Injection) (*Response, error) {
 	var scale int64 = 1         // budget growth factor for this attempt
 	var degraded *engine.Result // best degraded result seen so far
 	var degradedAttempt int
-	max := s.opts.MaxAttempts
 	for attempt := 1; ; attempt++ {
 		an := s.analyzerFor(p, req, scale)
 		s.started.Add(1)
@@ -631,17 +617,15 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 			// degraded by design and retrying them would change nothing.
 			// Class requests never degraded-retry: the per-class views
 			// would need their own budgets to be worth re-solving.
-			if len(req.Classes) == 0 && res.Degraded && res.Graph != nil && s.opts.RetryDegraded && attempt < max && an.Config().Budget.SolverWork > 0 {
+			if len(req.Classes) == 0 && res.Degraded && res.Graph != nil && s.opts.RetryDegraded && attempt < maxAttempts && an.Config().Budget.SolverWork > 0 {
 				// A degraded result is sound but loose; remember it and
 				// retry with the solver budget grown. If no retry solves
 				// exactly, the degraded bound is still the answer.
 				degraded, degradedAttempt = res, attempt
 				scale *= 2
-				d := Backoff(s.opts.BaseBackoff, s.opts.MaxBackoff, attempt)
 				s.retried.Add(1)
 				p.retries.Add(1)
 				s.logOutcome(p, attempt, "degraded-retry", lat, nil, inj)
-				s.opts.Sleep(d)
 				continue
 			}
 			p.br.onSuccess(func(prev string) {
@@ -674,19 +658,14 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 			p.br.onOther()
 		}
 
-		retryable := engine.Classify(err) == engine.ClassTransient && attempt < max
-		var wait time.Duration
-		if retryable {
-			wait = Backoff(s.opts.BaseBackoff, s.opts.MaxBackoff, attempt)
-			if dl, ok := ctx.Deadline(); ok {
-				// Abandon a retry that cannot finish before the deadline:
-				// backoff plus one more EWMA-sized run must fit.
-				if time.Now().Add(wait + s.EWMALatency()).After(dl) {
-					retryable = false
-				}
-			}
+		// Only an exceeded budget can pass under a larger one. A retry is
+		// abandoned when one more EWMA-sized run cannot finish before the
+		// deadline.
+		retry := errors.Is(err, engine.ErrBudget) && attempt < maxAttempts
+		if dl, ok := ctx.Deadline(); retry && ok && time.Now().Add(s.EWMALatency()).After(dl) {
+			retry = false
 		}
-		if !retryable {
+		if !retry {
 			if degraded != nil {
 				// A sound degraded bound beats an error: report it, noting
 				// the attempts the exact retry burned.
@@ -699,13 +678,10 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 			s.logOutcome(p, attempt, "failed", lat, err, inj)
 			return nil, err
 		}
-		if errors.Is(err, engine.ErrBudget) {
-			scale *= 2
-		}
+		scale *= 2
 		s.retried.Add(1)
 		p.retries.Add(1)
 		s.logOutcome(p, attempt, "retry", lat, err, inj)
-		s.opts.Sleep(wait)
 	}
 }
 
@@ -763,21 +739,6 @@ func growBudget(b engine.Budget, k int64) engine.Budget {
 		b.SolverWork *= k
 	}
 	return b
-}
-
-// Backoff is the capped, jittered exponential backoff before retry k
-// (k ≥ 1): base doubled per earlier retry up to max, then jittered into
-// [d/2, d] to decorrelate concurrent retries. The service's run retries
-// and the fleet coordinator's failovers both wait this long.
-func Backoff(base, max time.Duration, k int) time.Duration {
-	d := base
-	for i := 1; i < k && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d/2 + rand.N(d/2+1)
 }
 
 // observeLatency folds one run's latency into the admission EWMA

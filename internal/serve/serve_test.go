@@ -13,7 +13,9 @@ import (
 	"flowcheck/internal/engine"
 	"flowcheck/internal/fault"
 	"flowcheck/internal/guest"
+	"flowcheck/internal/lang"
 	"flowcheck/internal/serve"
+	"flowcheck/internal/vm"
 )
 
 func newService(t *testing.T, opts serve.Options) *serve.Service {
@@ -144,13 +146,7 @@ func TestDeadlineSheds(t *testing.T) {
 // budget doubled each attempt and succeeds once it fits — here 64 → 128 →
 // 256 against 200 output bytes, succeeding on attempt 3.
 func TestRetryGrowsBudget(t *testing.T) {
-	var slept []time.Duration
-	svc := serve.New(serve.Options{
-		MaxAttempts: 3,
-		BaseBackoff: 4 * time.Millisecond,
-		MaxBackoff:  16 * time.Millisecond,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	})
+	svc := serve.New(serve.Options{})
 	svc.Register("unary", guest.Program("unary"), engine.Config{
 		Budget: engine.Budget{MaxOutputBytes: 64},
 	})
@@ -169,31 +165,99 @@ func TestRetryGrowsBudget(t *testing.T) {
 	if resp.Result.Bits != want.Bits {
 		t.Fatalf("retried bits %d != unbudgeted bits %d", resp.Result.Bits, want.Bits)
 	}
-	if len(slept) != 2 {
-		t.Fatalf("%d backoff sleeps, want 2", len(slept))
-	}
-	for i, d := range slept {
-		lo := (4 * time.Millisecond) << i / 2
-		hi := (4 * time.Millisecond) << i
-		if d < lo || d > hi {
-			t.Fatalf("backoff %d = %v, want in [%v, %v]", i, d, lo, hi)
-		}
-	}
 	if st := svc.Stats(); st.Retried != 2 || st.Completed != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
 
+// divZeroSrc faults on every input: a guest trap, not an analysis error.
+const divZeroSrc = `
+int main() {
+    char b[1];
+    read_secret(b, 1);
+    putc(b[0]);
+    return 100 / (b[0] - b[0]);
+}
+`
+
+// TestRetryScope: only an exceeded budget retries, because only a larger
+// budget can change a run's outcome. A step-limit trap and a guest fault
+// are answered on the first attempt with Result.Trap set; an injected
+// panic and a canceled context fail on it.
+func TestRetryScope(t *testing.T) {
+	faulty, err := lang.Compile("divzero.mc", divZeroSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unary := guest.Program("unary")
+	for _, tc := range []struct {
+		name     string
+		prog     *vm.Program
+		cfg      engine.Config
+		timeout  time.Duration // request deadline; zero for none
+		attempts int64
+		wantErr  error // nil: the request succeeds
+		stepTrap bool  // on success: Result.Trap is a step-limit trap
+		trap     bool  // on success: Result.Trap is set
+	}{
+		{name: "output budget", prog: unary,
+			cfg:      engine.Config{Budget: engine.Budget{MaxOutputBytes: 64}},
+			attempts: 3},
+		{name: "step limit", prog: unary, cfg: engine.Config{MaxSteps: 10},
+			attempts: 1, trap: true, stepTrap: true},
+		{name: "guest fault", prog: faulty, attempts: 1, trap: true},
+		{name: "injected panic", prog: unary,
+			cfg:      engine.Config{Fault: fault.NewPlan().Every(fault.Injection{PanicStage: fault.StageSolve})},
+			attempts: 1, wantErr: engine.ErrInternal},
+		{name: "canceled", prog: unary,
+			cfg:      engine.Config{Fault: fault.NewPlan().Every(fault.Injection{StallAtStep: 1, StallFor: 100 * time.Millisecond})},
+			timeout:  20 * time.Millisecond,
+			attempts: 1, wantErr: engine.ErrCanceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := serve.New(serve.Options{})
+			svc.Register("p", tc.prog, tc.cfg)
+			ctx := context.Background()
+			if tc.timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.timeout)
+				defer cancel()
+			}
+			resp, err := svc.Analyze(ctx, serve.Request{Program: "p", Inputs: engine.Inputs{Secret: []byte{200}}})
+			if st := svc.Stats(); st.Started != tc.attempts || st.Retried != tc.attempts-1 {
+				t.Fatalf("started %d runs, retried %d; want %d and %d", st.Started, st.Retried, tc.attempts, tc.attempts-1)
+			}
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("got %v, want %v", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(resp.Attempts) != tc.attempts {
+				t.Fatalf("attempts = %d, want %d", resp.Attempts, tc.attempts)
+			}
+			trap := resp.Result.Trap
+			if (trap != nil) != tc.trap || errors.Is(trap, engine.ErrStepLimit) != tc.stepTrap {
+				t.Fatalf("trap = %v, want trapped %v, step limit %v", trap, tc.trap, tc.stepTrap)
+			}
+		})
+	}
+}
+
+// degradedWork is a solver budget under which unary's solve degrades and
+// which reaches an exact solve within the three attempts a request gets:
+// the solve needs 34–36 units, and 16 doubles to 64 on attempt 3.
+const degradedWork = 16
+
 // TestRetryDegraded: a solver-degraded (but sound) result retries with the
 // solver budget doubled until the solve is exact.
 func TestRetryDegraded(t *testing.T) {
-	svc := serve.New(serve.Options{
-		MaxAttempts:   20,
-		RetryDegraded: true,
-		Sleep:         func(time.Duration) {},
-	})
+	svc := serve.New(serve.Options{RetryDegraded: true})
 	svc.Register("unary", guest.Program("unary"), engine.Config{
-		Budget: engine.Budget{SolverWork: 1},
+		Budget: engine.Budget{SolverWork: degradedWork},
 	})
 	want, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{200}}, engine.Config{})
 	if err != nil {
@@ -217,18 +281,14 @@ func TestRetryDegraded(t *testing.T) {
 // A solver budget given as a per-request override degrades and retries
 // exactly like the program's own: growth applies on top of the override.
 func TestRetryDegradedRequestBudget(t *testing.T) {
-	svc := serve.New(serve.Options{
-		MaxAttempts:   20,
-		RetryDegraded: true,
-		Sleep:         func(time.Duration) {},
-	})
+	svc := serve.New(serve.Options{RetryDegraded: true})
 	svc.Register("unary", guest.Program("unary"), engine.Config{})
 	want, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{200}}, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := req(200)
-	r.Budget = &engine.Budget{SolverWork: 1}
+	r.Budget = &engine.Budget{SolverWork: degradedWork}
 	resp, err := svc.Analyze(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
@@ -263,10 +323,8 @@ func TestDegradedReturnedWithoutRetry(t *testing.T) {
 // program's breaker, open rejects fast without touching the engine, the
 // cooldown admits one half-open probe, and a failed probe reopens.
 func TestBreakerOpensAndProbes(t *testing.T) {
-	svc := serve.New(serve.Options{
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
+	svc := serve.New(serve.Options{})
+	serve.SetBreaker(svc, 2, 50*time.Millisecond)
 	svc.Register("panicky", guest.Program("unary"), engine.Config{
 		Fault: fault.NewPlan().Every(fault.Injection{PanicStage: fault.StageSolve}),
 	})

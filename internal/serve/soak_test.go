@@ -37,15 +37,8 @@ func TestServiceChaosSoak(t *testing.T) {
 		t.Skip("chaos soak skipped in -short mode")
 	}
 
-	svc := serve.New(serve.Options{
-		Workers:          2,
-		QueueDepth:       2,
-		MaxAttempts:      3,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       4 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  10 * time.Millisecond,
-	})
+	svc := serve.New(serve.Options{Workers: 2, QueueDepth: 2})
+	serve.SetBreaker(svc, 3, 10*time.Millisecond)
 	prog := guest.Program("unary")
 	svc.Register("healthy", prog, engine.Config{})
 	svc.Register("trappy", prog, engine.Config{
@@ -215,7 +208,7 @@ func TestServiceSoakDeterministicBounds(t *testing.T) {
 	}
 	secrets := []byte{0, 3, 40, 128, 200, 255}
 	run := func() map[string]int64 {
-		svc := serve.New(serve.Options{Workers: 3, QueueDepth: 64, MaxAttempts: 3, BaseBackoff: time.Millisecond})
+		svc := serve.New(serve.Options{Workers: 3, QueueDepth: 64})
 		svc.Register("unary", guest.Program("unary"), engine.Config{
 			Budget: engine.Budget{MaxOutputBytes: 64},
 		})
