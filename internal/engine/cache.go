@@ -115,11 +115,14 @@ func (a *Analyzer) cacheable() bool {
 
 // keys returns the memoized program and config keys.
 func (a *Analyzer) keys() (prog, cfg cachekey.Key) {
-	a.keyOnce.Do(func() {
-		a.progKey = cachekey.Program(a.prog)
-		a.cfgKey = a.configKey()
-	})
-	return a.progKey, a.cfgKey
+	a.cfgOnce.Do(func() { a.cfgKey = a.configKey() })
+	return a.programKey(), a.cfgKey
+}
+
+// programKey returns the memoized program key.
+func (ps *programState) programKey() cachekey.Key {
+	ps.keyOnce.Do(func() { ps.progKey = cachekey.Program(ps.prog) })
+	return ps.progKey
 }
 
 // configKey canonicalizes the result-relevant configuration. Fields that
@@ -158,9 +161,8 @@ func (a *Analyzer) resultKey(in Inputs) cachekey.Key {
 }
 
 // staticKey keys the static pre-pass: program only.
-func (a *Analyzer) staticKey() cachekey.Key {
-	p, _ := a.keys()
-	return cachekey.New("static/v1").Key(p).Sum()
+func (ps *programState) staticKey() cachekey.Key {
+	return cachekey.New("static/v1").Key(ps.programKey()).Sum()
 }
 
 // Cached returns the cached result for in, or ok=false without running

@@ -10,7 +10,7 @@
 // sessions — machine and tracker — whose buffers are reused across runs
 // (vm.Machine.Reset, taint.Tracker.ResetAll), so repeated analyses stop
 // paying the per-run allocation cost of fresh guest memory pages and graph
-// builders. A session keeps nothing whose size follows the graph: each
+// builders; analyzers derived from it with With share the pool. A session keeps nothing whose size follows the graph: each
 // run's edge store becomes its graph, and each run is laid out and solved
 // in its own CSR and solver, so no layout sits idle through the next
 // run's Execute.
@@ -150,9 +150,21 @@ const sessionHighWater = 1 << 20
 // Analyzer runs the staged pipeline for one program under one
 // configuration, reusing pooled sessions across calls. It is safe for
 // concurrent use: concurrent calls draw distinct sessions from the pool.
+// Analyzers derived from it with With share its programState.
 type Analyzer struct {
+	*programState
+	cfg Config
+
+	// Memoized content-address config key (internal/engine/cache.go).
+	cfgOnce sync.Once
+	cfgKey  cachekey.Key
+}
+
+// programState is what an Analyzer shares with those derived from it: the
+// program, its session pool, static analysis and content-address key. A
+// session depends only on the program and tracker options, which With keeps.
+type programState struct {
 	prog *vm.Program
-	cfg  Config
 	pool sync.Pool
 
 	// live counts sessions currently checked out of the pool — the
@@ -167,25 +179,33 @@ type Analyzer struct {
 	highWater int
 
 	// Static analysis is a pure function of the (immutable) program; it is
-	// fetched at most once per Analyzer from the process-global program
-	// cache, so N Analyzers over one program pay for one pass total.
+	// fetched at most once per program state from the process-global
+	// program cache, so N Analyzers over one program pay for one pass total.
 	staticMu sync.Mutex
 	static   *static.Analysis
 
-	// Memoized content-address keys (internal/engine/cache.go).
+	// Memoized content-address program key (internal/engine/cache.go).
 	keyOnce sync.Once
 	progKey cachekey.Key
-	cfgKey  cachekey.Key
 }
 
 // New creates an Analyzer for prog under cfg.
 func New(prog *vm.Program, cfg Config) *Analyzer {
-	a := &Analyzer{prog: prog, cfg: cfg, highWater: sessionHighWater}
-	a.pool.New = func() any {
-		a.created.Add(1)
-		return &session{m: vm.NewMachine(a.prog)}
+	ps := &programState{prog: prog, highWater: sessionHighWater}
+	ps.pool.New = func() any {
+		ps.created.Add(1)
+		return &session{m: vm.NewMachine(prog)}
 	}
-	return a
+	return &Analyzer{programState: ps, cfg: cfg}
+}
+
+// With derives a's configuration under budget b, precision p and adaptive
+// threshold thr. The result shares a's programState, so its runs draw a's
+// warmed sessions and count in a's Pool; its config key is its own.
+func (a *Analyzer) With(b Budget, p Precision, thr int64) *Analyzer {
+	cfg := a.cfg
+	cfg.Budget, cfg.Precision, cfg.AdaptiveThreshold = b, p, thr
+	return &Analyzer{programState: a.programState, cfg: cfg}
 }
 
 // Program returns the analyzed program.
@@ -205,22 +225,22 @@ func (a *Analyzer) Static() *static.Analysis {
 // content, not by Analyzer: every engine and session analyzing the same
 // bytecode shares one *static.Analysis, and the Static stage cost is
 // charged to the one caller fleet-wide that actually ran the pass.
-func (a *Analyzer) staticAnalysis() (*static.Analysis, time.Duration, bool) {
-	a.staticMu.Lock()
-	defer a.staticMu.Unlock()
-	if a.static != nil {
-		return a.static, 0, true
+func (ps *programState) staticAnalysis() (*static.Analysis, time.Duration, bool) {
+	ps.staticMu.Lock()
+	defer ps.staticMu.Unlock()
+	if ps.static != nil {
+		return ps.static, 0, true
 	}
 	t0 := time.Now()
-	v, hit, _ := globalCache.Do(KindStatic, a.staticKey(), func() (any, int64, error) {
-		sa := static.Analyze(a.prog)
+	v, hit, _ := globalCache.Do(KindStatic, ps.staticKey(), func() (any, int64, error) {
+		sa := static.Analyze(ps.prog)
 		return sa, estimateStaticBytes(sa), nil
 	})
-	a.static = v.(*static.Analysis)
+	ps.static = v.(*static.Analysis)
 	if hit {
-		return a.static, 0, true
+		return ps.static, 0, true
 	}
-	return a.static, time.Since(t0), false
+	return ps.static, time.Since(t0), false
 }
 
 // Config returns the analyzer's configuration.
@@ -262,7 +282,8 @@ type PoolStats struct {
 	Recycled int64
 }
 
-// Pool returns a snapshot of the analyzer's session-pool statistics.
+// Pool returns a snapshot of the session-pool statistics of the analyzer's
+// program, counting the sessions of every analyzer derived with With.
 func (a *Analyzer) Pool() PoolStats {
 	return PoolStats{
 		Live:     a.live.Load(),

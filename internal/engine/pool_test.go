@@ -7,6 +7,7 @@ import (
 	"flowcheck/internal/engine"
 	"flowcheck/internal/fault"
 	"flowcheck/internal/guest"
+	"flowcheck/internal/stagecache"
 	"flowcheck/internal/taint"
 )
 
@@ -109,4 +110,29 @@ func TestSessionHighWaterRecycles(t *testing.T) {
 	if got := engine.SessionsRecycled(b); got != 0 {
 		t.Fatalf("%d sessions recycled under the default high-water mark, want 0", got)
 	}
+}
+
+// An analyzer derived with With runs on its parent's pool: its sessions
+// count in the parent's Pool and obey the parent's high-water mark. Its
+// budget is its own, and keys its results apart from the parent's.
+func TestWithSharesPool(t *testing.T) {
+	prog := guest.Program("unary")
+	in := engine.Inputs{Secret: []byte{200}}
+	a := engine.New(prog, engine.Config{Cache: stagecache.New(stagecache.Options{MaxBytes: 1 << 20})})
+	engine.SetHighWater(a, 1)
+	if _, err := a.Analyze(in); err != nil {
+		t.Fatal(err)
+	}
+	d := a.With(engine.Budget{SolverWork: 1 << 20}, engine.PrecisionFull, 0)
+	res, err := d.Analyze(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache.Disposition != engine.CacheMiss {
+		t.Fatalf("derived analyzer under another budget: cache %q, want a miss", res.Cache.Disposition)
+	}
+	if p := a.Pool(); p.Created != 2 || p.Recycled != 2 || d.Pool() != p {
+		t.Fatalf("parent pool %+v, derived %+v: want both runs created and recycled in one pool", p, d.Pool())
+	}
+	mustZeroLive(t, a)
 }

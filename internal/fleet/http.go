@@ -145,7 +145,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if resp.Cache != "" {
 		w.Header().Set("X-Flow-Cache", resp.Cache)
 	}
-	writeFleetJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -163,25 +163,25 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, status, kind, err, retryAfter)
 		return
 	}
-	writeFleetJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleStatz(w http.ResponseWriter, r *http.Request) {
-	writeFleetJSON(w, http.StatusOK, c.Stats())
+	serve.WriteJSON(w, http.StatusOK, c.Stats())
 }
 
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
-		writeFleetJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	for _, sh := range c.shards {
 		if sh.routable() {
-			writeFleetJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 			return
 		}
 	}
-	writeFleetJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no-shards"})
+	serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no-shards"})
 }
 
 // fleetStatus maps a routing failure onto HTTP. Shard-classified errors
@@ -206,27 +206,12 @@ func fleetStatus(err error) (status int, kind string, retryAfter time.Duration) 
 	return http.StatusInternalServerError, "error", 0
 }
 
-func writeFleetJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
+// writeFleetError writes a failure; a shard's Retry-After passes through,
+// and every 503, 502 and 504 carries one (at least 1 second).
 func writeFleetError(w http.ResponseWriter, status int, kind string, err error, retryAfter time.Duration) {
-	switch status {
-	case http.StatusServiceUnavailable, http.StatusBadGateway, http.StatusGatewayTimeout:
-		if retryAfter <= 0 {
-			retryAfter = time.Second
-		}
+	switch {
+	case retryAfter > 0, status == http.StatusServiceUnavailable, status == http.StatusBadGateway, status == http.StatusGatewayTimeout:
+		w.Header().Set("Retry-After", serve.RetryAfter(retryAfter))
 	}
-	if retryAfter > 0 {
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprint(secs))
-	}
-	writeFleetJSON(w, status, serve.ErrorResponse{Error: err.Error(), Kind: kind})
+	serve.WriteError(w, status, kind, err)
 }

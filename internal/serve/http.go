@@ -32,8 +32,8 @@ type AnalyzeRequest struct {
 	// the admission controller's shed decision.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
-	// Optional per-request budget overrides (0 = keep the program's).
-	// Setting any serves the request from a one-off analyzer.
+	// Optional per-request budget overrides. Setting any replaces the
+	// program's whole budget for this request; a field left 0 is unlimited.
 	MaxGraphNodes  int   `json:"max_graph_nodes,omitempty"`
 	MaxGraphEdges  int   `json:"max_graph_edges,omitempty"`
 	MaxOutputBytes int   `json:"max_output_bytes,omitempty"`
@@ -105,10 +105,9 @@ type AnalyzeResponse struct {
 	// Graph is the run's packed flow graph, present when the request set
 	// include_graph and the answering rung produced one.
 	Graph *WireGraph `json:"graph,omitempty"`
-	// SolverWork rides with Graph: the solver budget the request's
-	// analyzer solves under before any degraded-retry growth (0 =
-	// unlimited), so the fleet coordinator solves the merged batch under
-	// the shards' budget.
+	// SolverWork rides with Graph: the solver budget the request was
+	// posed under (Response.SolverWork; 0 = unlimited), so the fleet
+	// coordinator solves the merged batch under the shards' budget.
 	SolverWork int64 `json:"solver_work,omitempty"`
 }
 
@@ -161,17 +160,17 @@ func (s *Service) Handler() http.Handler {
 func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("decoding request: %w", err))
+		WriteError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	secret, err := pickInput(req.SecretB64, req.Secret)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("secret: %w", err))
+		WriteError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("secret: %w", err))
 		return
 	}
 	public, err := pickInput(req.PublicB64, req.Public)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("public: %w", err))
+		WriteError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("public: %w", err))
 		return
 	}
 
@@ -211,7 +210,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if ra := retryAfterHint(status, err); ra != "" {
 			w.Header().Set("Retry-After", ra)
 		}
-		writeError(w, status, kind, err)
+		WriteError(w, status, kind, err)
 		return
 	}
 	res := resp.Result
@@ -252,10 +251,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.IncludeGraph && res.Graph != nil {
 		out.Graph = EncodeGraph(res.Graph)
-		out.SolverWork = s.lookup(resp.Program).cfg.Budget.SolverWork
-		if sreq.Budget != nil {
-			out.SolverWork = sreq.Budget.SolverWork
-		}
+		out.SolverWork = resp.SolverWork
 	}
 	if res.Rung != "" {
 		w.Header().Set("X-Flow-Rung", res.Rung)
@@ -274,11 +270,11 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("X-Flow-Budget-Remaining", fmt.Sprint(rem))
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 // statzCache is one cache's /statz rendering: the raw snapshot plus the
@@ -304,12 +300,12 @@ type statzService struct {
 	Draining  bool   `json:"draining"`
 }
 
-// handleStatz serves operational observability: process identity (start
-// time, uptime, build version), cache counters with per-stage hit ratios
-// for both the service cache (result, class graph, class set) and the
-// process-global cache (compile/static), per-program breaker state and
-// retry counters, and the leakage-budget ledger (bits per query,
-// cumulative vs. budget, principals near threshold).
+// handleStatz serves operational observability from one Stats snapshot:
+// process identity (start time, uptime, build version), cache counters
+// with per-stage hit ratios for the service cache (result, class graph)
+// and the process-global one (compile/static, read beside the snapshot),
+// per-program breaker state and retry counters, and the leakage-budget
+// ledger (bits per query, cumulative vs. budget, principals near threshold).
 func (s *Service) handleStatz(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	resp := struct {
@@ -323,13 +319,13 @@ func (s *Service) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Ledger        *ledger.Stats    `json:"ledger,omitempty"`
 	}{
 		Service: statzService{
-			StartTime: s.start.UTC().Format(time.RFC3339),
-			UptimeMS:  time.Since(s.start).Milliseconds(),
-			Version:   s.version,
-			Draining:  s.draining.Load(),
+			StartTime: st.StartTime,
+			UptimeMS:  st.UptimeMS,
+			Version:   st.Version,
+			Draining:  st.Draining,
 		},
-		CacheEnabled:  s.cache != nil,
-		CacheFastPath: s.cacheFast.Load(),
+		CacheEnabled:  st.Cache != nil,
+		CacheFastPath: st.CacheFastPath,
 		GlobalCache:   renderStatz(engine.GlobalCacheStats()),
 		Rungs: map[string]int64{
 			engine.RungTrivial: st.RungTrivial,
@@ -337,24 +333,21 @@ func (s *Service) handleStatz(w http.ResponseWriter, r *http.Request) {
 			engine.RungFull:    st.RungFull,
 		},
 		Programs: st.Programs,
+		Ledger:   st.Ledger,
 	}
-	if s.cache != nil {
-		sc := renderStatz(s.cache.Stats())
+	if st.Cache != nil {
+		sc := renderStatz(*st.Cache)
 		resp.Cache = &sc
 	}
-	if s.opts.Ledger != nil {
-		lst := s.opts.Ledger.Stats()
-		resp.Ledger = &lst
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // httpStatus maps the service and engine failure taxonomies onto HTTP:
@@ -408,6 +401,12 @@ func retryAfterHint(status int, err error) string {
 	case status != http.StatusServiceUnavailable:
 		return ""
 	}
+	return RetryAfter(d)
+}
+
+// RetryAfter renders d as a Retry-After value: whole seconds, rounded up,
+// at least 1.
+func RetryAfter(d time.Duration) string {
 	secs := int64((d + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -425,7 +424,8 @@ func pickInput(b64, lit string) ([]byte, error) {
 	return nil, nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body of a status response.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -433,6 +433,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, kind string, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Kind: kind})
+// WriteError writes err as an ErrorResponse body of kind.
+func WriteError(w http.ResponseWriter, status int, kind string, err error) {
+	WriteJSON(w, status, ErrorResponse{Error: err.Error(), Kind: kind})
 }

@@ -22,7 +22,8 @@
 //     one request after a cooldown before closing again.
 //   - Crash-isolated worker recycling, delegated to the engine: sessions
 //     that recovered a panic or outgrew the engine's high-water mark
-//     are discarded rather than pooled (engine.PoolStats counts the churn).
+//     are discarded rather than pooled. Every request and retry on a
+//     program draws on its one pool, whose churn engine.PoolStats counts.
 //   - Graceful drain: StartDrain stops admitting, Drain waits for
 //     in-flight work; the HTTP layer maps these onto /readyz and SIGTERM.
 //
@@ -169,14 +170,15 @@ type Request struct {
 	// Inputs is the execution's secret/public input pair.
 	Inputs engine.Inputs
 	// Budget, when non-nil, overrides the program's configured budget for
-	// this request (served by a one-off analyzer, bypassing the session
-	// pool). Budget-growth retries still apply on top of it.
+	// this request, on an analyzer sharing the program's session pool.
+	// Budget-growth retries still apply on top of it.
 	Budget *engine.Budget
 	// Precision, when non-empty, overrides the program's precision-ladder
 	// mode for this request: "trivial", "static", "full", or "adaptive"
-	// (engine.ParsePrecision). Like Budget, a precision override is served
-	// by a one-off analyzer; the cheap rungs never execute the guest, and
-	// the static rung answers from the process-global static cache.
+	// (engine.ParsePrecision). Like Budget, a precision override runs on a
+	// derived analyzer sharing the program's session pool; the cheap rungs
+	// never execute the guest, and the static rung answers from the
+	// process-global static cache.
 	Precision string
 	// AdaptiveThreshold is the adaptive mode's escalation threshold in
 	// bits: the full solve runs only while the cheap bounds exceed it.
@@ -203,14 +205,15 @@ type Response struct {
 	// Classes holds the per-class measurements for class requests, in
 	// request order; nil otherwise.
 	Classes []engine.ClassResult
+	// SolverWork is the solver budget the request was posed under (its
+	// override or the program's) before any retry growth; 0 is unlimited.
+	SolverWork int64
 }
 
-// program is one registered program: its analyzer, its base config, and
-// its circuit breaker.
+// program is one registered program: its analyzer, whose session pool
+// serves every request and retry, and its circuit breaker.
 type program struct {
 	name     string
-	prog     *vm.Program
-	cfg      engine.Config
 	analyzer *engine.Analyzer
 	br       breaker
 	// retries counts this program's retried attempts (the per-program
@@ -332,10 +335,6 @@ func New(opts Options) *Service {
 	return s
 }
 
-// Cache returns the service's shared stage cache; nil when caching is
-// disabled.
-func (s *Service) Cache() *stagecache.Cache { return s.cache }
-
 // Register adds (or replaces) a program under the given name.
 func (s *Service) Register(name string, prog *vm.Program, cfg engine.Config) {
 	if cfg.Cache == nil {
@@ -351,8 +350,6 @@ func (s *Service) Register(name string, prog *vm.Program, cfg engine.Config) {
 	}
 	p := &program{
 		name:     name,
-		prog:     prog,
-		cfg:      cfg,
 		analyzer: engine.New(prog, cfg),
 		br:       breaker{name: name, threshold: s.brThreshold, cooldown: s.brCooldown},
 	}
@@ -403,7 +400,7 @@ func (s *Service) Analyze(ctx context.Context, req Request) (*Response, error) {
 			}
 		}
 	}
-	inj := p.cfg.Fault.Run(0)
+	inj := p.analyzer.Config().Fault.Run(0)
 
 	// Leakage-budget gate: charge the pessimistic estimate durably before
 	// anything runs — before even the cache fast path, since a cached
@@ -486,16 +483,16 @@ func (p *program) ledgerEstimate(in engine.Inputs) int64 {
 // serveAdmitted is everything past the ledger gate: cache fast path,
 // breaker check, admission, run/retry loop.
 func (s *Service) serveAdmitted(ctx context.Context, p *program, req Request, inj fault.Injection) (*Response, error) {
+	an := analyzerFor(p, req)
 	// Warm-program fast path: a full cache hit is answered before the
 	// breaker, the queue, and the worker pool — it costs one lookup and
-	// touches no session. Budget and precision overrides are served by
-	// one-off analyzers, so they always take the slow path (the cheap
-	// precision rungs are themselves no-execution answers); class requests
-	// re-solve their views on the engine's cached class graph; a draining
-	// service refuses even warm requests (readyz has already failed the
-	// balancer).
-	if req.Budget == nil && req.Precision == "" && len(req.Classes) == 0 && !s.draining.Load() {
-		if res, ok := p.analyzer.Cached(req.Inputs); ok {
+	// touches no session. Budget and precision overrides always take the
+	// slow path (the cheap precision rungs are themselves no-execution
+	// answers); class requests re-solve their views on the engine's cached
+	// class graph; a draining service refuses even warm requests (readyz
+	// has already failed the balancer).
+	if an == p.analyzer && len(req.Classes) == 0 && !s.draining.Load() {
+		if res, ok := an.Cached(req.Inputs); ok {
 			s.cacheFast.Add(1)
 			s.countRung(res.Rung)
 			s.log.Info("analyze",
@@ -507,7 +504,7 @@ func (s *Service) serveAdmitted(ctx context.Context, p *program, req Request, in
 				"cache", res.Cache.Disposition,
 				"latency", res.Stages.Lookup,
 			)
-			return &Response{Program: p.name, Attempts: 0, Result: res}, nil
+			return &Response{Program: p.name, Attempts: 0, Result: res, SolverWork: an.Config().Budget.SolverWork}, nil
 		}
 	}
 
@@ -533,7 +530,7 @@ func (s *Service) serveAdmitted(ctx context.Context, p *program, req Request, in
 		s.inflightN.Add(-1)
 		s.inflight.Done()
 	}()
-	return s.attempts(ctx, p, req, inj)
+	return s.attempts(ctx, p, an, req, inj)
 }
 
 // admit is the admission gate: it sheds when the queue is full or the
@@ -582,16 +579,20 @@ func (s *Service) admit(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// attempts is the run/retry loop for one admitted request, holding a
-// worker slot throughout. Retries run at once: the run is deterministic,
-// so waiting before one would change nothing but how long the slot is
-// held.
-func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fault.Injection) (*Response, error) {
+// attempts is the run/retry loop for one admitted request posed to base,
+// holding a worker slot throughout. Retries run at once: the run is
+// deterministic, so waiting before one would change nothing but how long
+// the slot is held.
+func (s *Service) attempts(ctx context.Context, p *program, base *engine.Analyzer, req Request, inj fault.Injection) (*Response, error) {
+	cfg := base.Config()
 	var scale int64 = 1         // budget growth factor for this attempt
 	var degraded *engine.Result // best degraded result seen so far
 	var degradedAttempt int
 	for attempt := 1; ; attempt++ {
-		an := s.analyzerFor(p, req, scale)
+		an := base
+		if scale > 1 {
+			an = base.With(growBudget(cfg.Budget, scale), cfg.Precision, cfg.AdaptiveThreshold)
+		}
 		s.started.Add(1)
 		t0 := time.Now()
 		var res *engine.Result
@@ -617,7 +618,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 			// degraded by design and retrying them would change nothing.
 			// Class requests never degraded-retry: the per-class views
 			// would need their own budgets to be worth re-solving.
-			if len(req.Classes) == 0 && res.Degraded && res.Graph != nil && s.opts.RetryDegraded && attempt < maxAttempts && an.Config().Budget.SolverWork > 0 {
+			if len(req.Classes) == 0 && res.Degraded && res.Graph != nil && s.opts.RetryDegraded && attempt < maxAttempts && cfg.Budget.SolverWork > 0 {
 				// A degraded result is sound but loose; remember it and
 				// retry with the solver budget grown. If no retry solves
 				// exactly, the degraded bound is still the answer.
@@ -646,7 +647,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 				"latency", lat,
 				"inject", inj.String(),
 			)
-			return &Response{Program: p.name, Attempts: attempt, Result: res, Classes: classes}, nil
+			return &Response{Program: p.name, Attempts: attempt, Result: res, Classes: classes, SolverWork: cfg.Budget.SolverWork}, nil
 		}
 
 		// Feed the breaker before deciding on a retry.
@@ -672,7 +673,7 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 				s.completed.Add(1)
 				s.countRung(degraded.Rung)
 				s.logOutcome(p, attempt, "degraded-kept", lat, err, inj)
-				return &Response{Program: p.name, Attempts: degradedAttempt, Result: degraded}, nil
+				return &Response{Program: p.name, Attempts: degradedAttempt, Result: degraded, SolverWork: cfg.Budget.SolverWork}, nil
 			}
 			s.failed.Add(1)
 			s.logOutcome(p, attempt, "failed", lat, err, inj)
@@ -685,29 +686,23 @@ func (s *Service) attempts(ctx context.Context, p *program, req Request, inj fau
 	}
 }
 
-// analyzerFor picks the pooled per-program analyzer, or builds a one-off
-// one when the request overrides the budget or precision, or a retry grew
-// the budget.
-func (s *Service) analyzerFor(p *program, req Request, scale int64) *engine.Analyzer {
-	if req.Budget == nil && req.Precision == "" && scale == 1 {
+// analyzerFor returns the analyzer a request is posed to: the program's
+// own, or, for a Budget or Precision override, one derived from it that
+// shares its session pool, counters and static analysis.
+func analyzerFor(p *program, req Request) *engine.Analyzer {
+	if req.Budget == nil && req.Precision == "" {
 		return p.analyzer
 	}
-	cfg := p.cfg
+	cfg := p.analyzer.Config()
+	b, prec, thr := cfg.Budget, cfg.Precision, cfg.AdaptiveThreshold
 	if req.Budget != nil {
-		cfg.Budget = *req.Budget
+		b = *req.Budget
 	}
 	if req.Precision != "" {
-		// Validated at the top of Analyze; an unparseable value cannot
-		// reach here.
-		if prec, err := engine.ParsePrecision(req.Precision); err == nil {
-			cfg.Precision = prec
-			cfg.AdaptiveThreshold = req.AdaptiveThreshold
-		}
+		prec, _ = engine.ParsePrecision(req.Precision) // validated in Analyze
+		thr = req.AdaptiveThreshold
 	}
-	if scale > 1 {
-		cfg.Budget = growBudget(cfg.Budget, scale)
-	}
-	return engine.New(p.prog, cfg)
+	return p.analyzer.With(b, prec, thr)
 }
 
 // countRung attributes one successful response to the precision-ladder
@@ -723,21 +718,13 @@ func (s *Service) countRung(rung string) {
 	}
 }
 
-// growBudget scales every finite cap of b by k; unlimited (zero) caps stay
+// growBudget scales every cap of b by k; unlimited (zero) caps stay
 // unlimited.
 func growBudget(b engine.Budget, k int64) engine.Budget {
-	if b.MaxGraphNodes > 0 {
-		b.MaxGraphNodes = int(int64(b.MaxGraphNodes) * k)
-	}
-	if b.MaxGraphEdges > 0 {
-		b.MaxGraphEdges = int(int64(b.MaxGraphEdges) * k)
-	}
-	if b.MaxOutputBytes > 0 {
-		b.MaxOutputBytes = int(int64(b.MaxOutputBytes) * k)
-	}
-	if b.SolverWork > 0 {
-		b.SolverWork *= k
-	}
+	b.MaxGraphNodes *= int(k)
+	b.MaxGraphEdges *= int(k)
+	b.MaxOutputBytes *= int(k)
+	b.SolverWork *= k
 	return b
 }
 
