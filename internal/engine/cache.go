@@ -204,12 +204,11 @@ func stampCacheHit(res *Result, lookup time.Duration, key cachekey.Key) *Result 
 // into small per-element constants.
 
 const (
-	edgeBytes     = int64(unsafe.Sizeof(flowgraph.Edge{}))
-	ctxBytes      = 8  // one context word of a collapsed graph
-	instrBytes    = 16 // vm.Instr
-	perDiagBytes  = 64 // warnings, lint findings, run summaries (strings dominate)
-	structOverhd  = 512
-	edgeFlowBytes = 8
+	edgeBytes    = int64(unsafe.Sizeof(flowgraph.Edge{}))
+	ctxBytes     = 8  // one context word of a collapsed graph
+	instrBytes   = 16 // vm.Instr
+	perDiagBytes = 64 // warnings, lint findings, run summaries (strings dominate)
+	structOverhd = 512
 )
 
 func estimateProgramBytes(p *vm.Program) int64 {
@@ -246,11 +245,8 @@ func estimateResultBytes(r *Result) int64 {
 	if r.Graph != nil {
 		n += int64(cap(r.Graph.Edges))*edgeBytes + int64(cap(r.Graph.Ctx))*ctxBytes
 	}
-	if r.Flow != nil {
-		n += int64(len(r.Flow.EdgeFlow)) * edgeFlowBytes
-	}
 	if r.Cut != nil {
-		n += int64(len(r.Cut.EdgeIndex))*8 + int64(len(r.Cut.SourceSide))
+		n += int64(len(r.Cut.EdgeIndex)) * 8
 	}
 	n += int64(len(r.Output))
 	n += int64(len(r.Warnings)) * perDiagBytes

@@ -345,14 +345,13 @@ func trivialCutBits(g *flowgraph.Graph, view *flowgraph.CapacityView) int64 {
 // solver work budget (0 = unlimited). When the budget runs out, or exhaust
 // injects that it did, the bound degrades to trivialCutBits at the same
 // capacities instead of failing. The returned Result carries only the
-// bound: Graph, Bits, Rung, Flow and Cut (both nil when degraded), and the
-// degradation.
+// bound: Graph, Bits, Rung, Cut (nil when degraded), and the degradation.
 func solveBound(solver *maxflow.Solver, g *flowgraph.Graph, csr *flowgraph.CSR, view *flowgraph.CapacityView, work int64, exhaust bool) *Result {
 	reason := "injected solver-work exhaustion"
 	if !exhaust {
 		flow, exhausted := solver.Solve(csr, view, work)
 		if !exhausted {
-			return &Result{Graph: g, Bits: flow.Flow, Rung: RungFull, Flow: flow, Cut: flow.MinCut()}
+			return &Result{Graph: g, Bits: flow.Flow, Rung: RungFull, Cut: flow.MinCut()}
 		}
 		reason = fmt.Sprintf("solver work budget (%d) exhausted", work)
 	}

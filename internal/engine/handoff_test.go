@@ -8,7 +8,6 @@ import (
 	"flowcheck/internal/fault"
 	"flowcheck/internal/flowgraph"
 	"flowcheck/internal/guest"
-	"flowcheck/internal/maxflow"
 	"flowcheck/internal/taint"
 	"flowcheck/internal/workload"
 )
@@ -41,7 +40,7 @@ func TestTakenGraphSurvivesSessionReuse(t *testing.T) {
 	if !slices.Equal(first.Graph.Edges, edges) || first.Graph.NumNodes() != nodes {
 		t.Fatal("a later run on the same session changed the first run's graph")
 	}
-	if err := maxflow.Certify(first.Graph, nil, first.Flow); err != nil {
+	if err := certifyAnswer(first.Graph, nil, first); err != nil {
 		t.Fatalf("first run's flow no longer certifies: %v", err)
 	}
 	if first.Stats != stats || first.Mem != mem {

@@ -63,8 +63,8 @@ func TestTrivialRungNoExecution(t *testing.T) {
 		t.Fatalf("trivial rung: bits=%d rung=%q degraded=%v, want 48/trivial/true",
 			res.Bits, res.Rung, res.Degraded)
 	}
-	if res.Graph != nil || res.Flow != nil || res.Cut != nil {
-		t.Error("trivial rung produced a graph/flow/cut")
+	if res.Graph != nil || res.Cut != nil {
+		t.Error("trivial rung produced a graph/cut")
 	}
 	if got := a.Pool(); got.Created != 0 {
 		t.Errorf("trivial rung drew %d sessions, want 0", got.Created)

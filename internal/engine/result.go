@@ -23,10 +23,11 @@ type Result struct {
 	// capacity of edges into the sink (§7).
 	TaintedOutputBits int64
 
-	// Graph is the constructed flow network; Flow and Cut the max-flow
-	// result and a minimum cut over it.
+	// Graph is the constructed flow network and Cut a minimum cut over it,
+	// nil when Bits is not a solved max flow. Bits is the flow's value; the
+	// flow on each edge is not kept. A check that needs it lays Graph out
+	// again, solves it and reads maxflow's (*Solver).EdgeFlow.
 	Graph *flowgraph.Graph
-	Flow  *maxflow.Result
 	Cut   *maxflow.Cut
 
 	// Execution facts. For multi-run results these are the last run's; the

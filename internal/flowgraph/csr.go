@@ -36,11 +36,6 @@ type CSR struct {
 	Node     []int32
 	ChainArc []int32
 	ChainCap []int64
-
-	// stamp is BuildCSR's scratch: first, per kept node w, the last arc
-	// laid out into w, so chains from one head to w find their arc without
-	// a map; then the chains bucketed by head.
-	stamp []int32
 }
 
 // NumEdges reports the number of edges of the laid-out graph.
@@ -64,7 +59,7 @@ func (c *CSR) Next(e int) int {
 
 // Bytes reports the capacity of c's own arrays in bytes (Edges is g's).
 func (c *CSR) Bytes() int64 {
-	return 4*int64(cap(c.HStart)+cap(c.HArcs)+cap(c.To)+cap(c.Node)+cap(c.ChainArc)+cap(c.stamp)) +
+	return 4*int64(cap(c.HStart)+cap(c.HArcs)+cap(c.To)+cap(c.Node)+cap(c.ChainArc)) +
 		8*int64(cap(c.ChainCap))
 }
 
@@ -131,13 +126,16 @@ func (g *Graph) BuildCSR(c *CSR) {
 	}
 
 	// Bucket the chains by head, then give each head one arc per distinct
-	// end. The bucket and stamp share one scratch array. A first pass over
-	// the buckets counts the arcs, so To and HArcs are sized once, at
-	// exactly 2·arcs, and a fresh CSR never regrows.
+	// end. The bucket and stamp share one scratch array: stamp holds, per
+	// kept node w, the last arc laid out into w, so chains from one head
+	// to w find their arc without a map. The CSR does not keep the
+	// scratch, so it is garbage before the solve that follows. A first
+	// pass over the buckets counts the arcs, so To and HArcs are sized
+	// once, at exactly 2·arcs, and a fresh CSR never regrows.
 	for r := int32(0); r < kept; r++ {
 		heads[r+1] += heads[r]
 	}
-	scratch := growI32(c.stamp, int(kept)+chains)
+	scratch := make([]int32, int(kept)+chains)
 	stamp, order := scratch[:kept], scratch[kept:]
 	for i, ch := 0, int32(0); i < len(edges); i++ {
 		if x := node[edges[i].From]; x >= 0 {
@@ -179,7 +177,7 @@ func (g *Graph) BuildCSR(c *CSR) {
 		}
 		start = heads[u]
 	}
-	c.HStart, c.To, c.stamp = heads, to, scratch
+	c.HStart, c.To = heads, to
 	c.index(int(kept))
 }
 

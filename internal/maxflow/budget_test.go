@@ -45,12 +45,16 @@ func TestSolveBudgetedExhaustsAndUnderestimates(t *testing.T) {
 	g := budgetGraph(1)
 	exact := Compute(g).Flow
 
-	partial, exhausted := NewSolver().Solve(csrOf(g), nil, 10)
+	c, s := csrOf(g), NewSolver()
+	partial, exhausted := s.Solve(c, nil, 10)
 	if !exhausted {
 		t.Fatalf("budget 10 on %d-edge graph not exhausted", g.NumEdges())
 	}
 	if partial.Flow > exact {
 		t.Fatalf("partial flow %d exceeds exact max flow %d", partial.Flow, exact)
+	}
+	if Certify(g, nil, partial.Flow, s.EdgeFlow(c), partial.MinCut()) == nil {
+		t.Fatal("a partial flow passed the certificate")
 	}
 
 	full, exhausted := NewSolver().Solve(csrOf(g), nil, 1<<40)

@@ -9,26 +9,29 @@
 // A Solver owns the residual network and the scratch buffers and reuses
 // them across Solve calls on one layout (the per-class view solves of a
 // class graph). The engine gives each run its own Solver, so nothing
-// sized by a graph outlives the run that solved it. Solve runs on the graph's series–parallel-reduced layout
-// (flowgraph.CSR) and reports flow and cut on the graph itself; Certify
-// checks such an answer; Compute is the one-shot convenience wrapper over
-// a Graph.
+// sized by a graph outlives the run that solved it. Solve runs on the
+// graph's series–parallel-reduced layout (flowgraph.CSR) and reports what
+// the analysis reads: the flow value and a minimum cut over the graph's own
+// edges. The flow on each edge is derived only on demand (EdgeFlow), from
+// the residuals the solver keeps; Certify checks such an answer; Compute is
+// the one-shot convenience wrapper over a Graph.
 package maxflow
 
 import (
 	"math"
+	"slices"
 
 	"flowcheck/internal/flowgraph"
 )
 
-// Result holds a computed maximum flow and its minimum cut. It is
+// Result holds a computed maximum flow value and its minimum cut. It is
 // self-contained: it does not reference solver scratch buffers, so it stays
-// valid after the solver moves on to other graphs.
+// valid after the solver moves on to other graphs. It holds no per-edge
+// flow; (*Solver).EdgeFlow derives that from the solver until its next
+// Solve.
 type Result struct {
 	// Flow is the value of the maximum flow from Source to Sink, in bits.
 	Flow int64
-	// EdgeFlow[i] is the flow routed through graph edge i.
-	EdgeFlow []int64
 
 	cut *Cut
 }
@@ -61,16 +64,21 @@ func (net *network) attach(c *flowgraph.CSR, chainCap []int64) {
 	net.to = c.To
 	resid := i64n(net.resid, len(c.To))
 	clear(resid)
+	sumChains(resid, c, chainCap, 0)
+	net.resid = resid
+}
+
+// sumChains adds each chain's capacity into resid[2a+dir] of its arc a.
+// The sum saturates rather than wraps: only a sum past 2^63 is affected,
+// and no flow of that size can cross the arc anyway.
+func sumChains(resid []int64, c *flowgraph.CSR, chainCap []int64, dir int32) {
 	for ch, a := range c.ChainArc {
-		// Saturate rather than wrap: only a sum past 2^63 is affected,
-		// and no flow of that size can cross the arc anyway.
-		if sum := resid[2*a] + chainCap[ch]; sum >= 0 {
-			resid[2*a] = sum
+		if sum := resid[2*a+dir] + chainCap[ch]; sum >= 0 {
+			resid[2*a+dir] = sum
 		} else {
-			resid[2*a] = math.MaxInt64
+			resid[2*a+dir] = math.MaxInt64
 		}
 	}
-	net.resid = resid
 }
 
 // Solver computes maximum flows with reusable buffers: the residual network
@@ -93,9 +101,14 @@ type Solver struct {
 	queue []int32
 
 	// Result mapping scratch: residual reachability over the reduced
-	// network, and chain capacities under a view.
+	// network; under a view, each view edge's position in the view plus
+	// one (zero elsewhere, restored when Solve returns) and the chain
+	// capacities. caps is the last solve's chain capacities, the CSR's own
+	// or chainCap, which EdgeFlow hands the arc flows out over.
 	seen     []bool
+	viewAt   []int32
 	chainCap []int64
+	caps     []int64
 }
 
 // NewSolver returns a solver with empty buffers.
@@ -103,7 +116,7 @@ func NewSolver() *Solver { return &Solver{} }
 
 // Bytes reports the capacity of the solver's pooled slices in bytes.
 func (s *Solver) Bytes() int64 {
-	return 4*int64(cap(s.level)+cap(s.iter)+cap(s.queue)) +
+	return 4*int64(cap(s.level)+cap(s.iter)+cap(s.queue)+cap(s.viewAt)) +
 		8*int64(cap(s.net.resid)+cap(s.chainCap)) +
 		int64(cap(s.seen))
 }
@@ -112,10 +125,10 @@ func (s *Solver) Bytes() int64 {
 // as the CSR c, reusing the solver's buffers. The solver runs on c's
 // reduced network and aliases its topology, so c must not be modified
 // until Solve returns. The Result speaks of the laid-out graph itself:
-// Result.EdgeFlow[i] is the flow through its edge i, Cut.EdgeIndex
-// indexes its edges and Cut.SourceSide its nodes. The returned Result
-// (including its cut) is detached from the solver and stays valid across
-// subsequent Solve calls.
+// Cut.EdgeIndex indexes its edges. The returned Result (including its
+// cut) is detached from the solver and stays valid across subsequent
+// Solve calls; the solver keeps the terminal residuals, from which
+// EdgeFlow derives the flow on each edge until the next Solve.
 //
 // Mapping back is exact. An arc's flow is split greedily over its chains
 // in chain order, and a chain carries its flow on every edge. A kept node
@@ -125,13 +138,16 @@ func (s *Solver) Bytes() int64 {
 // chain's end along the chain's flow. That is the residual reachability
 // of the mapped flow on the graph itself, and the set reachable from
 // Source is the same for every maximum flow, so the cut is the one a
-// solve of the unreduced graph reports, edge for edge.
+// solve of the unreduced graph reports, edge for edge. Sides are worked
+// out chain by chain as the cut is read off; no per-node or per-edge
+// array is built.
 //
 // A non-nil view replaces the per-edge capacities before the solve, so N
 // per-class solves share one CSR (topology untouched; chain and arc
-// capacities are re-aggregated per solve in O(E)). EdgeFlow and the min
-// cut are then reported against the view-effective capacities; edges the
-// view zeroes never appear in the cut. A nil view solves the CSR as-is.
+// capacities are re-aggregated per solve in O(E) over solver-owned
+// scratch). The min cut is then reported against the view-effective
+// capacities; edges the view zeroes never appear in the cut. A nil view
+// solves the CSR as-is.
 //
 // work bounds the solve (work <= 0 means unlimited). Solve charges the
 // layout one unit per graph edge and Dinic one unit per arc examination.
@@ -141,27 +157,64 @@ func (s *Solver) Bytes() int64 {
 // bound, and its cut is not a minimum cut. Callers needing a sound bound
 // under exhaustion should fall back to a trivial cut.
 func (s *Solver) Solve(c *flowgraph.CSR, view *flowgraph.CapacityView, work int64) (*Result, bool) {
-	res := &Result{EdgeFlow: make([]int64, c.NumEdges())}
-	chainCap := c.ChainCap
+	s.caps = c.ChainCap
 	if view != nil {
-		chainCap = s.viewChainCaps(c, view, res.EdgeFlow)
+		s.markView(c, view)
+		defer s.unmarkView(view)
+		s.caps = s.viewChainCaps(c, view)
 	}
-	s.net.attach(c, chainCap)
+	s.net.attach(c, s.caps)
 	s.limit, s.spent, s.exhausted = work, int64(c.NumEdges()), false
+	res := &Result{}
 	if s.net.n > int(flowgraph.Sink) {
 		res.Flow = s.dinic()
 	}
-	res.cut = s.expand(c, view, chainCap, res.EdgeFlow)
+	res.cut = s.expand(c, view)
 	return res, s.exhausted
 }
 
-// viewChainCaps returns every chain's capacity under view. It also leaves
-// each view edge's capacity in edgeFlow as ^cap (edgeFlow is all zeros on
-// entry), where expand reads it before writing the edge's flow.
-func (s *Solver) viewChainCaps(c *flowgraph.CSR, view *flowgraph.CapacityView, edgeFlow []int64) []int64 {
+// EdgeFlow returns the flow through each edge of the graph laid out as c,
+// which must be the CSR of the solver's last Solve: each arc's flow handed
+// out over its chains as Solve maps it. It allocates the slice on every
+// call; nothing else keeps per-edge flow. After a budget-exhausted solve it
+// is the partial flow.
+func (s *Solver) EdgeFlow(c *flowgraph.CSR) []int64 {
+	flow := make([]int64, c.NumEdges())
+	s.handOut(c, func(head int, _ int32, f int64) {
+		for e := head; e >= 0; e = c.Next(e) {
+			flow[e] = f
+		}
+	})
+	return flow
+}
+
+// markView records each view edge's position in viewAt, which is all
+// zeros on entry; unmarkView clears the marks again.
+func (s *Solver) markView(c *flowgraph.CSR, view *flowgraph.CapacityView) {
+	s.viewAt = i32n(s.viewAt, c.NumEdges())
 	for k, ei := range view.Edge {
-		edgeFlow[ei] = ^view.Cap[k]
+		s.viewAt[ei] = int32(k + 1)
 	}
+}
+
+func (s *Solver) unmarkView(view *flowgraph.CapacityView) {
+	for _, ei := range view.Edge {
+		s.viewAt[ei] = 0
+	}
+}
+
+// effCap is edge e's capacity under view (nil: its own).
+func (s *Solver) effCap(c *flowgraph.CSR, view *flowgraph.CapacityView, e int) int64 {
+	if view != nil {
+		if k := s.viewAt[e]; k > 0 {
+			return view.Cap[k-1]
+		}
+	}
+	return c.Edges[e].Cap
+}
+
+// viewChainCaps returns every chain's capacity under the marked view.
+func (s *Solver) viewChainCaps(c *flowgraph.CSR, view *flowgraph.CapacityView) []int64 {
 	caps := i64n(s.chainCap, len(c.ChainArc))
 	for i, ch := 0, 0; i < c.NumEdges(); i++ {
 		if !c.ChainHead(i) {
@@ -169,22 +222,13 @@ func (s *Solver) viewChainCaps(c *flowgraph.CSR, view *flowgraph.CapacityView, e
 		}
 		m := int64(math.MaxInt64)
 		for e := i; e >= 0; e = c.Next(e) {
-			m = min(m, effCap(c, edgeFlow, e))
+			m = min(m, s.effCap(c, view, e))
 		}
 		caps[ch] = m
 		ch++
 	}
 	s.chainCap = caps
 	return caps
-}
-
-// effCap is edge e's capacity, or its view capacity when viewChainCaps
-// marked it in edgeFlow.
-func effCap(c *flowgraph.CSR, edgeFlow []int64, e int) int64 {
-	if x := edgeFlow[e]; x < 0 {
-		return ^x
-	}
-	return c.Edges[e].Cap
 }
 
 // viewCursor resolves view-effective capacities for ascending edge
@@ -308,9 +352,6 @@ type Cut struct {
 	// Capacity is the total capacity of the cut edges; by max-flow/min-cut
 	// it equals the maximum flow value.
 	Capacity int64
-	// SourceSide[v] reports whether node v is reachable from Source in the
-	// residual graph.
-	SourceSide []bool
 }
 
 // MinCut returns the minimum cut derived from the computed maximum flow
@@ -320,60 +361,63 @@ type Cut struct {
 func (r *Result) MinCut() *Cut { return r.cut }
 
 // expand maps the terminal residual network back onto the laid-out graph
-// (see Solve): it fills edgeFlow, and returns the cut over the graph's own
-// nodes and edges. SourceSide escapes into the Cut, so it is allocated
-// fresh. Crossing edges count at their view-effective capacity, and
-// view-zeroed edges are skipped.
-func (s *Solver) expand(c *flowgraph.CSR, view *flowgraph.CapacityView, chainCap, edgeFlow []int64) *Cut {
+// (see Solve) and returns the cut over the graph's own edges, in edge
+// order. Walking each chain from its head, it carries the side of the
+// edge's tail and works out the side of its head. Crossing edges count at
+// their view-effective capacity, and view-zeroed edges are skipped. An
+// edge on a cycle of interior nodes is on no chain; nothing reaches such
+// a cycle, so it never crosses the cut.
+func (s *Solver) expand(c *flowgraph.CSR, view *flowgraph.CapacityView) *Cut {
 	net := &s.net
 	seen := s.reach()
-	side := make([]bool, len(c.Node))
-	for v, r := range c.Node {
-		if r >= 0 {
-			side[v] = seen[r]
+	cut := &Cut{}
+	s.handOut(c, func(head int, a int32, f int64) {
+		from := seen[net.to[2*a+1]]
+		fwd := from
+		back := f > 0 && seen[net.to[2*a]]
+		for e := head; e >= 0; e = c.Next(e) {
+			capi := s.effCap(c, view, e)
+			fwd = fwd && f < capi
+			to := fwd || back
+			if c.Node[c.Edges[e].To] >= 0 {
+				to = seen[net.to[2*a]]
+			}
+			if from && !to && (view == nil || capi > 0) {
+				cut.EdgeIndex = append(cut.EdgeIndex, e)
+				cut.Capacity += capi
+			}
+			from = to
 		}
-	}
+	})
+	slices.Sort(cut.EdgeIndex)
+	return cut
+}
+
+// handOut splits each arc's flow, its reverse residual, greedily over the
+// arc's chains in chain order, and calls visit with each chain's first
+// edge, its arc and its flow. The split consumes the reverse residuals;
+// handOut rebuilds them before it returns, since an arc's two residuals
+// always sum to its capacity. So the residuals stay those Dinic left, and
+// EdgeFlow can split them again.
+func (s *Solver) handOut(c *flowgraph.CSR, visit func(head int, a int32, f int64)) {
+	resid := s.net.resid
 	for i, ch := 0, 0; i < c.NumEdges(); i++ {
 		if !c.ChainHead(i) {
 			continue
 		}
-		// The arc's reverse residual is its flow; hand it out to the
-		// arc's chains in order.
 		a := c.ChainArc[ch]
-		f := min(net.resid[2*a+1], chainCap[ch])
-		net.resid[2*a+1] -= f
+		f := min(resid[2*a+1], s.caps[ch])
+		resid[2*a+1] -= f
 		ch++
-		fwd := seen[net.to[2*a+1]]
-		back := f > 0 && seen[net.to[2*a]]
-		for e := i; e >= 0; e = c.Next(e) {
-			fwd = fwd && f < effCap(c, edgeFlow, e)
-			edgeFlow[e] = f
-			if v := c.Edges[e].To; c.Node[v] < 0 {
-				side[v] = fwd || back
-			}
-		}
+		visit(i, a, f)
 	}
-	if view != nil {
-		// A view edge on a cycle of interior nodes is on no chain: it
-		// carries no flow, but still holds its mark.
-		for _, ei := range view.Edge {
-			edgeFlow[ei] = max(edgeFlow[ei], 0)
-		}
+	for a := 1; a < len(resid); a += 2 {
+		resid[a] = 0
 	}
-	cut := &Cut{SourceSide: side}
-	cur := viewCursor{view: view}
-	for i := range c.Edges {
-		e := &c.Edges[i]
-		if side[e.From] && !side[e.To] {
-			capi := cur.cap(i, e.Cap)
-			if view != nil && capi == 0 {
-				continue
-			}
-			cut.EdgeIndex = append(cut.EdgeIndex, i)
-			cut.Capacity += capi
-		}
+	sumChains(resid, c, s.caps, 1)
+	for a := 1; a < len(resid); a += 2 {
+		resid[a] -= resid[a-1]
 	}
-	return cut
 }
 
 // reach marks the reduced nodes reachable from Source in the residual

@@ -4,12 +4,15 @@ package maxflow_test
 // it replaced, kept here as the oracle: on every guest, in both graph
 // modes, under class views and on a joint batch, and on random graphs
 // built to stress the reduction, a solve of the reduced layout must
-// report the oracle's bits and its exact cut — the same cut edges, the
-// same source side — and pass the flow certificate on the graph itself.
+// report the oracle's bits and its exact cut — the same cut edges — and
+// its per-edge flow (EdgeFlow) must pass the flow certificate on the
+// graph itself, which works out the source side on its own.
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -59,10 +62,28 @@ func plainLayout(g *flowgraph.Graph) *flowgraph.CSR {
 	return c
 }
 
+// solved is one solve of a layout: its result and per-edge flow.
+type solved struct {
+	*maxflow.Result
+	edgeFlow []int64
+}
+
+// solve solves the layout c of g at view's capacities and reads its
+// per-edge flow.
+func solve(c *flowgraph.CSR, view *flowgraph.CapacityView) solved {
+	s := maxflow.NewSolver()
+	res, _ := s.Solve(c, view, 0)
+	return solved{res, s.EdgeFlow(c)}
+}
+
 // oracle solves g's plain layout at view's capacities.
-func oracle(g *flowgraph.Graph, view *flowgraph.CapacityView) *maxflow.Result {
-	res, _ := maxflow.NewSolver().Solve(plainLayout(g), view, 0)
-	return res
+func oracle(g *flowgraph.Graph, view *flowgraph.CapacityView) solved {
+	return solve(plainLayout(g), view)
+}
+
+// certify checks a solve against the flow certificate on g.
+func (r solved) certify(g *flowgraph.Graph, view *flowgraph.CapacityView) error {
+	return maxflow.Certify(g, view, r.Flow, r.edgeFlow, r.MinCut())
 }
 
 // sameCut reports how got differs from the oracle's want, or "".
@@ -75,8 +96,6 @@ func sameCut(got, want *maxflow.Result) string {
 		return fmt.Sprintf("cut capacity %d, oracle %d", gc.Capacity, wc.Capacity)
 	case !slices.Equal(gc.EdgeIndex, wc.EdgeIndex):
 		return fmt.Sprintf("cut edges %v, oracle %v", gc.EdgeIndex, wc.EdgeIndex)
-	case !slices.Equal(gc.SourceSide, wc.SourceSide):
-		return "source sides differ"
 	}
 	return ""
 }
@@ -87,29 +106,30 @@ func checkReduced(t *testing.T, name string, g *flowgraph.Graph, view *flowgraph
 	t.Helper()
 	var c flowgraph.CSR
 	g.BuildCSR(&c)
-	got, _ := maxflow.NewSolver().Solve(&c, view, 0)
-	if diff := sameCut(got, oracle(g, view)); diff != "" {
+	got := solve(&c, view)
+	if diff := sameCut(got.Result, oracle(g, view).Result); diff != "" {
 		t.Fatalf("%s: reduced layout: %s", name, diff)
 	}
-	if err := maxflow.Certify(g, view, got); err != nil {
+	if err := got.certify(g, view); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 }
 
 // checkEngine holds an engine answer, solved on the reduced layout, to
-// the oracle on its own graph.
+// the oracle on its own graph, and certifies it with the per-edge flow of
+// a fresh solve of that layout.
 func checkEngine(t *testing.T, name string, res *engine.Result) {
 	t.Helper()
-	if res.Flow == nil {
-		t.Fatalf("%s: no flow (degraded: %v)", name, res.Degraded)
+	if res.Cut == nil {
+		t.Fatalf("%s: no cut (degraded: %v)", name, res.Degraded)
 	}
-	if diff := sameCut(res.Flow, oracle(res.Graph, nil)); diff != "" {
-		t.Fatalf("%s: %s", name, diff)
+	want := oracle(res.Graph, nil)
+	if res.Bits != want.Flow || !slices.Equal(res.Cut.EdgeIndex, want.MinCut().EdgeIndex) {
+		t.Fatalf("%s: %d bits and cut %v, oracle %d bits and cut %v", name, res.Bits, res.Cut.EdgeIndex, want.Flow, want.MinCut().EdgeIndex)
 	}
-	if res.Bits != res.Flow.Flow || res.Cut != res.Flow.MinCut() {
-		t.Fatalf("%s: bits %d and cut do not come from the flow (%d)", name, res.Bits, res.Flow.Flow)
-	}
-	if err := maxflow.Certify(res.Graph, nil, res.Flow); err != nil {
+	var c flowgraph.CSR
+	res.Graph.BuildCSR(&c)
+	if err := maxflow.Certify(res.Graph, nil, res.Bits, solve(&c, nil).edgeFlow, res.Cut); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 }
@@ -269,15 +289,22 @@ func FuzzReducedLayout(f *testing.F) {
 		want := oracle(g, view)
 		var c flowgraph.CSR
 		g.BuildCSR(&c)
-		got, _ := maxflow.NewSolver().Solve(&c, view, 0)
-		if diff := sameCut(got, want); diff != "" {
+		s := maxflow.NewSolver()
+		res, _ := s.Solve(&c, view, 0)
+		got := solved{res, s.EdgeFlow(&c)}
+		if diff := sameCut(got.Result, want.Result); diff != "" {
 			t.Fatalf("on %d edges (%d arcs): %s", c.NumEdges(), c.NumArcs(), diff)
 		}
-		if err := maxflow.Certify(g, view, got); err != nil {
+		if err := got.certify(g, view); err != nil {
 			t.Fatal(err)
 		}
-		if err := maxflow.Certify(g, view, want); err != nil {
+		if err := want.certify(g, view); err != nil {
 			t.Fatalf("oracle: %v", err)
+		}
+		// EdgeFlow leaves the residuals as Solve left them: a second
+		// call hands out the same flow.
+		if again := s.EdgeFlow(&c); !slices.Equal(again, got.edgeFlow) {
+			t.Fatal("a second EdgeFlow call reads another flow")
 		}
 	})
 }
@@ -297,5 +324,39 @@ func TestReducedLayoutSizedByArcs(t *testing.T) {
 			t.Errorf("exact=%v: To %d/%d and HArcs %d/%d (len/cap) for %d arcs",
 				exact, len(c.To), cap(c.To), len(c.HArcs), cap(c.HArcs), c.NumArcs())
 		}
+	}
+}
+
+// Extra class views of one class graph cost O(cut) in allocation, not
+// O(E): a warmed solver keeps its residuals and view scratch, and a
+// result holds only the flow value and the cut, so solving another view
+// allocates the result and its cut edges. A per-edge array per view
+// would cost 8 B × edges each.
+func TestViewSolvesAllocateByCut(t *testing.T) {
+	const n = 1024
+	g, sm := attributed(t, guest.Program("compress"), workload.PiWords(n), nil, true)
+	var c flowgraph.CSR
+	g.BuildCSR(&c)
+	var views []*flowgraph.CapacityView
+	for off := 0; off < n; off += n / 8 {
+		views = append(views, sm.ClassView(g, flowgraph.ByteRange{Off: off, Len: n / 8}))
+	}
+	s := maxflow.NewSolver()
+	s.Solve(&c, views[0], 0) // sizes the residuals and the view scratch
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cutEdges := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, v := range views {
+		res, _ := s.Solve(&c, v, 0)
+		cutEdges += len(res.MinCut().EdgeIndex)
+	}
+	runtime.ReadMemStats(&after)
+	k, bytes := uint64(len(views)), after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d views of a %d-edge class graph: %d B in all, %d cut edges", k, c.NumEdges(), bytes, cutEdges)
+	// The cut's slice grows by doubling, so up to 16 B a cut edge, plus
+	// the result, the cut and Dinic's closures per view.
+	if limit := 1024*k + 16*uint64(cutEdges); bytes > limit {
+		t.Fatalf("%d views allocate %d B, limit %d (%.2f B per edge per view)", k, bytes, limit, float64(bytes)/float64(k)/float64(c.NumEdges()))
 	}
 }

@@ -32,8 +32,9 @@ type AnalyzeRequest struct {
 	// the admission controller's shed decision.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
-	// Optional per-request budget overrides. Setting any replaces the
-	// program's whole budget for this request; a field left 0 is unlimited.
+	// Optional per-request budget overrides. Each field set above 0
+	// replaces that cap of the program's budget for this request; a field
+	// left 0 keeps the program's cap.
 	MaxGraphNodes  int   `json:"max_graph_nodes,omitempty"`
 	MaxGraphEdges  int   `json:"max_graph_edges,omitempty"`
 	MaxOutputBytes int   `json:"max_output_bytes,omitempty"`

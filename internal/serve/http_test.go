@@ -74,6 +74,32 @@ func TestHTTPAnalyzeDegradedOverride(t *testing.T) {
 	}
 }
 
+// A budget override sets only the caps it names: a request carrying only
+// a solver budget keeps the program's output cap, so unary registered
+// with a 2-byte output cap still refuses it (422), as it refuses the
+// plain request. A negative cap is no override either.
+func TestHTTPBudgetOverrideKeepsProgramCaps(t *testing.T) {
+	svc := serve.New(serve.Options{})
+	svc.Register("unary", guest.Program("unary"), engine.Config{Budget: engine.Budget{MaxOutputBytes: 2}})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"program":"unary","secret":"x"}`,
+		`{"program":"unary","secret":"x","solver_budget":1000000}`,
+		`{"program":"unary","secret":"x","solver_budget":1000000,"max_output_bytes":-1}`,
+	} {
+		resp, out := postAnalyze(t, ts, body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422: %s", body, resp.StatusCode, out)
+		}
+	}
+	resp, out := postAnalyze(t, ts, `{"program":"unary","secret":"x","max_output_bytes":1000}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a request raising the output cap: status %d: %s", resp.StatusCode, out)
+	}
+}
+
 func TestHTTPErrorMapping(t *testing.T) {
 	svc := newService(t, serve.Options{})
 	ts := httptest.NewServer(svc.Handler())

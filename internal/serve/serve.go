@@ -169,9 +169,10 @@ type Request struct {
 	Principal string
 	// Inputs is the execution's secret/public input pair.
 	Inputs engine.Inputs
-	// Budget, when non-nil, overrides the program's configured budget for
-	// this request, on an analyzer sharing the program's session pool.
-	// Budget-growth retries still apply on top of it.
+	// Budget, when non-nil, overrides the caps it sets (those above zero)
+	// of the program's configured budget for this request; every other cap
+	// stays the program's. The request runs on an analyzer sharing the
+	// program's session pool. Budget-growth retries still apply on top.
 	Budget *engine.Budget
 	// Precision, when non-empty, overrides the program's precision-ladder
 	// mode for this request: "trivial", "static", "full", or "adaptive"
@@ -695,8 +696,19 @@ func analyzerFor(p *program, req Request) *engine.Analyzer {
 	}
 	cfg := p.analyzer.Config()
 	b, prec, thr := cfg.Budget, cfg.Precision, cfg.AdaptiveThreshold
-	if req.Budget != nil {
-		b = *req.Budget
+	if o := req.Budget; o != nil {
+		if o.MaxGraphNodes > 0 {
+			b.MaxGraphNodes = o.MaxGraphNodes
+		}
+		if o.MaxGraphEdges > 0 {
+			b.MaxGraphEdges = o.MaxGraphEdges
+		}
+		if o.MaxOutputBytes > 0 {
+			b.MaxOutputBytes = o.MaxOutputBytes
+		}
+		if o.SolverWork > 0 {
+			b.SolverWork = o.SolverWork
+		}
 	}
 	if req.Precision != "" {
 		prec, _ = engine.ParsePrecision(req.Precision) // validated in Analyze

@@ -1,16 +1,20 @@
 package taint
 
 import (
+	"slices"
 	"testing"
 
+	"flowcheck/internal/flowgraph"
 	"flowcheck/internal/guest"
 	"flowcheck/internal/maxflow"
 	"flowcheck/internal/vm"
 )
 
 // certifyingNotes re-solves the graph at every flow note the way the
-// tracker does, and checks the flow certificate
-// and the snapshot FlowNote just recorded.
+// tracker does, and checks the flow certificate and the snapshot FlowNote
+// just recorded. The tracker's answer keeps no per-edge flow, so the
+// certificate reads it from a fresh solve of the graph that must find the
+// same bits and cut.
 type certifyingNotes struct {
 	*Tracker
 	t     *testing.T
@@ -20,7 +24,14 @@ type certifyingNotes struct {
 func (c *certifyingNotes) FlowNote(site uint32) {
 	c.Tracker.FlowNote(site)
 	g, res := c.solveSoFar()
-	if err := maxflow.Certify(g, nil, res); err != nil {
+	var csr flowgraph.CSR
+	g.BuildCSR(&csr)
+	s := maxflow.NewSolver()
+	fresh, _ := s.Solve(&csr, nil, 0)
+	if fresh.Flow != res.Flow || !slices.Equal(fresh.MinCut().EdgeIndex, res.MinCut().EdgeIndex) {
+		c.t.Fatalf("note %d: %d bits, a fresh solve %d", c.notes, res.Flow, fresh.Flow)
+	}
+	if err := maxflow.Certify(g, nil, res.Flow, s.EdgeFlow(&csr), res.MinCut()); err != nil {
 		c.t.Fatalf("note %d: %v", c.notes, err)
 	}
 	if got := c.snapshots[len(c.snapshots)-1].Bits; got != res.Flow {
