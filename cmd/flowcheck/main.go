@@ -319,14 +319,14 @@ func cmdRun(args []string) error {
 		fmt.Printf("note: guest trapped: %v (results cover the partial run)\n", res.Trap)
 	}
 	if res.Degraded {
-		if res.Graph == nil {
+		if !res.Executed {
 			// A ladder rung answered without executing: a note, not a failure.
 			fmt.Printf("note: %s\n", res.DegradedReason)
 		} else {
 			fmt.Printf("DEGRADED: %s; reporting the trivial-cut upper bound instead of max flow\n", res.DegradedReason)
 		}
 	}
-	if *showOut && res.Graph != nil {
+	if *showOut && res.Executed {
 		fmt.Printf("output (%d bytes): %q\n", len(res.Output), abbrev(res.Output))
 	}
 	secretBytes := len(in.Secret)
@@ -339,7 +339,7 @@ func cmdRun(args []string) error {
 	fmt.Printf("secret input: %d bytes; tainted output bound: %d bits\n",
 		secretBytes, res.TaintedOutputBits)
 	switch {
-	case res.Graph == nil:
+	case !res.Executed:
 		fmt.Printf("upper bound (%s rung): %d bits\n", res.Rung, res.Bits)
 	case res.Degraded:
 		fmt.Printf("flow bound (trivial-cut fallback): %d bits\n", res.Bits)

@@ -34,6 +34,7 @@ import (
 	"flowcheck/internal/lang"
 	"flowcheck/internal/stagecache"
 	"flowcheck/internal/static"
+	"flowcheck/internal/taint"
 	"flowcheck/internal/vm"
 )
 
@@ -108,9 +109,21 @@ func CompileCached(filename, src string) (*vm.Program, error) {
 
 // cacheable reports whether this analyzer's results may go
 // through the configured result cache. Fault plans inject nondeterminism
-// (panics, stalls, scripted traps), so their results must not be reused.
+// (panics, stalls, scripted traps), so their results must not be reused;
+// an Uncached analyzer's caller wants the graph, which entries do not keep.
 func (a *Analyzer) cacheable() bool {
-	return a.cfg.Cache != nil && a.cfg.Fault == nil
+	return a.cfg.Cache != nil && a.bypassReason() == ""
+}
+
+// bypassReason says why a run skips the configured cache, "" if it does not.
+func (a *Analyzer) bypassReason() string {
+	switch {
+	case a.cfg.Fault != nil:
+		return "fault-injection"
+	case a.uncached:
+		return "graph"
+	}
+	return ""
 }
 
 // keys returns the memoized program and config keys.
@@ -186,6 +199,15 @@ func (a *Analyzer) Cached(in Inputs) (*Result, bool) {
 	return stampCacheHit(v.(*Result), time.Since(t0), key), true
 }
 
+// answer is what the result cache keeps of r: all of it but the graph and
+// the cut's edge indices into it, with the cut in compact form instead, so
+// a hit renders the cut the miss did.
+func (r *Result) answer() *Result {
+	ans := *r
+	ans.Graph, ans.Cut, ans.cut = nil, nil, r.cutTerms()
+	return &ans
+}
+
 // stampCacheHit prepares a cached result for return: a shallow copy (the
 // cached value is shared and immutable) whose stage accounting shows only
 // the lookup and whose trace marks the full hit.
@@ -236,22 +258,35 @@ func estimateStaticBytes(sa *static.Analysis) int64 {
 	return n
 }
 
-// estimateResultBytes charges the graph's edge store and, in a collapsed
-// graph, its context column by capacity: a graph that took over its
-// arena's store may hold up to twice its edge count. estimateClassGraphBytes
-// charges its result through here.
+// Fixed costs of a cached answer beyond its slices: the Result itself, and
+// the store's entry, map slot and short key string for it with the
+// Result's allocation rounding (~220 B, measured by
+// TestAnswerPriceMatchesHeap).
+const (
+	resultBytes     = int64(unsafe.Sizeof(Result{}))
+	storeEntryBytes = 220
+	cutTermBytes    = int64(unsafe.Sizeof(cutTerm{}))
+	warningBytes    = int64(unsafe.Sizeof(taint.Warning{}))
+	snapshotBytes   = int64(unsafe.Sizeof(taint.Snapshot{}))
+	findingBytes    = int64(unsafe.Sizeof(static.Finding{}))
+)
+
+// estimateResultBytes prices a cached answer (Result.answer) at what it
+// holds: the Result and its store entry, the cut's compact terms, the
+// output and the diagnostics with their strings. Slices are charged by
+// capacity, since that is what they retain.
 func estimateResultBytes(r *Result) int64 {
-	n := int64(structOverhd)
-	if r.Graph != nil {
-		n += int64(cap(r.Graph.Edges))*edgeBytes + int64(cap(r.Graph.Ctx))*ctxBytes
+	n := resultBytes + storeEntryBytes
+	n += int64(cap(r.cut)) * cutTermBytes
+	n += int64(cap(r.Output)) + int64(len(r.DegradedReason))
+	n += int64(cap(r.Warnings)) * warningBytes
+	for _, w := range r.Warnings {
+		n += int64(len(w.Site) + len(w.Msg))
 	}
-	if r.Cut != nil {
-		n += int64(len(r.Cut.EdgeIndex)) * 8
+	n += int64(cap(r.Snapshots)) * snapshotBytes
+	n += int64(cap(r.Lint)) * findingBytes
+	for _, f := range r.Lint {
+		n += int64(len(f.Where) + len(f.Msg))
 	}
-	n += int64(len(r.Output))
-	n += int64(len(r.Warnings)) * perDiagBytes
-	n += int64(len(r.Snapshots)) * perDiagBytes
-	n += int64(len(r.Lint)) * perDiagBytes
-	n += int64(len(r.Runs)) * perDiagBytes
 	return n
 }

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"flowcheck/internal/lang"
 	"flowcheck/internal/stagecache"
 	"flowcheck/internal/taint"
+	"flowcheck/internal/workload"
 )
 
 // straightSrc has input-independent coverage: every secret drives the same
@@ -50,8 +54,17 @@ func sameResult(t *testing.T, label string, want, got *Result) {
 	if got.Degraded != want.Degraded {
 		t.Errorf("%s: Degraded = %v, want %v", label, got.Degraded, want.Degraded)
 	}
+	if got.Rung != want.Rung || got.Executed != want.Executed {
+		t.Errorf("%s: Rung, Executed = %q, %v, want %q, %v", label, got.Rung, got.Executed, want.Rung, want.Executed)
+	}
 	if got.CutString() != want.CutString() {
 		t.Errorf("%s: CutString = %q, want %q", label, got.CutString(), want.CutString())
+	}
+	if !reflect.DeepEqual(got.DescribeCut(), want.DescribeCut()) {
+		t.Errorf("%s: DescribeCut = %v, want %v", label, got.DescribeCut(), want.DescribeCut())
+	}
+	if !reflect.DeepEqual(got.CutSites(), want.CutSites()) {
+		t.Errorf("%s: CutSites = %v, want %v", label, got.CutSites(), want.CutSites())
 	}
 	if len(got.Warnings) != len(want.Warnings) {
 		t.Errorf("%s: %d warnings, want %d", label, len(got.Warnings), len(want.Warnings))
@@ -60,7 +73,8 @@ func sameResult(t *testing.T, label string, want, got *Result) {
 
 // TestCachedBitIdenticalAllGuests runs every guest in both construction
 // modes and demands that cached results — the stored miss and the
-// subsequent hit — are bit-identical to an uncached analyzer's.
+// subsequent hit — are bit-identical to an uncached analyzer's, cut
+// renderings included. The miss keeps its graph; the hit has none.
 func TestCachedBitIdenticalAllGuests(t *testing.T) {
 	for _, name := range guest.Names() {
 		secret, public, ok := guest.SampleInputs(name)
@@ -103,6 +117,10 @@ func TestCachedBitIdenticalAllGuests(t *testing.T) {
 				t.Errorf("%s: warm disposition = %q, want %q", label, hit.Cache.Disposition, CacheHit)
 			}
 			sameResult(t, label+" warm", want, hit)
+			if miss.Graph == nil || miss.Cut == nil || hit.Graph != nil || hit.Cut != nil {
+				t.Errorf("%s: miss graph, cut = %v, %v; hit graph, cut = %v, %v; want the miss's only",
+					label, miss.Graph != nil, miss.Cut != nil, hit.Graph != nil, hit.Cut != nil)
+			}
 		}
 	}
 }
@@ -455,5 +473,89 @@ func TestCompileCached(t *testing.T) {
 	}
 	if _, err := CompileCached("cc.mc", "int main( {"); err == nil {
 		t.Fatal("compile error was swallowed")
+	}
+}
+
+// raceEnabled is set under -race (race_test.go). The heap-size tests skip
+// there: they measure sizes, not synchronization, and run ~15× slower.
+var raceEnabled bool
+
+// liveHeap is the heap that survives a collection. Two cycles empty the
+// session pools, whose victim cache outlives one.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// storeAnswers runs n distinct inputs derived from in (one secret byte
+// varied) through a's cache after two warm-up runs, and returns the heap
+// the new entries retain and what the cache charged for them.
+func storeAnswers(t *testing.T, a *Analyzer, in Inputs, n int) (heap, charged int64) {
+	t.Helper()
+	vary := func(i int) Inputs {
+		s := bytes.Clone(in.Secret)
+		s[i%len(s)] ^= byte(1 + i/len(s))
+		return Inputs{Secret: s, Public: append([]byte{byte(i)}, in.Public...)}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := a.Analyze(vary(n + i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bytes0 := a.cfg.Cache.Stats().Kinds[KindResult].Bytes
+	h0 := liveHeap()
+	for i := 0; i < n; i++ {
+		if _, err := a.Analyze(vary(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap = liveHeap() - h0
+	charged = a.cfg.Cache.Stats().Kinds[KindResult].Bytes - bytes0
+	return heap, charged
+}
+
+// TestAnswerPriceMatchesHeap checks the result cache's price of an answer
+// against the heap a stored answer really retains, within 25%, so the
+// byte budget bounds the memory the cache holds.
+func TestAnswerPriceMatchesHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("measures heap sizes; slow under -race")
+	}
+	for _, name := range []string{"count_punct", "sshauth", "calendar", "xserver", "battleship", "imagefilter", "unary"} {
+		secret, public, _ := guest.SampleInputs(name)
+		a := New(guest.Program(name), Config{Cache: stagecache.New(stagecache.Options{MaxBytes: 64 << 20})})
+		const n = 128
+		heap, charged := storeAnswers(t, a, Inputs{Secret: secret, Public: public}, n)
+		t.Logf("%s: %d B retained, %d B charged per answer", name, heap/n, charged/n)
+		if ratio := float64(charged) / float64(heap); ratio < 0.75 || ratio > 1.25 {
+			t.Errorf("%s: charged %d B per answer for %d B retained (ratio %.2f, want 0.75–1.25)", name, charged/n, heap/n, ratio)
+		}
+	}
+}
+
+// An exact 1 KiB compress run builds a graph of over 200k edges; its
+// cached answer keeps the output and a one-term cut, not the graph.
+func TestExactCompressAnswerSmall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("measures heap sizes; slow under -race")
+	}
+	a := New(guest.Program("compress"), Config{Taint: taint.Options{Exact: true}, Cache: stagecache.New(stagecache.Options{MaxBytes: 64 << 20})})
+	in := Inputs{Secret: workload.PiWords(1024)}
+	res, err := a.Analyze(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edges := res.Graph.NumEdges(); edges < 200_000 {
+		t.Fatalf("exact 1 KiB compress graph has %d edges, want over 200k", edges)
+	}
+	res = nil
+	const n = 8
+	heap, _ := storeAnswers(t, a, in, n)
+	t.Logf("exact 1 KiB compress: %d B retained per answer", heap/n)
+	if heap/n >= 4096 {
+		t.Fatalf("exact 1 KiB compress answer retains %d B, want under 4 KiB", heap/n)
 	}
 }

@@ -185,7 +185,7 @@ func (a *Analyzer) solveClass(solver *maxflow.Solver, cg *classGraph, c SecretCl
 	b := solveBound(solver, g, &cg.csr, view, a.cfg.Budget.SolverWork, inj.ExhaustSolver)
 	cr = ClassResult{Class: c, Bits: b.Bits, Rung: b.Rung, Degraded: b.Degraded, DegradedReason: b.DegradedReason}
 	if b.Cut != nil {
-		cr.Cut = formatCut(b.Bits, describeCut(a.prog, g, b.Cut, view))
+		cr.Cut = formatCut(b.Bits, describeCut(a.prog, compactCut(g, b.Cut, view)))
 	}
 	d := time.Since(t0)
 	cr.Stages = StageStats{Solve: d, Total: d}
@@ -201,8 +201,18 @@ func (a *Analyzer) classGraphKey(in Inputs) cachekey.Key {
 	return cachekey.New("classgraph/v1").Key(p).Key(c).Key(cachekey.Inputs(in.Secret, in.Public)).Sum()
 }
 
+// estimateClassGraphBytes charges the joint result as an answer, plus the
+// graph it keeps: the edge store and, in a collapsed graph, the context
+// column by capacity (a graph that took over its arena's store may hold up
+// to twice its edge count), the cut's edge indices, the CSR and the source
+// attribution.
 func estimateClassGraphBytes(cg *classGraph) int64 {
+	g := cg.res.Graph
 	n := estimateResultBytes(cg.res)
+	n += int64(cap(g.Edges))*edgeBytes + int64(cap(g.Ctx))*ctxBytes
+	if cg.res.Cut != nil {
+		n += int64(cap(cg.res.Cut.EdgeIndex)) * 8
+	}
 	n += cg.csr.Bytes() // reduced network and its map back to the graph
 	for _, contribs := range cg.srcMap.Contribs {
 		n += 8 + int64(len(contribs))*16

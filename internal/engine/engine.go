@@ -154,6 +154,9 @@ const sessionHighWater = 1 << 20
 type Analyzer struct {
 	*programState
 	cfg Config
+	// uncached marks an analyzer derived with Uncached: its runs skip the
+	// result cache.
+	uncached bool
 
 	// Memoized content-address config key (internal/engine/cache.go).
 	cfgOnce sync.Once
@@ -205,7 +208,16 @@ func New(prog *vm.Program, cfg Config) *Analyzer {
 func (a *Analyzer) With(b Budget, p Precision, thr int64) *Analyzer {
 	cfg := a.cfg
 	cfg.Budget, cfg.Precision, cfg.AdaptiveThreshold = b, p, thr
-	return &Analyzer{programState: a.programState, cfg: cfg}
+	return &Analyzer{programState: a.programState, cfg: cfg, uncached: a.uncached}
+}
+
+// Uncached derives a's configuration with the result cache bypassed: its
+// runs, and those of analyzers derived from it, neither read nor fill the
+// cache, so every result carries its flow graph. With a cache configured
+// they report disposition CacheBypass, reason "graph". The class-graph
+// tier is bypassed too.
+func (a *Analyzer) Uncached() *Analyzer {
+	return &Analyzer{programState: a.programState, cfg: a.cfg, uncached: true}
 }
 
 // Program returns the analyzed program.
@@ -351,11 +363,11 @@ func solveBound(solver *maxflow.Solver, g *flowgraph.Graph, csr *flowgraph.CSR, 
 	if !exhaust {
 		flow, exhausted := solver.Solve(csr, view, work)
 		if !exhausted {
-			return &Result{Graph: g, Bits: flow.Flow, Rung: RungFull, Cut: flow.MinCut()}
+			return &Result{Graph: g, Bits: flow.Flow, Rung: RungFull, Executed: true, Cut: flow.MinCut()}
 		}
 		reason = fmt.Sprintf("solver work budget (%d) exhausted", work)
 	}
-	return &Result{Graph: g, Bits: trivialCutBits(g, view), Rung: RungTrivial, Degraded: true, DegradedReason: reason}
+	return &Result{Graph: g, Bits: trivialCutBits(g, view), Rung: RungTrivial, Executed: true, Degraded: true, DegradedReason: reason}
 }
 
 // runStages executes the four pipeline stages for one input on a session,
@@ -483,9 +495,10 @@ func (a *Analyzer) Analyze(in Inputs) (*Result, error) {
 //
 // With Config.Cache set, the run is content-addressed: a repeat of a
 // previously analyzed (program, config, inputs) triple returns the cached
-// Result without drawing a session or running any stage (Result.Cache
-// reports "hit", Stages only the lookup time), concurrent misses on one
-// key are collapsed to a single computation. Errors are never cached.
+// answer without drawing a session or running any stage (Result.Cache
+// reports "hit", Stages only the lookup time, Graph and Cut are nil),
+// concurrent misses on one key are collapsed to a single computation. The
+// miss's own caller gets its full Result. Errors are never cached.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, in Inputs) (*Result, error) {
 	// Cheap ladder rungs never execute, never draw a session, and skip the
 	// result cache: the static rung is already served by the process-global
@@ -498,12 +511,13 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, in Inputs) (*Result, erro
 		res, err := a.analyzeDirect(ctx, in)
 		if err == nil && a.cfg.Cache != nil {
 			res.Cache.Disposition = CacheBypass
-			res.Cache.BypassReason = "fault-injection"
+			res.Cache.BypassReason = a.bypassReason()
 		}
 		return res, err
 	}
 	key := a.resultKey(in)
 	t0 := time.Now()
+	var miss *Result
 	v, hit, err := a.cfg.Cache.Do(KindResult, key, func() (any, int64, error) {
 		res, err := a.analyzeDirect(ctx, in)
 		if err != nil {
@@ -511,18 +525,19 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, in Inputs) (*Result, erro
 		}
 		res.Cache.Key = key.Short()
 		res.Cache.Disposition = CacheMiss
-		return res, estimateResultBytes(res), nil
+		miss = res
+		ans := res.answer()
+		return ans, estimateResultBytes(ans), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := v.(*Result)
 	if hit {
 		// Served from the cache (or coalesced onto another caller's
 		// computation): restamp provenance on a copy of the shared value.
-		return stampCacheHit(res, time.Since(t0), key), nil
+		return stampCacheHit(v.(*Result), time.Since(t0), key), nil
 	}
-	return res, nil
+	return miss, nil
 }
 
 // analyzeDirect runs the pipeline unconditionally on a pooled session.

@@ -194,7 +194,7 @@ func TestCutViewsNilCut(t *testing.T) {
 	if d := r.DescribeCut(); d != nil {
 		t.Fatalf("DescribeCut on nil cut = %v, want nil", d)
 	}
-	if got, want := r.CutString(), "0 bits = "; got != want {
+	if got, want := r.CutString(), "0 bits"; got != want {
 		t.Fatalf("CutString on nil cut = %q, want %q", got, want)
 	}
 }

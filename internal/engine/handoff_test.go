@@ -82,35 +82,35 @@ func TestReturnedGraphsHaveBoundedSlack(t *testing.T) {
 	}
 }
 
-// The cache budget charges a graph's edge store and context column by
-// capacity, slack included, for results and class graphs alike, and for
-// the graphs the engine builds in either mode.
+// The cache budget charges a class graph's edge store and context column
+// by capacity, slack included, for the graphs the engine builds in either
+// mode. A cached answer keeps no graph, and its price has no graph term.
 func TestCacheChargesEdgeCapacity(t *testing.T) {
-	bare := estimateResultBytes(&Result{})
-	res := &Result{Graph: &flowgraph.Graph{Edges: make([]flowgraph.Edge, 10, 30)}}
-	if got, want := estimateResultBytes(res)-bare, 30*edgeBytes; got != want {
-		t.Fatalf("result with a 10-edge graph in a 30-edge store charged %d B for edges, want %d", got, want)
+	charge := func(g *flowgraph.Graph) int64 {
+		cg := &classGraph{res: &Result{Graph: g}, srcMap: &flowgraph.SourceMap{}}
+		return estimateClassGraphBytes(cg) - estimateResultBytes(cg.res)
 	}
-	cg := &classGraph{res: res, srcMap: &flowgraph.SourceMap{}}
-	if got, want := estimateClassGraphBytes(cg), estimateResultBytes(res); got != want {
-		t.Fatalf("class graph charged %d B, want its result's %d", got, want)
+	if got, want := charge(&flowgraph.Graph{Edges: make([]flowgraph.Edge, 10, 30)}), 30*edgeBytes; got != want {
+		t.Fatalf("class graph of 10 edges in a 30-edge store charged %d B for edges, want %d", got, want)
 	}
-	collapsed := &Result{Graph: &flowgraph.Graph{Edges: make([]flowgraph.Edge, 10, 30), Ctx: make([]uint64, 10, 20)}}
-	if got, want := estimateResultBytes(collapsed)-bare, 30*edgeBytes+20*8; got != want {
-		t.Fatalf("collapsed 10-edge graph in a 30-edge store and 20-word column charged %d B, want %d", got, want)
+	collapsed := &flowgraph.Graph{Edges: make([]flowgraph.Edge, 10, 30), Ctx: make([]uint64, 10, 20)}
+	if got, want := charge(collapsed), 30*edgeBytes+20*8; got != want {
+		t.Fatalf("collapsed 10-edge class graph in a 30-edge store and 20-word column charged %d B, want %d", got, want)
 	}
 	for _, exact := range []bool{true, false} {
 		r, err := Analyze(guest.Program("compress"), Inputs{Secret: workload.PiWords(256)}, Config{Taint: taint.Options{Exact: exact}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, rest := r.Graph, *r
+		g := r.Graph
 		if g.Exact != exact || (g.Ctx == nil) != exact {
 			t.Fatalf("exact=%v engine graph: Exact %v, %d context words", exact, g.Exact, len(g.Ctx))
 		}
-		rest.Graph = nil
-		if got, want := estimateResultBytes(r)-estimateResultBytes(&rest), int64(cap(g.Edges))*24+int64(cap(g.Ctx))*8; got != want {
-			t.Fatalf("exact=%v graph of %d edges charged %d B, want %d (24 B an edge, 8 a context word)", exact, len(g.Edges), got, want)
+		if got, want := charge(g), int64(cap(g.Edges))*24+int64(cap(g.Ctx))*8; got != want {
+			t.Fatalf("exact=%v class graph of %d edges charged %d B, want %d (24 B an edge, 8 a context word)", exact, len(g.Edges), got, want)
+		}
+		if ans := r.answer(); ans.Graph != nil || estimateResultBytes(ans) > 4096 {
+			t.Fatalf("exact=%v answer of a %d-edge graph keeps graph %v, charged %d B", exact, len(g.Edges), ans.Graph != nil, estimateResultBytes(ans))
 		}
 	}
 }

@@ -23,10 +23,14 @@ type Result struct {
 	// capacity of edges into the sink (§7).
 	TaintedOutputBits int64
 
-	// Graph is the constructed flow network and Cut a minimum cut over it,
-	// nil when Bits is not a solved max flow. Bits is the flow's value; the
-	// flow on each edge is not kept. A check that needs it lays Graph out
-	// again, solves it and reads maxflow's (*Solver).EdgeFlow.
+	// Graph is the constructed flow network and Cut a minimum cut over it.
+	// Both are nil when Bits is not a solved max flow, and on a cache hit:
+	// the result cache keeps the answer, not the graph, and a hit renders
+	// its cut (DescribeCut, CutString, CutSites) from a compact copy. A run
+	// posed to an Uncached analyzer always carries its graph.
+	// Bits is the flow's value; the flow on each edge is not kept. A check
+	// that needs it lays Graph out again, solves it and reads maxflow's
+	// (*Solver).EdgeFlow.
 	Graph *flowgraph.Graph
 	Cut   *maxflow.Cut
 
@@ -48,10 +52,15 @@ type Result struct {
 	// Rung records which precision-ladder rung produced Bits: RungFull for
 	// a solved max flow, RungTrivial for the trivial bound (both the
 	// no-execution trivial rung and a solver-budget degradation, which
-	// executed — distinguishable by Graph being non-nil), RungStatic for
-	// the no-execution static capacity bound. Empty only on zero-valued
+	// executed — distinguishable by Executed), RungStatic for the
+	// no-execution static capacity bound. Empty only on zero-valued
 	// Results.
 	Rung string
+	// Executed reports that Bits was solved (or degraded) over the flow
+	// graph of an execution, false for a no-execution rung answer. A cache
+	// hit keeps it, so it tells a solver-budget degradation, which more
+	// solver work can tighten, from a cheap rung's bound without a graph.
+	Executed bool
 
 	Warnings  []taint.Warning
 	Snapshots []taint.Snapshot
@@ -86,6 +95,67 @@ type Result struct {
 	Cache CacheTrace
 
 	prog *vm.Program
+	// cut is a cached answer's minimum cut in compact form, what the cut's
+	// renderings read; nil elsewhere (see cutTerms).
+	cut []cutTerm
+}
+
+// cutTerms returns the minimum cut in compact form: a cached answer's
+// own, or one derived from Graph and Cut; nil when Bits is not a solved
+// max flow. It never stores what it derives, since cached Results are
+// shared.
+func (r *Result) cutTerms() []cutTerm {
+	if r.cut == nil && r.Cut != nil {
+		return compactCut(r.Graph, r.Cut, nil)
+	}
+	return r.cut
+}
+
+// cutTerm is a run of minimum-cut edges that share a label and a
+// capacity: all that the cut's renderings read of an edge, so a cached
+// answer renders its cut without the graph. A compress run's cut of a
+// thousand 8-bit edges at one input site is one term.
+type cutTerm struct {
+	label flowgraph.Label
+	bits  int64
+	n     int
+}
+
+// compactCut groups the edges of cut over g by label and capacity, at the
+// capacities of view (nil: g's own), in site order.
+func compactCut(g *flowgraph.Graph, cut *maxflow.Cut, view *flowgraph.CapacityView) []cutTerm {
+	terms := make([]cutTerm, len(cut.EdgeIndex))
+	for i, idx := range cut.EdgeIndex {
+		e := g.Edges[idx]
+		terms[i] = cutTerm{label: e.Label, bits: view.Of(idx, e.Cap), n: 1}
+	}
+	sort.Slice(terms, func(i, j int) bool {
+		a, b := terms[i], terms[j]
+		if a.label != b.label {
+			return labelLess(a.label, b.label)
+		}
+		return a.bits < b.bits
+	})
+	runs := terms[:0]
+	for _, t := range terms {
+		if k := len(runs) - 1; k >= 0 && runs[k].label == t.label && runs[k].bits == t.bits {
+			runs[k].n++
+			continue
+		}
+		runs = append(runs, t)
+	}
+	// A fresh slice, so the entry does not pin one term per cut edge.
+	return append([]cutTerm(nil), runs...)
+}
+
+func labelLess(a, b flowgraph.Label) bool {
+	if a.Site != b.Site {
+		return a.Site < b.Site
+	}
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	return a.Aux < b.Aux
 }
 
 // RunSummary is the per-execution record of a multi-run analysis.
@@ -220,42 +290,61 @@ type CutEdge struct {
 }
 
 // DescribeCut renders the minimum cut against the program's site table,
-// most-capacious edges first.
+// one entry per cut edge, most-capacious edges first.
 func (r *Result) DescribeCut() []CutEdge {
-	return describeCut(r.prog, r.Graph, r.Cut, nil)
+	return describeCut(r.prog, r.cutTerms())
 }
 
-// describeCut is DescribeCut over explicit parts, with edge capacities
-// taken through an optional capacity view (the per-class cut renderer:
-// view-zeroed source edges must not show their shared-graph capacities).
-func describeCut(prog *vm.Program, g *flowgraph.Graph, cut *maxflow.Cut, view *flowgraph.CapacityView) []CutEdge {
-	if cut == nil {
+// describeCut expands a compact cut into its edges in report order: bits
+// descending, then location, kind and label, so equal edges are the only
+// ties.
+func describeCut(prog *vm.Program, cut []cutTerm) []CutEdge {
+	if len(cut) == 0 {
 		return nil
 	}
-	out := make([]CutEdge, 0, len(cut.EdgeIndex))
-	for _, idx := range cut.EdgeIndex {
-		e := g.Edges[idx]
-		where := fmt.Sprintf("site %d", e.Label.Site)
-		if prog != nil && int(e.Label.Site) < len(prog.Code) {
-			where = prog.SiteString(prog.Code[e.Label.Site].Site)
-		}
-		out = append(out, CutEdge{Where: where, Kind: e.Label.Kind, Bits: view.Of(idx, e.Cap), Label: e.Label})
+	type run struct {
+		e CutEdge
+		n int
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bits != out[j].Bits {
-			return out[i].Bits > out[j].Bits
+	runs := make([]run, len(cut))
+	total := 0
+	for i, t := range cut {
+		where := fmt.Sprintf("site %d", t.label.Site)
+		if prog != nil && int(t.label.Site) < len(prog.Code) {
+			where = prog.SiteString(prog.Code[t.label.Site].Site)
 		}
-		return out[i].Where < out[j].Where
+		runs[i] = run{CutEdge{Where: where, Kind: t.label.Kind, Bits: t.bits, Label: t.label}, t.n}
+		total += t.n
+	}
+	sort.Slice(runs, func(i, j int) bool {
+		a, b := runs[i].e, runs[j].e
+		if a.Bits != b.Bits {
+			return a.Bits > b.Bits
+		}
+		if a.Where != b.Where {
+			return a.Where < b.Where
+		}
+		return labelLess(a.Label, b.Label)
 	})
+	out := make([]CutEdge, 0, total)
+	for _, r := range runs {
+		for range r.n {
+			out = append(out, r.e)
+		}
+	}
 	return out
 }
 
-// CutString formats the cut for reports: "9 bits = 8@file:3(f)[internal] + 1@file:14(f)[implicit]".
+// CutString formats the cut for reports: "9 bits = 8@file:3(f)[internal] + 1@file:14(f)[implicit]",
+// or "0 bits" for a cut with no edges.
 func (r *Result) CutString() string {
 	return formatCut(r.Bits, r.DescribeCut())
 }
 
 func formatCut(bits int64, edges []CutEdge) string {
+	if len(edges) == 0 {
+		return fmt.Sprintf("%d bits", bits)
+	}
 	parts := make([]string, len(edges))
 	for i, e := range edges {
 		parts[i] = fmt.Sprintf("%d@%s[%s]", e.Bits, e.Where, e.Kind)
@@ -264,21 +353,14 @@ func formatCut(bits int64, edges []CutEdge) string {
 }
 
 // CutSites returns the distinct instruction addresses (graph label sites)
-// on the minimum cut; the checking modes of §6 use them as the trusted
-// boundary. A result with no computed cut has no sites.
+// on the minimum cut, ascending; the checking modes of §6 use them as the
+// trusted boundary. A result with no computed cut has no sites.
 func (r *Result) CutSites() []uint32 {
-	if r.Cut == nil {
-		return nil
-	}
-	seen := map[uint32]bool{}
 	var sites []uint32
-	for _, idx := range r.Cut.EdgeIndex {
-		s := r.Graph.Edges[idx].Label.Site
-		if !seen[s] {
-			seen[s] = true
-			sites = append(sites, s)
+	for _, t := range r.cutTerms() { // in site order
+		if k := len(sites) - 1; k < 0 || sites[k] != t.label.Site {
+			sites = append(sites, t.label.Site)
 		}
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
 	return sites
 }

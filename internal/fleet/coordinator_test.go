@@ -449,6 +449,66 @@ func TestStartProbesAtOnce(t *testing.T) {
 	}
 }
 
+// A batch over inputs every shard already holds as cache hits still gets
+// each run's graph: include_graph runs neither read nor fill the result
+// cache, whose entries keep no graph, and the merged graphs give the
+// in-process batch's joint bits.
+func TestBatchGraphsOverCachedInputs(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		cfg := engine.Config{Taint: taint.Options{Exact: exact}}
+		var shards []*testShard
+		for _, name := range []string{"a", "b"} {
+			svc := serve.New(serve.Options{ShardName: name, CacheBytes: 8 << 20})
+			svc.Register("count_punct", guest.Program("count_punct"), cfg)
+			ts := httptest.NewServer(svc.Handler())
+			t.Cleanup(ts.Close)
+			shards = append(shards, &testShard{name: name, svc: svc, ts: ts})
+		}
+		c := newTestCoordinator(t, Options{}, shards...)
+
+		req := &BatchRequest{Program: "count_punct"}
+		var inputs []engine.Inputs
+		for _, text := range []string{"a. b? c.", "one, two; three!", "no punctuation", "?!.,;:"} {
+			inputs = append(inputs, engine.Inputs{Secret: []byte(text)})
+			req.Runs = append(req.Runs, RunInput{Secret: text})
+			for _, sh := range shards {
+				for _, want := range []string{engine.CacheMiss, engine.CacheHit} {
+					resp, err := sh.svc.Analyze(context.Background(), serve.Request{Program: "count_punct", Inputs: inputs[len(inputs)-1]})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := resp.Result.Cache.Disposition; got != want {
+						t.Fatalf("shard %s warming %q: disposition %q, want %q", sh.name, text, got, want)
+					}
+				}
+			}
+		}
+		stores := func() (n int64) {
+			for _, sh := range shards {
+				k := sh.svc.Stats().Cache.Kinds[engine.KindResult]
+				n += k.Hits + k.Misses + k.Stores
+			}
+			return n
+		}
+		before := stores()
+
+		want, err := engine.New(guest.Program("count_punct"), cfg).AnalyzeBatch(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.AnalyzeBatch(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.MergedRuns != len(inputs) || resp.Bits != want.Bits {
+			t.Fatalf("exact=%v: merged %d of %d runs for %d bits, in-process batch %d bits: %+v", exact, resp.MergedRuns, len(inputs), resp.Bits, want.Bits, resp.Runs)
+		}
+		if after := stores(); after != before {
+			t.Fatalf("exact=%v: the batch's graph runs touched the result cache (%d lookups and stores before, %d after)", exact, before, after)
+		}
+	}
+}
+
 // A shard whose graph mode differs from the batch's earlier runs fails
 // its run instead of reaching the merge, which cannot place exact and
 // collapsed graphs together.

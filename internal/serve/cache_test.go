@@ -192,6 +192,43 @@ func TestHTTPCacheDisposition(t *testing.T) {
 	}
 }
 
+// A hit answers the miss's bits and cut, and an include_graph request for
+// the same input runs past the cache ("bypass") and carries the graph,
+// leaving the cache's counters as they were.
+func TestHTTPIncludeGraphBypassesCache(t *testing.T) {
+	svc := newCachedService(t)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	post := func(body string) serve.AnalyzeResponse {
+		t.Helper()
+		resp, raw := postAnalyze(t, ts, body)
+		var out serve.AnalyzeResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		if hdr := resp.Header.Get("X-Flow-Cache"); hdr != out.Cache {
+			t.Fatalf("X-Flow-Cache %q, body cache %q", hdr, out.Cache)
+		}
+		return out
+	}
+	miss := post(`{"program":"unary","secret":"A"}`)
+	hit := post(`{"program":"unary","secret":"A"}`)
+	if miss.Cache != "miss" || hit.Cache != "hit" || hit.Bits != miss.Bits || hit.Cut != miss.Cut || miss.Cut == "" {
+		t.Fatalf("miss %q %d bits cut %q; hit %q %d bits cut %q", miss.Cache, miss.Bits, miss.Cut, hit.Cache, hit.Bits, hit.Cut)
+	}
+	before := svc.Stats().Cache.Kinds[engine.KindResult]
+	graph := post(`{"program":"unary","secret":"A","include_graph":true}`)
+	if graph.Cache != engine.CacheBypass || graph.Graph == nil || graph.Graph.Edges == 0 || graph.Bits != miss.Bits || graph.Cut != miss.Cut {
+		t.Fatalf("include_graph: cache %q, graph %+v, %d bits, cut %q; want a bypass with a graph and the miss's answer", graph.Cache, graph.Graph, graph.Bits, graph.Cut)
+	}
+	if g, err := graph.Graph.Decode(); err != nil || g.NumEdges() != graph.Graph.Edges {
+		t.Fatalf("include_graph graph does not decode: %v", err)
+	}
+	if after := svc.Stats().Cache.Kinds[engine.KindResult]; after != before {
+		t.Fatalf("include_graph touched the result cache: %+v, then %+v", before, after)
+	}
+}
+
 // TestServiceCacheSoak hammers a cached service from many goroutines over
 // a small input space and checks the ledgers stay consistent: every
 // request is either fast-pathed or admitted, the cache stays within

@@ -57,7 +57,9 @@ type AnalyzeRequest struct {
 	// IncludeGraph asks for the run's flow graph in the response
 	// (AnalyzeResponse.Graph), packed for transit. The fleet coordinator
 	// sets it on batch runs so it can merge per-run graphs into the
-	// distributed joint bound. Cheap precision rungs carry no graph.
+	// distributed joint bound. The request skips the cache fast path and
+	// neither reads nor fills the result cache, whose entries keep no
+	// graph (cache "bypass"). Cheap precision rungs carry no graph.
 	IncludeGraph bool `json:"include_graph,omitempty"`
 }
 
@@ -191,6 +193,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Inputs:            engine.Inputs{Secret: secret, Public: public},
 		Precision:         req.Precision,
 		AdaptiveThreshold: req.AdaptiveThreshold,
+		IncludeGraph:      req.IncludeGraph,
 	}
 	for _, c := range req.Classes {
 		sreq.Classes = append(sreq.Classes, engine.SecretClass{Name: c.Name, Off: c.Off, Len: c.Len})
@@ -231,7 +234,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if res.Trap != nil {
 		out.Trap = res.Trap.Error()
 	}
-	if res.Cut != nil {
+	if res.Rung == engine.RungFull {
 		out.Cut = res.CutString()
 	}
 	for _, cr := range resp.Classes {

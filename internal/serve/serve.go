@@ -192,6 +192,11 @@ type Request struct {
 	// override: the cheap rungs never execute, so there is no graph to
 	// view.
 	Classes []engine.SecretClass
+	// IncludeGraph asks for the run's flow graph in Response.Result.Graph.
+	// The request neither reads nor fills the result cache, whose entries
+	// keep answers, not graphs; a run is deterministic, so its bits are
+	// the same either way.
+	IncludeGraph bool
 }
 
 // Response is a served analysis result.
@@ -491,9 +496,10 @@ func (s *Service) serveAdmitted(ctx context.Context, p *program, req Request, in
 	// slow path (the cheap precision rungs are themselves no-execution
 	// answers); class requests re-solve their views on the engine's cached
 	// class graph; a draining service refuses even warm requests (readyz
-	// has already failed the balancer).
+	// has already failed the balancer). With RetryDegraded, a cached
+	// solver-degraded answer takes the slow path, which retries it.
 	if an == p.analyzer && len(req.Classes) == 0 && !s.draining.Load() {
-		if res, ok := an.Cached(req.Inputs); ok {
+		if res, ok := an.Cached(req.Inputs); ok && !s.retriesDegraded(res) {
 			s.cacheFast.Add(1)
 			s.countRung(res.Rung)
 			s.log.Info("analyze",
@@ -614,12 +620,9 @@ func (s *Service) attempts(ctx context.Context, p *program, base *engine.Analyze
 		s.observeLatency(lat)
 
 		if err == nil {
-			// Only executed solver-budget degradations (which carry a graph)
-			// can improve with more solver work; cheap-rung answers are
-			// degraded by design and retrying them would change nothing.
 			// Class requests never degraded-retry: the per-class views
 			// would need their own budgets to be worth re-solving.
-			if len(req.Classes) == 0 && res.Degraded && res.Graph != nil && s.opts.RetryDegraded && attempt < maxAttempts && cfg.Budget.SolverWork > 0 {
+			if len(req.Classes) == 0 && s.retriesDegraded(res) && attempt < maxAttempts && cfg.Budget.SolverWork > 0 {
 				// A degraded result is sound but loose; remember it and
 				// retry with the solver budget grown. If no retry solves
 				// exactly, the degraded bound is still the answer.
@@ -687,10 +690,23 @@ func (s *Service) attempts(ctx context.Context, p *program, base *engine.Analyze
 	}
 }
 
+// retriesDegraded reports whether the service retries res under a larger
+// solver budget. Only an executed solver-budget degradation can improve
+// with more solver work; cheap-rung answers are degraded by design and
+// retrying them would change nothing.
+func (s *Service) retriesDegraded(res *engine.Result) bool {
+	return s.opts.RetryDegraded && res.Degraded && res.Executed
+}
+
 // analyzerFor returns the analyzer a request is posed to: the program's
-// own, or, for a Budget or Precision override, one derived from it that
-// shares its session pool, counters and static analysis.
+// own, or, for a Budget or Precision override or a graph request, one
+// derived from it that shares its session pool, counters and static
+// analysis.
 func analyzerFor(p *program, req Request) *engine.Analyzer {
+	if req.IncludeGraph {
+		req.IncludeGraph = false
+		return analyzerFor(p, req).Uncached()
+	}
 	if req.Budget == nil && req.Precision == "" {
 		return p.analyzer
 	}

@@ -278,6 +278,36 @@ func TestRetryDegraded(t *testing.T) {
 	}
 }
 
+// A solver-degraded answer served from the cache still retries with a
+// grown solver budget: on the slow path, where a budget override always
+// goes, and instead of the fast path, which would hand it back as is. A
+// hit keeps no graph, so this rests on Result.Executed.
+func TestRetryDegradedFromCache(t *testing.T) {
+	svc := serve.New(serve.Options{RetryDegraded: true, CacheBytes: 1 << 20})
+	svc.Register("unary", guest.Program("unary"), engine.Config{
+		Budget: engine.Budget{SolverWork: degradedWork},
+	})
+	want, err := engine.Analyze(guest.Program("unary"), engine.Inputs{Secret: []byte{200}}, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	override := req(200)
+	override.Budget = &engine.Budget{SolverWork: degradedWork}
+	for i, r := range []serve.Request{req(200), req(200), override} {
+		resp, err := svc.Analyze(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := resp.Result
+		if res.Degraded || res.Bits != want.Bits || resp.Attempts != 3 {
+			t.Fatalf("request %d: degraded %v, %d bits after %d attempts; want %d exact bits after 3", i, res.Degraded, res.Bits, resp.Attempts, want.Bits)
+		}
+		if wantDisp := map[bool]string{true: engine.CacheMiss, false: engine.CacheHit}[i == 0]; res.Cache.Disposition != wantDisp {
+			t.Fatalf("request %d: disposition %q, want %q", i, res.Cache.Disposition, wantDisp)
+		}
+	}
+}
+
 // A solver budget given as a per-request override degrades and retries
 // exactly like the program's own: growth applies on top of the override.
 func TestRetryDegradedRequestBudget(t *testing.T) {
